@@ -19,7 +19,6 @@ from .model import (
     FnSpec,
     GeneratorSpec,
     GParams,
-    INACTIVE_LEVEL,
     ObstaclePair,
     ProblemSpec,
     SpecError,
@@ -60,7 +59,6 @@ from .solvers import (
     solve_limit,
     solve_lower_reflected_upper_penalized,
     solve_penalized,
-    solve_single_reflected,
 )
 from .decomposition import (
     ProcessBundle,
@@ -90,7 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientSet", "EvaluationError", "FnSpec", "GeneratorSpec",
-    "GParams", "INACTIVE_LEVEL", "ObstaclePair", "ProblemSpec", "SpecError",
+    "GParams", "ObstaclePair", "ProblemSpec", "SpecError",
     "ValidationReport", "Violation", "ZERO", "validate",
     "NodeDerivs", "g_eval", "pde_rhs", "pde_rhs_penalized", "qv_rhs",
     "worst_case_vol",
@@ -101,7 +99,6 @@ __all__ = [
     "PenaltySchedule", "SolveReport", "StageRecord",
     "solve_double_projection", "solve_limit",
     "solve_lower_reflected_upper_penalized", "solve_penalized",
-    "solve_single_reflected",
     "ProcessBundle", "bmo_diagnostic", "martingale_defect_scan",
     "one_step_residuals", "reconstruct", "skorohod_residuals",
     "CheckResult", "ORDER_SLACK", "OrderReport", "RateFit", "SuiteResult",

@@ -176,19 +176,10 @@ def _problem_from_config(rec):
     if "obstacles" in rec:
         o = rec["obstacles"]
         _check_keys(o, ("lower", "upper", "level_bound"), "problem.obstacles")
-        level = float(o.get("level_bound", 1.0))
-        low_rec = o.get("lower")
-        up_rec = o.get("upper")
-        if low_rec is not None and up_rec is not None:
-            obstacles = ObstaclePair.both(
-                _fnspec(low_rec, "problem.obstacles.lower"),
-                _fnspec(up_rec, "problem.obstacles.upper"), level)
-        elif low_rec is not None:
-            obstacles = ObstaclePair.lower_only(
-                _fnspec(low_rec, "problem.obstacles.lower"), level)
-        elif up_rec is not None:
-            obstacles = ObstaclePair.upper_only(
-                _fnspec(up_rec, "problem.obstacles.upper"), level)
+        sides = {name: _fnspec(o[name], f"problem.obstacles.{name}")
+                 for name in ("lower", "upper") if o.get(name) is not None}
+        obstacles = ObstaclePair(
+            **sides, level_bound=float(o.get("level_bound", 1.0)))
 
     terminal = _fnspec(rec["terminal"], "problem.terminal")
     return ProblemSpec(gparams=gparams, coeffs=coeffs, gen=gen,
@@ -394,8 +385,6 @@ def _cmd_solve(args):
     except SpecError as err:
         raise ConfigError(str(err))
 
-    bundle = reconstruct(rep.field, spec, pen, mode=rec_mode)
-
     lines = [f"problem: {label}", f"mode: {mode}", _grid_line(grid),
              str(vrep)]
     if trace is not None:
@@ -419,6 +408,7 @@ def _cmd_solve(args):
     written = []
     if out_rec.get("field_csv"):
         ks = _slice_indices(grid, out_rec.get("slices"))
+        bundle = reconstruct(rep.field, spec, pen, mode=rec_mode)
         _write_field_csv(out_rec["field_csv"], bundle, ks)
         written.append(f"{out_rec['field_csv']} ({len(ks)} slice(s))")
     if out_rec.get("trace_csv"):
@@ -461,12 +451,8 @@ def _cmd_suite(args):
 
     written = []
     if out_rec.get("field_csv"):
-        last = result.trace.stages[-1]
-        pen = PenaltyParams(last.m_lower, last.n_upper)
-        bundle = reconstruct(result.final_report.field, built, pen,
-                             mode="penalized")
         ks = _slice_indices(grid, out_rec.get("slices"))
-        _write_field_csv(out_rec["field_csv"], bundle, ks)
+        _write_field_csv(out_rec["field_csv"], result.bundle, ks)
         written.append(f"{out_rec['field_csv']} ({len(ks)} slice(s))")
     elif "slices" in out_rec:
         raise ConfigError("output.slices needs output.field_csv")

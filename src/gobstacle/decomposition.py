@@ -13,13 +13,15 @@ is <= 0 at every interior node, with equality exactly at maximizing
 scenarios.  The orthogonal-decrement part of the decomposition vanishes
 along the worst-case scenario by construction and is never materialized.
 
-All increments are reconstructed through the very arithmetic of the
-stepping scheme (shared helpers), so the one-step identity
+Each step is replayed through the step kernel of the scheme, which
+reports the increments its penalty resolution, projection and boundary
+clamp applied, so the one-step identity
 
     Y_k = Y_{k+1} + dt*rhs + dA+_k - dA-_k
 
 holds at interior nodes to rounding, for every solver mode: projection
-lifts/clamps land in the increments, not in a residual.
+lifts/clamps land in the increments, not in a residual.  A replay that
+does not reproduce the stored layer is refused.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 
 from .gcalculus import g_eval, worst_case_vol
 from .model import ProblemSpec, SpecError
-from .scheme import Field, Grid, PenaltyParams, layer_rhs_parts, \
-    resolve_penalties
+from .scheme import Field, PenaltyParams, _enforce, _obstacle_rows, \
+    layer_rhs_parts
 
 
 @dataclass(eq=False)
@@ -42,6 +44,7 @@ class ProcessBundle:
     the increments created by the step that produced slice k (zero on
     the terminal row); defect[k, i] is the worst fixed-scenario defect
     at that node (zero on boundary columns and the terminal row).
+    first_order is the first-order scheme of the solve it was built from.
     """
 
     y: Field
@@ -49,6 +52,7 @@ class ProcessBundle:
     da_plus: np.ndarray
     da_minus: np.ndarray
     defect: Field
+    first_order: str = "central"
 
 
 def _check_v_grid(v_grid, spec):
@@ -63,43 +67,22 @@ def _check_v_grid(v_grid, spec):
     return v_grid
 
 
-def _obstacle_rows(spec, t, x):
-    ob = spec.obstacles
-    low = np.broadcast_to(np.asarray(ob.lower(t, x), dtype=float),
-                          np.shape(x)) if ob.lower_active else None
-    up = np.broadcast_to(np.asarray(ob.upper(t, x), dtype=float),
-                         np.shape(x)) if ob.upper_active else None
-    return low, up
-
-
-def _apply_mode(u, low, up, mode, ob):
-    if mode == "project_lower":
-        if ob.lower_active:
-            u = np.maximum(u, low)
-    elif mode == "project_both":
-        if ob.lower_active:
-            u = np.maximum(u, low)
-        if ob.upper_active:
-            u = np.minimum(u, up)
-    return u
-
-
 def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
                 mode="penalized", v_grid=None,
                 first_order="central") -> ProcessBundle:
     """Rebuild the process bundle from a solved field.
 
+    Replays every step through the step kernel, with the right-hand side
+    computed once per step: the replay yields the increments dA+/dA-,
+    and the same step under each fixed scenario of v_grid the defect.
     The field must come from a solver run with the same (spec, pen,
-    mode, first_order); increments are recovered by replaying each step
-    with identical arithmetic and reading off the penalty and projection
-    contributions.
+    mode, first_order); a replayed layer that differs from the stored
+    one raises SpecError.
     """
     grid = field.grid
     vals = field.values
     dt = grid.dt
     dx = grid.dx
-    x_int = grid.x_nodes[1:-1]
-    ob = spec.obstacles
     v_grid = _check_v_grid(v_grid, spec)
 
     z = np.empty_like(vals)
@@ -119,56 +102,34 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
     for k in range(grid.nt - 1, -1, -1):
         t = grid.t_nodes[k]
         qv, rest = layer_rhs_parts(vals[k + 1], t, spec, grid, first_order)
+        rows = _obstacle_rows(spec, t, grid.x_nodes)
         w = vals[k + 1, 1:-1] + dt * (g_eval(qv, spec.gparams) + rest)
-        low, up = _obstacle_rows(spec, t, x_int)
-        u_pen = resolve_penalties(w, low, up, pen, dt,
-                                  ob.lower_active, ob.upper_active)
-
-        dap = np.zeros_like(w)
-        dam = np.zeros_like(w)
-        if ob.lower_active and pen.m_lower > 0.0:
-            dap += dt * pen.m_lower * np.maximum(low - u_pen, 0.0)
-        if ob.upper_active and pen.n_upper > 0.0:
-            dam += dt * pen.n_upper * np.maximum(u_pen - up, 0.0)
-        # whatever the stored layer has beyond the penalty resolution is
-        # the projection's doing; split it by sign into the increments
-        lift = vals[k, 1:-1] - u_pen
-        dap += np.maximum(lift, 0.0)
-        dam += np.maximum(-lift, 0.0)
-        da_plus[k, 1:-1] = dap
-        da_minus[k, 1:-1] = dam
-
-        # boundary columns: extrapolation then clamp; the clamp delta is
-        # the boundary increment
-        for idx in (0, -1):
-            if idx == 0:
-                e = 2.0 * vals[k, 1] - vals[k, 2]
-            else:
-                e = 2.0 * vals[k, -2] - vals[k, -3]
-            delta = vals[k, idx] - e
-            da_plus[k, idx] = max(delta, 0.0)
-            da_minus[k, idx] = max(-delta, 0.0)
+        layer, da_plus[k], da_minus[k] = _enforce(w, *rows, pen, dt, mode,
+                                                  increments=True)
+        if not np.array_equal(layer, vals[k]):
+            raise SpecError(
+                f"replaying the step at t={t:.6g} does not reproduce the "
+                "stored layer; reconstruct with the pen, mode and "
+                "first_order of the solve")
 
         worst = None
         for v in v_grid:
             w_v = vals[k + 1, 1:-1] + dt * (0.5 * (v * qv) + rest)
-            u_v = resolve_penalties(w_v, low, up, pen, dt,
-                                    ob.lower_active, ob.upper_active)
-            u_v = _apply_mode(u_v, low, up, mode, ob)
-            d = u_v - vals[k, 1:-1]
+            d = _enforce(w_v, *rows, pen, dt, mode)[1:-1] - vals[k, 1:-1]
             worst = d if worst is None else np.maximum(worst, d)
         defect[k, 1:-1] = worst
 
     return ProcessBundle(y=field, z=Field(values=z, grid=grid),
                          da_plus=da_plus, da_minus=da_minus,
-                         defect=Field(values=defect, grid=grid))
+                         defect=Field(values=defect, grid=grid),
+                         first_order=first_order)
 
 
-def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec,
-                       first_order="central"):
+def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     """Interior residual of Y_k - (Y_{k+1} + dt*rhs + dA+ - dA-) per step.
 
-    Returns an (nt, nx-1) array; its sup is the identity defect of the
+    The right-hand side uses the bundle's first-order scheme.  Returns an
+    (nt, nx-1) array; its sup is the identity defect of the
     reconstruction and should sit at rounding level.
     """
     grid = bundle.y.grid
@@ -176,11 +137,32 @@ def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec,
     out = np.empty((grid.nt, grid.nx - 1))
     for k in range(grid.nt):
         t = grid.t_nodes[k]
-        qv, rest = layer_rhs_parts(vals[k + 1], t, spec, grid, first_order)
+        qv, rest = layer_rhs_parts(vals[k + 1], t, spec, grid,
+                                   bundle.first_order)
         w = vals[k + 1, 1:-1] + grid.dt * (g_eval(qv, spec.gparams) + rest)
         out[k] = vals[k, 1:-1] - (w + bundle.da_plus[k, 1:-1]
                                   - bundle.da_minus[k, 1:-1])
     return out
+
+
+def _contact_residuals(field: Field, spec: ProblemSpec, increments):
+    """(r_plus, r_minus) of a field whose interior increments at slice k
+    are increments(k, y_k, lower_k, upper_k) -> (dA+_k, dA-_k)."""
+    grid = field.grid
+    x = grid.x_nodes[1:-1]
+    acc_plus = np.zeros(grid.nx - 1)
+    acc_minus = np.zeros(grid.nx - 1)
+    for k in range(grid.nt):
+        y = field.values[k, 1:-1]
+        low, up = _obstacle_rows(spec, grid.t_nodes[k], x)
+        da_plus, da_minus = increments(k, y, low, up)
+        if low is not None:
+            acc_plus += np.maximum(low - y, 0.0) * da_plus
+        if up is not None:
+            acc_minus += np.maximum(y - up, 0.0) * da_minus
+    ob = spec.obstacles
+    return (float(np.max(acc_plus)) if ob.lower_active else 0.0,
+            float(np.max(acc_minus)) if ob.upper_active else 0.0)
 
 
 def skorohod_residuals(bundle: ProcessBundle, spec: ProblemSpec):
@@ -195,28 +177,9 @@ def skorohod_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     vanish (to step-size slack) for projection solves.  Inactive sides
     report 0.
     """
-    grid = bundle.y.grid
-    vals = bundle.y.values
-    ob = spec.obstacles
-    r_plus = 0.0
-    r_minus = 0.0
-    if ob.lower_active:
-        acc = np.zeros(grid.nx - 1)
-        for k in range(grid.nt):
-            low = np.asarray(ob.lower(grid.t_nodes[k], grid.x_nodes[1:-1]),
-                             dtype=float)
-            acc += np.maximum(low - vals[k, 1:-1], 0.0) \
-                * bundle.da_plus[k, 1:-1]
-        r_plus = float(np.max(acc))
-    if ob.upper_active:
-        acc = np.zeros(grid.nx - 1)
-        for k in range(grid.nt):
-            up = np.asarray(ob.upper(grid.t_nodes[k], grid.x_nodes[1:-1]),
-                            dtype=float)
-            acc += np.maximum(vals[k, 1:-1] - up, 0.0) \
-                * bundle.da_minus[k, 1:-1]
-        r_minus = float(np.max(acc))
-    return r_plus, r_minus
+    return _contact_residuals(
+        bundle.y, spec, lambda k, *_: (bundle.da_plus[k, 1:-1],
+                                       bundle.da_minus[k, 1:-1]))
 
 
 def martingale_defect_scan(field: Field, spec: ProblemSpec,
@@ -241,16 +204,18 @@ def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
 
     For each interior column and each start slice tau, accumulates
     sum_{k >= tau} z_k^2 * v*_k * dt with v* the bang-bang scenario of
-    the step at slice k, and returns the maximum (attained at tau = 0
-    since summands are nonnegative; tails decrease as tau grows).
-    Diagnostic only: reported, never asserted against model constants.
+    the step at slice k (under the bundle's first-order scheme), and
+    returns the maximum (attained at tau = 0 since summands are
+    nonnegative; tails decrease as tau grows).  Diagnostic only:
+    reported, never asserted against model constants.
     """
     grid = bundle.y.grid
     vals = bundle.y.values
     energy = np.empty((grid.nt, grid.nx - 1))
     for k in range(grid.nt):
         t = grid.t_nodes[k]
-        qv, _ = layer_rhs_parts(vals[k + 1], t, spec, grid)
+        qv, _ = layer_rhs_parts(vals[k + 1], t, spec, grid,
+                                bundle.first_order)
         v_star = worst_case_vol(qv, spec.gparams)
         zk = bundle.z.values[k, 1:-1]
         energy[k] = zk * zk * v_star * grid.dt

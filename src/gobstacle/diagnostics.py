@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import bmo_diagnostic, martingale_defect_scan, \
-    one_step_residuals, reconstruct, skorohod_residuals
+from .decomposition import ProcessBundle, bmo_diagnostic, \
+    one_step_residuals, reconstruct
 from .model import ProblemSpec, validate
-from .scheme import Field, Grid, PenaltyParams
+from .scheme import Field, Grid, PenaltyParams, _obstacle_rows
 from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
     solve_limit, solve_lower_reflected_upper_penalized, solve_penalized
 
@@ -242,9 +242,14 @@ class CheckResult:
 
 @dataclass(eq=False)
 class SuiteResult:
+    """Checks of one suite run; a single-problem run also carries its
+    final solve, schedule trace, and the process bundle reconstructed
+    from the final field."""
+
     checks: tuple
     final_report: Optional[SolveReport]
     trace: object
+    bundle: Optional[ProcessBundle] = None
 
     @property
     def ok(self):
@@ -383,11 +388,11 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
              "contact residuals shrink along the schedule, final r+="
              f"{rp[-1]:.3g}, r-={rm[-1]:.3g}")
 
-    defect = martingale_defect_scan(final.field, spec, pen_final)
+    bundle = reconstruct(final.field, spec, pen_final)
+    defect = float(np.max(bundle.defect.values[:-1, 1:-1]))
     _chk(checks, "martingale-defect", defect <= 1e-10, defect, 1e-10,
          "no fixed-variance scenario beats the envelope step")
 
-    bundle = reconstruct(final.field, spec, pen_final)
     resid = float(np.max(np.abs(one_step_residuals(bundle, spec))))
     _chk(checks, "one-step-identity", resid <= 1e-10, resid, 1e-10,
          "Y_k = Y_{k+1} + dt*rhs + dA+ - dA- at interior nodes")
@@ -396,18 +401,13 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     overlap = float(np.max(np.minimum(bundle.da_plus, bundle.da_minus)))
     signs_ok = neg >= 0.0 and overlap == 0.0
     act = 0.0
-    if ob.lower_active:
-        low = np.stack([np.broadcast_to(np.asarray(
-            ob.lower(t, grid.x_nodes), dtype=float), (grid.nx + 1,))
-            for t in grid.t_nodes])
-        act = max(act, float(np.max((bundle.y.values - low)
-                                    * (bundle.da_plus > 0))))
-    if ob.upper_active:
-        up = np.stack([np.broadcast_to(np.asarray(
-            ob.upper(t, grid.x_nodes), dtype=float), (grid.nx + 1,))
-            for t in grid.t_nodes])
-        act = max(act, float(np.max((up - bundle.y.values)
-                                    * (bundle.da_minus > 0))))
+    for k, t in enumerate(grid.t_nodes):
+        low, up = _obstacle_rows(spec, t, grid.x_nodes)
+        y = bundle.y.values[k]
+        if low is not None:
+            act = max(act, float(np.max((y - low) * (bundle.da_plus[k] > 0))))
+        if up is not None:
+            act = max(act, float(np.max((up - y) * (bundle.da_minus[k] > 0))))
     _chk(checks, "compensator-signs", signs_ok and act <= 1e-12,
          max(-neg, overlap, act), 1e-12,
          "increments nonnegative, mutually exclusive, and act only on "
@@ -417,7 +417,8 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     _chk(checks, "gradient-energy-finite", math.isfinite(bmo), bmo,
          float("inf"), "worst-case tail energy of z (diagnostic only)")
 
-    return SuiteResult(checks=tuple(checks), final_report=final, trace=trace)
+    return SuiteResult(checks=tuple(checks), final_report=final, trace=trace,
+                       bundle=bundle)
 
 
 def run_comparison_suite(spec_hi: ProblemSpec, spec_lo: ProblemSpec,

@@ -85,8 +85,8 @@ def pde_rhs_penalized(d: NodeDerivs, spec: ProblemSpec, pen):
 
         pde_rhs - n_upper*(u - upper)+ + m_lower*(u - lower)-
 
-    Inactive obstacle sides contribute nothing regardless of intensity
-    (their sentinel levels never enter the arithmetic).  The implicit
+    Absent obstacle sides (None) contribute nothing regardless of
+    intensity.  The implicit
     stepping scheme resolves these same terms in closed form instead of
     evaluating them explicitly; this function is the per-node reference.
     """

@@ -14,25 +14,19 @@ probe, and carry explicit regularity declarations (Lipschitz constants,
 sup bounds) instead of opaque callables.  Host code may still inject a
 `custom` evaluator for library use; the command line rejects those.
 
-Obstacles may be deactivated per side.  An inactive side is represented
-by a large sentinel level plus an explicit flag; all arithmetic branches
-on the flag, the sentinel never enters differences.
+Obstacles may be deactivated per side: an absent side is `None`, and
+its activity is read from that alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from .scheme import Grid
-
-# Level used to encode a disabled obstacle side.  Guarded by activity
-# flags everywhere; it must stay large against any sane solution scale
-# but finite so that accidental arithmetic stays observable.
-INACTIVE_LEVEL = 1.0e9
 
 _DEFAULT_CLIP = 1.0e6
 
@@ -300,31 +294,35 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class ObstaclePair:
-    """Lower/upper barrier functions with activity flags.
+    """Lower/upper barrier functions; `None` marks an absent side.
 
     `level_bound` bounds lower <= level_bound and -upper <= level_bound
-    on active sides.  Inactive sides keep a +-INACTIVE_LEVEL sentinel
-    spec but are excluded from all arithmetic by the flags.
+    on active sides.
     """
 
-    lower: FnSpec = FnSpec.constant(-INACTIVE_LEVEL)
-    upper: FnSpec = FnSpec.constant(+INACTIVE_LEVEL)
-    lower_active: bool = False
-    upper_active: bool = False
+    lower: Optional[FnSpec] = None
+    upper: Optional[FnSpec] = None
     level_bound: float = 1.0
+
+    @property
+    def lower_active(self):
+        return self.lower is not None
+
+    @property
+    def upper_active(self):
+        return self.upper is not None
 
     @classmethod
     def both(cls, lower, upper, level_bound=1.0):
-        return cls(lower=lower, upper=upper, lower_active=True,
-                   upper_active=True, level_bound=level_bound)
+        return cls(lower=lower, upper=upper, level_bound=level_bound)
 
     @classmethod
     def lower_only(cls, lower, level_bound=1.0):
-        return cls(lower=lower, lower_active=True, level_bound=level_bound)
+        return cls(lower=lower, level_bound=level_bound)
 
     @classmethod
     def upper_only(cls, upper, level_bound=1.0):
-        return cls(upper=upper, upper_active=True, level_bound=level_bound)
+        return cls(upper=upper, level_bound=level_bound)
 
     @classmethod
     def none(cls):
@@ -396,9 +394,11 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     report entry.  The function is pure: same spec and probe, same report.
 
     Checked constraints: positivity/order of the volatility band, the
-    ellipticity band for sigma^2, the zero-point driver bound, the
-    terminal bound, obstacle order, obstacle level bounds, and the
-    terminal sandwich between active obstacles.
+    ellipticity band for sigma^2, the cell-Peclet condition
+    |drift|*dx <= vol_low_sq*(sigma^2 - |cross|*dx) that keeps the
+    neighbour weights of the default central step nonnegative, the
+    zero-point driver bound, the terminal bound, obstacle order, obstacle
+    level bounds, and the terminal sandwich between active obstacles.
     """
     ts = np.asarray(probe.t_nodes, dtype=float)
     xs = np.asarray(probe.x_nodes, dtype=float)
@@ -434,6 +434,16 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     if w[0] > 0:
         flag("ellipticity-cap", f"(t={w[1]:g}, x={w[2]:g})", w[0],
              f"sigma^2 exceeds declared vol_cap by {w[0]:.3g}")
+
+    dx = probe.dx
+    w = scan(lambda t: np.abs(_probe_eval(spec.coeffs.drift, "drift", t, xs))
+             * dx - gp.vol_low_sq * (sig(t) ** 2 - dx * np.abs(
+                 _probe_eval(spec.coeffs.cross, "cross", t, xs))))
+    if w[0] > 0:
+        flag("cell-peclet", f"(t={w[1]:g}, x={w[2]:g})", w[0],
+             f"|drift|*dx exceeds vol_low_sq*(sigma^2 - |cross|*dx) by "
+             f"{w[0]:.3g}; the central step is not monotone there, "
+             "refine nx")
 
     w = scan(lambda t: np.abs(_probe_eval(spec.gen.f, "f", t, xs))
              + np.abs(_probe_eval(spec.gen.g, "g", t, xs))
@@ -477,11 +487,7 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
             flag("terminal-sandwich", f"(x={xs[j]:g})", phi[j] - uT[j],
                  f"terminal exceeds upper obstacle by {phi[j] - uT[j]:.3g}")
 
-    # probe drift/cross and the drivers off the origin for finiteness only
-    for name, fs in (("drift", spec.coeffs.drift),
-                     ("cross", spec.coeffs.cross)):
-        for t in (ts[0], ts[-1]):
-            _probe_eval(fs, name, float(t), xs)
+    # probe the drivers off the origin for finiteness only
     for name, fs in (("f", spec.gen.f), ("g", spec.gen.g)):
         for yz in ((0.0, 0.0), (1.0, -1.0), (-1.0, 1.0)):
             _probe_eval(fs, name, float(ts[0]), xs, *yz)

@@ -14,6 +14,10 @@ modes replace or follow the penalty resolution:
     project_lower  u' = max(u_after_upper_penalty, lower)
     project_both   u' = clamp(u', lower, upper)      (active sides only)
 
+Penalty resolution, projection and the boundary closure below form one
+kernel, shared by every solver and by the process reconstruction, which
+also reads from it the compensator increments each of them applied.
+
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
 The closure is second-order at the artificial boundary (exact on affine
@@ -24,7 +28,8 @@ interior nodes.  Stability: dt <= cfl_safety * dx^2 / (vol_high_sq*K +
 dx*B) with K the declared sigma^2 cap and B a bound on the first-order
 coefficients (drift, cross loading, declared z-moduli); an extra dx^2
 term accounts for zero-order moduli.  Centered first differences are
-the default; an upwind fallback exists for advection-dominated data.
+the default (monotone under the cell-Peclet condition that `validate`
+checks); an upwind fallback exists for advection-dominated data.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .model import ProblemSpec, SpecError
 MODES = ("penalized", "project_lower", "project_both")
 
 _NT_CAP = 10_000_000
+_FIELD_BYTES_CAP = 512 * 2 ** 20  # solvers store the whole float64 field
 
 
 class GridError(ValueError):
@@ -138,7 +144,8 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     where B bounds the first-order coefficients (|drift| + vol_high_sq*
     |cross| + declared z-moduli at unit gradient scale) and Y the
     zero-order moduli.  nt is the smallest count meeting the bound and
-    is capped at ten million.
+    is capped at ten million; the solution field, (nt+1)*(nx+1) doubles,
+    is capped at 512 MiB.
     """
     if not x_max > x_min:
         raise GridError(f"degenerate domain [{x_min}, {x_max}]")
@@ -160,6 +167,12 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     nt = max(1, math.ceil(spec.horizon / dt_max))
     if nt > _NT_CAP:
         raise GridError(f"CFL bound needs nt={nt}, above the cap {_NT_CAP}; "
+                        "coarsen nx or shorten the horizon")
+    field_bytes = (nt + 1) * (nx + 1) * 8
+    if field_bytes > _FIELD_BYTES_CAP:
+        raise GridError(f"the solution field needs {field_bytes / 2 ** 20:.0f}"
+                        f" MiB (nt={nt}, nx={nx}), above the "
+                        f"{_FIELD_BYTES_CAP // 2 ** 20} MiB memory cap; "
                         "coarsen nx or shorten the horizon")
     return Grid(x_min=x_min, x_max=x_max, nx=nx, nt=nt, horizon=spec.horizon)
 
@@ -205,8 +218,18 @@ def layer_rhs_parts(next_layer, t, spec: ProblemSpec, grid: Grid,
     return qv, rest
 
 
-def resolve_penalties(v, low_vals, up_vals, pen: PenaltyParams, dt,
-                      lower_active, upper_active):
+def _obstacle_rows(spec: ProblemSpec, t, x):
+    """Obstacle levels (lower, upper) at time t on the nodes x; None on
+    an absent side."""
+    rows = [None, None]
+    for i, fs in enumerate((spec.obstacles.lower, spec.obstacles.upper)):
+        if fs is not None:
+            rows[i] = np.empty(np.shape(x))
+            rows[i][...] = fs(t, x)  # broadcasts constant levels
+    return rows
+
+
+def resolve_penalties(v, low_vals, up_vals, pen: PenaltyParams, dt):
     """Closed-form solution of u = v + dt*m*(u-low)^- - dt*n*(u-up)^+.
 
     The map u -> u - dt*m*(u-low)^- + dt*n*(u-up)^+ is piecewise linear,
@@ -216,37 +239,93 @@ def resolve_penalties(v, low_vals, up_vals, pen: PenaltyParams, dt,
         v <  low : u = (v + dt*m*low) / (1 + dt*m)
         v >  up  : u = (v + dt*n*up) / (1 + dt*n)
         else     : u = v
+
+    An absent side (None) contributes nothing.
     """
     u = v
-    if lower_active and pen.m_lower > 0.0:
+    if low_vals is not None and pen.m_lower > 0.0:
         a = dt * pen.m_lower
         u = np.where(v < low_vals, (v + a * low_vals) / (1.0 + a), u)
-    if upper_active and pen.n_upper > 0.0:
+    if up_vals is not None and pen.n_upper > 0.0:
         a = dt * pen.n_upper
         u = np.where(v > up_vals, (v + a * up_vals) / (1.0 + a), u)
     return u
+
+
+def _penalty_increments(y, low, up, pen: PenaltyParams, dt):
+    """Penalty compensator increments (dt*m*(low-y)^+, dt*n*(y-up)^+) of
+    the values y against obstacle rows on the same nodes; zero on absent
+    sides and at zero intensity.  At the penalty-resolved value they are
+    exactly the push the resolution applied."""
+    low_push = dt * pen.m_lower * np.maximum(low - y, 0.0) \
+        if low is not None and pen.m_lower > 0.0 else np.zeros_like(y)
+    up_push = dt * pen.n_upper * np.maximum(y - up, 0.0) \
+        if up is not None and pen.n_upper > 0.0 else np.zeros_like(y)
+    return low_push, up_push
+
+
+def _enforce(v, low, up, pen: PenaltyParams, dt, mode, increments=False):
+    """Obstacle enforcement of one step: the kernel of every solver mode
+    and of the process reconstruction.
+
+    `v` holds the explicit (pre-obstacle) values on the interior nodes,
+    `low`/`up` the obstacle rows of the step on all nodes (None on an
+    absent side).  Resolves the penalties, projects by mode, closes the
+    boundary by zero-curvature extrapolation clamped into the band, and
+    returns the new layer.  With `increments` it returns (layer, dA+,
+    dA-): the penalty increments at the resolved value plus the
+    projection and boundary-clamp lifts, split by sign.
+    """
+    if mode not in MODES:
+        raise SpecError(f"unknown step mode {mode!r}")
+    low_in = None if low is None else low[1:-1]
+    up_in = None if up is None else up[1:-1]
+    u_pen = resolve_penalties(v, low_in, up_in, pen, dt)
+    u = u_pen
+    if mode != "penalized" and low is not None:
+        u = np.maximum(u, low_in)
+    if mode == "project_both" and up is not None:
+        u = np.minimum(u, up_in)
+
+    layer = np.empty(u.size + 2)
+    layer[1:-1] = u
+    ext = (2.0 * u[0] - u[1], 2.0 * u[-1] - u[-2])
+    for idx, e in zip((0, -1), ext):
+        layer[idx] = e
+        if low is not None:
+            layer[idx] = max(layer[idx], low[idx])
+        if up is not None:
+            layer[idx] = min(layer[idx], up[idx])
+    if not increments:
+        return layer
+
+    da_plus = np.empty_like(layer)
+    da_minus = np.empty_like(layer)
+    dap, dam = _penalty_increments(u_pen, low_in, up_in, pen, dt)
+    lift = u - u_pen
+    da_plus[1:-1] = dap + np.maximum(lift, 0.0)
+    da_minus[1:-1] = dam + np.maximum(-lift, 0.0)
+    for idx, e in zip((0, -1), ext):
+        delta = layer[idx] - e
+        da_plus[idx] = max(delta, 0.0)
+        da_minus[idx] = max(-delta, 0.0)
+    return layer, da_plus, da_minus
 
 
 def boundary_fill(layer, t, spec: ProblemSpec, grid: Grid):
     """Fill the two boundary nodes of a layer whose interior is done.
 
     Zero-curvature extrapolation from the two nearest interior nodes,
-    then a clamp into the obstacle band on active sides.  Second-order
-    at the artificial boundary, so the closure error vanishes under
-    refinement; the weights (2, -1) are not convex, so the two boundary
-    columns do not share the interior update's order preservation and
-    ordering diagnostics exclude them.  Returns the same array (filled
-    in place).
+    then a clamp into the obstacle band on active sides: the step
+    kernel's closure, applied with no penalty or projection.  Second
+    order at the artificial boundary, so the closure error vanishes
+    under refinement; the weights (2, -1) are not convex, so the two
+    boundary columns do not share the interior update's order
+    preservation and ordering diagnostics exclude them.  Returns the
+    same array (filled in place).
     """
-    layer[0] = 2.0 * layer[1] - layer[2]
-    layer[-1] = 2.0 * layer[-2] - layer[-3]
-    ob = spec.obstacles
-    for idx in (0, -1):
-        xb = grid.x_nodes[idx]
-        if ob.lower_active:
-            layer[idx] = max(layer[idx], float(ob.lower(t, xb)))
-        if ob.upper_active:
-            layer[idx] = min(layer[idx], float(ob.upper(t, xb)))
+    layer[:] = _enforce(layer[1:-1], *_obstacle_rows(spec, t, grid.x_nodes),
+                        PenaltyParams(), grid.dt, "penalized")
     return layer
 
 
@@ -256,11 +335,9 @@ def explicit_step(next_layer, t, spec: ProblemSpec, grid: Grid,
     """Advance one backward step; returns the new layer at time t.
 
     `next_layer` is the known layer at t+dt and is not modified.  See
-    the module docstring for the update; the obstacle activity flags on
-    the spec decide which penalty/projection branches exist at all.
+    the module docstring for the update; the obstacle rows are evaluated
+    once on all nodes and the step kernel enforces them.
     """
-    if mode not in MODES:
-        raise SpecError(f"unknown step mode {mode!r}")
     next_layer = np.asarray(next_layer, dtype=float)
     if next_layer.shape != (grid.nx + 1,):
         raise SpecError("layer shape does not match the grid")
@@ -268,28 +345,8 @@ def explicit_step(next_layer, t, spec: ProblemSpec, grid: Grid,
     qv, rest = layer_rhs_parts(next_layer, t, spec, grid, first_order)
     v = next_layer[1:-1] + grid.dt * (gcalculus.g_eval(qv, spec.gparams)
                                       + rest)
-
-    ob = spec.obstacles
-    x = grid.x_nodes[1:-1]
-    low_vals = np.broadcast_to(np.asarray(ob.lower(t, x), dtype=float),
-                               v.shape) if ob.lower_active else None
-    up_vals = np.broadcast_to(np.asarray(ob.upper(t, x), dtype=float),
-                              v.shape) if ob.upper_active else None
-
-    u = resolve_penalties(v, low_vals, up_vals, pen, grid.dt,
-                          ob.lower_active, ob.upper_active)
-    if mode == "project_lower":
-        if ob.lower_active:
-            u = np.maximum(u, low_vals)
-    elif mode == "project_both":
-        if ob.lower_active:
-            u = np.maximum(u, low_vals)
-        if ob.upper_active:
-            u = np.minimum(u, up_vals)
-
-    out = np.empty_like(next_layer)
-    out[1:-1] = u
-    boundary_fill(out, t, spec, grid)
+    out = _enforce(v, *_obstacle_rows(spec, t, grid.x_nodes), pen, grid.dt,
+                   mode)
 
     if not np.isfinite(out).all():
         bad = int(np.argmin(np.isfinite(out)))

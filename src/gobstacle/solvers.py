@@ -6,12 +6,12 @@ slice and differs only in how obstacles are enforced per step:
     solve_penalized                      implicit two-sided penalties
     solve_lower_reflected_upper_penalized  lower projection + upper penalty
     solve_double_projection              projection on the active sides
-    solve_single_reflected               projection on one chosen side
     solve_limit                          penalized family along a schedule
 
 The limit driver records a per-stage trace (sup difference between
-consecutive stages, obstacle violations, contact residuals) and flags,
-never raises, when the schedule ends above its stopping tolerance.
+consecutive stages, obstacle violations, contact residuals read from the
+stage field's penalty increments) and flags, never raises, when the
+schedule ends above its stopping tolerance.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from typing import Optional
 
 import numpy as np
 
+from .decomposition import _contact_residuals
 from .model import ProblemSpec, SpecError
-from .scheme import Field, Grid, PenaltyParams, explicit_step
+from .scheme import Field, Grid, PenaltyParams, _obstacle_rows, \
+    _penalty_increments, explicit_step
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
 DEFAULT_STOP_TOL = 1.0e-4
@@ -46,15 +48,10 @@ class SolveReport:
 
 
 def _layer_violations(layer, t, spec, grid):
-    ob = spec.obstacles
-    lo = up = 0.0
-    if ob.lower_active:
-        gap = np.asarray(ob.lower(t, grid.x_nodes), dtype=float) - layer
-        lo = float(np.max(gap, initial=0.0))
-    if ob.upper_active:
-        gap = layer - np.asarray(ob.upper(t, grid.x_nodes), dtype=float)
-        up = float(np.max(gap, initial=0.0))
-    return max(lo, 0.0), max(up, 0.0)
+    low, up = _obstacle_rows(spec, t, grid.x_nodes)
+    lo = 0.0 if low is None else float(np.max(low - layer, initial=0.0))
+    hi = 0.0 if up is None else float(np.max(layer - up, initial=0.0))
+    return lo, hi
 
 
 def _backward_solve(spec: ProblemSpec, grid: Grid, pen: PenaltyParams,
@@ -122,29 +119,6 @@ def solve_double_projection(spec: ProblemSpec, grid: Grid,
                            first_order)
 
 
-def solve_single_reflected(spec: ProblemSpec, grid: Grid, side,
-                           first_order="central") -> SolveReport:
-    """Projection on one side only; the other side must be inactive."""
-    ob = spec.obstacles
-    if side == "lower":
-        if not ob.lower_active:
-            raise SpecError("side='lower' needs an active lower obstacle")
-        if ob.upper_active:
-            raise SpecError("single-reflected solve with side='lower' "
-                            "requires the upper obstacle inactive")
-        return _backward_solve(spec, grid, PenaltyParams(), "project_lower",
-                               first_order)
-    if side == "upper":
-        if not ob.upper_active:
-            raise SpecError("side='upper' needs an active upper obstacle")
-        if ob.lower_active:
-            raise SpecError("single-reflected solve with side='upper' "
-                            "requires the lower obstacle inactive")
-        return _backward_solve(spec, grid, PenaltyParams(), "project_both",
-                               first_order)
-    raise SpecError(f"unknown side {side!r}; use 'lower' or 'upper'")
-
-
 # ---------------------------------------------------------------------------
 # penalty schedules and the limit driver
 # ---------------------------------------------------------------------------
@@ -210,7 +184,7 @@ class PenaltySchedule:
 class StageRecord:
     """One schedule stage: intensities, sup difference to the previous
     stage (inf for the first), worst obstacle violations, and the two
-    contact residuals of the reconstructed compensators."""
+    contact residuals of the stage's penalty compensators."""
 
     stage: int
     m_lower: float
@@ -237,11 +211,12 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
 
     Runs solve_penalized per stage, stops early once the sup-norm
     difference between consecutive stage fields drops below the
-    schedule's stop_tol.  Returns (final SolveReport, ConvergenceTrace);
-    a schedule that ends above tolerance only clears the converged flag.
+    schedule's stop_tol.  A stage's contact residuals come from the
+    penalty increments dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its
+    field, which are its compensators; no reconstruction runs.  Returns
+    (final SolveReport, ConvergenceTrace); a schedule that ends above
+    tolerance only clears the converged flag.
     """
-    from .decomposition import reconstruct, skorohod_residuals
-
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
 
@@ -252,9 +227,10 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     report = None
     for idx, pen in enumerate(schedule.steps):
         report = solve_penalized(spec, grid, pen, first_order)
-        bundle = reconstruct(report.field, spec, pen, mode="penalized",
-                             first_order=first_order)
-        r_plus, r_minus = skorohod_residuals(bundle, spec)
+        r_plus, r_minus = _contact_residuals(
+            report.field, spec,
+            lambda k, y, low, up: _penalty_increments(y, low, up, pen,
+                                                      grid.dt))
         if prev is None:
             diff = float("inf")
         else:

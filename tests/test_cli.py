@@ -170,6 +170,24 @@ def test_validation_violations_exit_2(tmp_path, capsys):
     assert "obstacle-order" in capsys.readouterr().err
 
 
+def test_cell_peclet_violation_exits_2(tmp_path, capsys):
+    problem = {
+        "gparams": {"vol_low_sq": 1.0, "vol_high_sq": 2.0},
+        "coeffs": {"drift": {"kind": "constant", "value": 60.0}},
+        "terminal": {"kind": "tabulated", "xs": [-0.025, 0.025],
+                     "values": [0.0, 1.0]},
+    }
+    code = run(tmp_path, {"problem": problem, "grid": {"nx": 400}})
+    assert code == 2
+    assert "cell-peclet" in capsys.readouterr().err
+
+
+def test_oversized_grid_exits_2(tmp_path, capsys):
+    code = run(tmp_path, {"preset": "double-active", "grid": {"nx": 4000}})
+    assert code == 2
+    assert "memory cap" in capsys.readouterr().err
+
+
 def test_unreadable_and_malformed_configs_exit_2(tmp_path, capsys):
     assert cli.main(["solve", "-c", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

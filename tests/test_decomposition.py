@@ -213,3 +213,46 @@ def test_tail_energy_profile_shape_and_monotonicity():
     assert float(np.max(tails[0])) == worst  # tails peak at the start
     assert np.all(tails[:-1] >= tails[1:] - 1e-15)
     assert bmo_diagnostic(bundle, spec) == worst
+
+
+def test_reconstruct_refuses_a_mismatched_field():
+    # a penalized field replayed as a projection solve does not reproduce
+    # its stored layers; the difference must not land in dA+/dA-
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=64)
+    pen = PenaltyParams(64.0, 64.0)
+    rep = solve_penalized(spec, grid, pen)
+    with pytest.raises(SpecError, match="does not reproduce"):
+        reconstruct(rep.field, spec, pen, mode="project_both")
+    with pytest.raises(SpecError, match="does not reproduce"):
+        reconstruct(rep.field, spec, PenaltyParams(16.0, 16.0))
+
+
+def test_diagnostics_follow_the_scheme_of_the_solve():
+    # quadratic-drift has drift and a positive cross loading, so upwind
+    # and central differences give different quadratic-variation channels
+    spec = get_preset("quadratic-drift")
+    grid = build_grid(spec, nx=64)
+    pen = PenaltyParams(64.0, 64.0)
+    rep = solve_penalized(spec, grid, pen, first_order="upwind")
+    bundle = reconstruct(rep.field, spec, pen, first_order="upwind")
+    assert float(np.max(np.abs(one_step_residuals(bundle, spec)))) <= 1e-10
+
+    vals, dx, x = rep.field.values, grid.dx, grid.x_nodes[1:-1]
+    gp = spec.gparams
+    energy = np.empty((grid.nt, grid.nx - 1))
+    for k in range(grid.nt):
+        t, u = grid.t_nodes[k], vals[k + 1]
+        sig = spec.coeffs.sigma(t, x)
+        z = sig * (u[2:] - u[:-2]) / (2.0 * dx)
+        d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        fwd = (u[2:] - u[1:-1]) / dx  # upwind side for cross >= 0
+        qv = sig * sig * d2u + 2.0 * spec.coeffs.cross(t, x) * fwd \
+            + 2.0 * spec.gen.g(t, x, u[1:-1], z)
+        v_star = np.where(qv >= 0.0, gp.vol_high_sq, gp.vol_low_sq)
+        zk = bundle.z.values[k, 1:-1]
+        energy[k] = zk * zk * v_star * grid.dt
+    want = np.cumsum(energy[::-1], axis=0)[::-1]
+    worst, tails = bmo_diagnostic(bundle, spec, return_profile=True)
+    np.testing.assert_allclose(tails, want, rtol=1e-12, atol=0.0)
+    assert worst == pytest.approx(float(np.max(want)), rel=1e-12)

@@ -16,7 +16,8 @@ from gobstacle.model import (
     SpecError,
     validate,
 )
-from gobstacle.scheme import Grid
+from gobstacle.presets import get_preset
+from gobstacle.scheme import Grid, build_grid
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +241,25 @@ def test_validation_report_lists_each_violation():
     assert not rep.ok
     text = str(rep)
     assert "vol-band-order" in text and "terminal-bound" in text
+
+
+def _drift_60_probe():
+    # strong advection against a 0-to-1 step: at nx=400 the cell Peclet
+    # number |drift|*dx/vol_low_sq is 3, and the central step overshoots
+    step = FnSpec.tabulated([-0.025, 0.025], [0.0, 1.0])
+    return _spec(coeffs=CoefficientSet(drift=FnSpec.constant(60.0)),
+                 terminal=step)
+
+
+def test_validate_flags_the_cell_peclet_condition():
+    spec = _drift_60_probe()
+    rep = validate(spec, build_grid(spec, nx=400))
+    assert [v.constraint for v in rep.violations] == ["cell-peclet"]
+    # |drift|*dx - vol_low_sq*sigma^2 = 60*0.05 - 1
+    assert rep.violations[0].worst == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("nx", [64, 400])
+def test_cell_peclet_leaves_the_drift_preset_clean(nx):
+    spec = get_preset("quadratic-drift")
+    assert validate(spec, build_grid(spec, nx=nx)).ok

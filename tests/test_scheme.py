@@ -105,6 +105,13 @@ def test_build_grid_enforces_step_cap():
         build_grid(_spec(), nx=200_000)
 
 
+def test_build_grid_refuses_a_field_above_the_memory_cap():
+    # nx=4000 needs nt=88,889 on this band: (nt+1)*(nx+1) doubles are
+    # 2713 MiB; only the grid is built, the field is never allocated
+    with pytest.raises(GridError, match="2713 MiB"):
+        build_grid(_spec(), nx=4000)
+
+
 # ---------------------------------------------------------------------------
 # penalty resolution (closed form)
 # ---------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def test_resolve_penalties_satisfies_implicit_relation(v):
     pen = PenaltyParams(m_lower=30.0, n_upper=50.0)
     dt = 0.01
     u = float(resolve_penalties(np.array([v]), np.array([-0.5]),
-                                np.array([0.5]), pen, dt, True, True)[0])
+                                np.array([0.5]), pen, dt)[0])
     res = _penalty_equation_residual(u, v, -0.5, 0.5, pen, dt)
     assert abs(res) < 1e-15
 
@@ -128,34 +135,33 @@ def test_resolve_penalties_satisfies_implicit_relation(v):
 def test_resolve_penalties_inside_band_is_identity():
     v = np.array([-0.4, 0.0, 0.49])
     out = resolve_penalties(v, np.full(3, -0.5), np.full(3, 0.5),
-                            PenaltyParams(100.0, 100.0), 0.01, True, True)
+                            PenaltyParams(100.0, 100.0), 0.01)
     np.testing.assert_array_equal(out, v)
 
 
 def test_resolve_penalties_hand_value():
     # v below the obstacle: u = (v + dt*m*low) / (1 + dt*m)
     out = resolve_penalties(np.array([-1.0]), np.array([0.0]), None,
-                            PenaltyParams(m_lower=100.0), 0.01, True, False)
+                            PenaltyParams(m_lower=100.0), 0.01)
     assert out[0] == pytest.approx((-1.0 + 0.0) / 2.0, rel=1e-15)
 
 
 def test_resolve_penalties_respects_activity_flags():
     v = np.array([-1.0, 1.0])
-    out = resolve_penalties(v, None, None, PenaltyParams(1e6, 1e6), 0.01,
-                            False, False)
+    out = resolve_penalties(v, None, None, PenaltyParams(1e6, 1e6), 0.01)
     np.testing.assert_array_equal(out, v)
 
 
 def test_zero_intensity_is_a_no_op():
     v = np.array([-1.0, 1.0])
     out = resolve_penalties(v, np.zeros(2), np.zeros(2), PenaltyParams(),
-                            0.01, True, True)
+                            0.01)
     np.testing.assert_array_equal(out, v)
 
 
 def test_large_intensity_pins_to_the_obstacle():
     out = resolve_penalties(np.array([-5.0]), np.array([-0.5]), None,
-                            PenaltyParams(m_lower=1e12), 0.01, True, False)
+                            PenaltyParams(m_lower=1e12), 0.01)
     assert out[0] == pytest.approx(-0.5, abs=1e-8)
 
 

@@ -13,7 +13,6 @@ from gobstacle.solvers import (
     solve_limit,
     solve_lower_reflected_upper_penalized,
     solve_penalized,
-    solve_single_reflected,
 )
 
 
@@ -77,15 +76,6 @@ def test_terminal_row_matches_terminal_condition():
 # construction relations
 # ---------------------------------------------------------------------------
 
-def test_projection_with_one_side_inactive_equals_single_reflection():
-    # same code path, byte-for-byte
-    spec = get_preset("lower-active")
-    grid = build_grid(spec, nx=64)
-    both = solve_double_projection(spec, grid)
-    single = solve_single_reflected(spec, grid, "lower")
-    assert np.array_equal(both.field.values, single.field.values)
-
-
 def test_upper_penalty_monotone_in_intensity():
     # raising the push-down intensity can only lower the solution
     spec = get_preset("upper-active")
@@ -126,19 +116,6 @@ def test_solver_preconditions():
         solve_lower_reflected_upper_penalized(free, grid, 64.0)
     with pytest.raises(SpecError, match="at least one active obstacle"):
         solve_double_projection(free, grid)
-    with pytest.raises(SpecError, match="active lower obstacle"):
-        solve_single_reflected(free, grid, "lower")
-    with pytest.raises(SpecError, match="unknown side"):
-        solve_single_reflected(get_preset("lower-active"), grid, "middle")
-
-
-def test_single_reflection_requires_other_side_inactive():
-    spec = get_preset("double-active")
-    grid = build_grid(spec, nx=32)
-    with pytest.raises(SpecError, match="upper obstacle inactive"):
-        solve_single_reflected(spec, grid, "lower")
-    with pytest.raises(SpecError, match="lower obstacle inactive"):
-        solve_single_reflected(spec, grid, "upper")
 
 
 def test_solvers_refuse_misordered_band():
