@@ -27,14 +27,7 @@ from .model import (
     ZERO,
     validate,
 )
-from .gcalculus import (
-    NodeDerivs,
-    g_eval,
-    pde_rhs,
-    pde_rhs_penalized,
-    qv_rhs,
-    worst_case_vol,
-)
+from .gcalculus import g_eval, worst_case_vol
 from .scheme import (
     Field,
     Grid,
@@ -42,6 +35,7 @@ from .scheme import (
     MODES,
     PenaltyParams,
     StepFailure,
+    StepOperator,
     boundary_fill,
     build_grid,
     explicit_step,
@@ -90,11 +84,10 @@ __all__ = [
     "CoefficientSet", "EvaluationError", "FnSpec", "GeneratorSpec",
     "GParams", "ObstaclePair", "ProblemSpec", "SpecError",
     "ValidationReport", "Violation", "ZERO", "validate",
-    "NodeDerivs", "g_eval", "pde_rhs", "pde_rhs_penalized", "qv_rhs",
-    "worst_case_vol",
+    "g_eval", "worst_case_vol",
     "Field", "Grid", "GridError", "MODES", "PenaltyParams", "StepFailure",
-    "boundary_fill", "build_grid", "explicit_step", "layer_rhs_parts",
-    "resolve_penalties",
+    "StepOperator", "boundary_fill", "build_grid", "explicit_step",
+    "layer_rhs_parts", "resolve_penalties",
     "ConvergenceTrace", "DEFAULT_INTENSITIES", "DEFAULT_STOP_TOL",
     "PenaltySchedule", "SolveReport", "StageRecord",
     "solve_double_projection", "solve_limit",

@@ -13,9 +13,11 @@ is <= 0 at every interior node, with equality exactly at maximizing
 scenarios.  The orthogonal-decrement part of the decomposition vanishes
 along the worst-case scenario by construction and is never materialized.
 
-Each step is replayed through the step kernel of the scheme, which
-reports the increments its penalty resolution, projection and boundary
-clamp applied, so the one-step identity
+Each step is replayed through the step kernel of the scheme, reading
+the rows of the problem compiled onto the field's grid (`StepOperator`)
+like the solve did; the kernel reports the increments its penalty
+resolution, projection and boundary clamp applied, so the one-step
+identity
 
     Y_k = Y_{k+1} + dt*rhs + dA+_k - dA-_k
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .gcalculus import g_eval, worst_case_vol
 from .model import ProblemSpec, SpecError
-from .scheme import Field, PenaltyParams, _enforce, _obstacle_rows, \
+from .scheme import Field, PenaltyParams, StepOperator, _enforce, \
     layer_rhs_parts
 
 
@@ -72,9 +74,10 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
                 first_order="central") -> ProcessBundle:
     """Rebuild the process bundle from a solved field.
 
-    Replays every step through the step kernel, with the right-hand side
-    computed once per step: the replay yields the increments dA+/dA-,
-    and the same step under each fixed scenario of v_grid the defect.
+    Compiles the problem onto the field's grid once and replays every
+    step through the step kernel, with the right-hand side computed once
+    per step: the replay yields the increments dA+/dA-, and the same
+    step under each fixed scenario of v_grid the defect.
     The field must come from a solver run with the same (spec, pen,
     mode, first_order); a replayed layer that differs from the stored
     one raises SpecError.
@@ -84,6 +87,7 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
     dt = grid.dt
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
+    op = StepOperator(spec, grid, first_order)
 
     z = np.empty_like(vals)
     da_plus = np.zeros_like(vals)
@@ -91,18 +95,16 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
     defect = np.zeros_like(vals)
 
     for k in range(grid.nt + 1):
-        t = grid.t_nodes[k]
-        sig = np.broadcast_to(
-            np.asarray(spec.coeffs.sigma(t, grid.x_nodes), dtype=float),
-            vals[k].shape)
+        sig = op.at(grid.t_nodes[k]).sigma
         z[k, 1:-1] = sig[1:-1] * (vals[k, 2:] - vals[k, :-2]) / (2.0 * dx)
         z[k, 0] = sig[0] * (vals[k, 1] - vals[k, 0]) / dx
         z[k, -1] = sig[-1] * (vals[k, -1] - vals[k, -2]) / dx
 
     for k in range(grid.nt - 1, -1, -1):
         t = grid.t_nodes[k]
-        qv, rest = layer_rhs_parts(vals[k + 1], t, spec, grid, first_order)
-        rows = _obstacle_rows(spec, t, grid.x_nodes)
+        op_t = op.at(t)
+        qv, rest = layer_rhs_parts(vals[k + 1], t, op_t)
+        rows = op_t.lower, op_t.upper
         w = vals[k + 1, 1:-1] + dt * (g_eval(qv, spec.gparams) + rest)
         layer, da_plus[k], da_minus[k] = _enforce(w, *rows, pen, dt, mode,
                                                   increments=True)
@@ -134,33 +136,34 @@ def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     """
     grid = bundle.y.grid
     vals = bundle.y.values
+    op = StepOperator(spec, grid, bundle.first_order)
     out = np.empty((grid.nt, grid.nx - 1))
     for k in range(grid.nt):
-        t = grid.t_nodes[k]
-        qv, rest = layer_rhs_parts(vals[k + 1], t, spec, grid,
-                                   bundle.first_order)
+        qv, rest = layer_rhs_parts(vals[k + 1], grid.t_nodes[k], op)
         w = vals[k + 1, 1:-1] + grid.dt * (g_eval(qv, spec.gparams) + rest)
         out[k] = vals[k, 1:-1] - (w + bundle.da_plus[k, 1:-1]
                                   - bundle.da_minus[k, 1:-1])
     return out
 
 
-def _contact_residuals(field: Field, spec: ProblemSpec, increments):
+def _contact_residuals(field: Field, op: StepOperator, increments):
     """(r_plus, r_minus) of a field whose interior increments at slice k
-    are increments(k, y_k, lower_k, upper_k) -> (dA+_k, dA-_k)."""
+    are increments(k, y_k, lower_k, upper_k) -> (dA+_k, dA-_k), with the
+    obstacle rows read from the operator."""
     grid = field.grid
-    x = grid.x_nodes[1:-1]
     acc_plus = np.zeros(grid.nx - 1)
     acc_minus = np.zeros(grid.nx - 1)
     for k in range(grid.nt):
         y = field.values[k, 1:-1]
-        low, up = _obstacle_rows(spec, grid.t_nodes[k], x)
+        op_t = op.at(grid.t_nodes[k])
+        low, up = (None if row is None else row[1:-1]
+                   for row in (op_t.lower, op_t.upper))
         da_plus, da_minus = increments(k, y, low, up)
         if low is not None:
             acc_plus += np.maximum(low - y, 0.0) * da_plus
         if up is not None:
             acc_minus += np.maximum(y - up, 0.0) * da_minus
-    ob = spec.obstacles
+    ob = op.spec.obstacles
     return (float(np.max(acc_plus)) if ob.lower_active else 0.0,
             float(np.max(acc_minus)) if ob.upper_active else 0.0)
 
@@ -178,8 +181,8 @@ def skorohod_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     report 0.
     """
     return _contact_residuals(
-        bundle.y, spec, lambda k, *_: (bundle.da_plus[k, 1:-1],
-                                       bundle.da_minus[k, 1:-1]))
+        bundle.y, StepOperator(spec, bundle.y.grid, bundle.first_order),
+        lambda k, *_: (bundle.da_plus[k, 1:-1], bundle.da_minus[k, 1:-1]))
 
 
 def martingale_defect_scan(field: Field, spec: ProblemSpec,
@@ -211,11 +214,10 @@ def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
     """
     grid = bundle.y.grid
     vals = bundle.y.values
+    op = StepOperator(spec, grid, bundle.first_order)
     energy = np.empty((grid.nt, grid.nx - 1))
     for k in range(grid.nt):
-        t = grid.t_nodes[k]
-        qv, _ = layer_rhs_parts(vals[k + 1], t, spec, grid,
-                                bundle.first_order)
+        qv, _ = layer_rhs_parts(vals[k + 1], grid.t_nodes[k], op)
         v_star = worst_case_vol(qv, spec.gparams)
         zk = bundle.z.values[k, 1:-1]
         energy[k] = zk * zk * v_star * grid.dt

@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import ProcessBundle, bmo_diagnostic, \
     one_step_residuals, reconstruct
 from .model import ProblemSpec, validate
-from .scheme import Field, Grid, PenaltyParams, _obstacle_rows
+from .scheme import Field, Grid, PenaltyParams, StepOperator
 from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
     solve_limit, solve_lower_reflected_upper_penalized, solve_penalized
 
@@ -401,8 +401,10 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     overlap = float(np.max(np.minimum(bundle.da_plus, bundle.da_minus)))
     signs_ok = neg >= 0.0 and overlap == 0.0
     act = 0.0
+    op = StepOperator(spec, grid)
     for k, t in enumerate(grid.t_nodes):
-        low, up = _obstacle_rows(spec, t, grid.x_nodes)
+        op_t = op.at(t)
+        low, up = op_t.lower, op_t.upper
         y = bundle.y.values[k]
         if low is not None:
             act = max(act, float(np.max((y - low) * (bundle.da_plus[k] > 0))))

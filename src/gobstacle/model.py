@@ -389,7 +389,10 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     """Check the structural assumptions of a problem on a probe grid.
 
     Walks every declared field over the probe's (t, x) nodes and collects
-    one entry per violated constraint, reporting the worst offending node.
+    one entry per violated constraint, reporting the first worst node.
+    Catalog kinds do not depend on t, so unless some field is custom
+    only the first probe slice is walked; later slices repeat it and
+    could not displace its worst node.
     Non-finite evaluations are a hard failure (`EvaluationError`), not a
     report entry.  The function is pure: same spec and probe, same report.
 
@@ -402,6 +405,11 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     """
     ts = np.asarray(probe.t_nodes, dtype=float)
     xs = np.asarray(probe.x_nodes, dtype=float)
+    c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
+    fields = (c.drift, c.cross, c.sigma, gen.f, gen.g, ob.lower, ob.upper,
+              spec.terminal)
+    if not any(fs is not None and fs.kind == "custom" for fs in fields):
+        ts = ts[:1]
     out = []
 
     def flag(constraint, where, worst, detail):
@@ -411,8 +419,6 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     if not (0.0 < gp.vol_low_sq <= gp.vol_high_sq):
         flag("vol-band-order", "gparams", gp.vol_low_sq,
              f"need 0 < low <= high, got [{gp.vol_low_sq}, {gp.vol_high_sq}]")
-
-    ob = spec.obstacles
 
     def scan(fn):
         # worst value of fn over all probe slices, with its node

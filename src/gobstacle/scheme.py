@@ -14,9 +14,10 @@ modes replace or follow the penalty resolution:
     project_lower  u' = max(u_after_upper_penalty, lower)
     project_both   u' = clamp(u', lower, upper)      (active sides only)
 
-Penalty resolution, projection and the boundary closure below form one
-kernel, shared by every solver and by the process reconstruction, which
-also reads from it the compensator increments each of them applied.
+A `StepOperator` compiles the problem onto the grid once; every step
+reads its rows.  Penalty resolution, projection and the boundary closure
+form one kernel, shared by every solver and by the process
+reconstruction, which also reads the compensator increments it applied.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -178,55 +179,102 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
 
 
 # ---------------------------------------------------------------------------
+# the problem compiled onto the grid
+# ---------------------------------------------------------------------------
+
+FIRST_ORDERS = ("central", "upwind")
+
+
+def _row(fs, t, x):
+    """fs at time t on the nodes x as a float row (constants broadcast)."""
+    out = np.empty(np.shape(x))
+    out[...] = fs(t, x)
+    return out
+
+
+class StepOperator:
+    """A problem compiled onto a grid for one first-order scheme.
+
+    Rows: `sigma` on all nodes; `sig2` (sigma^2), `cross2` (2*cross),
+    `drift`, and the upwind masks `drift_up`/`cross_up` (first_order
+    'upwind' only) on interior nodes; `g2` (2*g) and `f` on interior
+    nodes when that driver is x-only, else None (evaluated per step at
+    z = sigma*du); `lower`/`upper` on all nodes, None on an absent side.
+    No catalog kind depends on t, so the rows serve every step; a custom
+    field may, so its rows hold at `t` and `at` recompiles them.
+    """
+
+    def __init__(self, spec: ProblemSpec, grid: Grid, first_order="central",
+                 t=0.0):
+        if first_order not in FIRST_ORDERS:
+            raise SpecError(
+                f"unknown first_order discretization {first_order!r}")
+        self.spec, self.grid, self.first_order, self.t = \
+            spec, grid, first_order, t
+        c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
+        self.timed = any(fs is not None and fs.kind == "custom" for fs in
+                         (c.sigma, c.cross, c.drift, ob.lower, ob.upper))
+        x, inner = grid.x_nodes, grid.x_nodes[1:-1]
+        self.sigma = _row(c.sigma, t, x)
+        self.sig2 = self.sigma[1:-1] * self.sigma[1:-1]
+        cross = _row(c.cross, t, inner)
+        self.cross2 = 2.0 * cross
+        self.drift = _row(c.drift, t, inner)
+        upwind = first_order == "upwind"
+        self.cross_up = cross >= 0.0 if upwind else None
+        self.drift_up = self.drift >= 0.0 if upwind else None
+        per_step = ("quadratic_in_z", "custom")
+        self.g2 = None if gen.g.kind in per_step \
+            else 2.0 * _row(gen.g, t, inner)
+        self.f = None if gen.f.kind in per_step else _row(gen.f, t, inner)
+        self.lower, self.upper = (None if fs is None else _row(fs, t, x)
+                                  for fs in (ob.lower, ob.upper))
+
+    def at(self, t):
+        """The operator for a step at time t: itself unless a custom
+        coefficient or obstacle needs its rows at another time."""
+        if not self.timed or t == self.t:
+            return self
+        return StepOperator(self.spec, self.grid, self.first_order, t)
+
+
+# ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
 
-def layer_rhs_parts(next_layer, t, spec: ProblemSpec, grid: Grid,
-                    first_order="central"):
+def layer_rhs_parts(next_layer, t, op: StepOperator):
     """Interior right-hand side, split for scenario re-evaluation.
 
-    Returns (qv, rest) on interior nodes: the full rhs is
-    envelope(qv) + rest, and a fixed-scenario rhs is 0.5*v*qv + rest.
-    The split is shared by the stepper, the process reconstruction and
-    the scenario defect scan so all three see identical arithmetic.
+    Returns (qv, rest) = (sig2*d2u + cross2*du + g2, drift*du + f) on
+    interior nodes: the full rhs is envelope(qv) + rest, a fixed-scenario
+    rhs 0.5*v*qv + rest.  The stepper, the process reconstruction and the
+    scenario defect scan share the split, so all see identical arithmetic.
     """
-    dx = grid.dx
-    x = grid.x_nodes[1:-1]
+    op = op.at(t)
+    dx = op.grid.dx
     u = next_layer[1:-1]
     du = (next_layer[2:] - next_layer[:-2]) / (2.0 * dx)
     d2u = (next_layer[2:] - 2.0 * u + next_layer[:-2]) / (dx * dx)
-
-    sig = spec.coeffs.sigma(t, x)
-    z = sig * du
-    drift = spec.coeffs.drift(t, x)
-    cross = spec.coeffs.cross(t, x)
-
-    if first_order == "central":
-        du_drift = du
-        du_cross = du
-    elif first_order == "upwind":
+    if op.first_order == "upwind":
         fwd = (next_layer[2:] - u) / dx
         bwd = (u - next_layer[:-2]) / dx
-        du_drift = np.where(np.asarray(drift) >= 0.0, fwd, bwd)
-        du_cross = np.where(np.asarray(cross) >= 0.0, fwd, bwd)
+        du_drift = np.where(op.drift_up, fwd, bwd)
+        du_cross = np.where(op.cross_up, fwd, bwd)
     else:
-        raise SpecError(f"unknown first_order discretization {first_order!r}")
+        du_drift = du_cross = du
 
-    gval = spec.gen.g(t, x, u, z)
-    qv = sig * sig * d2u + 2.0 * cross * du_cross + 2.0 * gval
-    rest = drift * du_drift + spec.gen.f(t, x, u, z)
+    g2, f = op.g2, op.f
+    if g2 is None or f is None:  # drivers that read (u, z) or t
+        gen = op.spec.gen
+        x = op.grid.x_nodes[1:-1]
+        z = op.sigma[1:-1] * du
+        if g2 is None:
+            g2 = 2.0 * gen.g(t, x, u, z)
+        if f is None:
+            f = gen.f(t, x, u, z)
+    qv = op.sig2 * d2u + op.cross2 * du_cross + g2
+    rest = op.drift * du_drift + f
     return qv, rest
-
-
-def _obstacle_rows(spec: ProblemSpec, t, x):
-    """Obstacle levels (lower, upper) at time t on the nodes x; None on
-    an absent side."""
-    rows = [None, None]
-    for i, fs in enumerate((spec.obstacles.lower, spec.obstacles.upper)):
-        if fs is not None:
-            rows[i] = np.empty(np.shape(x))
-            rows[i][...] = fs(t, x)  # broadcasts constant levels
-    return rows
 
 
 def resolve_penalties(v, low_vals, up_vals, pen: PenaltyParams, dt):
@@ -324,29 +372,30 @@ def boundary_fill(layer, t, spec: ProblemSpec, grid: Grid):
     preservation and ordering diagnostics exclude them.  Returns the
     same array (filled in place).
     """
-    layer[:] = _enforce(layer[1:-1], *_obstacle_rows(spec, t, grid.x_nodes),
-                        PenaltyParams(), grid.dt, "penalized")
+    op = StepOperator(spec, grid).at(t)
+    layer[:] = _enforce(layer[1:-1], op.lower, op.upper, PenaltyParams(),
+                        grid.dt, "penalized")
     return layer
 
 
-def explicit_step(next_layer, t, spec: ProblemSpec, grid: Grid,
-                  pen: PenaltyParams, mode="penalized",
-                  first_order="central"):
+def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams,
+                  mode="penalized"):
     """Advance one backward step; returns the new layer at time t.
 
     `next_layer` is the known layer at t+dt and is not modified.  See
-    the module docstring for the update; the obstacle rows are evaluated
-    once on all nodes and the step kernel enforces them.
+    the module docstring for the update; the right-hand side and the
+    step kernel read the operator's rows.
     """
+    grid = op.grid
     next_layer = np.asarray(next_layer, dtype=float)
     if next_layer.shape != (grid.nx + 1,):
         raise SpecError("layer shape does not match the grid")
 
-    qv, rest = layer_rhs_parts(next_layer, t, spec, grid, first_order)
-    v = next_layer[1:-1] + grid.dt * (gcalculus.g_eval(qv, spec.gparams)
+    op = op.at(t)
+    qv, rest = layer_rhs_parts(next_layer, t, op)
+    v = next_layer[1:-1] + grid.dt * (gcalculus.g_eval(qv, op.spec.gparams)
                                       + rest)
-    out = _enforce(v, *_obstacle_rows(spec, t, grid.x_nodes), pen, grid.dt,
-                   mode)
+    out = _enforce(v, op.lower, op.upper, pen, grid.dt, mode)
 
     if not np.isfinite(out).all():
         bad = int(np.argmin(np.isfinite(out)))

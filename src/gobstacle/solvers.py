@@ -1,7 +1,8 @@
 """Backward solvers: penalized, reflected/projected, and the limit driver.
 
-Every solver walks the same explicit scheme backward from the terminal
-slice and differs only in how obstacles are enforced per step:
+Every solver compiles the problem onto its grid once (`StepOperator`),
+walks the explicit scheme backward from the terminal slice through it,
+and differs only in how obstacles are enforced per step:
 
     solve_penalized                      implicit two-sided penalties
     solve_lower_reflected_upper_penalized  lower projection + upper penalty
@@ -24,7 +25,7 @@ import numpy as np
 
 from .decomposition import _contact_residuals
 from .model import ProblemSpec, SpecError
-from .scheme import Field, Grid, PenaltyParams, _obstacle_rows, \
+from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
     _penalty_increments, explicit_step
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
@@ -47,10 +48,10 @@ class SolveReport:
     wall_time: float
 
 
-def _layer_violations(layer, t, spec, grid):
-    low, up = _obstacle_rows(spec, t, grid.x_nodes)
-    lo = 0.0 if low is None else float(np.max(low - layer, initial=0.0))
-    hi = 0.0 if up is None else float(np.max(layer - up, initial=0.0))
+def _layer_violations(layer, op: StepOperator):
+    low, up = op.lower, op.upper
+    lo = 0.0 if low is None else float((low - layer).max(initial=0.0))
+    hi = 0.0 if up is None else float((layer - up).max(initial=0.0))
     return lo, hi
 
 
@@ -60,18 +61,24 @@ def _backward_solve(spec: ProblemSpec, grid: Grid, pen: PenaltyParams,
         raise SpecError("volatility band is not well ordered; "
                         "run validate() for details")
     start = time.perf_counter()
+    op = StepOperator(spec, grid, first_order)
     values = np.empty((grid.nt + 1, grid.nx + 1))
     values[grid.nt] = np.broadcast_to(
         np.asarray(spec.terminal(spec.horizon, grid.x_nodes), dtype=float),
         (grid.nx + 1,))
 
-    lo_viol, up_viol = _layer_violations(values[grid.nt], grid.horizon,
-                                         spec, grid)
+    lo_viol, up_viol = _layer_violations(values[grid.nt],
+                                         op.at(grid.horizon))
     for k in range(grid.nt - 1, -1, -1):
         t = grid.t_nodes[k]
-        values[k] = explicit_step(values[k + 1], t, spec, grid, pen,
-                                  mode=mode, first_order=first_order)
-        lo, up = _layer_violations(values[k], t, spec, grid)
+        op_t = op.at(t)
+        try:
+            values[k] = explicit_step(values[k + 1], t, op_t, pen, mode=mode)
+        except StepFailure as err:
+            raise StepFailure(
+                f"step to slice {k} of {grid.nt}: {err}; the last finite layer"
+                f" has sup|u| = {np.max(np.abs(values[k + 1])):.6g}") from None
+        lo, up = _layer_violations(values[k], op_t)
         lo_viol = max(lo_viol, lo)
         up_viol = max(up_viol, up)
 
@@ -220,6 +227,7 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
 
+    op = StepOperator(spec, grid, first_order)
     stages = []
     reports = []
     prev = None
@@ -228,7 +236,7 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     for idx, pen in enumerate(schedule.steps):
         report = solve_penalized(spec, grid, pen, first_order)
         r_plus, r_minus = _contact_residuals(
-            report.field, spec,
+            report.field, op,
             lambda k, y, low, up: _penalty_increments(y, low, up, pen,
                                                       grid.dt))
         if prev is None:

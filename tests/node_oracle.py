@@ -1,0 +1,99 @@
+"""Independent per-node reference for the right-hand side, and a helper
+that turns every field of a problem into a `custom` one.
+
+The oracle evaluates the problem's functions at one node (or broadcast
+over a layer) directly from the spec, without the compiled rows of
+`gobstacle.scheme.StepOperator`, so tests can check the stepping
+scheme's right-hand side against it.
+"""
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from gobstacle.gcalculus import g_eval
+from gobstacle.model import FnSpec, ProblemSpec, SpecError
+
+
+@dataclass(frozen=True)
+class NodeDerivs:
+    """Value and spatial derivatives feeding the right-hand side at one
+    node (or, with array fields, one layer): u, du = first derivative,
+    d2u = second derivative, at position x and time t."""
+
+    u: object
+    du: object
+    d2u: object
+    x: object
+    t: float
+
+
+def qv_rhs(d: NodeDerivs, spec: ProblemSpec):
+    """Quadratic-variation channel: the scalar the envelope acts on.
+
+        sigma^2 * d2u + 2*cross*du + 2*g(t, x, u, sigma*du)
+    """
+    sig = spec.coeffs.sigma(d.t, d.x)
+    z = sig * d.du
+    gval = spec.gen.g(d.t, d.x, d.u, z)
+    return sig * sig * d.d2u + 2.0 * spec.coeffs.cross(d.t, d.x) * d.du \
+        + 2.0 * gval
+
+
+def pde_rhs(d: NodeDerivs, spec: ProblemSpec):
+    """Full unconstrained right-hand side:
+
+        envelope(qv_rhs) + drift*du + f(t, x, u, sigma*du)
+    """
+    if not spec.gparams.well_ordered:
+        raise SpecError("volatility band is not well ordered; validate first")
+    sig = spec.coeffs.sigma(d.t, d.x)
+    z = sig * d.du
+    fval = spec.gen.f(d.t, d.x, d.u, z)
+    return g_eval(qv_rhs(d, spec), spec.gparams) \
+        + spec.coeffs.drift(d.t, d.x) * d.du + fval
+
+
+def pde_rhs_penalized(d: NodeDerivs, spec: ProblemSpec, pen):
+    """Right-hand side with explicit two-sided penalty terms:
+
+        pde_rhs - n_upper*(u - upper)+ + m_lower*(u - lower)-
+
+    Absent obstacle sides (None) contribute nothing regardless of
+    intensity.  The implicit stepping scheme resolves these same terms
+    in closed form instead of evaluating them explicitly.
+    """
+    out = pde_rhs(d, spec)
+    ob = spec.obstacles
+    if ob.upper_active and pen.n_upper > 0.0:
+        gap = np.maximum(np.asarray(d.u - ob.upper(d.t, d.x), dtype=float),
+                         0.0)
+        out = out - pen.n_upper * gap
+    if ob.lower_active and pen.m_lower > 0.0:
+        gap = np.maximum(np.asarray(ob.lower(d.t, d.x) - d.u, dtype=float),
+                         0.0)
+        out = out + pen.m_lower * gap
+    return out
+
+
+def as_custom(fs: FnSpec):
+    """The same function wrapped as a `custom` FnSpec (same declarations),
+    which the scheme evaluates per step instead of compiling."""
+    if fs is None:
+        return None
+    return FnSpec.custom(lambda t, x, y=0.0, z=0.0: fs(t, x, y, z),
+                         lipschitz_y=fs.lipschitz_y,
+                         lipschitz_z=fs.lipschitz_z, sup_bound=fs.sup_bound)
+
+
+def all_custom(spec: ProblemSpec):
+    """`spec` with every function field wrapped by `as_custom`."""
+    c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
+    return replace(
+        spec,
+        coeffs=replace(c, drift=as_custom(c.drift), cross=as_custom(c.cross),
+                       sigma=as_custom(c.sigma)),
+        gen=replace(gen, f=as_custom(gen.f), g=as_custom(gen.g)),
+        obstacles=replace(ob, lower=as_custom(ob.lower),
+                          upper=as_custom(ob.upper)),
+        terminal=as_custom(spec.terminal))

@@ -18,6 +18,7 @@ from gobstacle.scheme import (
     GridError,
     PenaltyParams,
     StepFailure,
+    StepOperator,
     boundary_fill,
     build_grid,
     explicit_step,
@@ -205,7 +206,7 @@ def test_step_is_exact_on_quadratic_interior():
     spec = _spec()
     g = build_grid(spec, nx=64)
     layer = g.x_nodes ** 2
-    out = explicit_step(layer, g.t_nodes[-2], spec, g, NO_PEN)
+    out = explicit_step(layer, g.t_nodes[-2], StepOperator(spec, g), NO_PEN)
     # centered second difference of x^2 is exactly 2; envelope(2) = 2
     want = g.x_nodes[1:-1] ** 2 + 2.0 * g.dt
     np.testing.assert_allclose(out[1:-1], want, rtol=0.0, atol=1e-13)
@@ -217,7 +218,7 @@ def test_step_boundary_deficit_on_quadratic():
     spec = _spec()
     g = build_grid(spec, nx=64)
     layer = g.x_nodes ** 2
-    out = explicit_step(layer, g.t_nodes[-2], spec, g, NO_PEN)
+    out = explicit_step(layer, g.t_nodes[-2], StepOperator(spec, g), NO_PEN)
     want_wall = g.x_nodes[0] ** 2 + 2.0 * g.dt - 2.0 * g.dx ** 2
     assert out[0] == pytest.approx(want_wall, rel=1e-12)
 
@@ -226,8 +227,8 @@ def test_step_shifts_with_added_constant():
     spec = _spec()
     g = build_grid(spec, nx=64)
     layer = np.sin(g.x_nodes)
-    a = explicit_step(layer, 0.5, spec, g, NO_PEN)
-    b = explicit_step(layer + 3.0, 0.5, spec, g, NO_PEN)
+    a = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN)
+    b = explicit_step(layer + 3.0, 0.5, StepOperator(spec, g), NO_PEN)
     np.testing.assert_allclose(b - a, 3.0, rtol=0.0, atol=1e-12)
 
 
@@ -236,8 +237,8 @@ def test_step_preserves_order_on_interior():
     g = build_grid(spec, nx=64)
     lo = np.sin(g.x_nodes)
     hi = lo + 0.1 * (1.2 + np.cos(3.0 * g.x_nodes))
-    a = explicit_step(lo, 0.5, spec, g, NO_PEN)
-    b = explicit_step(hi, 0.5, spec, g, NO_PEN)
+    a = explicit_step(lo, 0.5, StepOperator(spec, g), NO_PEN)
+    b = explicit_step(hi, 0.5, StepOperator(spec, g), NO_PEN)
     assert float(np.min(b[1:-1] - a[1:-1])) >= -1e-12
 
 
@@ -247,10 +248,12 @@ def test_step_applies_projection_modes():
                  gen=GeneratorSpec(zero_bound=100.0))
     g = build_grid(spec, nx=32)
     layer = np.sin(g.x_nodes)  # wanders far outside the band
-    out = explicit_step(layer, 0.5, spec, g, NO_PEN, mode="project_both")
+    out = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN,
+                        mode="project_both")
     assert float(np.max(out)) <= 0.1 + 1e-15
     assert float(np.min(out)) >= -0.1 - 1e-15
-    out_lo = explicit_step(layer, 0.5, spec, g, NO_PEN, mode="project_lower")
+    out_lo = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN,
+                           mode="project_lower")
     assert float(np.min(out_lo)) >= -0.1 - 1e-15
     assert float(np.max(out_lo)) > 0.1  # upper side untouched
 
@@ -260,11 +263,11 @@ def test_step_rejects_bad_inputs():
     g = build_grid(spec, nx=32)
     layer = g.x_nodes ** 2
     with pytest.raises(SpecError, match="unknown step mode"):
-        explicit_step(layer, 0.0, spec, g, NO_PEN, mode="nope")
+        explicit_step(layer, 0.0, StepOperator(spec, g), NO_PEN, mode="nope")
     with pytest.raises(SpecError, match="shape"):
-        explicit_step(layer[:-1], 0.0, spec, g, NO_PEN)
+        explicit_step(layer[:-1], 0.0, StepOperator(spec, g), NO_PEN)
     with pytest.raises(SpecError, match="first_order"):
-        explicit_step(layer, 0.0, spec, g, NO_PEN, first_order="nope")
+        StepOperator(spec, g, first_order="nope")
 
 
 def test_step_flags_non_finite_values():
@@ -274,7 +277,7 @@ def test_step_flags_non_finite_values():
     layer[5] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(StepFailure, match="non-finite"):
-            explicit_step(layer, 0.0, spec, g, NO_PEN)
+            explicit_step(layer, 0.0, StepOperator(spec, g), NO_PEN)
 
 
 def test_upwind_discretization_shifts_drift_term():
@@ -284,10 +287,10 @@ def test_upwind_discretization_shifts_drift_term():
     spec = _spec(coeffs=CoefficientSet(drift=FnSpec.constant(1.0)))
     g = build_grid(spec, nx=32)
     layer = g.x_nodes ** 2
-    central = explicit_step(layer, 0.5, spec, g, NO_PEN,
-                            first_order="central")
-    upwind = explicit_step(layer, 0.5, spec, g, NO_PEN,
-                           first_order="upwind")
+    central = explicit_step(layer, 0.5, StepOperator(spec, g, "central"),
+                            NO_PEN)
+    upwind = explicit_step(layer, 0.5, StepOperator(spec, g, "upwind"),
+                           NO_PEN)
     np.testing.assert_allclose(upwind[1:-1] - central[1:-1],
                                g.dt * 1.0 * g.dx, rtol=1e-10)
 
@@ -298,9 +301,9 @@ def test_layer_rhs_parts_split_is_consistent():
                  gen=GeneratorSpec(f=FnSpec.constant(0.1), zero_bound=100.0))
     g = build_grid(spec, nx=32)
     layer = np.cos(g.x_nodes)
-    qv, rest = layer_rhs_parts(layer, 0.5, spec, g)
+    qv, rest = layer_rhs_parts(layer, 0.5, StepOperator(spec, g))
     from gobstacle.gcalculus import g_eval
-    out = explicit_step(layer, 0.5, spec, g, NO_PEN)
+    out = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN)
     want = layer[1:-1] + g.dt * (g_eval(qv, spec.gparams) + rest)
     np.testing.assert_allclose(out[1:-1], want, rtol=0.0, atol=1e-15)
 
