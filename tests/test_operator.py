@@ -2,6 +2,7 @@
 evaluation: identical fields, violations and reports, bounded function
 evaluation counts, t-dependent custom fields, and the per-node oracle."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -169,12 +170,15 @@ def test_quadratic_driver_is_evaluated_once_per_step(monkeypatch):
 # validation scans one probe slice unless a field is custom
 # ---------------------------------------------------------------------------
 
+def _step_terminal(drift):
+    # a 0-to-1 step of width 0.05 carried by the given drift
+    return _plain(FnSpec.constant(0.0), coeffs=CoefficientSet(drift=drift),
+                  terminal=FnSpec.tabulated([-0.025, 0.025], [0.0, 1.0]))
+
+
 def _probe_cases():
     cases = [(name, spec, build_grid(spec, nx=64)) for name, spec in SPECS]
-    step = FnSpec.tabulated([-0.025, 0.025], [0.0, 1.0])
-    drift60 = _plain(FnSpec.constant(0.0),
-                     coeffs=CoefficientSet(drift=FnSpec.constant(60.0)),
-                     terminal=step)
+    drift60 = _step_terminal(FnSpec.constant(60.0))
     cases.append(("drift-60", drift60, build_grid(drift60, nx=400)))
     crossed = _plain(FnSpec.constant(0.0), obstacles=ObstaclePair.both(
         FnSpec.affine(0.5, 0.0), FnSpec.constant(1.0), level_bound=10.0),
@@ -271,3 +275,21 @@ def test_compiled_rhs_matches_the_node_oracle(name):
             assert qv[i - 1] == qv_rhs(d, spec)
             assert rhs[i - 1] == pytest.approx(pde_rhs(d, spec), rel=1e-13,
                                                abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# central or upwind differences, chosen per node
+# ---------------------------------------------------------------------------
+
+# sha256 of the drift-60 field under one-sided differences at every node
+DRIFT60_UPWIND_SHA256 = \
+    "9fc133f29047bf0bec9de8d94b41ccc4bde872936bb217cb02d6464da6da586a"
+
+
+def test_drift_60_probe_matches_the_frozen_upwind_field():
+    spec = _step_terminal(FnSpec.constant(60.0))
+    grid = build_grid(spec, nx=400)
+    vals = solve_penalized(spec, grid, PenaltyParams(),
+                           "upwind").field.values
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == DRIFT60_UPWIND_SHA256
+    assert float(np.min(vals)) >= -1e-10 and float(np.max(vals)) <= 1 + 1e-10
