@@ -36,7 +36,6 @@ from .scheme import (
     PenaltyParams,
     StepFailure,
     StepOperator,
-    boundary_fill,
     build_grid,
     explicit_step,
     layer_rhs_parts,
@@ -57,7 +56,6 @@ from .solvers import (
 from .decomposition import (
     ProcessBundle,
     bmo_diagnostic,
-    martingale_defect_scan,
     one_step_residuals,
     reconstruct,
     skorohod_residuals,
@@ -86,14 +84,14 @@ __all__ = [
     "ValidationReport", "Violation", "ZERO", "validate",
     "g_eval", "worst_case_vol",
     "Field", "Grid", "GridError", "MODES", "PenaltyParams", "StepFailure",
-    "StepOperator", "boundary_fill", "build_grid", "explicit_step",
-    "layer_rhs_parts", "resolve_penalties",
+    "StepOperator", "build_grid", "explicit_step", "layer_rhs_parts",
+    "resolve_penalties",
     "ConvergenceTrace", "DEFAULT_INTENSITIES", "DEFAULT_STOP_TOL",
     "PenaltySchedule", "SolveReport", "StageRecord",
     "solve_double_projection", "solve_limit",
     "solve_lower_reflected_upper_penalized", "solve_penalized",
-    "ProcessBundle", "bmo_diagnostic", "martingale_defect_scan",
-    "one_step_residuals", "reconstruct", "skorohod_residuals",
+    "ProcessBundle", "bmo_diagnostic", "one_step_residuals", "reconstruct",
+    "skorohod_residuals",
     "CheckResult", "ORDER_SLACK", "OrderReport", "RateFit", "SuiteResult",
     "classical_oracle", "comparison_harness", "inner_mask", "rate_fit",
     "run_comparison_suite", "run_property_suite", "sup_diff",

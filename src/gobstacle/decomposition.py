@@ -46,7 +46,6 @@ class ProcessBundle:
     the increments created by the step that produced slice k (zero on
     the terminal row); defect[k, i] is the worst fixed-scenario defect
     at that node (zero on boundary columns and the terminal row).
-    first_order is the first-order scheme of the solve it was built from.
     """
 
     y: Field
@@ -54,7 +53,6 @@ class ProcessBundle:
     da_plus: np.ndarray
     da_minus: np.ndarray
     defect: Field
-    first_order: str = "central"
 
 
 def _check_v_grid(v_grid, spec):
@@ -70,24 +68,24 @@ def _check_v_grid(v_grid, spec):
 
 
 def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
-                mode="penalized", v_grid=None,
-                first_order="central") -> ProcessBundle:
+                mode="penalized", v_grid=None) -> ProcessBundle:
     """Rebuild the process bundle from a solved field.
 
     Compiles the problem onto the field's grid once and replays every
     step through the step kernel, with the right-hand side computed once
     per step: the replay yields the increments dA+/dA-, and the same
     step under each fixed scenario of v_grid the defect.
-    The field must come from a solver run with the same (spec, pen,
-    mode, first_order); a replayed layer that differs from the stored
-    one raises SpecError.
+    The operator makes the solve's per-node choice of central or
+    one-sided differences again.  The field must come from a solver run
+    with the same (spec, pen, mode); a replayed layer that differs from
+    the stored one raises SpecError.
     """
     grid = field.grid
     vals = field.values
     dt = grid.dt
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
-    op = StepOperator(spec, grid, first_order)
+    op = StepOperator(spec, grid)
 
     z = np.empty_like(vals)
     da_plus = np.zeros_like(vals)
@@ -111,8 +109,8 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
         if not np.array_equal(layer, vals[k]):
             raise SpecError(
                 f"replaying the step at t={t:.6g} does not reproduce the "
-                "stored layer; reconstruct with the pen, mode and "
-                "first_order of the solve")
+                "stored layer; reconstruct with the pen and mode of the "
+                "solve")
 
         worst = None
         for v in v_grid:
@@ -123,20 +121,19 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
 
     return ProcessBundle(y=field, z=Field(values=z, grid=grid),
                          da_plus=da_plus, da_minus=da_minus,
-                         defect=Field(values=defect, grid=grid),
-                         first_order=first_order)
+                         defect=Field(values=defect, grid=grid))
 
 
 def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     """Interior residual of Y_k - (Y_{k+1} + dt*rhs + dA+ - dA-) per step.
 
-    The right-hand side uses the bundle's first-order scheme.  Returns an
-    (nt, nx-1) array; its sup is the identity defect of the
+    The right-hand side is the solve's, per-node differences included.
+    Returns an (nt, nx-1) array; its sup is the identity defect of the
     reconstruction and should sit at rounding level.
     """
     grid = bundle.y.grid
     vals = bundle.y.values
-    op = StepOperator(spec, grid, bundle.first_order)
+    op = StepOperator(spec, grid)
     out = np.empty((grid.nt, grid.nx - 1))
     for k in range(grid.nt):
         qv, rest = layer_rhs_parts(vals[k + 1], grid.t_nodes[k], op)
@@ -181,24 +178,8 @@ def skorohod_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     report 0.
     """
     return _contact_residuals(
-        bundle.y, StepOperator(spec, bundle.y.grid, bundle.first_order),
+        bundle.y, StepOperator(spec, bundle.y.grid),
         lambda k, *_: (bundle.da_plus[k, 1:-1], bundle.da_minus[k, 1:-1]))
-
-
-def martingale_defect_scan(field: Field, spec: ProblemSpec,
-                           pen: PenaltyParams, v_grid=None, mode="penalized",
-                           first_order="central") -> float:
-    """Worst fixed-scenario defect over all interior nodes and scenarios.
-
-    Certifies the envelope property of the scheme: a nonpositive return
-    value (up to rounding) means no constant-variance step beats the
-    actual step anywhere; values near zero are attained where the
-    scanned grid contains the bang-bang maximizer.
-    """
-    bundle = reconstruct(field, spec, pen, mode=mode, v_grid=v_grid,
-                         first_order=first_order)
-    d = bundle.defect.values
-    return float(np.max(d[:-1, 1:-1]))
 
 
 def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
@@ -207,14 +188,14 @@ def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
 
     For each interior column and each start slice tau, accumulates
     sum_{k >= tau} z_k^2 * v*_k * dt with v* the bang-bang scenario of
-    the step at slice k (under the bundle's first-order scheme), and
+    the step at slice k (with the solve's per-node differences), and
     returns the maximum (attained at tau = 0 since summands are
     nonnegative; tails decrease as tau grows).  Diagnostic only:
     reported, never asserted against model constants.
     """
     grid = bundle.y.grid
     vals = bundle.y.values
-    op = StepOperator(spec, grid, bundle.first_order)
+    op = StepOperator(spec, grid)
     energy = np.empty((grid.nt, grid.nx - 1))
     for k in range(grid.nt):
         qv, _ = layer_rhs_parts(vals[k + 1], grid.t_nodes[k], op)

@@ -385,6 +385,16 @@ def _probe_eval(fs: FnSpec, name, t, x, y=0.0, z=0.0):
     return out
 
 
+def cell_peclet_excess(drift, cross, sig2, dx, vol_low_sq):
+    """|drift|*dx - vol_low_sq*(sigma^2 - |cross|*dx) per node.
+
+    Positive where a centred first difference would give the step a
+    negative neighbour weight at the lowest variance of the band; the
+    step takes one-sided differences there and `validate` reports it.
+    """
+    return np.abs(drift) * dx - vol_low_sq * (sig2 - dx * np.abs(cross))
+
+
 def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     """Check the structural assumptions of a problem on a probe grid.
 
@@ -398,8 +408,8 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
 
     Checked constraints: positivity/order of the volatility band, the
     ellipticity band for sigma^2, the cell-Peclet condition
-    |drift|*dx <= vol_low_sq*(sigma^2 - |cross|*dx) that keeps the
-    neighbour weights of the default central step nonnegative, the
+    |drift|*dx <= vol_low_sq*(sigma^2 - |cross|*dx) under which the step
+    keeps centred first differences (`cell_peclet_excess`), the
     zero-point driver bound, the terminal bound, obstacle order, obstacle
     level bounds, and the terminal sandwich between active obstacles.
     """
@@ -442,14 +452,15 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
              f"sigma^2 exceeds declared vol_cap by {w[0]:.3g}")
 
     dx = probe.dx
-    w = scan(lambda t: np.abs(_probe_eval(spec.coeffs.drift, "drift", t, xs))
-             * dx - gp.vol_low_sq * (sig(t) ** 2 - dx * np.abs(
-                 _probe_eval(spec.coeffs.cross, "cross", t, xs))))
+    w = scan(lambda t: cell_peclet_excess(
+        _probe_eval(spec.coeffs.drift, "drift", t, xs),
+        _probe_eval(spec.coeffs.cross, "cross", t, xs), sig(t) ** 2, dx,
+        gp.vol_low_sq))
     if w[0] > 0:
         flag("cell-peclet", f"(t={w[1]:g}, x={w[2]:g})", w[0],
              f"|drift|*dx exceeds vol_low_sq*(sigma^2 - |cross|*dx) by "
-             f"{w[0]:.3g}; the central step is not monotone there, "
-             "refine nx")
+             f"{w[0]:.3g}; the step falls back to first-order one-sided "
+             "differences there, refine nx")
 
     w = scan(lambda t: np.abs(_probe_eval(spec.gen.f, "f", t, xs))
              + np.abs(_probe_eval(spec.gen.g, "g", t, xs))

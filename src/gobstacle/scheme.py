@@ -5,7 +5,9 @@ One backward step from a known layer at t+dt to the layer at t:
     v_i   = u_i + dt * (envelope(qv_i) + drift_i*du_i + f_i)     (explicit)
     u_i'  = v_i + dt*m*(u_i'-lower)^-  -  dt*n*(u_i'-upper)^+    (implicit)
 
-with centered first and second differences taken from the known layer.
+with centered first and second differences taken from the known layer,
+except that first differences are one-sided at nodes where centring
+would break monotonicity (below).
 The implicit penalty equation is piecewise linear and monotone in u',
 so it resolves in closed form with at most three cases; penalty
 intensities therefore never enter the CFL restriction.  Projection
@@ -28,9 +30,12 @@ closure artifacts, and pointwise-ordering diagnostics measure on
 interior nodes.  Stability: dt <= cfl_safety * dx^2 / (vol_high_sq*K +
 dx*B) with K the declared sigma^2 cap and B a bound on the first-order
 coefficients (drift, cross loading, declared z-moduli); an extra dx^2
-term accounts for zero-order moduli.  Centered first differences are
-the default (monotone under the cell-Peclet condition that `validate`
-checks); an upwind fallback exists for advection-dominated data.
+term accounts for zero-order moduli.  First differences are centred as
+much as possible, one-sided elsewhere (Pooley, Forsyth & Vetzal 2003):
+a node whose compiled rows fail the cell-Peclet condition
+|drift|*dx <= vol_low_sq*(sigma^2 - |cross|*dx) takes the drift and the
+cross term from the side of their sign, which keeps its neighbour
+weights nonnegative; every other node stays centred and second order.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import gcalculus
-from .model import ProblemSpec, SpecError
+from .model import ProblemSpec, SpecError, cell_peclet_excess
 
 MODES = ("penalized", "project_lower", "project_both")
 
@@ -119,11 +124,12 @@ class PenaltyParams:
             raise SpecError("penalty intensities must be finite and >= 0")
 
 
-def _first_order_bound(spec: ProblemSpec, xs, horizon):
-    """Probe a bound for the first-order (gradient) coefficients."""
+def _gradient_bound(spec: ProblemSpec, xs, ts):
+    """Probe a bound for the first-order (gradient) coefficients on the
+    time nodes ts."""
     sup_b = 0.0
     sup_l = 0.0
-    for t in (0.0, 0.5 * horizon, horizon):
+    for t in ts:
         sup_b = max(sup_b, float(np.max(np.abs(
             np.broadcast_to(np.asarray(spec.coeffs.drift(t, xs), dtype=float),
                             xs.shape)))))
@@ -144,8 +150,11 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
 
     where B bounds the first-order coefficients (|drift| + vol_high_sq*
     |cross| + declared z-moduli at unit gradient scale) and Y the
-    zero-order moduli.  nt is the smallest count meeting the bound and
-    is capped at ten million; the solution field, (nt+1)*(nx+1) doubles,
+    zero-order moduli.  Catalog coefficients do not depend on t and are
+    probed at t = 0, T/2, T; a custom drift or cross is probed on every
+    t-node of the candidate grid, and nt grows until the bound holds on
+    each of them.  nt is the smallest count meeting the bound and is
+    capped at ten million; the solution field, (nt+1)*(nx+1) doubles,
     is capped at 512 MiB.
     """
     if not x_max > x_min:
@@ -162,28 +171,36 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     dx = (x_max - x_min) / nx
     xs = np.linspace(x_min, x_max, nx + 1)
     diff = spec.gparams.vol_high_sq * spec.coeffs.vol_cap
-    first = _first_order_bound(spec, xs, spec.horizon)
     zero = spec.gen.lipschitz_y * (1.0 + spec.gparams.vol_high_sq)
-    dt_max = cfl_safety * dx * dx / (diff + dx * first + dx * dx * zero)
-    nt = max(1, math.ceil(spec.horizon / dt_max))
-    if nt > _NT_CAP:
-        raise GridError(f"CFL bound needs nt={nt}, above the cap {_NT_CAP}; "
-                        "coarsen nx or shorten the horizon")
-    field_bytes = (nt + 1) * (nx + 1) * 8
-    if field_bytes > _FIELD_BYTES_CAP:
-        raise GridError(f"the solution field needs {field_bytes / 2 ** 20:.0f}"
-                        f" MiB (nt={nt}, nx={nx}), above the "
-                        f"{_FIELD_BYTES_CAP // 2 ** 20} MiB memory cap; "
-                        "coarsen nx or shorten the horizon")
+    timed = "custom" in (spec.coeffs.drift.kind, spec.coeffs.cross.kind)
+    ts = (0.0, 0.5 * spec.horizon, spec.horizon)
+    nt = 0
+    while True:  # a custom coefficient: until the grid's own t-nodes pass
+        first = _gradient_bound(spec, xs, ts)
+        dt_max = cfl_safety * dx * dx / (diff + dx * first + dx * dx * zero)
+        need = max(1, math.ceil(spec.horizon / dt_max))
+        if need <= nt:
+            break
+        nt = need
+        if nt > _NT_CAP:
+            raise GridError(f"CFL bound needs nt={nt}, above the cap "
+                            f"{_NT_CAP}; coarsen nx or shorten the horizon")
+        field_bytes = (nt + 1) * (nx + 1) * 8
+        if field_bytes > _FIELD_BYTES_CAP:
+            raise GridError(
+                f"the solution field needs {field_bytes / 2 ** 20:.0f} MiB "
+                f"(nt={nt}, nx={nx}), above the "
+                f"{_FIELD_BYTES_CAP // 2 ** 20} MiB memory cap; "
+                "coarsen nx or shorten the horizon")
+        if not timed:
+            break
+        ts = np.linspace(0.0, spec.horizon, nt + 1)
     return Grid(x_min=x_min, x_max=x_max, nx=nx, nt=nt, horizon=spec.horizon)
 
 
 # ---------------------------------------------------------------------------
 # the problem compiled onto the grid
 # ---------------------------------------------------------------------------
-
-FIRST_ORDERS = ("central", "upwind")
-
 
 def _row(fs, t, x):
     """fs at time t on the nodes x as a float row (constants broadcast)."""
@@ -193,24 +210,21 @@ def _row(fs, t, x):
 
 
 class StepOperator:
-    """A problem compiled onto a grid for one first-order scheme.
+    """A problem compiled onto a grid.
 
-    Rows: `sigma` on all nodes; `sig2` (sigma^2), `cross2` (2*cross),
-    `drift`, and the upwind masks `drift_up`/`cross_up` (first_order
-    'upwind' only) on interior nodes; `g2` (2*g) and `f` on interior
+    Rows: `sigma` on all nodes; `sig2` (sigma^2), `cross2` (2*cross) and
+    `drift` on interior nodes; `upwind`, the interior nodes that fail the
+    cell-Peclet condition, with the signs `drift_up` (drift >= 0) and
+    `cross_up` (cross >= 0) that pick their one-sided differences, or all
+    three None when every node is centred; `g2` (2*g) and `f` on interior
     nodes when that driver is x-only, else None (evaluated per step at
     z = sigma*du); `lower`/`upper` on all nodes, None on an absent side.
     No catalog kind depends on t, so the rows serve every step; a custom
     field may, so its rows hold at `t` and `at` recompiles them.
     """
 
-    def __init__(self, spec: ProblemSpec, grid: Grid, first_order="central",
-                 t=0.0):
-        if first_order not in FIRST_ORDERS:
-            raise SpecError(
-                f"unknown first_order discretization {first_order!r}")
-        self.spec, self.grid, self.first_order, self.t = \
-            spec, grid, first_order, t
+    def __init__(self, spec: ProblemSpec, grid: Grid, t=0.0):
+        self.spec, self.grid, self.t = spec, grid, t
         c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
         self.timed = any(fs is not None and fs.kind == "custom" for fs in
                          (c.sigma, c.cross, c.drift, ob.lower, ob.upper))
@@ -220,9 +234,12 @@ class StepOperator:
         cross = _row(c.cross, t, inner)
         self.cross2 = 2.0 * cross
         self.drift = _row(c.drift, t, inner)
-        upwind = first_order == "upwind"
-        self.cross_up = cross >= 0.0 if upwind else None
-        self.drift_up = self.drift >= 0.0 if upwind else None
+        upwind = cell_peclet_excess(self.drift, cross, self.sig2, grid.dx,
+                                    spec.gparams.vol_low_sq) > 0.0
+        self.upwind = self.drift_up = self.cross_up = None
+        if upwind.any():
+            self.upwind, self.drift_up, self.cross_up = \
+                upwind, self.drift >= 0.0, cross >= 0.0
         per_step = ("quadratic_in_z", "custom")
         self.g2 = None if gen.g.kind in per_step \
             else 2.0 * _row(gen.g, t, inner)
@@ -235,7 +252,7 @@ class StepOperator:
         coefficient or obstacle needs its rows at another time."""
         if not self.timed or t == self.t:
             return self
-        return StepOperator(self.spec, self.grid, self.first_order, t)
+        return StepOperator(self.spec, self.grid, t)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +272,11 @@ def layer_rhs_parts(next_layer, t, op: StepOperator):
     u = next_layer[1:-1]
     du = (next_layer[2:] - next_layer[:-2]) / (2.0 * dx)
     d2u = (next_layer[2:] - 2.0 * u + next_layer[:-2]) / (dx * dx)
-    if op.first_order == "upwind":
+    if op.upwind is not None:
         fwd = (next_layer[2:] - u) / dx
         bwd = (u - next_layer[:-2]) / dx
-        du_drift = np.where(op.drift_up, fwd, bwd)
-        du_cross = np.where(op.cross_up, fwd, bwd)
+        du_drift = np.where(op.upwind, np.where(op.drift_up, fwd, bwd), du)
+        du_cross = np.where(op.upwind, np.where(op.cross_up, fwd, bwd), du)
     else:
         du_drift = du_cross = du
 
@@ -358,24 +375,6 @@ def _enforce(v, low, up, pen: PenaltyParams, dt, mode, increments=False):
         da_plus[idx] = max(delta, 0.0)
         da_minus[idx] = max(-delta, 0.0)
     return layer, da_plus, da_minus
-
-
-def boundary_fill(layer, t, spec: ProblemSpec, grid: Grid):
-    """Fill the two boundary nodes of a layer whose interior is done.
-
-    Zero-curvature extrapolation from the two nearest interior nodes,
-    then a clamp into the obstacle band on active sides: the step
-    kernel's closure, applied with no penalty or projection.  Second
-    order at the artificial boundary, so the closure error vanishes
-    under refinement; the weights (2, -1) are not convex, so the two
-    boundary columns do not share the interior update's order
-    preservation and ordering diagnostics exclude them.  Returns the
-    same array (filled in place).
-    """
-    op = StepOperator(spec, grid).at(t)
-    layer[:] = _enforce(layer[1:-1], op.lower, op.upper, PenaltyParams(),
-                        grid.dt, "penalized")
-    return layer
 
 
 def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams,

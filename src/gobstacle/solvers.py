@@ -56,12 +56,12 @@ def _layer_violations(layer, op: StepOperator):
 
 
 def _backward_solve(spec: ProblemSpec, grid: Grid, pen: PenaltyParams,
-                    mode, first_order="central") -> SolveReport:
+                    mode) -> SolveReport:
     if not spec.gparams.well_ordered:
         raise SpecError("volatility band is not well ordered; "
                         "run validate() for details")
     start = time.perf_counter()
-    op = StepOperator(spec, grid, first_order)
+    op = StepOperator(spec, grid)
     values = np.empty((grid.nt + 1, grid.nx + 1))
     values[grid.nt] = np.broadcast_to(
         np.asarray(spec.terminal(spec.horizon, grid.x_nodes), dtype=float),
@@ -89,16 +89,14 @@ def _backward_solve(spec: ProblemSpec, grid: Grid, pen: PenaltyParams,
                        wall_time=time.perf_counter() - start)
 
 
-def solve_penalized(spec: ProblemSpec, grid: Grid, pen: PenaltyParams,
-                    first_order="central") -> SolveReport:
+def solve_penalized(spec: ProblemSpec, grid: Grid,
+                    pen: PenaltyParams) -> SolveReport:
     """Two-sided penalized solve at fixed intensities."""
-    return _backward_solve(spec, grid, pen, "penalized", first_order)
+    return _backward_solve(spec, grid, pen, "penalized")
 
 
 def solve_lower_reflected_upper_penalized(spec: ProblemSpec, grid: Grid,
-                                          n_upper,
-                                          first_order="central"
-                                          ) -> SolveReport:
+                                          n_upper) -> SolveReport:
     """Exact lower reflection (projection) with an upper penalty.
 
     The companion construction to the two-sided penalized family: the
@@ -109,11 +107,10 @@ def solve_lower_reflected_upper_penalized(spec: ProblemSpec, grid: Grid,
     if not spec.obstacles.lower_active:
         raise SpecError("lower-reflected solve needs an active lower obstacle")
     pen = PenaltyParams(m_lower=0.0, n_upper=float(n_upper))
-    return _backward_solve(spec, grid, pen, "project_lower", first_order)
+    return _backward_solve(spec, grid, pen, "project_lower")
 
 
-def solve_double_projection(spec: ProblemSpec, grid: Grid,
-                            first_order="central") -> SolveReport:
+def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
     """Projection onto the obstacle band each step (active sides).
 
     With one side inactive this degenerates, on the same code path, to
@@ -122,8 +119,7 @@ def solve_double_projection(spec: ProblemSpec, grid: Grid,
     ob = spec.obstacles
     if not (ob.lower_active or ob.upper_active):
         raise SpecError("projection solve needs at least one active obstacle")
-    return _backward_solve(spec, grid, PenaltyParams(), "project_both",
-                           first_order)
+    return _backward_solve(spec, grid, PenaltyParams(), "project_both")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,7 @@ class ConvergenceTrace:
 
 def solve_limit(spec: ProblemSpec, grid: Grid,
                 schedule: Optional[PenaltySchedule] = None,
-                keep_reports=False, first_order="central"):
+                keep_reports=False):
     """Walk the penalized family along a schedule toward its limit.
 
     Runs solve_penalized per stage, stops early once the sup-norm
@@ -227,14 +223,14 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
 
-    op = StepOperator(spec, grid, first_order)
+    op = StepOperator(spec, grid)
     stages = []
     reports = []
     prev = None
     converged = False
     report = None
     for idx, pen in enumerate(schedule.steps):
-        report = solve_penalized(spec, grid, pen, first_order)
+        report = solve_penalized(spec, grid, pen)
         r_plus, r_minus = _contact_residuals(
             report.field, op,
             lambda k, y, low, up: _penalty_increments(y, low, up, pen,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gobstacle import cli
-from gobstacle.decomposition import martingale_defect_scan
+from gobstacle.decomposition import reconstruct
 from gobstacle.diagnostics import (
     classical_oracle,
     comparison_harness,
@@ -240,7 +240,8 @@ def test_c10_no_scenario_beats_the_envelope(acceptance_log):
                              PenaltyParams(), "project_both"))
             for rep, pen, mode in runs:
                 assert rep.wall_time <= MAX_SOLVE_SECONDS
-                d = martingale_defect_scan(rep.field, spec, pen, mode=mode)
+                bundle = reconstruct(rep.field, spec, pen, mode=mode)
+                d = float(np.max(bundle.defect.values[:-1, 1:-1]))
                 worst = max(worst, d)
                 combos += 1
     _record(acceptance_log, 10, worst <= 1e-10,

@@ -1,19 +1,20 @@
 """Process reconstruction: gradient, compensators, scenario defects."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gobstacle.decomposition import (
     bmo_diagnostic,
-    martingale_defect_scan,
     one_step_residuals,
     reconstruct,
     skorohod_residuals,
 )
 from gobstacle.diagnostics import inner_mask
-from gobstacle.model import SpecError
+from gobstacle.model import FnSpec, SpecError
 from gobstacle.presets import get_preset
-from gobstacle.scheme import PenaltyParams, build_grid
+from gobstacle.scheme import PenaltyParams, StepOperator, build_grid
 from gobstacle.solvers import (
     solve_double_projection,
     solve_lower_reflected_upper_penalized,
@@ -152,10 +153,15 @@ def test_residuals_are_zero_without_obstacles():
 # scenario defect scan
 # ---------------------------------------------------------------------------
 
+def _worst_defect(field, spec, pen, **kwargs):
+    # worst fixed-scenario defect over interior nodes and solved slices
+    bundle = reconstruct(field, spec, pen, **kwargs)
+    return float(np.max(bundle.defect.values[:-1, 1:-1]))
+
+
 def test_no_scenario_beats_the_envelope_step(mode_runs):
     for spec, rep, pen, mode in mode_runs:
-        d = martingale_defect_scan(rep.field, spec, pen, mode=mode)
-        assert d <= 1e-10, mode
+        assert _worst_defect(rep.field, spec, pen, mode=mode) <= 1e-10, mode
 
 
 def test_defect_scan_accepts_a_custom_scenario_grid():
@@ -163,8 +169,7 @@ def test_defect_scan_accepts_a_custom_scenario_grid():
     grid = build_grid(spec, nx=64)
     pen = PenaltyParams(64.0, 64.0)
     rep = solve_penalized(spec, grid, pen)
-    d = martingale_defect_scan(rep.field, spec, pen,
-                               v_grid=[1.0, 1.3, 1.7, 2.0])
+    d = _worst_defect(rep.field, spec, pen, v_grid=[1.0, 1.3, 1.7, 2.0])
     assert d <= 1e-10
 
 
@@ -174,7 +179,7 @@ def test_scenarios_outside_the_band_are_refused():
     pen = PenaltyParams(64.0, 64.0)
     rep = solve_penalized(spec, grid, pen)
     with pytest.raises(SpecError, match="inside the declared band"):
-        martingale_defect_scan(rep.field, spec, pen, v_grid=[0.5])
+        reconstruct(rep.field, spec, pen, v_grid=[0.5])
     with pytest.raises(SpecError, match="inside the declared band"):
         reconstruct(rep.field, spec, pen, v_grid=[1.0, 2.5])
     with pytest.raises(SpecError, match="empty"):
@@ -229,13 +234,19 @@ def test_reconstruct_refuses_a_mismatched_field():
 
 
 def test_diagnostics_follow_the_scheme_of_the_solve():
-    # quadratic-drift has drift and a positive cross loading, so upwind
-    # and central differences give different quadratic-variation channels
-    spec = get_preset("quadratic-drift")
+    # quadratic-drift with a steeper drift: the outer nodes fail the
+    # cell-Peclet condition and take the cross term (cross > 0) from the
+    # forward side, the inner ones keep centred differences, so the
+    # quadratic-variation channel differs from an all-central one
+    base = get_preset("quadratic-drift")
+    spec = replace(base, coeffs=replace(base.coeffs,
+                                        drift=FnSpec.affine(2.0, 0.05)))
     grid = build_grid(spec, nx=64)
+    upwind = StepOperator(spec, grid).upwind
+    assert 0 < int(upwind.sum()) < grid.nx - 1
     pen = PenaltyParams(64.0, 64.0)
-    rep = solve_penalized(spec, grid, pen, first_order="upwind")
-    bundle = reconstruct(rep.field, spec, pen, first_order="upwind")
+    rep = solve_penalized(spec, grid, pen)
+    bundle = reconstruct(rep.field, spec, pen)
     assert float(np.max(np.abs(one_step_residuals(bundle, spec)))) <= 1e-10
 
     vals, dx, x = rep.field.values, grid.dx, grid.x_nodes[1:-1]
@@ -247,7 +258,8 @@ def test_diagnostics_follow_the_scheme_of_the_solve():
         z = sig * (u[2:] - u[:-2]) / (2.0 * dx)
         d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
         fwd = (u[2:] - u[1:-1]) / dx  # upwind side for cross >= 0
-        qv = sig * sig * d2u + 2.0 * spec.coeffs.cross(t, x) * fwd \
+        du = np.where(upwind, fwd, (u[2:] - u[:-2]) / (2.0 * dx))
+        qv = sig * sig * d2u + 2.0 * spec.coeffs.cross(t, x) * du \
             + 2.0 * spec.gen.g(t, x, u[1:-1], z)
         v_star = np.where(qv >= 0.0, gp.vol_high_sq, gp.vol_low_sq)
         zk = bundle.z.values[k, 1:-1]

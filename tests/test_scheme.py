@@ -19,7 +19,7 @@ from gobstacle.scheme import (
     PenaltyParams,
     StepFailure,
     StepOperator,
-    boundary_fill,
+    _enforce,
     build_grid,
     explicit_step,
     layer_rhs_parts,
@@ -170,30 +170,27 @@ def test_large_intensity_pins_to_the_obstacle():
 # boundary closure
 # ---------------------------------------------------------------------------
 
-def test_boundary_fill_extrapolates_zero_curvature():
-    g = Grid(0.0, 1.0, 4, 4, 1.0)
-    layer = np.array([99.0, 1.0, 2.0, 4.0, 99.0])
-    boundary_fill(layer, 0.0, _spec(), g)
+def _close(interior, low=None, up=None):
+    # the step kernel with no penalty or projection: only the closure acts
+    return _enforce(np.asarray(interior, dtype=float), low, up, NO_PEN, 0.1,
+                    "penalized")
+
+
+def test_boundary_closure_extrapolates_zero_curvature():
+    layer = _close([1.0, 2.0, 4.0])
+    np.testing.assert_array_equal(layer[1:-1], [1.0, 2.0, 4.0])
     assert layer[0] == 0.0   # 2*1 - 2
     assert layer[-1] == 6.0  # 2*4 - 2
 
 
-def test_boundary_fill_is_exact_on_affine_data():
-    g = Grid(0.0, 1.0, 4, 4, 1.0)
-    exact = 3.0 * g.x_nodes - 1.0
-    layer = exact.copy()
-    layer[0] = layer[-1] = 1e9
-    boundary_fill(layer, 0.0, _spec(), g)
-    np.testing.assert_allclose(layer, exact, rtol=0.0, atol=1e-12)
+def test_boundary_closure_is_exact_on_affine_data():
+    exact = 3.0 * np.linspace(0.0, 1.0, 5) - 1.0
+    np.testing.assert_allclose(_close(exact[1:-1]), exact, rtol=0.0,
+                               atol=1e-12)
 
 
-def test_boundary_fill_clamps_into_active_band():
-    g = Grid(0.0, 1.0, 4, 4, 1.0)
-    ob = ObstaclePair.both(FnSpec.constant(0.5), FnSpec.constant(5.0),
-                           level_bound=5.0)
-    spec = _spec(obstacles=ob, terminal=FnSpec.constant(1.0))
-    layer = np.array([0.0, 1.0, 2.0, 4.0, 0.0])
-    boundary_fill(layer, 0.0, spec, g)
+def test_boundary_closure_clamps_into_active_band():
+    layer = _close([1.0, 2.0, 4.0], low=np.full(5, 0.5), up=np.full(5, 5.0))
     assert layer[0] == 0.5   # extrapolation gave 0, lower obstacle wins
     assert layer[-1] == 5.0  # extrapolation gave 6, upper obstacle wins
 
@@ -266,8 +263,6 @@ def test_step_rejects_bad_inputs():
         explicit_step(layer, 0.0, StepOperator(spec, g), NO_PEN, mode="nope")
     with pytest.raises(SpecError, match="shape"):
         explicit_step(layer[:-1], 0.0, StepOperator(spec, g), NO_PEN)
-    with pytest.raises(SpecError, match="first_order"):
-        StepOperator(spec, g, first_order="nope")
 
 
 def test_step_flags_non_finite_values():
@@ -280,19 +275,20 @@ def test_step_flags_non_finite_values():
             explicit_step(layer, 0.0, StepOperator(spec, g), NO_PEN)
 
 
-def test_upwind_discretization_shifts_drift_term():
-    # on u = x^2 the forward difference exceeds the centered one by
-    # exactly dx, so the two steps differ by dt*drift*dx where drift
-    # points right (and by the mirrored amount where it points left)
-    spec = _spec(coeffs=CoefficientSet(drift=FnSpec.constant(1.0)))
+@pytest.mark.parametrize("drift", [1.0, 2.0, -2.0])
+def test_drift_past_the_cell_peclet_bound_is_upwinded(drift):
+    # dx = 0.625, so |drift|*dx > vol_low_sq*sigma^2 = 1 only for |drift|
+    # = 2.  On u = x^2 the centred difference is 2x and the one-sided
+    # difference on the side of the drift's sign is 2x + sign*dx.
+    spec = _spec(coeffs=CoefficientSet(drift=FnSpec.constant(drift)))
     g = build_grid(spec, nx=32)
-    layer = g.x_nodes ** 2
-    central = explicit_step(layer, 0.5, StepOperator(spec, g, "central"),
-                            NO_PEN)
-    upwind = explicit_step(layer, 0.5, StepOperator(spec, g, "upwind"),
-                           NO_PEN)
-    np.testing.assert_allclose(upwind[1:-1] - central[1:-1],
-                               g.dt * 1.0 * g.dx, rtol=1e-10)
+    x = g.x_nodes[1:-1]
+    op = StepOperator(spec, g)
+    shift = 0.0 if abs(drift) * g.dx <= 1.0 else np.sign(drift) * g.dx
+    assert (op.upwind is None) == (shift == 0.0)
+    out = explicit_step(g.x_nodes ** 2, 0.5, op, NO_PEN)
+    want = x * x + g.dt * (2.0 + drift * (2.0 * x + shift))
+    np.testing.assert_allclose(out[1:-1], want, rtol=1e-12)
 
 
 def test_layer_rhs_parts_split_is_consistent():
