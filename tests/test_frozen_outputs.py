@@ -1,0 +1,159 @@
+"""Frozen sha256 digests of library outputs that the golden CSV table
+never writes: every stage field and the trace of the limit driver, the
+full process bundle of `reconstruct`, and the diagnostics read from it.
+
+The golden table hashes only a few slices per run; these digests cover
+every slice, so a refactor of the stepping or replay loops that changes
+one bit anywhere shows here.  A digest changes only with a deliberate
+change of the arithmetic."""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from gobstacle.decomposition import bmo_diagnostic, one_step_residuals, \
+    reconstruct, skorohod_residuals
+from gobstacle.model import CoefficientSet, FnSpec, GeneratorSpec, GParams, \
+    ObstaclePair, ProblemSpec
+from gobstacle.presets import get_preset
+from gobstacle.scheme import PenaltyParams, build_grid
+from gobstacle.solvers import DEFAULT_INTENSITIES, PenaltySchedule, \
+    solve_double_projection, solve_limit, \
+    solve_lower_reflected_upper_penalized, solve_penalized
+
+PEN = PenaltyParams(64.0, 64.0)
+
+DIGESTS = {
+    "bundle-affine-drift-8x":
+        "6adc8907520d8fcb399f5cb010de8fd5111ade24b5aeb998a3b61ddd43a4f2fb",
+    "bundle-custom-t-driver":
+        "cd6d12398b88c6a1bc3a8a9711dc6f26520b65eb9175d869b8c441e8e34f0b83",
+    "bundle-double-active-penalized":
+        "97868706d8b1e9917badef8e2a5299cc6194da3642aae3b38d757674b7b1e48f",
+    "bundle-double-active-project_both":
+        "938cb21f59ffbd341f1cdeb0fd140c439b92b71d6a348c8f28eaf1b2369c05ae",
+    "bundle-double-active-project_lower":
+        "319e174fdbe6506df8e9f536eb76170f55d341c8d43b4828ba8c902b6305b4ac",
+    "limit-double-active":
+        "1d7478e66c620b072a27ce81bf767ca797b74142ef14fc6a426498b4ede172c5",
+    "limit-lower-active":
+        "893eb939adb2f1f69825015cd555de4e284d02f10d79b78191d94de86232a242",
+    "limit-quadratic-drift":
+        "71cfb56f53b9aeac3aee6755ae0d295027340e9c041b8c3301b284da32574b6c",
+    "limit-upper-active":
+        "c1c760f0e7530ad77487ca1a161e55f6ee2d7060fa81d2f181f2f895810cd51c",
+}
+
+
+def _digest(*items):
+    h = hashlib.sha256()
+    for item in items:
+        if isinstance(item, np.ndarray):
+            h.update(repr(item.shape).encode())
+            h.update(np.ascontiguousarray(item, dtype=float).tobytes())
+        elif isinstance(item, float):
+            h.update(item.hex().encode())
+        else:
+            h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the limit driver: every stage field and the trace
+# ---------------------------------------------------------------------------
+
+LIMIT_CASES = {
+    "double-active": None,
+    "lower-active": PenaltySchedule.fixed_n(64.0, DEFAULT_INTENSITIES),
+    "upper-active": PenaltySchedule.fixed_m(64.0, DEFAULT_INTENSITIES),
+    "quadratic-drift": None,  # stops early, after two stages
+}
+
+
+def _limit_digest(name):
+    spec = get_preset(name)
+    grid = build_grid(spec, nx=64)
+    final, trace = solve_limit(spec, grid, LIMIT_CASES[name],
+                               keep_reports=True)
+    items = [trace.converged, trace.stop_tol, len(trace.stages)]
+    for stage, report in zip(trace.stages, trace.reports):
+        items += [stage.stage, stage.m_lower, stage.n_upper, stage.sup_diff,
+                  stage.upper_violation, stage.lower_violation,
+                  stage.r_plus, stage.r_minus, report.field.values,
+                  report.sup_upper_violation, report.sup_lower_violation,
+                  report.iterations]
+    assert final is trace.reports[-1]
+    return _digest(*items)
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_CASES))
+def test_limit_driver_digest(name):
+    assert _limit_digest(name) == DIGESTS[f"limit-{name}"]
+
+
+def test_quadratic_drift_limit_stops_early():
+    spec = get_preset("quadratic-drift")
+    _, trace = solve_limit(spec, build_grid(spec, nx=64))
+    assert trace.converged and len(trace.stages) == 2
+
+
+# ---------------------------------------------------------------------------
+# reconstruction and the diagnostics read from its bundle
+# ---------------------------------------------------------------------------
+
+def _bundle_digest(field, spec, pen, mode):
+    bundle = reconstruct(field, spec, pen, mode=mode)
+    worst, tails = bmo_diagnostic(bundle, spec, return_profile=True)
+    r_plus, r_minus = skorohod_residuals(bundle, spec)
+    return _digest(field.values, bundle.z.values, bundle.da_plus,
+                   bundle.da_minus, bundle.defect.values,
+                   one_step_residuals(bundle, spec),
+                   worst, tails, r_plus, r_minus)
+
+
+def _double_active_mode(mode):
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=64)
+    if mode == "penalized":
+        return spec, solve_penalized(spec, grid, PEN).field, PEN
+    if mode == "project_lower":
+        field = solve_lower_reflected_upper_penalized(spec, grid, 64.0).field
+        return spec, field, PenaltyParams(0.0, 64.0)
+    return spec, solve_double_projection(spec, grid).field, PenaltyParams()
+
+
+@pytest.mark.parametrize("mode",
+                         ["penalized", "project_lower", "project_both"])
+def test_double_active_bundle_digest(mode):
+    spec, field, pen = _double_active_mode(mode)
+    assert _bundle_digest(field, spec, pen, mode) \
+        == DIGESTS[f"bundle-double-active-{mode}"]
+
+
+def test_upwind_bundle_digest():
+    # affine drift 8x over a 0-to-1 step: one-sided differences on the
+    # 298 nodes with |x| > 2.5
+    spec = ProblemSpec(
+        gparams=GParams(1.0, 2.0),
+        coeffs=CoefficientSet(drift=FnSpec.affine(8.0, 0.0)),
+        gen=GeneratorSpec(zero_bound=100.0), obstacles=ObstaclePair.none(),
+        terminal=FnSpec.tabulated([-0.025, 0.025], [0.0, 1.0]))
+    grid = build_grid(spec, nx=400)
+    pen = PenaltyParams()
+    field = solve_penalized(spec, grid, pen).field
+    assert _bundle_digest(field, spec, pen, "penalized") \
+        == DIGESTS["bundle-affine-drift-8x"]
+
+
+def test_t_dependent_custom_driver_bundle_digest():
+    spec = get_preset("double-active")
+    base = spec.gen.f
+    f = FnSpec.custom(
+        lambda t, x, y, z: base(t, x) * np.cos(2.0 * np.pi * t))
+    spec = replace(spec, gen=replace(spec.gen, f=f))
+    grid = build_grid(spec, nx=64)
+    field = solve_penalized(spec, grid, PEN).field
+    assert _bundle_digest(field, spec, PEN, "penalized") \
+        == DIGESTS["bundle-custom-t-driver"]
