@@ -24,6 +24,12 @@ identity
 holds at interior nodes to rounding, for every solver mode: projection
 lifts/clamps land in the increments, not in a residual.  A replay that
 does not reproduce the stored layer is refused.
+
+Replays read only stored slices, so each call takes a block of
+consecutive slices (`StepOperator.blocks`) through the kernel, and the
+scenarios of the defect go in as one (V, B, nx-1) block.  A block is a
+single slice when a custom field or driver may depend on t.  Sums over
+slices (the contact residuals) still add in slice order.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import numpy as np
 
 from .gcalculus import g_eval, worst_case_vol
 from .model import ProblemSpec, SpecError
-from .scheme import Field, PenaltyParams, StepOperator, _enforce, \
-    layer_rhs_parts
+from .scheme import Field, PenaltyParams, StepOperator, \
+    _check_field_budget, _enforce, layer_rhs_parts
 
 
 @dataclass(eq=False)
@@ -71,53 +77,60 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
                 mode="penalized", v_grid=None) -> ProcessBundle:
     """Rebuild the process bundle from a solved field.
 
-    Compiles the problem onto the field's grid once and replays every
-    step through the step kernel, with the right-hand side computed once
-    per step: the replay yields the increments dA+/dA-, and the same
-    step under each fixed scenario of v_grid the defect.
+    Compiles the problem onto the field's grid once and replays the
+    steps through the step kernel in blocks of slices, with the
+    right-hand side computed once per step: the replay yields the
+    increments dA+/dA-, and the same step under each fixed scenario of
+    v_grid the defect.
     The operator makes the solve's per-node choice of central or
     one-sided differences again.  The field must come from a solver run
     with the same (spec, pen, mode); a replayed layer that differs from
-    the stored one raises SpecError.
+    the stored one raises SpecError.  The bundle adds four arrays of the
+    field's size (`GridError` when they and the field exceed the memory
+    cap).
     """
     grid = field.grid
     vals = field.values
     dt = grid.dt
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
+    _check_field_budget(grid, 5)
     op = StepOperator(spec, grid)
 
-    z = np.empty_like(vals)
-    da_plus = np.zeros_like(vals)
-    da_minus = np.zeros_like(vals)
-    defect = np.zeros_like(vals)
+    z = np.empty(vals.shape)
+    da_plus = np.zeros(vals.shape)
+    da_minus = np.zeros(vals.shape)
+    defect = np.zeros(vals.shape)
 
-    for k in range(grid.nt + 1):
-        sig = op.at(grid.t_nodes[k]).sigma
-        z[k, 1:-1] = sig[1:-1] * (vals[k, 2:] - vals[k, :-2]) / (2.0 * dx)
-        z[k, 0] = sig[0] * (vals[k, 1] - vals[k, 0]) / dx
-        z[k, -1] = sig[-1] * (vals[k, -1] - vals[k, -2]) / dx
+    for k0, k1 in op.blocks(grid.nt + 1):
+        sig = op.at(grid.t_nodes[k0]).sigma
+        y = vals[k0:k1]
+        z[k0:k1, 1:-1] = sig[1:-1] * (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
+        z[k0:k1, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
+        z[k0:k1, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
 
-    for k in range(grid.nt - 1, -1, -1):
-        t = grid.t_nodes[k]
+    scenarios = v_grid[:, None, None]
+    # latest blocks first, as the solve stepped: a refusal names the
+    # first step that differs
+    for k0, k1 in reversed(op.blocks(grid.nt, rows=v_grid.size)):
+        t = grid.t_nodes[k0]
         op_t = op.at(t)
-        qv, rest = layer_rhs_parts(vals[k + 1], t, op_t)
+        nxt = vals[k0 + 1:k1 + 1]
+        qv, rest = layer_rhs_parts(nxt, t, op_t)
         rows = op_t.lower, op_t.upper
-        w = vals[k + 1, 1:-1] + dt * (g_eval(qv, spec.gparams) + rest)
-        layer, da_plus[k], da_minus[k] = _enforce(w, *rows, pen, dt, mode,
-                                                  increments=True)
-        if not np.array_equal(layer, vals[k]):
+        w = nxt[:, 1:-1] + dt * (g_eval(qv, spec.gparams) + rest)
+        layer, da_plus[k0:k1], da_minus[k0:k1] = _enforce(
+            w, *rows, pen, dt, mode, increments=True)
+        differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
+        if differs.size:
             raise SpecError(
-                f"replaying the step at t={t:.6g} does not reproduce the "
-                "stored layer; reconstruct with the pen and mode of the "
-                "solve")
+                f"replaying the step at t={grid.t_nodes[k0 + differs[-1]]:.6g}"
+                " does not reproduce the stored layer; reconstruct with the "
+                "pen and mode of the solve")
 
-        worst = None
-        for v in v_grid:
-            w_v = vals[k + 1, 1:-1] + dt * (0.5 * (v * qv) + rest)
-            d = _enforce(w_v, *rows, pen, dt, mode)[1:-1] - vals[k, 1:-1]
-            worst = d if worst is None else np.maximum(worst, d)
-        defect[k, 1:-1] = worst
+        w_v = nxt[:, 1:-1] + dt * (0.5 * (scenarios * qv) + rest)
+        d = _enforce(w_v, *rows, pen, dt, mode)[..., 1:-1] - vals[k0:k1, 1:-1]
+        defect[k0:k1, 1:-1] = d.max(axis=0)
 
     return ProcessBundle(y=field, z=Field(values=z, grid=grid),
                          da_plus=da_plus, da_minus=da_minus,
@@ -135,31 +148,41 @@ def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     vals = bundle.y.values
     op = StepOperator(spec, grid)
     out = np.empty((grid.nt, grid.nx - 1))
-    for k in range(grid.nt):
-        qv, rest = layer_rhs_parts(vals[k + 1], grid.t_nodes[k], op)
-        w = vals[k + 1, 1:-1] + grid.dt * (g_eval(qv, spec.gparams) + rest)
-        out[k] = vals[k, 1:-1] - (w + bundle.da_plus[k, 1:-1]
-                                  - bundle.da_minus[k, 1:-1])
+    for k0, k1 in op.blocks(grid.nt):
+        nxt = vals[k0 + 1:k1 + 1]
+        qv, rest = layer_rhs_parts(nxt, grid.t_nodes[k0], op)
+        w = nxt[:, 1:-1] + grid.dt * (g_eval(qv, spec.gparams) + rest)
+        out[k0:k1] = vals[k0:k1, 1:-1] - (w + bundle.da_plus[k0:k1, 1:-1]
+                                          - bundle.da_minus[k0:k1, 1:-1])
     return out
 
 
+def _add_in_order(acc, terms):
+    """acc + terms[0] + terms[1] + ... per column, added in row order as
+    a loop over the rows would; overwrites terms."""
+    terms[0] += acc
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+
 def _contact_residuals(field: Field, op: StepOperator, increments):
-    """(r_plus, r_minus) of a field whose interior increments at slice k
-    are increments(k, y_k, lower_k, upper_k) -> (dA+_k, dA-_k), with the
-    obstacle rows read from the operator."""
+    """(r_plus, r_minus) of a field whose interior increments over a
+    block of slices k0..k1-1 are increments(k0, k1, y, lower, upper) ->
+    (dA+, dA-), with y the block's interior values and the obstacle rows
+    read from the operator; each column sums in slice order."""
     grid = field.grid
     acc_plus = np.zeros(grid.nx - 1)
     acc_minus = np.zeros(grid.nx - 1)
-    for k in range(grid.nt):
-        y = field.values[k, 1:-1]
-        op_t = op.at(grid.t_nodes[k])
+    for k0, k1 in op.blocks(grid.nt):
+        y = field.values[k0:k1, 1:-1]
         low, up = (None if row is None else row[1:-1]
-                   for row in (op_t.lower, op_t.upper))
-        da_plus, da_minus = increments(k, y, low, up)
+                   for row in op.obstacles(grid.t_nodes[k0]))
+        da_plus, da_minus = increments(k0, k1, y, low, up)
         if low is not None:
-            acc_plus += np.maximum(low - y, 0.0) * da_plus
+            acc_plus = _add_in_order(acc_plus,
+                                     np.maximum(low - y, 0.0) * da_plus)
         if up is not None:
-            acc_minus += np.maximum(y - up, 0.0) * da_minus
+            acc_minus = _add_in_order(acc_minus,
+                                      np.maximum(y - up, 0.0) * da_minus)
     ob = op.spec.obstacles
     return (float(np.max(acc_plus)) if ob.lower_active else 0.0,
             float(np.max(acc_minus)) if ob.upper_active else 0.0)
@@ -179,7 +202,8 @@ def skorohod_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     """
     return _contact_residuals(
         bundle.y, StepOperator(spec, bundle.y.grid),
-        lambda k, *_: (bundle.da_plus[k, 1:-1], bundle.da_minus[k, 1:-1]))
+        lambda k0, k1, *_: (bundle.da_plus[k0:k1, 1:-1],
+                            bundle.da_minus[k0:k1, 1:-1]))
 
 
 def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
@@ -197,11 +221,11 @@ def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
     vals = bundle.y.values
     op = StepOperator(spec, grid)
     energy = np.empty((grid.nt, grid.nx - 1))
-    for k in range(grid.nt):
-        qv, _ = layer_rhs_parts(vals[k + 1], grid.t_nodes[k], op)
+    for k0, k1 in op.blocks(grid.nt):
+        qv, _ = layer_rhs_parts(vals[k0 + 1:k1 + 1], grid.t_nodes[k0], op)
         v_star = worst_case_vol(qv, spec.gparams)
-        zk = bundle.z.values[k, 1:-1]
-        energy[k] = zk * zk * v_star * grid.dt
+        zk = bundle.z.values[k0:k1, 1:-1]
+        energy[k0:k1] = zk * zk * v_star * grid.dt
     tails = np.cumsum(energy[::-1], axis=0)[::-1]
     worst = float(np.max(tails)) if tails.size else 0.0
     if return_profile:

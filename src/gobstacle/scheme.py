@@ -20,6 +20,16 @@ A `StepOperator` compiles the problem onto the grid once; every step
 reads its rows.  Penalty resolution, projection and the boundary closure
 form one kernel, shared by every solver and by the process
 reconstruction, which also reads the compensator increments it applied.
+The kernel (`layer_rhs_parts`, the envelope and `_enforce`) acts on the
+last axis of arrays of any leading shape: a solver steps S solves of one
+problem as one (S, nx+1) layer, with penalty intensities given per row,
+and a replay of stored slices takes a block of consecutive slices per
+call (`StepOperator.blocks`), sized so that its largest array stays
+under a fixed element budget.  A block holds a single slice when a
+custom field or driver may depend on t, so that every slice is
+evaluated at its own time.  The arithmetic is elementwise and the same
+for every shape, so a batched or blocked call reproduces the one-layer
+step bit for bit.  `explicit_step` is the one-layer case.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -42,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +62,8 @@ from .model import ProblemSpec, SpecError, cell_peclet_excess
 MODES = ("penalized", "project_lower", "project_both")
 
 _NT_CAP = 10_000_000
-_FIELD_BYTES_CAP = 512 * 2 ** 20  # solvers store the whole float64 field
+_FIELD_BYTES_CAP = 512 * 2 ** 20  # field-size float64 arrays of one call
+_BLOCK_ELEMENTS = 2 ** 13  # largest array of one replay block
 
 
 class GridError(ValueError):
@@ -124,6 +136,23 @@ class PenaltyParams:
             raise SpecError("penalty intensities must be finite and >= 0")
 
 
+class _PenaltyRows(NamedTuple):
+    """Per-row intensities of a batch: m_lower and n_upper as (S, 1)
+    columns, so that they broadcast along a layer's leading axis."""
+
+    m_lower: np.ndarray
+    n_upper: np.ndarray
+
+
+def _penalty_rows(pens):
+    """The intensities of a batch with one PenaltyParams per row: the
+    shared PenaltyParams when every row has the same, else columns."""
+    if len(set(pens)) == 1:
+        return pens[0]
+    return _PenaltyRows(np.array([[p.m_lower] for p in pens]),
+                        np.array([[p.n_upper] for p in pens]))
+
+
 def _gradient_bound(spec: ProblemSpec, xs, ts):
     """Probe a bound for the first-order (gradient) coefficients on the
     time nodes ts."""
@@ -155,7 +184,7 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     t-node of the candidate grid, and nt grows until the bound holds on
     each of them.  nt is the smallest count meeting the bound and is
     capped at ten million; the solution field, (nt+1)*(nx+1) doubles,
-    is capped at 512 MiB.
+    is capped at 512 MiB (`_check_field_budget`).
     """
     if not x_max > x_min:
         raise GridError(f"degenerate domain [{x_min}, {x_max}]")
@@ -185,17 +214,27 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
         if nt > _NT_CAP:
             raise GridError(f"CFL bound needs nt={nt}, above the cap "
                             f"{_NT_CAP}; coarsen nx or shorten the horizon")
-        field_bytes = (nt + 1) * (nx + 1) * 8
-        if field_bytes > _FIELD_BYTES_CAP:
-            raise GridError(
-                f"the solution field needs {field_bytes / 2 ** 20:.0f} MiB "
-                f"(nt={nt}, nx={nx}), above the "
-                f"{_FIELD_BYTES_CAP // 2 ** 20} MiB memory cap; "
-                "coarsen nx or shorten the horizon")
+        grid = Grid(x_min=x_min, x_max=x_max, nx=nx, nt=nt,
+                    horizon=spec.horizon)
+        _check_field_budget(grid, 1)
         if not timed:
             break
-        ts = np.linspace(0.0, spec.horizon, nt + 1)
-    return Grid(x_min=x_min, x_max=x_max, nx=nx, nt=nt, horizon=spec.horizon)
+        ts = grid.t_nodes
+    return grid
+
+
+def _check_field_budget(grid: Grid, count):
+    """Raise GridError when `count` float64 arrays of the grid's field
+    size, (nt+1)*(nx+1) doubles each, exceed the memory cap.  A call
+    checks what it will hold before allocating any of it."""
+    need = count * (grid.nt + 1) * (grid.nx + 1) * 8
+    if need > _FIELD_BYTES_CAP:
+        what = "the solution field needs" if count == 1 \
+            else f"{count} field-size arrays need"
+        raise GridError(
+            f"{what} {need / 2 ** 20:.0f} MiB (nt={grid.nt}, nx={grid.nx}), "
+            f"above the {_FIELD_BYTES_CAP // 2 ** 20} MiB memory cap; "
+            "coarsen nx or shorten the horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +259,9 @@ class StepOperator:
     nodes when that driver is x-only, else None (evaluated per step at
     z = sigma*du); `lower`/`upper` on all nodes, None on an absent side.
     No catalog kind depends on t, so the rows serve every step; a custom
-    field may, so its rows hold at `t` and `at` recompiles them.
+    field may, so its rows hold at `t` and `at` recompiles them.  A
+    custom driver is called at each step's t; `per_slice` marks an
+    operator with either, whose replays take one slice per block.
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid, t=0.0):
@@ -228,6 +269,7 @@ class StepOperator:
         c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
         self.timed = any(fs is not None and fs.kind == "custom" for fs in
                          (c.sigma, c.cross, c.drift, ob.lower, ob.upper))
+        self.per_slice = self.timed or "custom" in (gen.f.kind, gen.g.kind)
         x, inner = grid.x_nodes, grid.x_nodes[1:-1]
         self.sigma = _row(c.sigma, t, x)
         self.sig2 = self.sigma[1:-1] * self.sigma[1:-1]
@@ -254,6 +296,27 @@ class StepOperator:
             return self
         return StepOperator(self.spec, self.grid, t)
 
+    def obstacles(self, t):
+        """The (lower, upper) rows at time t on all nodes, None on an
+        absent side; re-evaluates only a custom obstacle."""
+        rows = []
+        for fs, row in zip((self.spec.obstacles.lower,
+                            self.spec.obstacles.upper),
+                           (self.lower, self.upper)):
+            if fs is not None and fs.kind == "custom" and t != self.t:
+                row = _row(fs, t, self.grid.x_nodes)
+            rows.append(row)
+        return rows
+
+    def blocks(self, stop, rows=1):
+        """Consecutive slice ranges (k0, k1) covering slices 0..stop-1,
+        for a replay that holds `rows` layers per slice: a block's
+        largest array stays under _BLOCK_ELEMENTS elements, and a block
+        is one slice when the operator is `per_slice`."""
+        size = 1 if self.per_slice \
+            else max(1, _BLOCK_ELEMENTS // (rows * (self.grid.nx + 1)))
+        return [(k, min(k + size, stop)) for k in range(0, stop, size)]
+
 
 # ---------------------------------------------------------------------------
 # stepping
@@ -266,15 +329,18 @@ def layer_rhs_parts(next_layer, t, op: StepOperator):
     interior nodes: the full rhs is envelope(qv) + rest, a fixed-scenario
     rhs 0.5*v*qv + rest.  The stepper, the process reconstruction and the
     scenario defect scan share the split, so all see identical arithmetic.
+    `next_layer` may carry leading axes (rows of a batch, slices of a
+    block); a driver that reads t is evaluated at this one t.
     """
     op = op.at(t)
     dx = op.grid.dx
-    u = next_layer[1:-1]
-    du = (next_layer[2:] - next_layer[:-2]) / (2.0 * dx)
-    d2u = (next_layer[2:] - 2.0 * u + next_layer[:-2]) / (dx * dx)
+    right, left = next_layer[..., 2:], next_layer[..., :-2]
+    u = next_layer[..., 1:-1]
+    du = (right - left) / (2.0 * dx)
+    d2u = (right - 2.0 * u + left) / (dx * dx)
     if op.upwind is not None:
-        fwd = (next_layer[2:] - u) / dx
-        bwd = (u - next_layer[:-2]) / dx
+        fwd = (right - u) / dx
+        bwd = (u - left) / dx
         du_drift = np.where(op.upwind, np.where(op.drift_up, fwd, bwd), du)
         du_cross = np.where(op.upwind, np.where(op.cross_up, fwd, bwd), du)
     else:
@@ -294,7 +360,16 @@ def layer_rhs_parts(next_layer, t, op: StepOperator):
     return qv, rest
 
 
-def resolve_penalties(v, low_vals, up_vals, pen: PenaltyParams, dt):
+def _pushing(rate):
+    """Where a penalty rate acts: True on every row, None on none, else
+    the (S, 1) mask of rows with a positive rate."""
+    if isinstance(rate, float):
+        return True if rate > 0.0 else None
+    pos = rate > 0.0
+    return True if pos.all() else (pos if pos.any() else None)
+
+
+def resolve_penalties(v, low_vals, up_vals, pen, dt):
     """Closed-form solution of u = v + dt*m*(u-low)^- - dt*n*(u-up)^+.
 
     The map u -> u - dt*m*(u-low)^- + dt*n*(u-up)^+ is piecewise linear,
@@ -305,15 +380,23 @@ def resolve_penalties(v, low_vals, up_vals, pen: PenaltyParams, dt):
         v >  up  : u = (v + dt*n*up) / (1 + dt*n)
         else     : u = v
 
-    An absent side (None) contributes nothing.
+    An absent side (None) contributes nothing.  `pen` is one
+    PenaltyParams for every row of v, or per-row intensities
+    (`_penalty_rows`) along v's leading axis.
     """
     u = v
-    if low_vals is not None and pen.m_lower > 0.0:
+    if low_vals is not None:
         a = dt * pen.m_lower
-        u = np.where(v < low_vals, (v + a * low_vals) / (1.0 + a), u)
-    if up_vals is not None and pen.n_upper > 0.0:
+        rows = _pushing(a)
+        if rows is not None:
+            hit = v < low_vals if rows is True else (v < low_vals) & rows
+            u = np.where(hit, (v + a * low_vals) / (1.0 + a), u)
+    if up_vals is not None:
         a = dt * pen.n_upper
-        u = np.where(v > up_vals, (v + a * up_vals) / (1.0 + a), u)
+        rows = _pushing(a)
+        if rows is not None:
+            hit = v > up_vals if rows is True else (v > up_vals) & rows
+            u = np.where(hit, (v + a * up_vals) / (1.0 + a), u)
     return u
 
 
@@ -329,17 +412,18 @@ def _penalty_increments(y, low, up, pen: PenaltyParams, dt):
     return low_push, up_push
 
 
-def _enforce(v, low, up, pen: PenaltyParams, dt, mode, increments=False):
+def _enforce(v, low, up, pen, dt, mode, increments=False):
     """Obstacle enforcement of one step: the kernel of every solver mode
     and of the process reconstruction.
 
     `v` holds the explicit (pre-obstacle) values on the interior nodes,
-    `low`/`up` the obstacle rows of the step on all nodes (None on an
-    absent side).  Resolves the penalties, projects by mode, closes the
-    boundary by zero-curvature extrapolation clamped into the band, and
-    returns the new layer.  With `increments` it returns (layer, dA+,
-    dA-): the penalty increments at the resolved value plus the
-    projection and boundary-clamp lifts, split by sign.
+    with any leading axes, `low`/`up` the obstacle rows of the step on
+    all nodes (None on an absent side), `pen` the intensities as in
+    `resolve_penalties`.  Resolves the penalties, projects by mode,
+    closes the boundary by zero-curvature extrapolation clamped into the
+    band, and returns the new layers.  With `increments` it returns
+    (layer, dA+, dA-): the penalty increments at the resolved value plus
+    the projection and boundary-clamp lifts, split by sign.
     """
     if mode not in MODES:
         raise SpecError(f"unknown step mode {mode!r}")
@@ -352,15 +436,18 @@ def _enforce(v, low, up, pen: PenaltyParams, dt, mode, increments=False):
     if mode == "project_both" and up is not None:
         u = np.minimum(u, up_in)
 
-    layer = np.empty(u.size + 2)
-    layer[1:-1] = u
-    ext = (2.0 * u[0] - u[1], 2.0 * u[-1] - u[-2])
-    for idx, e in zip((0, -1), ext):
-        layer[idx] = e
-        if low is not None:
-            layer[idx] = max(layer[idx], low[idx])
-        if up is not None:
-            layer[idx] = min(layer[idx], up[idx])
+    n = u.shape[-1] + 1  # the last column
+    layer = np.empty(u.shape[:-1] + (n + 1,))
+    layer[..., 1:n] = u
+    # both ends at once: columns (0, n) from (1, n-1) and (2, n-2)
+    ends = layer[..., ::n]
+    np.subtract(2.0 * layer[..., 1::n - 2],
+                layer[..., 2:n - 1:max(n - 4, 1)], out=ends)
+    ext = ends.copy() if increments else None
+    if low is not None:
+        np.maximum(low[::n], ends, out=ends)
+    if up is not None:
+        np.minimum(up[::n], ends, out=ends)
     if not increments:
         return layer
 
@@ -368,13 +455,31 @@ def _enforce(v, low, up, pen: PenaltyParams, dt, mode, increments=False):
     da_minus = np.empty_like(layer)
     dap, dam = _penalty_increments(u_pen, low_in, up_in, pen, dt)
     lift = u - u_pen
-    da_plus[1:-1] = dap + np.maximum(lift, 0.0)
-    da_minus[1:-1] = dam + np.maximum(-lift, 0.0)
-    for idx, e in zip((0, -1), ext):
-        delta = layer[idx] - e
-        da_plus[idx] = max(delta, 0.0)
-        da_minus[idx] = max(-delta, 0.0)
+    da_plus[..., 1:n] = dap + np.maximum(lift, 0.0)
+    da_minus[..., 1:n] = dam + np.maximum(-lift, 0.0)
+    delta = ends - ext
+    da_plus[..., ::n] = np.where(delta < 0.0, 0.0, delta)
+    da_minus[..., ::n] = np.where(delta > 0.0, 0.0, -delta)
     return layer, da_plus, da_minus
+
+
+def _advance(next_layer, t, op: StepOperator, pen, mode):
+    """One backward step of every layer in `next_layer` (shape
+    (..., nx+1)) to time t; non-finite values are left to the caller."""
+    op = op.at(t)
+    dt = op.grid.dt
+    qv, rest = layer_rhs_parts(next_layer, t, op)
+    v = next_layer[..., 1:-1] + dt * (gcalculus.g_eval(qv, op.spec.gparams)
+                                      + rest)
+    return _enforce(v, op.lower, op.upper, pen, dt, mode)
+
+
+def _nonfinite(layer, t, grid: Grid):
+    """The StepFailure text for a layer at time t with a non-finite
+    value."""
+    bad = int(np.argmin(np.isfinite(layer)))
+    return (f"non-finite value at t={t:.6g}, x={grid.x_nodes[bad]:.6g}; "
+            "reduce cfl_safety or tighten the driver clip bounds")
 
 
 def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams,
@@ -382,23 +487,14 @@ def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams,
     """Advance one backward step; returns the new layer at time t.
 
     `next_layer` is the known layer at t+dt and is not modified.  See
-    the module docstring for the update; the right-hand side and the
-    step kernel read the operator's rows.
+    the module docstring for the update; this is the one-layer case of
+    the kernel the solvers step in batches.
     """
     grid = op.grid
     next_layer = np.asarray(next_layer, dtype=float)
     if next_layer.shape != (grid.nx + 1,):
         raise SpecError("layer shape does not match the grid")
-
-    op = op.at(t)
-    qv, rest = layer_rhs_parts(next_layer, t, op)
-    v = next_layer[1:-1] + grid.dt * (gcalculus.g_eval(qv, op.spec.gparams)
-                                      + rest)
-    out = _enforce(v, op.lower, op.upper, pen, grid.dt, mode)
-
+    out = _advance(next_layer, t, op, pen, mode)
     if not np.isfinite(out).all():
-        bad = int(np.argmin(np.isfinite(out)))
-        raise StepFailure(
-            f"non-finite value at t={t:.6g}, x={grid.x_nodes[bad]:.6g}; "
-            "reduce cfl_safety or tighten the driver clip bounds")
+        raise StepFailure(_nonfinite(out, t, grid))
     return out

@@ -5,14 +5,25 @@ walks the explicit scheme backward from the terminal slice through it,
 and differs only in how obstacles are enforced per step:
 
     solve_penalized                      implicit two-sided penalties
+    solve_penalized_batch                S intensities of one problem
     solve_lower_reflected_upper_penalized  lower projection + upper penalty
     solve_double_projection              projection on the active sides
     solve_limit                          penalized family along a schedule
 
-The limit driver records a per-stage trace (sup difference between
+All of them step S solves of one problem as one (S, nx+1) layer per
+time step (S = 1 for a single solve), with the intensities given per
+row; obstacle violations are then scanned over blocks of stored slices.
+A batched solve's `SolveReport.wall_time` is the time of the whole batch.
+
+The limit driver steps its whole schedule as one batch, then walks the
+stages in order and records a per-stage trace (sup difference between
 consecutive stages, obstacle violations, contact residuals read from the
-stage field's penalty increments) and flags, never raises, when the
-schedule ends above its stopping tolerance.
+stage field's penalty increments), stopping at the first stage whose
+difference drops below the schedule's tolerance, exactly as a walk that
+solved one stage at a time.  Stages past the stop never reach the
+result, and a stage that left the finite range raises only if the walk
+reaches it.  The driver flags, never raises, when the schedule ends
+above its stopping tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +37,8 @@ import numpy as np
 from .decomposition import _contact_residuals
 from .model import ProblemSpec, SpecError
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
-    _penalty_increments, explicit_step
+    _advance, _check_field_budget, _nonfinite, _penalty_increments, \
+    _penalty_rows
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
 DEFAULT_STOP_TOL = 1.0e-4
@@ -48,51 +60,107 @@ class SolveReport:
     wall_time: float
 
 
-def _layer_violations(layer, op: StepOperator):
-    low, up = op.lower, op.upper
-    lo = 0.0 if low is None else float((low - layer).max(initial=0.0))
-    hi = 0.0 if up is None else float((layer - up).max(initial=0.0))
+def _layer_violations(layers, low, up):
+    """Worst (lower - u)^+ and (u - upper)^+ over a block of layers
+    against obstacle rows; 0.0 on an absent side (None)."""
+    lo = 0.0 if low is None else float((low - layers).max(initial=0.0))
+    hi = 0.0 if up is None else float((layers - up).max(initial=0.0))
     return lo, hi
 
 
-def _backward_solve(spec: ProblemSpec, grid: Grid, pen: PenaltyParams,
-                    mode) -> SolveReport:
+def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
+    """Step one solve per PenaltyParams in `pens`, all with the same
+    mode, as one (S, nx+1) layer per time step.
+
+    Returns one entry per row: its SolveReport, or the StepFailure that
+    stopped it.  A row that leaves the finite range is recorded and
+    zeroed, so the other rows step on; a failure of row 0 ends the batch
+    and stands for every unfinished row, since every caller reports row
+    0 first.  numpy's overflow and invalid-value warnings are silenced
+    while stepping: the finiteness check after each step reports them.
+    """
     if not spec.gparams.well_ordered:
         raise SpecError("volatility band is not well ordered; "
                         "run validate() for details")
+    _check_field_budget(grid, len(pens))
     start = time.perf_counter()
     op = StepOperator(spec, grid)
-    values = np.empty((grid.nt + 1, grid.nx + 1))
-    values[grid.nt] = np.broadcast_to(
-        np.asarray(spec.terminal(spec.horizon, grid.x_nodes), dtype=float),
-        (grid.nx + 1,))
+    pen_rows = _penalty_rows(pens)
+    nt = grid.nt
+    fields = [np.empty((nt + 1, grid.nx + 1)) for _ in pens]
+    shape = (len(pens), grid.nx + 1)
+    layer = np.empty(shape)
+    layer[:] = np.asarray(spec.terminal(spec.horizon, grid.x_nodes),
+                          dtype=float)
+    for values, row in zip(fields, layer):
+        values[nt] = row
+    if len(pens) == 1:  # a single solve steps a plain (nx+1,) layer
+        layer = layer[0]
+    failures = [None] * len(pens)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nt - 1, -1, -1):
+            t = grid.t_nodes[k]
+            new = _advance(layer, t, op, pen_rows, mode)
+            new_rows = new.reshape(shape)
+            if not np.isfinite(new).all():
+                last = layer.reshape(shape)
+                for s in np.flatnonzero(~np.isfinite(new_rows).all(axis=-1)):
+                    if failures[s] is None:
+                        failures[s] = StepFailure(
+                            f"step to slice {k} of {nt}: "
+                            f"{_nonfinite(new_rows[s], t, grid)}; the last "
+                            "finite layer has sup|u| = "
+                            f"{np.max(np.abs(last[s])):.6g}")
+                    new_rows[s] = 0.0
+                if failures[0] is not None:
+                    return [failures[0] if f is None else f for f in failures]
+            for values, row in zip(fields, new_rows):
+                values[k] = row
+            layer = new
 
-    lo_viol, up_viol = _layer_violations(values[grid.nt],
-                                         op.at(grid.horizon))
-    for k in range(grid.nt - 1, -1, -1):
-        t = grid.t_nodes[k]
-        op_t = op.at(t)
-        try:
-            values[k] = explicit_step(values[k + 1], t, op_t, pen, mode=mode)
-        except StepFailure as err:
-            raise StepFailure(
-                f"step to slice {k} of {grid.nt}: {err}; the last finite layer"
-                f" has sup|u| = {np.max(np.abs(values[k + 1])):.6g}") from None
-        lo, up = _layer_violations(values[k], op_t)
+    violations = [_violations(values, op) if failure is None else None
+                  for values, failure in zip(fields, failures)]
+    wall = time.perf_counter() - start
+    return [failure if failure is not None else SolveReport(
+                field=Field(values=values, grid=grid),
+                sup_upper_violation=viol[1], sup_lower_violation=viol[0],
+                iterations=nt, wall_time=wall)
+            for values, failure, viol in zip(fields, failures, violations)]
+
+
+def _violations(values, op: StepOperator):
+    """(lower, upper) violations of a field over every slice, scanned in
+    blocks of stored slices."""
+    lo_viol = up_viol = 0.0
+    for k0, k1 in op.blocks(op.grid.nt + 1):
+        lo, up = _layer_violations(values[k0:k1],
+                                   *op.obstacles(op.grid.t_nodes[k0]))
         lo_viol = max(lo_viol, lo)
         up_viol = max(up_viol, up)
+    return lo_viol, up_viol
 
-    return SolveReport(field=Field(values=values, grid=grid),
-                       sup_upper_violation=up_viol,
-                       sup_lower_violation=lo_viol,
-                       iterations=grid.nt,
-                       wall_time=time.perf_counter() - start)
+
+def _raise_failures(solved):
+    """The rows of a batch, or the first row's StepFailure raised."""
+    for entry in solved:
+        if isinstance(entry, StepFailure):
+            raise entry
+    return solved
 
 
 def solve_penalized(spec: ProblemSpec, grid: Grid,
                     pen: PenaltyParams) -> SolveReport:
     """Two-sided penalized solve at fixed intensities."""
-    return _backward_solve(spec, grid, pen, "penalized")
+    return solve_penalized_batch(spec, grid, (pen,))[0]
+
+
+def solve_penalized_batch(spec: ProblemSpec, grid: Grid, pens) -> tuple:
+    """Penalized solves of one problem at each PenaltyParams in `pens`,
+    stepped together; the reports come in the order of `pens`, each
+    with the batch's wall time.  The first row that left the finite
+    range raises its StepFailure."""
+    return tuple(_raise_failures(
+        _solve_rows(spec, grid, tuple(pens), "penalized")))
 
 
 def solve_lower_reflected_upper_penalized(spec: ProblemSpec, grid: Grid,
@@ -107,7 +175,8 @@ def solve_lower_reflected_upper_penalized(spec: ProblemSpec, grid: Grid,
     if not spec.obstacles.lower_active:
         raise SpecError("lower-reflected solve needs an active lower obstacle")
     pen = PenaltyParams(m_lower=0.0, n_upper=float(n_upper))
-    return _backward_solve(spec, grid, pen, "project_lower")
+    return _raise_failures(_solve_rows(spec, grid, (pen,),
+                                       "project_lower"))[0]
 
 
 def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
@@ -119,7 +188,8 @@ def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
     ob = spec.obstacles
     if not (ob.lower_active or ob.upper_active):
         raise SpecError("projection solve needs at least one active obstacle")
-    return _backward_solve(spec, grid, PenaltyParams(), "project_both")
+    return _raise_failures(_solve_rows(spec, grid, (PenaltyParams(),),
+                                       "project_both"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,33 +282,39 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
                 keep_reports=False):
     """Walk the penalized family along a schedule toward its limit.
 
-    Runs solve_penalized per stage, stops early once the sup-norm
-    difference between consecutive stage fields drops below the
-    schedule's stop_tol.  A stage's contact residuals come from the
+    Steps every stage of the schedule as one batch, then walks the
+    stages in order and stops early once the sup-norm difference between
+    consecutive stage fields drops below the schedule's stop_tol; stages
+    past the stop are dropped, and a stage's StepFailure is raised only
+    if the walk reaches it.  A stage's contact residuals come from the
     penalty increments dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its
     field, which are its compensators; no reconstruction runs.  Returns
     (final SolveReport, ConvergenceTrace); a schedule that ends above
-    tolerance only clears the converged flag.
+    tolerance only clears the converged flag.  The batch holds one field
+    per stage (`GridError` above the memory cap).
     """
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
 
+    solved = _solve_rows(spec, grid, schedule.steps, "penalized")
     op = StepOperator(spec, grid)
     stages = []
     reports = []
     prev = None
     converged = False
-    report = None
-    for idx, pen in enumerate(schedule.steps):
-        report = solve_penalized(spec, grid, pen)
+    for idx, (pen, report) in enumerate(zip(schedule.steps, solved)):
+        if isinstance(report, StepFailure):
+            raise report
         r_plus, r_minus = _contact_residuals(
             report.field, op,
-            lambda k, y, low, up: _penalty_increments(y, low, up, pen,
-                                                      grid.dt))
+            lambda k0, k1, y, low, up: _penalty_increments(y, low, up, pen,
+                                                           grid.dt))
+        values = report.field.values
         if prev is None:
             diff = float("inf")
         else:
-            diff = float(np.max(np.abs(report.field.values - prev)))
+            diff = max(float(np.max(np.abs(values[k0:k1] - prev[k0:k1])))
+                       for k0, k1 in op.blocks(grid.nt + 1))
         stages.append(StageRecord(
             stage=idx, m_lower=pen.m_lower, n_upper=pen.n_upper,
             sup_diff=diff, upper_violation=report.sup_upper_violation,
@@ -246,7 +322,7 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
             r_plus=r_plus, r_minus=r_minus))
         if keep_reports:
             reports.append(report)
-        prev = report.field.values
+        prev = values
         if diff < schedule.stop_tol:
             converged = True
             break
