@@ -52,6 +52,7 @@ from .solvers import (
     solve_limit,
     solve_lower_reflected_upper_penalized,
     solve_penalized,
+    solve_penalized_batch,
 )
 from .decomposition import (
     ProcessBundle,
@@ -90,6 +91,7 @@ __all__ = [
     "PenaltySchedule", "SolveReport", "StageRecord",
     "solve_double_projection", "solve_limit",
     "solve_lower_reflected_upper_penalized", "solve_penalized",
+    "solve_penalized_batch",
     "ProcessBundle", "bmo_diagnostic", "one_step_residuals", "reconstruct",
     "skorohod_residuals",
     "CheckResult", "ORDER_SLACK", "OrderReport", "RateFit", "SuiteResult",

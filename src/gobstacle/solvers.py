@@ -73,11 +73,13 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
     mode, as one (S, nx+1) layer per time step.
 
     Returns one entry per row: its SolveReport, or the StepFailure that
-    stopped it.  A row that leaves the finite range is recorded and
-    zeroed, so the other rows step on; a failure of row 0 ends the batch
-    and stands for every unfinished row, since every caller reports row
-    0 first.  numpy's overflow and invalid-value warnings are silenced
-    while stepping: the finiteness check after each step reports them.
+    stopped it.  Finiteness is checked per block of stored slices
+    (`StepOperator.blocks`), which names the first step that left the
+    finite range as a check after every step would; a failed row is then
+    zeroed, so the other rows step on.  A failure of row 0 ends the
+    batch and stands for every unfinished row, since every caller
+    reports row 0 first.  numpy's overflow and invalid-value warnings
+    are silenced while stepping: the finiteness check reports them.
     """
     if not spec.gparams.well_ordered:
         raise SpecError("volatility band is not well ordered; "
@@ -98,25 +100,18 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
         layer = layer[0]
     failures = [None] * len(pens)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nt - 1, -1, -1):
-            t = grid.t_nodes[k]
-            new = _advance(layer, t, op, pen_rows, mode)
-            new_rows = new.reshape(shape)
-            if not np.isfinite(new).all():
-                last = layer.reshape(shape)
-                for s in np.flatnonzero(~np.isfinite(new_rows).all(axis=-1)):
-                    if failures[s] is None:
-                        failures[s] = StepFailure(
-                            f"step to slice {k} of {nt}: "
-                            f"{_nonfinite(new_rows[s], t, grid)}; the last "
-                            "finite layer has sup|u| = "
-                            f"{np.max(np.abs(last[s])):.6g}")
-                    new_rows[s] = 0.0
-                if failures[0] is not None:
-                    return [failures[0] if f is None else f for f in failures]
-            for values, row in zip(fields, new_rows):
-                values[k] = row
-            layer = new
+        for k0, k1 in reversed(op.blocks(nt)):
+            for k in range(k1 - 1, k0 - 1, -1):
+                layer = _advance(layer, grid.t_nodes[k], op, pen_rows, mode)
+                for values, row in zip(fields, layer.reshape(shape)):
+                    values[k] = row
+            for s, values in enumerate(fields):
+                if failures[s] is None \
+                        and not np.isfinite(values[k0:k1]).all():
+                    failures[s] = _step_failure(values, k0, k1, grid)
+                    layer.reshape(shape)[s] = 0.0
+            if failures[0] is not None:
+                return [failures[0] if f is None else f for f in failures]
 
     violations = [_violations(values, op) if failure is None else None
                   for values, failure in zip(fields, failures)]
@@ -126,6 +121,16 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
                 sup_upper_violation=viol[1], sup_lower_violation=viol[0],
                 iterations=nt, wall_time=wall)
             for values, failure, viol in zip(fields, failures, violations)]
+
+
+def _step_failure(values, k0, k1, grid: Grid):
+    """The StepFailure of a field whose slices k0..k1-1 hold a
+    non-finite value: the first step, from the top, that made one."""
+    k = k0 + int(np.flatnonzero(~np.isfinite(values[k0:k1]).all(axis=-1))[-1])
+    return StepFailure(
+        f"step to slice {k} of {grid.nt}: "
+        f"{_nonfinite(values[k], grid.t_nodes[k], grid)}; the last finite "
+        f"layer has sup|u| = {np.max(np.abs(values[k + 1])):.6g}")
 
 
 def _violations(values, op: StepOperator):
@@ -148,10 +153,14 @@ def _raise_failures(solved):
     return solved
 
 
+def _solve_one(spec, grid, pen, mode) -> SolveReport:
+    return _raise_failures(_solve_rows(spec, grid, (pen,), mode))[0]
+
+
 def solve_penalized(spec: ProblemSpec, grid: Grid,
                     pen: PenaltyParams) -> SolveReport:
     """Two-sided penalized solve at fixed intensities."""
-    return solve_penalized_batch(spec, grid, (pen,))[0]
+    return _solve_one(spec, grid, pen, "penalized")
 
 
 def solve_penalized_batch(spec: ProblemSpec, grid: Grid, pens) -> tuple:
@@ -175,8 +184,7 @@ def solve_lower_reflected_upper_penalized(spec: ProblemSpec, grid: Grid,
     if not spec.obstacles.lower_active:
         raise SpecError("lower-reflected solve needs an active lower obstacle")
     pen = PenaltyParams(m_lower=0.0, n_upper=float(n_upper))
-    return _raise_failures(_solve_rows(spec, grid, (pen,),
-                                       "project_lower"))[0]
+    return _solve_one(spec, grid, pen, "project_lower")
 
 
 def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
@@ -188,8 +196,7 @@ def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
     ob = spec.obstacles
     if not (ob.lower_active or ob.upper_active):
         raise SpecError("projection solve needs at least one active obstacle")
-    return _raise_failures(_solve_rows(spec, grid, (PenaltyParams(),),
-                                       "project_both"))[0]
+    return _solve_one(spec, grid, PenaltyParams(), "project_both")
 
 
 # ---------------------------------------------------------------------------
