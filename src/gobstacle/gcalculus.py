@@ -24,7 +24,11 @@ def g_eval(a, gp: GParams):
     a = np.asarray(a, dtype=float)
     pos = np.maximum(a, 0.0)
     neg = np.maximum(-a, 0.0)
-    out = 0.5 * (gp.vol_high_sq * pos - gp.vol_low_sq * neg)
+    # Halve the variances, not the product: (0.5*v)*a rounds once, so the
+    # value equals 0.5*v*a at the maximizing endpoint bit for bit, also
+    # where the product is subnormal and halving it afterwards would round
+    # a second time.
+    out = (0.5 * gp.vol_high_sq) * pos - (0.5 * gp.vol_low_sq) * neg
     return float(out) if out.ndim == 0 else out
 
 
