@@ -1,13 +1,17 @@
 """Command-line entry: verbs, config handling, exit codes, CSV outputs."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from gobstacle import cli
+from gobstacle.model import FnSpec
+from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import StepFailure
 
 SMALL_GRID = {"nx": 64}
+SINGLES = [p.name for p in list_presets() if p.kind == "single"]
 
 
 def run(tmp_path, cfg, verb="solve"):
@@ -124,6 +128,14 @@ def test_inline_obstacle_activity_follows_key_presence(tmp_path, capsys):
     assert code == 0
 
 
+def _inline(**sections):
+    """A valid inline problem record with some sections replaced."""
+    rec = {"gparams": {"vol_low_sq": 1.0, "vol_high_sq": 2.0},
+           "terminal": {"kind": "constant", "value": 0.0}}
+    rec.update(sections)
+    return rec
+
+
 @pytest.mark.parametrize("cfg,hint", [
     ({"preset": "nope"}, "unknown preset"),
     ({"preset": "constant-sandwich", "problem": {}}, "exactly one"),
@@ -151,11 +163,63 @@ def test_inline_obstacle_activity_follows_key_presence(tmp_path, capsys):
      "well ordered"),
     ({"problem": {"terminal": {"kind": "constant", "value": 0.0}}},
      "gparams"),
+    ({"problem": _inline(gparams={"vol_low_sq": 1.0, "vol_high_sq": 2.0,
+                                  "typo": 1.0})},
+     "problem.gparams has unknown keys"),
+    ({"problem": _inline(coeffs={"typo": 1.0})},
+     "problem.coeffs has unknown keys"),
+    ({"problem": _inline(gen={"typo": 1.0})}, "problem.gen has unknown keys"),
+    ({"problem": _inline(obstacles={"typo": 1.0})},
+     "problem.obstacles has unknown keys"),
+    ({"problem": _inline(coeffs={"drift": None})}, "problem.coeffs.drift"),
+    ({"problem": _inline(gen={"f": None})}, "problem.gen.f"),
+    ({"problem": _inline(gen=[1.0])}, "problem.gen must be a JSON object"),
+    ({"problem": _inline(terminal={"kind": "constant", "value": 0.0,
+                                   "slope": 1.0})},
+     "unknown fields ['slope']"),
+    ({"problem": _inline(terminal={"kind": "affine", "slope": 1.0})},
+     "misses field 'intercept'"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, hint):
     code = run(tmp_path, cfg)
     assert code == 2
     assert hint in capsys.readouterr().err
+
+
+def _problem_record(spec):
+    """The inline config record of a problem: FnSpec.to_dict for the
+    functions, the dataclass floats as they are, null for absent sides."""
+    def section(obj):
+        return {f.name: _value(getattr(obj, f.name)) for f in fields(obj)}
+
+    def _value(v):
+        return v.to_dict() if isinstance(v, FnSpec) else v
+
+    return {"gparams": section(spec.gparams), "coeffs": section(spec.coeffs),
+            "gen": section(spec.gen), "obstacles": section(spec.obstacles),
+            "terminal": spec.terminal.to_dict(), "horizon": spec.horizon}
+
+
+@pytest.mark.parametrize("name", SINGLES)
+def test_inline_record_of_each_preset_parses_to_the_preset(name):
+    spec = get_preset(name)
+    rec = json.loads(json.dumps(_problem_record(spec)))
+    assert cli._build_problem({"problem": rec}) == (spec, "inline")
+
+
+def test_inline_record_solves_like_its_preset(tmp_path):
+    outputs = {}
+    for label, source in (
+            ("preset", {"preset": "double-active"}),
+            ("inline", {"problem": _problem_record(
+                get_preset("double-active"))})):
+        field, trace = tmp_path / f"{label}.csv", tmp_path / f"{label}.trc"
+        cfg = dict(source, grid=SMALL_GRID, mode="limit",
+                   output={"field_csv": str(field), "slices": [0.0, 0.5],
+                           "trace_csv": str(trace)})
+        assert run(tmp_path, cfg) == 0
+        outputs[label] = (field.read_bytes(), trace.read_bytes())
+    assert outputs["inline"] == outputs["preset"]
 
 
 def test_validation_violations_exit_2(tmp_path, capsys):
