@@ -11,8 +11,8 @@ gobstacle suite --config CFG.json
 
 Exit codes: 0 success / all checks pass, 1 at least one suite check
 failed, 2 invalid configuration (bad JSON, unknown keys or preset,
-malformed problem, slice out of range, infeasible grid), 3 solver
-failure (non-finite values during stepping).
+malformed problem or value, slice out of range, infeasible grid), 3
+solver failure (non-finite values during stepping).
 
 Configuration (JSON object); exactly one of "preset"/"problem":
 
@@ -38,7 +38,14 @@ held intensity in "held" and the varying list in "intensities".  The
 suite verb accepts the same "output" section for single-problem runs;
 its CSVs come from the final schedule stage.
 
-An inline "problem" uses the serializable function catalog (kinds
+Every number is read by `model.read_number`: a finite JSON number, never
+a bool, string, null, NaN or Infinity, and "nx" an integer.  Output paths
+are non-empty strings.  Anything else exits 2 with a message naming the
+key.
+
+An inline "problem" is parsed by `ProblemSpec.from_dict`.  Its sections
+and keys are the fields of the model's dataclasses, and an absent key
+keeps its default.  Functions use the serializable catalog (kinds
 constant/affine/polynomial/quadratic_in_z/tabulated; "custom" is
 library-only and rejected here):
 
@@ -72,8 +79,8 @@ import numpy as np
 
 from .decomposition import reconstruct
 from .diagnostics import run_comparison_suite, run_property_suite
-from .model import CoefficientSet, EvaluationError, FnSpec, GParams, \
-    GeneratorSpec, ObstaclePair, ProblemSpec, SpecError, validate
+from .model import EvaluationError, ProblemSpec, SpecError, check_record, \
+    read_number, read_numbers, validate
 from .presets import get_preset, list_presets
 from .scheme import GridError, PenaltyParams, StepFailure, build_grid
 from .solvers import DEFAULT_INTENSITIES, DEFAULT_STOP_TOL, \
@@ -89,6 +96,9 @@ _TOP_KEYS = ("preset", "problem", "grid", "mode", "penalty", "schedule",
              "output")
 _CLI_MODES = ("penalized", "reflected_lower_pen_upper", "projection",
               "limit")
+_PENALTY_KEYS = ("m_lower", "n_upper")
+_OUTPUT_PATHS = ("field_csv", "trace_csv", "report")
+_HELD = {"fixed_n": "n_upper", "fixed_m": "m_lower"}
 
 
 class ConfigError(ValueError):
@@ -102,154 +112,61 @@ def _f17(v):
     return "%.17g" % f
 
 
-def _check_keys(rec, allowed, where):
-    if not isinstance(rec, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    extra = sorted(set(rec) - set(allowed))
-    if extra:
-        raise ConfigError(f"{where} has unknown keys {extra}")
-
-
 def _load_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, encoding or integer literal
         raise ConfigError(f"config {path} is not valid JSON: {err}")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    return cfg
+    return check_record(cfg, _TOP_KEYS, "config")
 
 
-def _fnspec(rec, where):
-    if not isinstance(rec, dict):
-        raise ConfigError(f"{where} must be a function record (JSON object)")
-    try:
-        return FnSpec.from_dict(rec)
-    except SpecError as err:
-        raise ConfigError(f"{where}: {err}")
-
-
-def _problem_from_config(rec):
-    _check_keys(rec, ("gparams", "coeffs", "gen", "obstacles", "terminal",
-                      "horizon"), "problem")
-    for req in ("gparams", "terminal"):
-        if req not in rec:
-            raise ConfigError(f"problem misses required section {req!r}")
-
-    gp = rec["gparams"]
-    _check_keys(gp, ("vol_low_sq", "vol_high_sq"), "problem.gparams")
-    if "vol_low_sq" not in gp or "vol_high_sq" not in gp:
-        raise ConfigError("problem.gparams needs vol_low_sq and vol_high_sq")
-    gparams = GParams(float(gp["vol_low_sq"]), float(gp["vol_high_sq"]))
-
-    coeffs = CoefficientSet()
-    if "coeffs" in rec:
-        c = rec["coeffs"]
-        _check_keys(c, ("drift", "cross", "sigma", "vol_floor", "vol_cap"),
-                    "problem.coeffs")
-        kw = {}
-        for name in ("drift", "cross", "sigma"):
-            if name in c:
-                kw[name] = _fnspec(c[name], f"problem.coeffs.{name}")
-        for name in ("vol_floor", "vol_cap"):
-            if name in c:
-                kw[name] = float(c[name])
-        coeffs = CoefficientSet(**kw)
-
-    gen = GeneratorSpec()
-    if "gen" in rec:
-        g = rec["gen"]
-        _check_keys(g, ("f", "g", "lipschitz_y", "lipschitz_z",
-                        "zero_bound"), "problem.gen")
-        kw = {}
-        for name in ("f", "g"):
-            if name in g:
-                kw[name] = _fnspec(g[name], f"problem.gen.{name}")
-        for name in ("lipschitz_y", "lipschitz_z", "zero_bound"):
-            if name in g:
-                kw[name] = float(g[name])
-        gen = GeneratorSpec(**kw)
-
-    obstacles = ObstaclePair.none()
-    if "obstacles" in rec:
-        o = rec["obstacles"]
-        _check_keys(o, ("lower", "upper", "level_bound"), "problem.obstacles")
-        sides = {name: _fnspec(o[name], f"problem.obstacles.{name}")
-                 for name in ("lower", "upper") if o.get(name) is not None}
-        obstacles = ObstaclePair(
-            **sides, level_bound=float(o.get("level_bound", 1.0)))
-
-    terminal = _fnspec(rec["terminal"], "problem.terminal")
-    return ProblemSpec(gparams=gparams, coeffs=coeffs, gen=gen,
-                       obstacles=obstacles, terminal=terminal,
-                       horizon=float(rec.get("horizon", 1.0)))
+def _numbers(cfg, name, keys, integral=()):
+    """The numbers of section `name` (keys among `keys`) by key."""
+    rec = check_record(cfg.get(name, {}), keys, name)
+    return {k: read_number(v, f"{name}.{k}", k in integral)
+            for k, v in rec.items()}
 
 
 def _build_problem(cfg):
     """Returns (problem-or-pair, label)."""
     if ("preset" in cfg) == ("problem" in cfg):
         raise ConfigError("config needs exactly one of 'preset' or 'problem'")
-    try:
-        if "preset" in cfg:
-            return get_preset(cfg["preset"]), str(cfg["preset"])
-        return _problem_from_config(cfg["problem"]), "inline"
-    except SpecError as err:
-        raise ConfigError(str(err))
+    if "preset" in cfg:
+        return get_preset(cfg["preset"]), str(cfg["preset"])
+    return ProblemSpec.from_dict(cfg["problem"]), "inline"
 
 
 def _build_grid(cfg, spec):
-    rec = cfg.get("grid", {})
-    _check_keys(rec, ("x_min", "x_max", "nx", "cfl_safety"), "grid")
-    try:
-        return build_grid(spec,
-                          x_min=float(rec.get("x_min", -10.0)),
-                          x_max=float(rec.get("x_max", 10.0)),
-                          nx=int(rec.get("nx", 400)),
-                          cfl_safety=float(rec.get("cfl_safety", 0.9)))
-    except GridError as err:
-        raise ConfigError(str(err))
-
-
-def _build_penalty(cfg):
-    rec = cfg.get("penalty", {})
-    _check_keys(rec, ("m_lower", "n_upper"), "penalty")
-    try:
-        return PenaltyParams(m_lower=float(rec.get("m_lower", 64.0)),
-                             n_upper=float(rec.get("n_upper", 64.0)))
-    except SpecError as err:
-        raise ConfigError(str(err))
+    return build_grid(spec, **_numbers(
+        cfg, "grid", ("x_min", "x_max", "nx", "cfl_safety"), ("nx",)))
 
 
 def _build_schedule(cfg):
-    rec = cfg.get("schedule")
-    if rec is None:
+    if "schedule" not in cfg:
         return PenaltySchedule.diagonal()
-    _check_keys(rec, ("pairing", "intensities", "stop_tol", "held"),
-                "schedule")
+    rec = check_record(cfg["schedule"],
+                       ("pairing", "intensities", "stop_tol", "held"),
+                       "schedule")
     pairing = rec.get("pairing", "diagonal")
-    vals = rec.get("intensities", list(DEFAULT_INTENSITIES))
-    tol = float(rec.get("stop_tol", DEFAULT_STOP_TOL))
-    try:
-        if pairing == "diagonal":
-            if "held" in rec:
-                raise ConfigError("schedule.held only applies to the "
-                                  "fixed_n/fixed_m pairings")
-            return PenaltySchedule.diagonal(vals, tol)
-        if pairing == "fixed_n":
-            if "held" not in rec:
-                raise ConfigError("pairing 'fixed_n' needs schedule.held "
-                                  "(the constant n_upper)")
-            return PenaltySchedule.fixed_n(float(rec["held"]), vals, tol)
-        if pairing == "fixed_m":
-            if "held" not in rec:
-                raise ConfigError("pairing 'fixed_m' needs schedule.held "
-                                  "(the constant m_lower)")
-            return PenaltySchedule.fixed_m(float(rec["held"]), vals, tol)
+    vals = read_numbers(rec["intensities"], "schedule.intensities") \
+        if "intensities" in rec else DEFAULT_INTENSITIES
+    tol = read_number(rec["stop_tol"], "schedule.stop_tol") \
+        if "stop_tol" in rec else DEFAULT_STOP_TOL
+    if pairing == "diagonal":
+        if "held" in rec:
+            raise ConfigError("schedule.held only applies to the "
+                              "fixed_n/fixed_m pairings")
+        return PenaltySchedule.diagonal(vals, tol)
+    if not (isinstance(pairing, str) and pairing in _HELD):
         raise ConfigError(f"unknown schedule pairing {pairing!r}")
-    except SpecError as err:
-        raise ConfigError(str(err))
+    if "held" not in rec:
+        raise ConfigError(f"pairing {pairing!r} needs schedule.held "
+                          f"(the constant {_HELD[pairing]})")
+    held = read_number(rec["held"], "schedule.held")
+    return getattr(PenaltySchedule, pairing)(held, vals, tol)
 
 
 def _validated(spec, grid):
@@ -266,14 +183,24 @@ def _validated(spec, grid):
 # outputs
 # ---------------------------------------------------------------------------
 
+def _output_section(cfg):
+    rec = check_record(cfg.get("output", {}), _OUTPUT_PATHS + ("slices",),
+                       "output")
+    for key in _OUTPUT_PATHS:
+        if key in rec and not (isinstance(rec[key], str) and rec[key]):
+            raise ConfigError(f"output.{key} must be a non-empty path, "
+                              f"got {rec[key]!r}")
+    if "slices" in rec and "field_csv" not in rec:
+        raise ConfigError("output.slices needs output.field_csv")
+    return rec
+
+
 def _slice_indices(grid, slices):
-    if slices is None:
-        slices = [0.0]
-    if not isinstance(slices, (list, tuple)) or not slices:
+    ts = read_numbers(slices, "output.slices")
+    if not ts:
         raise ConfigError("output.slices must be a non-empty list of times")
     idxs = []
-    for raw in slices:
-        t = float(raw)
+    for t in ts:
         if t < -1e-12 or t > grid.horizon + 1e-12:
             raise ConfigError(f"output slice t={t:g} lies outside "
                               f"[0, {grid.horizon:g}]")
@@ -307,10 +234,24 @@ def _write_trace_csv(path, trace):
         fh.write("\n".join(lines) + "\n")
 
 
-def _emit(text, report_path):
+def _write_outputs(lines, out_rec, grid, bundle, trace):
+    """Write the CSVs asked for in `out_rec`, then the report: `lines`
+    and a closing `wrote:` line, to stdout and to output.report.
+    `bundle()` is called only when a field CSV is asked for."""
+    written = []
+    if "field_csv" in out_rec:
+        ks = _slice_indices(grid, out_rec.get("slices", [0.0]))
+        _write_field_csv(out_rec["field_csv"], bundle(), ks)
+        written.append(f"{out_rec['field_csv']} ({len(ks)} slice(s))")
+    if "trace_csv" in out_rec:
+        _write_trace_csv(out_rec["trace_csv"], trace)
+        written.append(out_rec["trace_csv"])
+    if written:
+        lines.append("wrote: " + ", ".join(written))
+    text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if report_path:
-        with open(report_path, "w") as fh:
+    if "report" in out_rec:
+        with open(out_rec["report"], "w") as fh:
             fh.write(text)
 
 
@@ -343,47 +284,39 @@ def _cmd_solve(args):
     if mode not in _CLI_MODES:
         known = ", ".join(_CLI_MODES)
         raise ConfigError(f"unknown mode {mode!r}; use one of: {known}")
-    out_rec = cfg.get("output", {})
-    _check_keys(out_rec, ("field_csv", "slices", "trace_csv", "report"),
-                "output")
-    if out_rec.get("trace_csv") and mode != "limit":
+    out_rec = _output_section(cfg)
+    if "trace_csv" in out_rec and mode != "limit":
         raise ConfigError("output.trace_csv needs mode 'limit'")
     if "schedule" in cfg and mode != "limit":
         raise ConfigError("a schedule section needs mode 'limit'")
-    if "slices" in out_rec and not out_rec.get("field_csv"):
-        raise ConfigError("output.slices needs output.field_csv")
 
     trace = None
-    try:
-        if mode == "penalized":
-            pen = _build_penalty(cfg)
-            rep = solve_penalized(spec, grid, pen)
-            rec_mode = "penalized"
-        elif mode == "reflected_lower_pen_upper":
-            rec = cfg.get("penalty", {})
-            _check_keys(rec, ("m_lower", "n_upper"), "penalty")
-            if float(rec.get("m_lower", 0.0)) != 0.0:
-                raise ConfigError("mode 'reflected_lower_pen_upper' uses "
-                                  "only penalty.n_upper; drop m_lower")
-            n_upper = float(rec.get("n_upper", 64.0))
-            rep = solve_lower_reflected_upper_penalized(spec, grid, n_upper)
-            pen = PenaltyParams(0.0, n_upper)
-            rec_mode = "project_lower"
-        elif mode == "projection":
-            if "penalty" in cfg:
-                raise ConfigError("mode 'projection' takes no penalty "
-                                  "section")
-            rep = solve_double_projection(spec, grid)
-            pen = PenaltyParams()
-            rec_mode = "project_both"
-        else:  # limit
-            schedule = _build_schedule(cfg)
-            rep, trace = solve_limit(spec, grid, schedule)
-            last = trace.stages[-1]
-            pen = PenaltyParams(last.m_lower, last.n_upper)
-            rec_mode = "penalized"
-    except SpecError as err:
-        raise ConfigError(str(err))
+    if mode == "penalized":
+        rec = _numbers(cfg, "penalty", _PENALTY_KEYS)
+        pen = PenaltyParams(rec.get("m_lower", 64.0),
+                            rec.get("n_upper", 64.0))
+        rep = solve_penalized(spec, grid, pen)
+        rec_mode = "penalized"
+    elif mode == "reflected_lower_pen_upper":
+        rec = _numbers(cfg, "penalty", _PENALTY_KEYS)
+        if rec.get("m_lower", 0.0) != 0.0:
+            raise ConfigError("mode 'reflected_lower_pen_upper' uses "
+                              "only penalty.n_upper; drop m_lower")
+        n_upper = rec.get("n_upper", 64.0)
+        rep = solve_lower_reflected_upper_penalized(spec, grid, n_upper)
+        pen = PenaltyParams(0.0, n_upper)
+        rec_mode = "project_lower"
+    elif mode == "projection":
+        if "penalty" in cfg:
+            raise ConfigError("mode 'projection' takes no penalty section")
+        rep = solve_double_projection(spec, grid)
+        pen = PenaltyParams()
+        rec_mode = "project_both"
+    else:  # limit
+        rep, trace = solve_limit(spec, grid, _build_schedule(cfg))
+        last = trace.stages[-1]
+        pen = PenaltyParams(last.m_lower, last.n_upper)
+        rec_mode = "penalized"
 
     lines = [f"problem: {label}", f"mode: {mode}", _grid_line(grid),
              str(vrep)]
@@ -404,32 +337,19 @@ def _cmd_solve(args):
     lines.append(f"sup (u-upper)+ = {rep.sup_upper_violation:.6g}; "
                  f"sup (lower-u)+ = {rep.sup_lower_violation:.6g}")
     lines.append(f"steps: {rep.iterations}")
-
-    written = []
-    if out_rec.get("field_csv"):
-        ks = _slice_indices(grid, out_rec.get("slices"))
-        bundle = reconstruct(rep.field, spec, pen, mode=rec_mode)
-        _write_field_csv(out_rec["field_csv"], bundle, ks)
-        written.append(f"{out_rec['field_csv']} ({len(ks)} slice(s))")
-    if out_rec.get("trace_csv"):
-        _write_trace_csv(out_rec["trace_csv"], trace)
-        written.append(str(out_rec["trace_csv"]))
-    if written:
-        lines.append("wrote: " + ", ".join(written))
-
-    _emit("\n".join(lines) + "\n", out_rec.get("report"))
+    _write_outputs(lines, out_rec, grid,
+                   lambda: reconstruct(rep.field, spec, pen, mode=rec_mode),
+                   trace)
     return EXIT_OK
 
 
 def _cmd_suite(args):
     cfg = _load_config(args.config)
     built, label = _build_problem(cfg)
-    out_rec = cfg.get("output", {})
-    _check_keys(out_rec, ("field_csv", "slices", "trace_csv", "report"),
-                "output")
+    out_rec = _output_section(cfg)
 
     if isinstance(built, tuple):
-        if out_rec.get("field_csv") or out_rec.get("trace_csv"):
+        if "field_csv" in out_rec or "trace_csv" in out_rec:
             raise ConfigError("CSV outputs need a single-problem suite; "
                               f"{label!r} is a pair")
         hi, lo = built
@@ -438,8 +358,7 @@ def _cmd_suite(args):
     else:
         grid = _build_grid(cfg, built)
         _validated(built, grid)
-        schedule = _build_schedule(cfg)
-        result = run_property_suite(built, grid, schedule)
+        result = run_property_suite(built, grid, _build_schedule(cfg))
 
     lines = [f"suite: {label}", _grid_line(grid)]
     for c in result.checks:
@@ -448,21 +367,7 @@ def _cmd_suite(args):
                      f"threshold={c.threshold:.6g} ({c.detail})")
     failed = sum(1 for c in result.checks if not c.passed)
     lines.append(f"result: {len(result.checks)} check(s), {failed} failed")
-
-    written = []
-    if out_rec.get("field_csv"):
-        ks = _slice_indices(grid, out_rec.get("slices"))
-        _write_field_csv(out_rec["field_csv"], result.bundle, ks)
-        written.append(f"{out_rec['field_csv']} ({len(ks)} slice(s))")
-    elif "slices" in out_rec:
-        raise ConfigError("output.slices needs output.field_csv")
-    if out_rec.get("trace_csv"):
-        _write_trace_csv(out_rec["trace_csv"], result.trace)
-        written.append(str(out_rec["trace_csv"]))
-    if written:
-        lines.append("wrote: " + ", ".join(written))
-
-    _emit("\n".join(lines) + "\n", out_rec.get("report"))
+    _write_outputs(lines, out_rec, grid, lambda: result.bundle, result.trace)
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
@@ -493,10 +398,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecError, GridError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except OSError as err:
+    except (ConfigError, SpecError, GridError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (StepFailure, EvaluationError) as err:

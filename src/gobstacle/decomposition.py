@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcalculus import g_eval, worst_case_vol
+from .gcalculus import g_eval
 from .model import ProblemSpec, SpecError
-from .scheme import Field, PenaltyParams, StepOperator, \
+from .scheme import _BLOCK_ELEMENTS, Field, PenaltyParams, StepOperator, \
     _check_field_budget, _enforce, layer_rhs_parts
 
 
@@ -52,6 +52,10 @@ class ProcessBundle:
     the increments created by the step that produced slice k (zero on
     the terminal row); defect[k, i] is the worst fixed-scenario defect
     at that node (zero on boundary columns and the terminal row).
+    scenario_high[k] is the bang-bang scenario map of the step that
+    produced slice k on interior nodes, (nt, nx-1): True where the
+    envelope took the high variance (ties included, as in
+    `gcalculus.worst_case_vol`), False where it took the low one.
     """
 
     y: Field
@@ -59,6 +63,7 @@ class ProcessBundle:
     da_plus: np.ndarray
     da_minus: np.ndarray
     defect: Field
+    scenario_high: np.ndarray
 
 
 def _check_v_grid(v_grid, spec):
@@ -80,14 +85,14 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
     Compiles the problem onto the field's grid once and replays the
     steps through the step kernel in blocks of slices, with the
     right-hand side computed once per step: the replay yields the
-    increments dA+/dA-, and the same step under each fixed scenario of
-    v_grid the defect.
+    increments dA+/dA- and the scenario map, and the same step under
+    each fixed scenario of v_grid the defect.
     The operator makes the solve's per-node choice of central or
     one-sided differences again.  The field must come from a solver run
     with the same (spec, pen, mode); a replayed layer that differs from
     the stored one raises SpecError.  The bundle adds four arrays of the
     field's size (`GridError` when they and the field exceed the memory
-    cap).
+    cap) and the scenario map, one byte per node.
     """
     grid = field.grid
     vals = field.values
@@ -101,6 +106,7 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
     da_plus = np.zeros(vals.shape)
     da_minus = np.zeros(vals.shape)
     defect = np.zeros(vals.shape)
+    scenario_high = np.empty((grid.nt, grid.nx - 1), dtype=bool)
 
     for k0, k1 in op.blocks(grid.nt + 1):
         sig = op.at(grid.t_nodes[k0]).sigma
@@ -117,6 +123,7 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
         op_t = op.at(t)
         nxt = vals[k0 + 1:k1 + 1]
         qv, rest = layer_rhs_parts(nxt, t, op_t)
+        scenario_high[k0:k1] = qv >= 0.0
         rows = op_t.lower, op_t.upper
         w = nxt[:, 1:-1] + dt * (g_eval(qv, spec.gparams) + rest)
         layer, da_plus[k0:k1], da_minus[k0:k1] = _enforce(
@@ -134,7 +141,8 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
 
     return ProcessBundle(y=field, z=Field(values=z, grid=grid),
                          da_plus=da_plus, da_minus=da_minus,
-                         defect=Field(values=defect, grid=grid))
+                         defect=Field(values=defect, grid=grid),
+                         scenario_high=scenario_high)
 
 
 def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec):
@@ -211,23 +219,27 @@ def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
     """Worst tail energy of the gradient process along worst scenarios.
 
     For each interior column and each start slice tau, accumulates
-    sum_{k >= tau} z_k^2 * v*_k * dt with v* the bang-bang scenario of
-    the step at slice k (with the solve's per-node differences), and
-    returns the maximum (attained at tau = 0 since summands are
-    nonnegative; tails decrease as tau grows).  Diagnostic only:
-    reported, never asserted against model constants.
+    sum_{k >= tau} z_k^2 * v*_k * dt, from the terminal end and a block
+    of slices at a time, with v* the step's bang-bang scenario read from
+    `bundle.scenario_high`, and returns the maximum (attained at tau = 0
+    since summands are nonnegative).  Diagnostic only: reported, never
+    asserted against model constants.
     """
     grid = bundle.y.grid
-    vals = bundle.y.values
-    op = StepOperator(spec, grid)
-    energy = np.empty((grid.nt, grid.nx - 1))
-    for k0, k1 in op.blocks(grid.nt):
-        qv, _ = layer_rhs_parts(vals[k0 + 1:k1 + 1], grid.t_nodes[k0], op)
-        v_star = worst_case_vol(qv, spec.gparams)
+    gp = spec.gparams
+    tails = np.empty((grid.nt, grid.nx - 1)) if return_profile else None
+    acc = np.zeros(grid.nx - 1)
+    size = max(1, _BLOCK_ELEMENTS // (grid.nx - 1))
+    for k1 in range(grid.nt, 0, -size):
+        k0 = max(0, k1 - size)
         zk = bundle.z.values[k0:k1, 1:-1]
-        energy[k0:k1] = zk * zk * v_star * grid.dt
-    tails = np.cumsum(energy[::-1], axis=0)[::-1]
-    worst = float(np.max(tails)) if tails.size else 0.0
+        v_star = np.where(bundle.scenario_high[k0:k1], gp.vol_high_sq,
+                          gp.vol_low_sq)
+        energy = (zk * zk * v_star * grid.dt)[::-1]
+        acc = _add_in_order(acc, energy)
+        if return_profile:
+            tails[k0:k1] = energy[::-1]
+    worst = float(np.max(acc))
     if return_profile:
         return worst, tails
     return worst

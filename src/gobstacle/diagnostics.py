@@ -162,16 +162,16 @@ _YZ_PROBES = ((0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
-                       grid: Grid, pen: Optional[PenaltyParams] = None,
-                       mode="penalized") -> OrderReport:
+                       grid: Grid, mode="penalized") -> OrderReport:
     """Solve an ordered pair of problems and check the output ordering.
 
     The data ordering (terminal, f, g, obstacles, all hi >= lo, with
     identical dynamics and band) is verified first on sampled grid nodes
     and a fixed (y, z) probe set; a violated precondition raises with
-    the offending node.  Both problems are then solved with the same
-    penalties and mode, and the report carries the worst nodewise
-    difference u_hi - u_lo (PASS when >= -1e-10).
+    the offending node.  Both problems are then solved in the same mode,
+    "penalized" at intensities (64, 64) or "projection", and the report
+    carries the worst nodewise difference u_hi - u_lo (PASS when
+    >= -1e-10).
     """
     if spec_hi.gparams != spec_lo.gparams:
         raise ValueError("comparison needs identical volatility bands")
@@ -214,8 +214,7 @@ def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
             expect_ge("upper obstacle", ob_hi.upper(t, xs),
                       ob_lo.upper(t, xs), t)
 
-    if pen is None:
-        pen = PenaltyParams(64.0, 64.0)
+    pen = PenaltyParams(64.0, 64.0)
     hi = solve_penalized(spec_hi, grid, pen) if mode == "penalized" \
         else solve_double_projection(spec_hi, grid)
     lo = solve_penalized(spec_lo, grid, pen) if mode == "penalized" \

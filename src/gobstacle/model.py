@@ -20,7 +20,9 @@ its activity is read from that alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -37,6 +39,48 @@ class EvaluationError(RuntimeError):
 
 class SpecError(ValueError):
     """A problem component is structurally malformed."""
+
+
+# ---------------------------------------------------------------------------
+# config records
+# ---------------------------------------------------------------------------
+
+def check_record(rec, allowed, where):
+    """Return `rec` when it is a JSON object whose keys all lie in
+    `allowed`; raise SpecError naming `where` otherwise."""
+    if not isinstance(rec, dict):
+        raise SpecError(f"{where} must be a JSON object")
+    extra = sorted(set(rec) - set(allowed), key=str)
+    if extra:
+        raise SpecError(f"{where} has unknown keys {extra}")
+    return rec
+
+
+def read_number(value, where, integral=False):
+    """The one reader of config numbers: a finite int or float, not a
+    bool, returned as a float (as an int when `integral`, which rejects
+    a fractional value).  Anything else, including a string, null, NaN
+    or an infinity, raises SpecError naming `where`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        out = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise SpecError(f"{where} must be a finite number, got {value!r}")
+    if not integral:
+        return out
+    if not out.is_integer():
+        raise SpecError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def read_numbers(values, where):
+    """A config list of numbers, each through `read_number`, as a tuple
+    of floats."""
+    if not isinstance(values, (list, tuple)):
+        raise SpecError(f"{where} must be a list of numbers, got {values!r}")
+    return tuple(read_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +140,9 @@ class FnSpec:
                                 "at least two samples")
             if not all(b > a for a, b in zip(self.xs, self.xs[1:])):
                 raise SpecError("tabulated xs must be strictly increasing")
+        if self.kind == "polynomial" and not self.coeffs:
+            raise SpecError("polynomial FnSpec needs at least one "
+                            "coefficient")
         if self.kind == "custom" and self.fn is None:
             raise SpecError("custom FnSpec needs fn")
         if self.clip <= 0:
@@ -193,34 +240,32 @@ class FnSpec:
                "polynomial": ("coeffs", "clip"),
                "quadratic_in_z": ("gamma", "clip"),
                "tabulated": ("xs", "values")}
+    _DECLARED = ("lipschitz_y", "lipschitz_z", "sup_bound")
 
     @classmethod
     def from_dict(cls, rec):
-        rec = dict(rec)
-        kind = rec.pop("kind", None)
-        if kind not in cls._FIELDS:
-            raise SpecError(f"config FnSpec kind {kind!r} not in the catalog")
-        declared = {k: rec.pop(k) for k in
-                    ("lipschitz_y", "lipschitz_z", "sup_bound") if k in rec}
-        extra = sorted(set(rec) - set(cls._FIELDS[kind]))
+        """Inverse of `to_dict`: every number goes through `read_number`."""
+        return cls._from_record(rec, "FnSpec")
+
+    @classmethod
+    def _from_record(cls, rec, where):
+        if not isinstance(rec, dict):
+            raise SpecError(f"{where} must be a function record "
+                            "(JSON object)")
+        kind = rec.get("kind")
+        if not isinstance(kind, str) or kind not in cls._FIELDS:
+            raise SpecError(f"{where} kind {kind!r} not in the catalog")
+        extra = sorted(set(rec) - {"kind", *cls._FIELDS[kind],
+                                   *cls._DECLARED}, key=str)
         if extra:
-            raise SpecError(f"FnSpec {kind!r} has unknown fields {extra}")
-        try:
-            if kind == "constant":
-                return cls.constant(rec["value"], **declared)
-            if kind == "affine":
-                return cls.affine(rec["slope"], rec["intercept"], **declared)
-            if kind == "polynomial":
-                return cls.polynomial(rec["coeffs"],
-                                      rec.get("clip", _DEFAULT_CLIP),
-                                      **declared)
-            if kind == "quadratic_in_z":
-                return cls.quadratic_in_z(rec["gamma"],
-                                          rec.get("clip", _DEFAULT_CLIP),
-                                          **declared)
-            return cls.tabulated(rec["xs"], rec["values"], **declared)
-        except KeyError as miss:
-            raise SpecError(f"FnSpec {kind!r} misses field {miss}") from None
+            raise SpecError(f"{where} ({kind}) has unknown fields {extra}")
+        for name in cls._FIELDS[kind]:
+            if name != "clip" and name not in rec:
+                raise SpecError(f"{where} ({kind}) misses field {name!r}")
+        kw = {name: (read_numbers if name in ("coeffs", "xs", "values")
+                     else read_number)(val, f"{where}.{name}")
+              for name, val in rec.items() if name != "kind"}
+        return getattr(cls, kind)(**kw)
 
 
 ZERO = FnSpec.constant(0.0)
@@ -344,6 +389,43 @@ class ProblemSpec:
         if not self.horizon > 0:
             raise SpecError("horizon must be positive")
 
+    @classmethod
+    def from_dict(cls, rec):
+        """Parse a problem record (the inline `problem` of a config).
+
+        Sections and fields are those of the dataclasses; an absent key
+        keeps the dataclass default (an absent section, all of them), and
+        null marks an absent obstacle side.  gparams and terminal are
+        required.  Functions parse through `FnSpec.from_dict`, numbers
+        through `read_number`; every error is a SpecError naming its key.
+        """
+        return _record_to_dataclass(cls, rec, "problem")
+
+
+# Field annotations are source text (postponed evaluation), so a field's
+# parser is chosen by its annotation's name.
+_SECTIONS = {"GParams": GParams, "CoefficientSet": CoefficientSet,
+             "GeneratorSpec": GeneratorSpec, "ObstaclePair": ObstaclePair}
+
+
+def _record_to_dataclass(kind, rec, where):
+    check_record(rec, [f.name for f in fields(kind)], where)
+    kw = {}
+    for f in fields(kind):
+        at = f"{where}.{f.name}"
+        if f.type in _SECTIONS:
+            kw[f.name] = _record_to_dataclass(_SECTIONS[f.type],
+                                              rec.get(f.name, {}), at)
+        elif f.name not in rec or (rec[f.name] is None
+                                   and f.type.startswith("Optional")):
+            if f.default is MISSING:
+                raise SpecError(f"{where} misses {f.name!r}")
+        elif f.type == "float":
+            kw[f.name] = read_number(rec[f.name], at)
+        else:
+            kw[f.name] = FnSpec._from_record(rec[f.name], at)
+    return kind(**kw)
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -416,9 +498,9 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     ts = np.asarray(probe.t_nodes, dtype=float)
     xs = np.asarray(probe.x_nodes, dtype=float)
     c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
-    fields = (c.drift, c.cross, c.sigma, gen.f, gen.g, ob.lower, ob.upper,
-              spec.terminal)
-    if not any(fs is not None and fs.kind == "custom" for fs in fields):
+    fns = (c.drift, c.cross, c.sigma, gen.f, gen.g, ob.lower, ob.upper,
+           spec.terminal)
+    if not any(fs is not None and fs.kind == "custom" for fs in fns):
         ts = ts[:1]
     out = []
 

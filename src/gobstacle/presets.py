@@ -179,7 +179,7 @@ def list_presets():
 
 def get_preset(name):
     """Build a preset problem (or problem pair) by name."""
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         known = ", ".join(PRESETS)
         raise SpecError(f"unknown preset {name!r}; available: {known}")
     return PRESETS[name].build()

@@ -179,6 +179,44 @@ def _inline(**sections):
      "unknown fields ['slope']"),
     ({"problem": _inline(terminal={"kind": "affine", "slope": 1.0})},
      "misses field 'intercept'"),
+    # malformed values: each is named by its key
+    ({"preset": "constant-sandwich", "grid": {"nx": "abc"}}, "grid.nx"),
+    ({"preset": "constant-sandwich", "grid": {"nx": float("inf")}},
+     "grid.nx"),
+    ({"preset": "constant-sandwich", "grid": {"nx": 64.5}},
+     "grid.nx must be an integer"),
+    ({"preset": "constant-sandwich", "grid": {"nx": True}}, "grid.nx"),
+    ({"preset": "constant-sandwich", "penalty": {"m_lower": "x"}},
+     "penalty.m_lower"),
+    ({"problem": _inline(gparams={"vol_low_sq": "x", "vol_high_sq": 2.0})},
+     "problem.gparams.vol_low_sq"),
+    ({"problem": _inline(terminal={"kind": "constant", "value": "zz"})},
+     "problem.terminal.value"),
+    ({"problem": _inline(terminal={"kind": "polynomial", "coeffs": 5})},
+     "problem.terminal.coeffs"),
+    ({"problem": _inline(terminal={"kind": "polynomial", "coeffs": []})},
+     "at least one coefficient"),
+    ({"preset": "constant-sandwich", "mode": "limit",
+      "schedule": {"intensities": 4}}, "schedule.intensities"),
+    ({"preset": "constant-sandwich", "mode": "limit",
+      "schedule": {"intensities": ["a"]}}, "schedule.intensities[0]"),
+    ({"preset": "constant-sandwich", "mode": "limit",
+      "schedule": {"pairing": {}}}, "unknown schedule pairing"),
+    ({"problem": _inline(coeffs={"vol_floor": None})},
+     "problem.coeffs.vol_floor"),
+    ({"problem": _inline(gen={"lipschitz_z": float("nan")})},
+     "problem.gen.lipschitz_z"),
+    ({"problem": _inline(horizon=None)}, "problem.horizon"),
+    ({"preset": ["x"]}, "unknown preset"),
+    ({"preset": "constant-sandwich",
+      "output": {"field_csv": "f.csv", "slices": [float("nan")]}},
+     "output.slices[0]"),
+    ({"preset": "constant-sandwich", "output": {"field_csv": 2}},
+     "output.field_csv"),
+    ({"preset": "constant-sandwich", "output": {"report": 2}},
+     "output.report"),
+    ({"preset": "constant-sandwich", "output": {"field_csv": ""}},
+     "output.field_csv"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, hint):
     code = run(tmp_path, cfg)
@@ -259,6 +297,17 @@ def test_unreadable_and_malformed_configs_exit_2(tmp_path, capsys):
     assert cli.main(["solve", "-c", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "cannot read" in err and "not valid JSON" in err
+
+
+def test_undecodable_configs_exit_2(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"preset": "constant-sandwich", "grid": {"nx": 1'
+                    + "0" * 5000 + "}}")
+    assert cli.main(["solve", "-c", str(huge)]) == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    assert cli.main(["solve", "-c", str(binary)]) == 2
+    assert capsys.readouterr().err.count("not valid JSON") == 2
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch, capsys):

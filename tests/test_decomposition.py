@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gobstacle import decomposition
 from gobstacle.decomposition import (
     bmo_diagnostic,
     one_step_residuals,
@@ -12,9 +13,11 @@ from gobstacle.decomposition import (
     skorohod_residuals,
 )
 from gobstacle.diagnostics import inner_mask
-from gobstacle.model import FnSpec, SpecError
+from gobstacle.gcalculus import worst_case_vol
+from gobstacle.model import FnSpec, GParams, SpecError
 from gobstacle.presets import get_preset
-from gobstacle.scheme import PenaltyParams, StepOperator, build_grid
+from gobstacle.scheme import PenaltyParams, StepOperator, build_grid, \
+    layer_rhs_parts
 from gobstacle.solvers import (
     solve_double_projection,
     solve_lower_reflected_upper_penalized,
@@ -218,6 +221,48 @@ def test_tail_energy_profile_shape_and_monotonicity():
     assert float(np.max(tails[0])) == worst  # tails peak at the start
     assert np.all(tails[:-1] >= tails[1:] - 1e-15)
     assert bmo_diagnostic(bundle, spec) == worst
+
+
+def test_scenario_map_is_the_bang_bang_choice_of_each_step(mode_runs):
+    for spec, rep, pen, mode in mode_runs:
+        grid = rep.field.grid
+        bundle = reconstruct(rep.field, spec, pen, mode=mode)
+        assert bundle.scenario_high.shape == (grid.nt, grid.nx - 1)
+        op = StepOperator(spec, grid)
+        for k in range(grid.nt):
+            qv, _ = layer_rhs_parts(rep.field.values[k + 1],
+                                    grid.t_nodes[k], op)
+            np.testing.assert_array_equal(
+                bundle.scenario_high[k],
+                worst_case_vol(qv, spec.gparams) == spec.gparams.vol_high_sq)
+
+
+def test_scenario_map_ties_take_the_high_variance():
+    # constant data: the curvature channel is exactly 0 on every node
+    spec = get_preset("constant-sandwich")
+    grid = build_grid(spec, nx=64)
+    rep = solve_double_projection(spec, grid)
+    bundle = reconstruct(rep.field, spec, PenaltyParams(),
+                         mode="project_both")
+    assert bundle.scenario_high.all()
+
+
+def test_bmo_reads_the_scenario_map_without_a_replay(mode_runs, monkeypatch):
+    spec, rep, pen, mode = mode_runs[0]
+    bundle = reconstruct(rep.field, spec, pen, mode=mode)
+    worst, tails = bmo_diagnostic(bundle, spec, return_profile=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bmo_diagnostic replayed a step")
+    monkeypatch.setattr(decomposition, "layer_rhs_parts", refuse)
+    monkeypatch.setattr(decomposition, "StepOperator", refuse)
+    again, profile = bmo_diagnostic(bundle, spec, return_profile=True)
+    assert again == worst
+    np.testing.assert_array_equal(profile, tails)
+    # an all-low map weighs every step like a band pinned at the low end
+    bundle.scenario_high[:] = False
+    assert bmo_diagnostic(bundle, spec) == bmo_diagnostic(
+        bundle, replace(spec, gparams=GParams(1.0, 1.0))) < worst
 
 
 def test_reconstruct_refuses_a_mismatched_field():

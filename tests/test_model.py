@@ -1,6 +1,7 @@
 """Problem-description layer: function catalog, components, validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ def test_from_dict_rejects_custom_kind():
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(SpecError, match="unknown fields"):
         FnSpec.from_dict({"kind": "constant", "value": 1.0, "slope": 2.0})
+
+
+@pytest.mark.parametrize("rec,key", [
+    ({"kind": "constant", "value": True}, "FnSpec.value"),
+    ({"kind": "constant", "value": float("nan")}, "FnSpec.value"),
+    ({"kind": "constant", "value": "1"}, "FnSpec.value"),
+    ({"kind": "tabulated", "xs": [0.0, float("inf")], "values": [0.0, 1.0]},
+     "FnSpec.xs[1]"),
+    ({"kind": "polynomial", "coeffs": [1.0], "clip": None}, "FnSpec.clip"),
+])
+def test_from_dict_reads_finite_numbers_only(rec, key):
+    with pytest.raises(SpecError, match=re.escape(key)):
+        FnSpec.from_dict(rec)
 
 
 def test_from_dict_reports_missing_field():
