@@ -28,15 +28,17 @@ Configuration (JSON object); exactly one of "preset"/"problem":
                  "trace_csv": "trace.csv", "report": "report.txt"}
     }
 
-"mode" is used by the solve verb: "penalized" (fixed intensities from
-"penalty"), "reflected_lower_pen_upper" (exact lower reflection, upper
-intensity from penalty.n_upper), "projection" (band projection, no
-penalty section), or "limit" (walk the schedule; enables trace_csv).
-A "schedule" section is accepted only with mode "limit" (and by the
-suite verb); fixed-pairing schedules ("fixed_n"/"fixed_m") take the
-held intensity in "held" and the varying list in "intensities".  The
-suite verb accepts the same "output" section for single-problem runs;
-its CSVs come from the final schedule stage.
+"mode" and "penalty" are read by the solve verb only: "penalized"
+(fixed intensities from "penalty"), "reflected_lower_pen_upper" (exact
+lower reflection, upper intensity from penalty.n_upper), "projection"
+(band projection), or "limit" (walk the schedule; enables trace_csv);
+the last two take no penalty section.  A "schedule" section is
+accepted only with mode "limit" and by the suite verb on a single
+problem; fixed-pairing schedules ("fixed_n"/"fixed_m") take the held
+intensity in "held" and the varying list in "intensities".  The suite
+verb accepts the same "output" section for single-problem runs; its
+CSVs come from the final schedule stage.  A section a verb does not
+read exits 2.
 
 Every number is read by `model.read_number`: a finite JSON number, never
 a bool, string, null, NaN or Infinity, and "nx" an integer.  Output paths
@@ -290,33 +292,24 @@ def _cmd_solve(args):
     if "schedule" in cfg and mode != "limit":
         raise ConfigError("a schedule section needs mode 'limit'")
 
+    if "penalty" in cfg and mode in ("projection", "limit"):
+        raise ConfigError(f"mode {mode!r} takes no penalty section")
+    rec = _numbers(cfg, "penalty", _PENALTY_KEYS)
+
     trace = None
     if mode == "penalized":
-        rec = _numbers(cfg, "penalty", _PENALTY_KEYS)
-        pen = PenaltyParams(rec.get("m_lower", 64.0),
-                            rec.get("n_upper", 64.0))
-        rep = solve_penalized(spec, grid, pen)
-        rec_mode = "penalized"
+        rep = solve_penalized(spec, grid, PenaltyParams(
+            rec.get("m_lower", 64.0), rec.get("n_upper", 64.0)))
     elif mode == "reflected_lower_pen_upper":
-        rec = _numbers(cfg, "penalty", _PENALTY_KEYS)
         if rec.get("m_lower", 0.0) != 0.0:
             raise ConfigError("mode 'reflected_lower_pen_upper' uses "
                               "only penalty.n_upper; drop m_lower")
-        n_upper = rec.get("n_upper", 64.0)
-        rep = solve_lower_reflected_upper_penalized(spec, grid, n_upper)
-        pen = PenaltyParams(0.0, n_upper)
-        rec_mode = "project_lower"
+        rep = solve_lower_reflected_upper_penalized(
+            spec, grid, rec.get("n_upper", 64.0))
     elif mode == "projection":
-        if "penalty" in cfg:
-            raise ConfigError("mode 'projection' takes no penalty section")
         rep = solve_double_projection(spec, grid)
-        pen = PenaltyParams()
-        rec_mode = "project_both"
     else:  # limit
         rep, trace = solve_limit(spec, grid, _build_schedule(cfg))
-        last = trace.stages[-1]
-        pen = PenaltyParams(last.m_lower, last.n_upper)
-        rec_mode = "penalized"
 
     lines = [f"problem: {label}", f"mode: {mode}", _grid_line(grid),
              str(vrep)]
@@ -337,21 +330,25 @@ def _cmd_solve(args):
     lines.append(f"sup (u-upper)+ = {rep.sup_upper_violation:.6g}; "
                  f"sup (lower-u)+ = {rep.sup_lower_violation:.6g}")
     lines.append(f"steps: {rep.iterations}")
-    _write_outputs(lines, out_rec, grid,
-                   lambda: reconstruct(rep.field, spec, pen, mode=rec_mode),
-                   trace)
+    _write_outputs(lines, out_rec, grid, lambda: reconstruct(rep), trace)
     return EXIT_OK
 
 
 def _cmd_suite(args):
     cfg = _load_config(args.config)
     built, label = _build_problem(cfg)
+    for key in ("mode", "penalty"):
+        if key in cfg:
+            raise ConfigError(f"the suite verb takes no {key!r} section")
     out_rec = _output_section(cfg)
 
     if isinstance(built, tuple):
         if "field_csv" in out_rec or "trace_csv" in out_rec:
             raise ConfigError("CSV outputs need a single-problem suite; "
                               f"{label!r} is a pair")
+        if "schedule" in cfg:
+            raise ConfigError("a schedule section needs a single-problem "
+                              f"suite; {label!r} is a pair")
         hi, lo = built
         grid = _build_grid(cfg, hi)
         result = run_comparison_suite(hi, lo, grid)

@@ -1,6 +1,6 @@
-"""Reconstruction of the process bundle behind a solved field.
+"""Reconstruction of the process bundle behind a solve.
 
-A solved field is re-read as the value process of a backward system:
+A solve's field is re-read as the value process of a backward system:
 per slice, the gradient process z = sigma * Du, the nondecreasing
 compensator increments dA+ (pushing up at the lower obstacle) and dA-
 (pushing down at the upper one), and a scenario-defect field certifying
@@ -13,8 +13,9 @@ is <= 0 at every interior node, with equality exactly at maximizing
 scenarios.  The orthogonal-decrement part of the decomposition vanishes
 along the worst-case scenario by construction and is never materialized.
 
-Each step is replayed through the step kernel of the scheme, reading
-the rows of the problem compiled onto the field's grid (`StepOperator`)
+Each step is replayed through the step kernel of the scheme with the
+problem, intensities and mode the `SolveReport` records, reading the
+rows of the problem compiled onto the field's grid (`StepOperator`)
 like the solve did; the kernel reports the increments its penalty
 resolution, projection and boundary clamp applied, so the one-step
 identity
@@ -23,7 +24,9 @@ identity
 
 holds at interior nodes to rounding, for every solver mode: projection
 lifts/clamps land in the increments, not in a residual.  A replay that
-does not reproduce the stored layer is refused.
+does not reproduce the stored layer (a report edited by hand) is
+refused.  The bundle keeps the problem, so the residuals and the
+tail-energy diagnostic read it from there.
 
 Replays read only stored slices, so each call takes a block of
 consecutive slices (`StepOperator.blocks`) through the kernel, and the
@@ -40,7 +43,7 @@ import numpy as np
 
 from .gcalculus import g_eval
 from .model import ProblemSpec, SpecError
-from .scheme import _BLOCK_ELEMENTS, Field, PenaltyParams, StepOperator, \
+from .scheme import _BLOCK_ELEMENTS, Field, StepOperator, \
     _check_field_budget, _enforce, layer_rhs_parts
 
 
@@ -56,8 +59,10 @@ class ProcessBundle:
     produced slice k on interior nodes, (nt, nx-1): True where the
     envelope took the high variance (ties included, as in
     `gcalculus.worst_case_vol`), False where it took the low one.
+    spec is the problem of the solve.
     """
 
+    spec: ProblemSpec
     y: Field
     z: Field
     da_plus: np.ndarray
@@ -78,9 +83,8 @@ def _check_v_grid(v_grid, spec):
     return v_grid
 
 
-def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
-                mode="penalized", v_grid=None) -> ProcessBundle:
-    """Rebuild the process bundle from a solved field.
+def reconstruct(report, v_grid=None) -> ProcessBundle:
+    """Rebuild the process bundle from a `SolveReport`.
 
     Compiles the problem onto the field's grid once and replays the
     steps through the step kernel in blocks of slices, with the
@@ -88,14 +92,16 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
     increments dA+/dA- and the scenario map, and the same step under
     each fixed scenario of v_grid the defect.
     The operator makes the solve's per-node choice of central or
-    one-sided differences again.  The field must come from a solver run
-    with the same (spec, pen, mode); a replayed layer that differs from
-    the stored one raises SpecError.  The bundle adds four arrays of the
-    field's size (`GridError` when they and the field exceed the memory
-    cap) and the scenario map, one byte per node.
+    one-sided differences again.  The report's (spec, pen, mode) are
+    those of its field, as every solver records them; a replayed layer
+    that differs from the stored one (a report edited by hand) raises
+    SpecError.  The bundle adds four arrays of the field's size
+    (`GridError` when they and the field exceed the memory cap) and the
+    scenario map, one byte per node.
     """
-    grid = field.grid
-    vals = field.values
+    spec, pen, mode = report.spec, report.pen, report.mode
+    grid = report.field.grid
+    vals = report.field.values
     dt = grid.dt
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
@@ -132,20 +138,21 @@ def reconstruct(field: Field, spec: ProblemSpec, pen: PenaltyParams,
         if differs.size:
             raise SpecError(
                 f"replaying the step at t={grid.t_nodes[k0 + differs[-1]]:.6g}"
-                " does not reproduce the stored layer; reconstruct with the "
-                "pen and mode of the solve")
+                " does not reproduce the stored layer; the report's spec, "
+                "pen and mode are not those of its field")
 
         w_v = nxt[:, 1:-1] + dt * (0.5 * (scenarios * qv) + rest)
         d = _enforce(w_v, *rows, pen, dt, mode)[..., 1:-1] - vals[k0:k1, 1:-1]
         defect[k0:k1, 1:-1] = d.max(axis=0)
 
-    return ProcessBundle(y=field, z=Field(values=z, grid=grid),
+    return ProcessBundle(spec=spec, y=report.field,
+                         z=Field(values=z, grid=grid),
                          da_plus=da_plus, da_minus=da_minus,
                          defect=Field(values=defect, grid=grid),
                          scenario_high=scenario_high)
 
 
-def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec):
+def one_step_residuals(bundle: ProcessBundle):
     """Interior residual of Y_k - (Y_{k+1} + dt*rhs + dA+ - dA-) per step.
 
     The right-hand side is the solve's, per-node differences included.
@@ -154,12 +161,12 @@ def one_step_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     """
     grid = bundle.y.grid
     vals = bundle.y.values
-    op = StepOperator(spec, grid)
+    op = StepOperator(bundle.spec, grid)
     out = np.empty((grid.nt, grid.nx - 1))
     for k0, k1 in op.blocks(grid.nt):
         nxt = vals[k0 + 1:k1 + 1]
         qv, rest = layer_rhs_parts(nxt, grid.t_nodes[k0], op)
-        w = nxt[:, 1:-1] + grid.dt * (g_eval(qv, spec.gparams) + rest)
+        w = nxt[:, 1:-1] + grid.dt * (g_eval(qv, bundle.spec.gparams) + rest)
         out[k0:k1] = vals[k0:k1, 1:-1] - (w + bundle.da_plus[k0:k1, 1:-1]
                                           - bundle.da_minus[k0:k1, 1:-1])
     return out
@@ -196,7 +203,7 @@ def _contact_residuals(field: Field, op: StepOperator, increments):
             float(np.max(acc_minus)) if ob.upper_active else 0.0)
 
 
-def skorohod_residuals(bundle: ProcessBundle, spec: ProblemSpec):
+def skorohod_residuals(bundle: ProcessBundle):
     """Contact residuals of the compensators along grid paths.
 
     r_plus  = max over interior columns of sum_k (lower - Y)^+ * dA+
@@ -209,13 +216,12 @@ def skorohod_residuals(bundle: ProcessBundle, spec: ProblemSpec):
     report 0.
     """
     return _contact_residuals(
-        bundle.y, StepOperator(spec, bundle.y.grid),
+        bundle.y, StepOperator(bundle.spec, bundle.y.grid),
         lambda k0, k1, *_: (bundle.da_plus[k0:k1, 1:-1],
                             bundle.da_minus[k0:k1, 1:-1]))
 
 
-def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
-                   return_profile=False):
+def bmo_diagnostic(bundle: ProcessBundle, return_profile=False):
     """Worst tail energy of the gradient process along worst scenarios.
 
     For each interior column and each start slice tau, accumulates
@@ -226,7 +232,7 @@ def bmo_diagnostic(bundle: ProcessBundle, spec: ProblemSpec,
     asserted against model constants.
     """
     grid = bundle.y.grid
-    gp = spec.gparams
+    gp = bundle.spec.gparams
     tails = np.empty((grid.nt, grid.nx - 1)) if return_profile else None
     acc = np.zeros(grid.nx - 1)
     size = max(1, _BLOCK_ELEMENTS // (grid.nx - 1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .decomposition import ProcessBundle, bmo_diagnostic, \
     one_step_residuals, reconstruct
-from .model import ProblemSpec, validate
+from .model import ProblemSpec, SpecError, validate
 from .scheme import Field, Grid, PenaltyParams, StepOperator
 from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
     solve_limit, solve_lower_reflected_upper_penalized, solve_penalized, \
@@ -171,8 +171,10 @@ def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
     the offending node.  Both problems are then solved in the same mode,
     "penalized" at intensities (64, 64) or "projection", and the report
     carries the worst nodewise difference u_hi - u_lo (PASS when
-    >= -1e-10).
+    >= -1e-10).  Any other mode raises SpecError before a solve.
     """
+    if mode not in ("penalized", "projection"):
+        raise SpecError(f"unknown comparison mode {mode!r}")
     if spec_hi.gparams != spec_lo.gparams:
         raise ValueError("comparison needs identical volatility bands")
     if spec_hi.coeffs != spec_lo.coeffs:
@@ -286,10 +288,8 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
          str(report))
 
     final, trace = solve_limit(spec, grid, schedule, keep_reports=True)
-    pen_final = PenaltyParams(trace.stages[-1].m_lower,
-                              trace.stages[-1].n_upper)
 
-    again = solve_penalized(spec, grid, pen_final)
+    again = solve_penalized(spec, grid, final.pen)
     identical = np.array_equal(again.field.values, final.field.values)
     _chk(checks, "determinism", identical, 0.0 if identical else 1.0, 0.0,
          "two identical solves produce byte-identical fields")
@@ -397,12 +397,12 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
              "contact residuals shrink along the schedule, final r+="
              f"{rp[-1]:.3g}, r-={rm[-1]:.3g}")
 
-    bundle = reconstruct(final.field, spec, pen_final)
+    bundle = reconstruct(final)
     defect = float(np.max(bundle.defect.values[:-1, 1:-1]))
     _chk(checks, "martingale-defect", defect <= 1e-10, defect, 1e-10,
          "no fixed-variance scenario beats the envelope step")
 
-    resid = float(np.max(np.abs(one_step_residuals(bundle, spec))))
+    resid = float(np.max(np.abs(one_step_residuals(bundle))))
     _chk(checks, "one-step-identity", resid <= 1e-10, resid, 1e-10,
          "Y_k = Y_{k+1} + dt*rhs + dA+ - dA- at interior nodes")
 
@@ -425,7 +425,7 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
          "increments nonnegative, mutually exclusive, and act only on "
          "their contact sets")
 
-    bmo = bmo_diagnostic(bundle, spec)
+    bmo = bmo_diagnostic(bundle)
     _chk(checks, "gradient-energy-finite", math.isfinite(bmo), bmo,
          float("inf"), "worst-case tail energy of z (diagnostic only)")
 

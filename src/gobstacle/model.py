@@ -357,22 +357,6 @@ class ObstaclePair:
     def upper_active(self):
         return self.upper is not None
 
-    @classmethod
-    def both(cls, lower, upper, level_bound=1.0):
-        return cls(lower=lower, upper=upper, level_bound=level_bound)
-
-    @classmethod
-    def lower_only(cls, lower, level_bound=1.0):
-        return cls(lower=lower, level_bound=level_bound)
-
-    @classmethod
-    def upper_only(cls, upper, level_bound=1.0):
-        return cls(upper=upper, level_bound=level_bound)
-
-    @classmethod
-    def none(cls):
-        return cls()
-
 
 @dataclass(frozen=True)
 class ProblemSpec:

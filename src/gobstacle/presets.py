@@ -30,8 +30,8 @@ def _constant_sandwich():
     return ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(zero_bound=1.0),
-        obstacles=ObstaclePair.both(FnSpec.constant(0.0),
-                                    FnSpec.constant(1.0), level_bound=1.0),
+        obstacles=ObstaclePair(FnSpec.constant(0.0), FnSpec.constant(1.0),
+                               level_bound=1.0),
         terminal=FnSpec.constant(0.5))
 
 
@@ -39,7 +39,7 @@ def _gheat_quadratic():
     return ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(zero_bound=100.0),
-        obstacles=ObstaclePair.none(),
+        obstacles=ObstaclePair(),
         terminal=FnSpec.polynomial([0.0, 0.0, 1.0], clip=100.0))
 
 
@@ -47,7 +47,7 @@ def _gheat_concave():
     return ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(zero_bound=100.0),
-        obstacles=ObstaclePair.none(),
+        obstacles=ObstaclePair(),
         terminal=FnSpec.polynomial([0.0, 0.0, -1.0], clip=100.0))
 
 
@@ -57,8 +57,7 @@ def _upper_active():
     return ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(f=FnSpec.constant(0.25), zero_bound=2.0),
-        obstacles=ObstaclePair.upper_only(FnSpec.constant(1.6),
-                                          level_bound=1.6),
+        obstacles=ObstaclePair(upper=FnSpec.constant(1.6), level_bound=1.6),
         terminal=FnSpec.polynomial([0.0, 0.0, 1.0], clip=1.6))
 
 
@@ -66,8 +65,7 @@ def _lower_active():
     return ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(f=FnSpec.constant(-0.25), zero_bound=2.0),
-        obstacles=ObstaclePair.lower_only(FnSpec.constant(-1.6),
-                                          level_bound=1.6),
+        obstacles=ObstaclePair(lower=FnSpec.constant(-1.6), level_bound=1.6),
         terminal=FnSpec.polynomial([0.0, 0.0, -1.0], clip=1.6))
 
 
@@ -77,8 +75,8 @@ def _double_active():
     return ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(f=_sine_table(0.4, 20.0), zero_bound=1.0),
-        obstacles=ObstaclePair.both(FnSpec.constant(-0.25),
-                                    FnSpec.constant(0.25), level_bound=1.0),
+        obstacles=ObstaclePair(FnSpec.constant(-0.25), FnSpec.constant(0.25),
+                               level_bound=1.0),
         terminal=FnSpec.constant(0.0))
 
 
@@ -89,7 +87,7 @@ def _colehopf():
         coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(g=FnSpec.quadratic_in_z(0.5), lipschitz_z=0.5,
                           zero_bound=1.0),
-        obstacles=ObstaclePair.none(),
+        obstacles=ObstaclePair(),
         terminal=FnSpec.tabulated(xs, 0.5 * (1.0 + np.tanh(xs))))
 
 
@@ -100,14 +98,14 @@ def _comparison_pair():
     lo = ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(f=f_lo, zero_bound=1.0),
-        obstacles=ObstaclePair.both(FnSpec.constant(-0.25),
-                                    FnSpec.constant(0.25), level_bound=1.0),
+        obstacles=ObstaclePair(FnSpec.constant(-0.25), FnSpec.constant(0.25),
+                               level_bound=1.0),
         terminal=FnSpec.constant(0.0))
     hi = ProblemSpec(
         gparams=BAND, coeffs=UNIT_COEFFS,
         gen=GeneratorSpec(f=f_hi, g=FnSpec.constant(0.05), zero_bound=1.0),
-        obstacles=ObstaclePair.both(FnSpec.constant(-0.15),
-                                    FnSpec.constant(0.35), level_bound=1.0),
+        obstacles=ObstaclePair(FnSpec.constant(-0.15), FnSpec.constant(0.35),
+                               level_bound=1.0),
         terminal=FnSpec.constant(0.1))
     return hi, lo
 
@@ -125,8 +123,8 @@ def _quadratic_drift():
         gen=GeneratorSpec(f=FnSpec.affine(0.02, -0.05),
                           g=FnSpec.quadratic_in_z(0.25),
                           lipschitz_z=0.25, zero_bound=1.0),
-        obstacles=ObstaclePair.both(FnSpec.constant(-2.0),
-                                    FnSpec.constant(2.0), level_bound=2.0),
+        obstacles=ObstaclePair(FnSpec.constant(-2.0), FnSpec.constant(2.0),
+                               level_bound=2.0),
         terminal=FnSpec.tabulated(xs, 0.8 * np.exp(-0.5 * xs * xs)))
 
 

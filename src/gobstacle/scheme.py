@@ -184,7 +184,8 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     t-node of the candidate grid, and nt grows until the bound holds on
     each of them.  nt is the smallest count meeting the bound and is
     capped at ten million; the solution field, (nt+1)*(nx+1) doubles,
-    is capped at 512 MiB (`_check_field_budget`).
+    is capped at 512 MiB (`_check_field_budget`), and an nx whose two
+    slices already exceed that is refused before anything is allocated.
     """
     if not x_max > x_min:
         raise GridError(f"degenerate domain [{x_min}, {x_max}]")
@@ -196,6 +197,10 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     if not spec.gparams.well_ordered:
         raise GridError("volatility band is not well ordered; "
                         "run validate() for details")
+
+    if 2 * (nx + 1) * 8 > _FIELD_BYTES_CAP:  # every grid has nt >= 1
+        raise GridError(f"two slices of nx={nx} exceed the "
+                        f"{_FIELD_BYTES_CAP // 2 ** 20} MiB memory cap")
 
     dx = (x_max - x_min) / nx
     xs = np.linspace(x_min, x_max, nx + 1)

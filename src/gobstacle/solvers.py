@@ -46,11 +46,14 @@ DEFAULT_STOP_TOL = 1.0e-4
 
 @dataclass(eq=False)
 class SolveReport:
-    """One finished backward solve.
+    """One finished backward solve and what made it.
 
     sup_upper_violation / sup_lower_violation are the worst obstacle
     crossings max (u - upper)^+ and max (lower - u)^+ over every node of
     every slice, 0.0 on inactive sides.  iterations counts time steps.
+    spec, pen and mode are the problem, intensities and enforcement
+    (a name of `scheme.MODES`) the field was stepped with, so that
+    `reconstruct(report)` replays the solve.
     """
 
     field: Field
@@ -58,6 +61,9 @@ class SolveReport:
     sup_lower_violation: float
     iterations: int
     wall_time: float
+    spec: ProblemSpec
+    pen: PenaltyParams
+    mode: str
 
 
 def _layer_violations(layers, low, up):
@@ -72,8 +78,9 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
     """Step one solve per PenaltyParams in `pens`, all with the same
     mode, as one (S, nx+1) layer per time step.
 
-    Returns one entry per row: its SolveReport, or the StepFailure that
-    stopped it.  Finiteness is checked per block of stored slices
+    Returns one entry per row: its SolveReport, which records spec, the
+    row's PenaltyParams and mode, or the StepFailure that stopped it.
+    Finiteness is checked per block of stored slices
     (`StepOperator.blocks`), which names the first step that left the
     finite range as a check after every step would; a failed row is then
     zeroed, so the other rows step on.  A failure of row 0 ends the
@@ -119,8 +126,9 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
     return [failure if failure is not None else SolveReport(
                 field=Field(values=values, grid=grid),
                 sup_upper_violation=viol[1], sup_lower_violation=viol[0],
-                iterations=nt, wall_time=wall)
-            for values, failure, viol in zip(fields, failures, violations)]
+                iterations=nt, wall_time=wall, spec=spec, pen=pen, mode=mode)
+            for values, failure, viol, pen
+            in zip(fields, failures, violations, pens)]
 
 
 def _step_failure(values, k0, k1, grid: Grid):
@@ -296,9 +304,10 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     if the walk reaches it.  A stage's contact residuals come from the
     penalty increments dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its
     field, which are its compensators; no reconstruction runs.  Returns
-    (final SolveReport, ConvergenceTrace); a schedule that ends above
-    tolerance only clears the converged flag.  The batch holds one field
-    per stage (`GridError` above the memory cap).
+    (the SolveReport of the last stage walked, with that stage's pen,
+    ConvergenceTrace); a schedule that ends above tolerance only clears
+    the converged flag.  The batch holds one field per stage
+    (`GridError` above the memory cap).
     """
     if schedule is None:
         schedule = PenaltySchedule.diagonal()

@@ -229,18 +229,15 @@ def test_c10_no_scenario_beats_the_envelope(acceptance_log):
         specs = built if isinstance(built, tuple) else (built,)
         for spec in specs:
             grid = build_grid(spec)
-            runs = [(solve_penalized(spec, grid, PenaltyParams(64.0, 64.0)),
-                     PenaltyParams(64.0, 64.0), "penalized")]
+            runs = [solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))]
             if spec.obstacles.lower_active:
-                runs.append((
-                    solve_lower_reflected_upper_penalized(spec, grid, 64.0),
-                    PenaltyParams(0.0, 64.0), "project_lower"))
+                runs.append(
+                    solve_lower_reflected_upper_penalized(spec, grid, 64.0))
             if spec.obstacles.lower_active or spec.obstacles.upper_active:
-                runs.append((solve_double_projection(spec, grid),
-                             PenaltyParams(), "project_both"))
-            for rep, pen, mode in runs:
+                runs.append(solve_double_projection(spec, grid))
+            for rep in runs:
                 assert rep.wall_time <= MAX_SOLVE_SECONDS
-                bundle = reconstruct(rep.field, spec, pen, mode=mode)
+                bundle = reconstruct(rep)
                 d = float(np.max(bundle.defect.values[:-1, 1:-1]))
                 worst = max(worst, d)
                 combos += 1

@@ -19,7 +19,7 @@ from gobstacle.model import FnSpec
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
     StepOperator, build_grid
-from gobstacle.solvers import PenaltySchedule, solve_limit, \
+from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
     solve_penalized, solve_penalized_batch
 
 # rows with zero and positive intensities on either side
@@ -169,14 +169,14 @@ def test_the_ladder_makes_one_kernel_call_per_step(monkeypatch):
 def test_reconstruct_replays_blocks_of_slices(monkeypatch):
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=400)
-    field = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0)).field
+    report = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
     op = StepOperator(spec, grid)
     blocks = op.blocks(grid.nt, rows=5)
     size = blocks[0][1] - blocks[0][0]
     assert size > 1 and size * 5 * (grid.nx + 1) <= scheme._BLOCK_ELEMENTS
     assert [k for b in blocks for k in range(*b)] == list(range(grid.nt))
     calls = _count(monkeypatch, decomposition, "layer_rhs_parts")
-    reconstruct(field, spec, PenaltyParams(64.0, 64.0))
+    reconstruct(report)
     assert calls[0] == len(blocks) == math.ceil(grid.nt / size)
 
 
@@ -220,7 +220,9 @@ def test_field_budget_counts_what_a_call_holds(monkeypatch):
         solve_penalized_batch(spec, grid, [PenaltyParams()] * 4)
     values = np.broadcast_to(0.0, (grid.nt + 1, grid.nx + 1))
     with pytest.raises(GridError, match="5 field-size arrays need 716 MiB"):
-        reconstruct(Field(values=values, grid=grid), spec, PenaltyParams())
+        reconstruct(SolveReport(Field(values=values, grid=grid), 0.0, 0.0,
+                                grid.nt, 0.0, spec, PenaltyParams(),
+                                "penalized"))
 
 
 @pytest.mark.parametrize("verb,extra", [("solve", {"mode": "limit"}),
@@ -263,5 +265,5 @@ def test_peak_memory_is_the_fields_plus_one_mib():
     peak, (_, trace) = _traced_peak(lambda: solve_limit(spec, grid, schedule))
     assert len(trace.stages) < len(schedule.steps)  # stops early
     assert peak <= len(schedule.steps) * field + slack
-    peak, _ = _traced_peak(lambda: reconstruct(report.field, spec, pen))
+    peak, _ = _traced_peak(lambda: reconstruct(report))
     assert peak <= 4 * field + slack

@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from gobstacle import cli
@@ -217,6 +218,8 @@ def _inline(**sections):
      "output.report"),
     ({"preset": "constant-sandwich", "output": {"field_csv": ""}},
      "output.field_csv"),
+    ({"preset": "constant-sandwich", "mode": "limit",
+      "penalty": {"n_upper": 4.0}}, "mode 'limit' takes no penalty section"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, hint):
     code = run(tmp_path, cfg)
@@ -290,6 +293,20 @@ def test_oversized_grid_exits_2(tmp_path, capsys):
     assert "memory cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["solve", "suite"])
+def test_huge_nx_exits_2_before_allocating(tmp_path, monkeypatch, capsys,
+                                           verb):
+    # the preset builds no node table, so any linspace is the grid's own
+    def refuse(*_):
+        raise AssertionError("build_grid allocated before its memory check")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code = run(tmp_path, {"preset": "constant-sandwich",
+                          "grid": {"nx": 1000000000}}, verb=verb)
+    assert code == 2
+    assert "memory cap" in capsys.readouterr().err
+
+
 def test_unreadable_and_malformed_configs_exit_2(tmp_path, capsys):
     assert cli.main(["solve", "-c", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -337,6 +354,21 @@ def test_suite_verb_comparison_pair(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS comparison-order" in out
     assert "result: 2 check(s), 0 failed" in out
+
+
+@pytest.mark.parametrize("cfg,hint", [
+    ({"preset": "comparison-pair", "schedule": {"intensities": "x"},
+      "penalty": {"m_lower": "x"}, "mode": "bogus"}, "'mode' section"),
+    ({"preset": "constant-sandwich", "penalty": {"m_lower": "x"},
+      "mode": "bogus"}, "'mode' section"),
+    ({"preset": "constant-sandwich", "penalty": {"n_upper": 4.0}},
+     "'penalty' section"),
+    ({"preset": "comparison-pair", "schedule": {"intensities": [4, 16]}},
+     "schedule section"),
+])
+def test_suite_rejects_sections_it_never_reads(tmp_path, capsys, cfg, hint):
+    assert run(tmp_path, cfg, verb="suite") == 2
+    assert hint in capsys.readouterr().err
 
 
 def test_suite_rejects_csvs_for_pairs(tmp_path, capsys):

@@ -32,23 +32,13 @@ def mode_runs():
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
 
-    pen = PenaltyParams(64.0, 64.0)
-    rep = solve_penalized(spec, grid, pen)
-    out.append((spec, rep, pen, "penalized"))
-
-    pen = PenaltyParams(0.0, 64.0)
-    rep = solve_lower_reflected_upper_penalized(spec, grid, 64.0)
-    out.append((spec, rep, pen, "project_lower"))
-
-    pen = PenaltyParams()
-    rep = solve_double_projection(spec, grid)
-    out.append((spec, rep, pen, "project_both"))
+    out.append(solve_penalized(spec, grid, PenaltyParams(64.0, 64.0)))
+    out.append(solve_lower_reflected_upper_penalized(spec, grid, 64.0))
+    out.append(solve_double_projection(spec, grid))
 
     free = get_preset("gheat-quadratic")
-    gfree = build_grid(free, nx=64)
-    pen = PenaltyParams()
-    rep = solve_penalized(free, gfree, pen)
-    out.append((free, rep, pen, "penalized"))
+    out.append(solve_penalized(free, build_grid(free, nx=64),
+                               PenaltyParams()))
     return out
 
 
@@ -59,7 +49,7 @@ def test_gradient_process_tracks_the_space_derivative():
     spec = get_preset("gheat-quadratic")
     grid = build_grid(spec, nx=200)
     rep = solve_penalized(spec, grid, PenaltyParams())
-    bundle = reconstruct(rep.field, spec, PenaltyParams())
+    bundle = reconstruct(rep)
     m = inner_mask(grid)
     err = np.max(np.abs(bundle.z.values[0, m] - 2.0 * grid.x_nodes[m]))
     assert err <= 1e-3
@@ -69,7 +59,7 @@ def test_gradient_uses_one_sided_differences_at_walls():
     spec = get_preset("gheat-quadratic")
     grid = build_grid(spec, nx=64)
     rep = solve_penalized(spec, grid, PenaltyParams())
-    bundle = reconstruct(rep.field, spec, PenaltyParams())
+    bundle = reconstruct(rep)
     vals = rep.field.values
     want_left = (vals[0, 1] - vals[0, 0]) / grid.dx
     want_right = (vals[0, -1] - vals[0, -2]) / grid.dx
@@ -78,15 +68,14 @@ def test_gradient_uses_one_sided_differences_at_walls():
 
 
 def test_one_step_identity_holds_to_rounding(mode_runs):
-    for spec, rep, pen, mode in mode_runs:
-        bundle = reconstruct(rep.field, spec, pen, mode=mode)
-        res = one_step_residuals(bundle, spec)
-        assert float(np.max(np.abs(res))) <= 1e-10, mode
+    for rep in mode_runs:
+        res = one_step_residuals(reconstruct(rep))
+        assert float(np.max(np.abs(res))) <= 1e-10, rep.mode
 
 
 def test_compensators_are_nonnegative_and_disjoint(mode_runs):
-    for spec, rep, pen, mode in mode_runs:
-        bundle = reconstruct(rep.field, spec, pen, mode=mode)
+    for rep in mode_runs:
+        bundle = reconstruct(rep)
         assert float(bundle.da_plus.min()) >= 0.0
         assert float(bundle.da_minus.min()) >= 0.0
         assert float(np.max(bundle.da_plus * bundle.da_minus)) == 0.0
@@ -96,7 +85,7 @@ def test_no_obstacles_means_no_increments():
     spec = get_preset("gheat-quadratic")
     grid = build_grid(spec, nx=64)
     rep = solve_penalized(spec, grid, PenaltyParams())
-    bundle = reconstruct(rep.field, spec, PenaltyParams())
+    bundle = reconstruct(rep)
     assert float(np.max(bundle.da_plus)) == 0.0
     assert float(np.max(bundle.da_minus)) == 0.0
 
@@ -107,8 +96,7 @@ def test_projection_increments_act_only_on_contact():
     spec = get_preset("lower-active")
     grid = build_grid(spec, nx=64)
     rep = solve_double_projection(spec, grid)
-    bundle = reconstruct(rep.field, spec, PenaltyParams(),
-                         mode="project_both")
+    bundle = reconstruct(rep)
     hit = bundle.da_plus[:-1, 1:-1] > 0.0
     assert hit.any()  # the preset is built to reach the barrier
     low = -1.6
@@ -117,8 +105,8 @@ def test_projection_increments_act_only_on_contact():
 
 
 def test_terminal_row_carries_no_increments(mode_runs):
-    for spec, rep, pen, mode in mode_runs:
-        bundle = reconstruct(rep.field, spec, pen, mode=mode)
+    for rep in mode_runs:
+        bundle = reconstruct(rep)
         assert float(np.max(np.abs(bundle.da_plus[-1]))) == 0.0
         assert float(np.max(np.abs(bundle.da_minus[-1]))) == 0.0
         assert float(np.max(np.abs(bundle.defect.values[-1]))) == 0.0
@@ -135,8 +123,7 @@ def test_skorohod_residuals_shrink_with_intensity():
     for n in (4.0, 16.0, 64.0, 256.0):
         pen = PenaltyParams(n, n)
         rep = solve_penalized(spec, grid, pen)
-        seq.append(skorohod_residuals(reconstruct(rep.field, spec, pen),
-                                      spec))
+        seq.append(skorohod_residuals(reconstruct(rep)))
     r_plus = [a for a, _ in seq]
     r_minus = [b for _, b in seq]
     assert all(b < a for a, b in zip(r_plus, r_plus[1:]))
@@ -148,23 +135,22 @@ def test_residuals_are_zero_without_obstacles():
     spec = get_preset("gheat-quadratic")
     grid = build_grid(spec, nx=64)
     rep = solve_penalized(spec, grid, PenaltyParams())
-    assert skorohod_residuals(reconstruct(rep.field, spec, PenaltyParams()),
-                              spec) == (0.0, 0.0)
+    assert skorohod_residuals(reconstruct(rep)) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # scenario defect scan
 # ---------------------------------------------------------------------------
 
-def _worst_defect(field, spec, pen, **kwargs):
+def _worst_defect(rep, **kwargs):
     # worst fixed-scenario defect over interior nodes and solved slices
-    bundle = reconstruct(field, spec, pen, **kwargs)
+    bundle = reconstruct(rep, **kwargs)
     return float(np.max(bundle.defect.values[:-1, 1:-1]))
 
 
 def test_no_scenario_beats_the_envelope_step(mode_runs):
-    for spec, rep, pen, mode in mode_runs:
-        assert _worst_defect(rep.field, spec, pen, mode=mode) <= 1e-10, mode
+    for rep in mode_runs:
+        assert _worst_defect(rep) <= 1e-10, rep.mode
 
 
 def test_defect_scan_accepts_a_custom_scenario_grid():
@@ -172,7 +158,7 @@ def test_defect_scan_accepts_a_custom_scenario_grid():
     grid = build_grid(spec, nx=64)
     pen = PenaltyParams(64.0, 64.0)
     rep = solve_penalized(spec, grid, pen)
-    d = _worst_defect(rep.field, spec, pen, v_grid=[1.0, 1.3, 1.7, 2.0])
+    d = _worst_defect(rep, v_grid=[1.0, 1.3, 1.7, 2.0])
     assert d <= 1e-10
 
 
@@ -182,11 +168,11 @@ def test_scenarios_outside_the_band_are_refused():
     pen = PenaltyParams(64.0, 64.0)
     rep = solve_penalized(spec, grid, pen)
     with pytest.raises(SpecError, match="inside the declared band"):
-        reconstruct(rep.field, spec, pen, v_grid=[0.5])
+        reconstruct(rep, v_grid=[0.5])
     with pytest.raises(SpecError, match="inside the declared band"):
-        reconstruct(rep.field, spec, pen, v_grid=[1.0, 2.5])
+        reconstruct(rep, v_grid=[1.0, 2.5])
     with pytest.raises(SpecError, match="empty"):
-        reconstruct(rep.field, spec, pen, v_grid=[])
+        reconstruct(rep, v_grid=[])
 
 
 def test_interior_scenario_defect_is_strictly_behind():
@@ -196,7 +182,7 @@ def test_interior_scenario_defect_is_strictly_behind():
     spec = get_preset("gheat-quadratic")
     grid = build_grid(spec, nx=64)
     rep = solve_penalized(spec, grid, PenaltyParams())
-    bundle = reconstruct(rep.field, spec, PenaltyParams(), v_grid=[1.5])
+    bundle = reconstruct(rep, v_grid=[1.5])
     assert float(np.max(bundle.defect.values[:-1, 1:-1])) <= 0.0
     # dead center: qv = 2 exactly, so the 1.5-scenario trails the
     # envelope by dt*(0.5*1.5*2 - 2) = -0.5*dt
@@ -213,20 +199,19 @@ def test_tail_energy_profile_shape_and_monotonicity():
     spec = get_preset("lower-active")
     grid = build_grid(spec, nx=64)
     rep = solve_double_projection(spec, grid)
-    bundle = reconstruct(rep.field, spec, PenaltyParams(),
-                         mode="project_both")
-    worst, tails = bmo_diagnostic(bundle, spec, return_profile=True)
+    bundle = reconstruct(rep)
+    worst, tails = bmo_diagnostic(bundle, return_profile=True)
     assert worst >= 0.0
     assert tails.shape == (grid.nt, grid.nx - 1)
     assert float(np.max(tails[0])) == worst  # tails peak at the start
     assert np.all(tails[:-1] >= tails[1:] - 1e-15)
-    assert bmo_diagnostic(bundle, spec) == worst
+    assert bmo_diagnostic(bundle) == worst
 
 
 def test_scenario_map_is_the_bang_bang_choice_of_each_step(mode_runs):
-    for spec, rep, pen, mode in mode_runs:
-        grid = rep.field.grid
-        bundle = reconstruct(rep.field, spec, pen, mode=mode)
+    for rep in mode_runs:
+        spec, grid = rep.spec, rep.field.grid
+        bundle = reconstruct(rep)
         assert bundle.scenario_high.shape == (grid.nt, grid.nx - 1)
         op = StepOperator(spec, grid)
         for k in range(grid.nt):
@@ -242,27 +227,25 @@ def test_scenario_map_ties_take_the_high_variance():
     spec = get_preset("constant-sandwich")
     grid = build_grid(spec, nx=64)
     rep = solve_double_projection(spec, grid)
-    bundle = reconstruct(rep.field, spec, PenaltyParams(),
-                         mode="project_both")
-    assert bundle.scenario_high.all()
+    assert reconstruct(rep).scenario_high.all()
 
 
 def test_bmo_reads_the_scenario_map_without_a_replay(mode_runs, monkeypatch):
-    spec, rep, pen, mode = mode_runs[0]
-    bundle = reconstruct(rep.field, spec, pen, mode=mode)
-    worst, tails = bmo_diagnostic(bundle, spec, return_profile=True)
+    bundle = reconstruct(mode_runs[0])
+    worst, tails = bmo_diagnostic(bundle, return_profile=True)
 
     def refuse(*args, **kwargs):
         raise AssertionError("bmo_diagnostic replayed a step")
     monkeypatch.setattr(decomposition, "layer_rhs_parts", refuse)
     monkeypatch.setattr(decomposition, "StepOperator", refuse)
-    again, profile = bmo_diagnostic(bundle, spec, return_profile=True)
+    again, profile = bmo_diagnostic(bundle, return_profile=True)
     assert again == worst
     np.testing.assert_array_equal(profile, tails)
     # an all-low map weighs every step like a band pinned at the low end
     bundle.scenario_high[:] = False
-    assert bmo_diagnostic(bundle, spec) == bmo_diagnostic(
-        bundle, replace(spec, gparams=GParams(1.0, 1.0))) < worst
+    pinned = replace(bundle.spec, gparams=GParams(1.0, 1.0))
+    assert bmo_diagnostic(bundle) == bmo_diagnostic(
+        replace(bundle, spec=pinned)) < worst
 
 
 def test_reconstruct_refuses_a_mismatched_field():
@@ -270,12 +253,11 @@ def test_reconstruct_refuses_a_mismatched_field():
     # its stored layers; the difference must not land in dA+/dA-
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
-    pen = PenaltyParams(64.0, 64.0)
-    rep = solve_penalized(spec, grid, pen)
+    rep = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
     with pytest.raises(SpecError, match="does not reproduce"):
-        reconstruct(rep.field, spec, pen, mode="project_both")
+        reconstruct(replace(rep, mode="project_both"))
     with pytest.raises(SpecError, match="does not reproduce"):
-        reconstruct(rep.field, spec, PenaltyParams(16.0, 16.0))
+        reconstruct(replace(rep, pen=PenaltyParams(16.0, 16.0)))
 
 
 def test_diagnostics_follow_the_scheme_of_the_solve():
@@ -289,10 +271,9 @@ def test_diagnostics_follow_the_scheme_of_the_solve():
     grid = build_grid(spec, nx=64)
     upwind = StepOperator(spec, grid).upwind
     assert 0 < int(upwind.sum()) < grid.nx - 1
-    pen = PenaltyParams(64.0, 64.0)
-    rep = solve_penalized(spec, grid, pen)
-    bundle = reconstruct(rep.field, spec, pen)
-    assert float(np.max(np.abs(one_step_residuals(bundle, spec)))) <= 1e-10
+    rep = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
+    bundle = reconstruct(rep)
+    assert float(np.max(np.abs(one_step_residuals(bundle)))) <= 1e-10
 
     vals, dx, x = rep.field.values, grid.dx, grid.x_nodes[1:-1]
     gp = spec.gparams
@@ -310,6 +291,6 @@ def test_diagnostics_follow_the_scheme_of_the_solve():
         zk = bundle.z.values[k, 1:-1]
         energy[k] = zk * zk * v_star * grid.dt
     want = np.cumsum(energy[::-1], axis=0)[::-1]
-    worst, tails = bmo_diagnostic(bundle, spec, return_profile=True)
+    worst, tails = bmo_diagnostic(bundle, return_profile=True)
     np.testing.assert_allclose(tails, want, rtol=1e-12, atol=0.0)
     assert worst == pytest.approx(float(np.max(want)), rel=1e-12)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gobstacle import diagnostics
 from gobstacle.diagnostics import (
     classical_oracle,
     comparison_harness,
@@ -14,7 +15,7 @@ from gobstacle.diagnostics import (
     run_property_suite,
     sup_diff,
 )
-from gobstacle.model import FnSpec, GParams
+from gobstacle.model import FnSpec, GParams, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, Grid, PenaltyParams, build_grid
 from gobstacle.solvers import PenaltySchedule, solve_penalized
@@ -111,8 +112,9 @@ def test_oracle_preconditions():
          "f == 0"),
         (replace(spec, gen=replace(spec.gen, g=FnSpec.affine(1.0, 0.0))),
          "quadratic_in_z"),
-        (replace(spec, obstacles=ObstaclePair.lower_only(
-            FnSpec.constant(-5.0), level_bound=5.0)), "inactive obstacles"),
+        (replace(spec, obstacles=ObstaclePair(
+            lower=FnSpec.constant(-5.0), level_bound=5.0)),
+         "inactive obstacles"),
     ]
     for bad, msg in cases:
         with pytest.raises(ValueError, match=msg):
@@ -147,7 +149,7 @@ def test_comparison_requires_matching_structure():
     with pytest.raises(ValueError, match="horizons"):
         comparison_harness(replace(hi, horizon=2.0), lo, grid)
     from gobstacle.model import ObstaclePair
-    stripped = replace(hi, obstacles=ObstaclePair.none())
+    stripped = replace(hi, obstacles=ObstaclePair())
     with pytest.raises(ValueError, match="activity flags"):
         comparison_harness(stripped, lo, grid)
 
@@ -157,6 +159,18 @@ def test_comparison_projection_mode():
     grid = build_grid(hi, nx=50)
     rep = comparison_harness(hi, lo, grid, mode="projection")
     assert rep.passed
+
+
+def test_comparison_refuses_an_unknown_mode_before_solving(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a solve ran before the mode check")
+
+    monkeypatch.setattr(diagnostics, "solve_penalized", refuse)
+    monkeypatch.setattr(diagnostics, "solve_double_projection", refuse)
+    hi, lo = get_preset("comparison-pair")
+    grid = build_grid(hi, nx=50)
+    with pytest.raises(SpecError, match="'bogus'"):
+        comparison_harness(hi, lo, grid, mode="bogus")
 
 
 # ---------------------------------------------------------------------------

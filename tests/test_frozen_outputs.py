@@ -103,13 +103,13 @@ def test_quadratic_drift_limit_stops_early():
 # reconstruction and the diagnostics read from its bundle
 # ---------------------------------------------------------------------------
 
-def _bundle_digest(field, spec, pen, mode):
-    bundle = reconstruct(field, spec, pen, mode=mode)
-    worst, tails = bmo_diagnostic(bundle, spec, return_profile=True)
-    r_plus, r_minus = skorohod_residuals(bundle, spec)
-    return _digest(field.values, bundle.z.values, bundle.da_plus,
+def _bundle_digest(report):
+    bundle = reconstruct(report)
+    worst, tails = bmo_diagnostic(bundle, return_profile=True)
+    r_plus, r_minus = skorohod_residuals(bundle)
+    return _digest(report.field.values, bundle.z.values, bundle.da_plus,
                    bundle.da_minus, bundle.defect.values,
-                   one_step_residuals(bundle, spec),
+                   one_step_residuals(bundle),
                    worst, tails, r_plus, r_minus)
 
 
@@ -117,18 +117,18 @@ def _double_active_mode(mode):
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
     if mode == "penalized":
-        return spec, solve_penalized(spec, grid, PEN).field, PEN
+        return solve_penalized(spec, grid, PEN)
     if mode == "project_lower":
-        field = solve_lower_reflected_upper_penalized(spec, grid, 64.0).field
-        return spec, field, PenaltyParams(0.0, 64.0)
-    return spec, solve_double_projection(spec, grid).field, PenaltyParams()
+        return solve_lower_reflected_upper_penalized(spec, grid, 64.0)
+    return solve_double_projection(spec, grid)
 
 
 @pytest.mark.parametrize("mode",
                          ["penalized", "project_lower", "project_both"])
 def test_double_active_bundle_digest(mode):
-    spec, field, pen = _double_active_mode(mode)
-    assert _bundle_digest(field, spec, pen, mode) \
+    report = _double_active_mode(mode)
+    assert report.mode == mode
+    assert _bundle_digest(report) \
         == DIGESTS[f"bundle-double-active-{mode}"]
 
 
@@ -138,13 +138,11 @@ def test_upwind_bundle_digest():
     spec = ProblemSpec(
         gparams=GParams(1.0, 2.0),
         coeffs=CoefficientSet(drift=FnSpec.affine(8.0, 0.0)),
-        gen=GeneratorSpec(zero_bound=100.0), obstacles=ObstaclePair.none(),
+        gen=GeneratorSpec(zero_bound=100.0), obstacles=ObstaclePair(),
         terminal=FnSpec.tabulated([-0.025, 0.025], [0.0, 1.0]))
     grid = build_grid(spec, nx=400)
-    pen = PenaltyParams()
-    field = solve_penalized(spec, grid, pen).field
-    assert _bundle_digest(field, spec, pen, "penalized") \
-        == DIGESTS["bundle-affine-drift-8x"]
+    report = solve_penalized(spec, grid, PenaltyParams())
+    assert _bundle_digest(report) == DIGESTS["bundle-affine-drift-8x"]
 
 
 def test_t_dependent_custom_driver_bundle_digest():
@@ -154,6 +152,5 @@ def test_t_dependent_custom_driver_bundle_digest():
         lambda t, x, y, z: base(t, x) * np.cos(2.0 * np.pi * t))
     spec = replace(spec, gen=replace(spec.gen, f=f))
     grid = build_grid(spec, nx=64)
-    field = solve_penalized(spec, grid, PEN).field
-    assert _bundle_digest(field, spec, PEN, "penalized") \
-        == DIGESTS["bundle-custom-t-driver"]
+    report = solve_penalized(spec, grid, PEN)
+    assert _bundle_digest(report) == DIGESTS["bundle-custom-t-driver"]

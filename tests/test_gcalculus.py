@@ -92,7 +92,7 @@ def test_degenerate_band_is_linear():
 def _plain_spec(**over):
     base = dict(gparams=BAND, coeffs=CoefficientSet(),
                 gen=GeneratorSpec(zero_bound=10.0),
-                obstacles=ObstaclePair.none(),
+                obstacles=ObstaclePair(),
                 terminal=FnSpec.constant(0.0), horizon=1.0)
     base.update(over)
     return ProblemSpec(**base)
@@ -134,7 +134,7 @@ def test_pde_rhs_refuses_misordered_band():
 
 
 def test_penalized_rhs_adds_signed_penalty_terms():
-    ob = ObstaclePair.both(FnSpec.constant(-1.0), FnSpec.constant(1.0))
+    ob = ObstaclePair(FnSpec.constant(-1.0), FnSpec.constant(1.0))
     spec = _plain_spec(obstacles=ob)
     pen = PenaltyParams(m_lower=10.0, n_upper=20.0)
     base = NodeDerivs(u=0.0, du=0.0, d2u=0.0, x=0.0, t=0.0)

@@ -161,20 +161,20 @@ def test_generator_spec_rejects_negative_constants():
 
 
 def test_obstacle_pair_activity_flags():
-    both = ObstaclePair.both(FnSpec.constant(-1.0), FnSpec.constant(1.0))
+    both = ObstaclePair(FnSpec.constant(-1.0), FnSpec.constant(1.0))
     assert both.lower_active and both.upper_active
-    lo = ObstaclePair.lower_only(FnSpec.constant(-1.0))
+    lo = ObstaclePair(lower=FnSpec.constant(-1.0))
     assert lo.lower_active and not lo.upper_active
-    up = ObstaclePair.upper_only(FnSpec.constant(1.0))
+    up = ObstaclePair(upper=FnSpec.constant(1.0))
     assert up.upper_active and not up.lower_active
-    none = ObstaclePair.none()
+    none = ObstaclePair()
     assert not none.lower_active and not none.upper_active
 
 
 def test_problem_spec_requires_positive_horizon():
     with pytest.raises(SpecError):
         ProblemSpec(gparams=GParams(1.0, 2.0), coeffs=CoefficientSet(),
-                    gen=GeneratorSpec(), obstacles=ObstaclePair.none(),
+                    gen=GeneratorSpec(), obstacles=ObstaclePair(),
                     terminal=FnSpec.constant(0.0), horizon=0.0)
 
 
@@ -188,7 +188,7 @@ PROBE = Grid(x_min=-2.0, x_max=2.0, nx=8, nt=4, horizon=1.0)
 def _spec(**over):
     base = dict(gparams=GParams(1.0, 2.0), coeffs=CoefficientSet(),
                 gen=GeneratorSpec(zero_bound=1.0),
-                obstacles=ObstaclePair.none(),
+                obstacles=ObstaclePair(),
                 terminal=FnSpec.constant(0.5), horizon=1.0)
     base.update(over)
     return ProblemSpec(**base)
@@ -227,17 +227,17 @@ def test_validate_flags_terminal_bound():
 
 
 def test_validate_flags_obstacle_order_and_level():
-    crossed = ObstaclePair.both(FnSpec.constant(0.5), FnSpec.constant(-0.5),
-                                level_bound=1.0)
+    crossed = ObstaclePair(FnSpec.constant(0.5), FnSpec.constant(-0.5),
+                           level_bound=1.0)
     got = _constraints(_spec(obstacles=crossed))
     assert "obstacle-order" in got
-    tall = ObstaclePair.lower_only(FnSpec.constant(3.0), level_bound=1.0)
+    tall = ObstaclePair(lower=FnSpec.constant(3.0), level_bound=1.0)
     got = _constraints(_spec(obstacles=tall, terminal=FnSpec.constant(0.5)))
     assert "obstacle-level" in got
 
 
 def test_validate_flags_terminal_sandwich():
-    ob = ObstaclePair.lower_only(FnSpec.constant(0.8), level_bound=1.0)
+    ob = ObstaclePair(lower=FnSpec.constant(0.8), level_bound=1.0)
     got = _constraints(_spec(obstacles=ob, terminal=FnSpec.constant(0.5)))
     assert "terminal-sandwich" in got
 

@@ -89,23 +89,23 @@ def test_compiled_reconstruction_equals_per_step_evaluation(name):
     spec = get_preset(name)
     custom = all_custom(spec)
     grid = build_grid(spec, nx=48)
-    field = solve_penalized(spec, grid, PEN).field
-    a = reconstruct(field, spec, PEN)
-    b = reconstruct(field, custom, PEN)
+    report = solve_penalized(spec, grid, PEN)
+    a = reconstruct(report)
+    b = reconstruct(replace(report, spec=custom))
     for x, y in ((a.z.values, b.z.values), (a.da_plus, b.da_plus),
                  (a.da_minus, b.da_minus),
                  (a.defect.values, b.defect.values),
-                 (one_step_residuals(a, spec), one_step_residuals(b, custom)),
-                 (bmo_diagnostic(a, spec, return_profile=True)[1],
-                  bmo_diagnostic(b, custom, return_profile=True)[1])):
+                 (one_step_residuals(a), one_step_residuals(b)),
+                 (bmo_diagnostic(a, return_profile=True)[1],
+                  bmo_diagnostic(b, return_profile=True)[1])):
         assert x.tobytes() == y.tobytes()
-    assert skorohod_residuals(a, spec) == skorohod_residuals(b, custom)
+    assert skorohod_residuals(a) == skorohod_residuals(b)
 
 
 def _plain(f, **over):
     base = dict(gparams=GParams(1.0, 2.0), coeffs=CoefficientSet(),
                 gen=GeneratorSpec(f=f, zero_bound=100.0),
-                obstacles=ObstaclePair.none(),
+                obstacles=ObstaclePair(),
                 terminal=FnSpec.polynomial([0.0, 0.0, -0.05], clip=10.0))
     base.update(over)
     return ProblemSpec(**base)
@@ -191,7 +191,7 @@ def _probe_cases():
     cases = [(name, spec, build_grid(spec, nx=64)) for name, spec in SPECS]
     drift60 = _step_terminal(FnSpec.constant(60.0))
     cases.append(("drift-60", drift60, build_grid(drift60, nx=400)))
-    crossed = _plain(FnSpec.constant(0.0), obstacles=ObstaclePair.both(
+    crossed = _plain(FnSpec.constant(0.0), obstacles=ObstaclePair(
         FnSpec.affine(0.5, 0.0), FnSpec.constant(1.0), level_bound=10.0),
         terminal=FnSpec.constant(0.0))
     cases.append(("obstacle-order", crossed, build_grid(crossed, nx=64)))
@@ -214,7 +214,7 @@ def test_one_slice_validation_equals_the_full_scan(name, spec, probe):
 def test_custom_obstacles_crossing_late_are_flagged():
     late = FnSpec.custom(lambda t, x, y, z: np.where(
         (t > 0.7) & (t < 0.9), 0.5, -0.5) + 0.0 * np.asarray(x))
-    spec = _plain(FnSpec.constant(0.0), obstacles=ObstaclePair.both(
+    spec = _plain(FnSpec.constant(0.0), obstacles=ObstaclePair(
         late, FnSpec.constant(0.25), level_bound=1.0),
         terminal=FnSpec.constant(0.0))
     rep = validate(spec, build_grid(spec, nx=64))
@@ -324,15 +324,16 @@ def test_affine_drift_upwinds_only_where_the_rows_ask():
     assert int(op.upwind.sum()) == 298
     np.testing.assert_array_equal(op.upwind,
                                   np.abs(grid.x_nodes[1:-1]) > 2.5 + 1e-9)
-    field = solve_penalized(spec, grid, PenaltyParams()).field
+    report = solve_penalized(spec, grid, PenaltyParams())
+    field = report.field
     custom = all_custom(spec)
     per_step = solve_penalized(custom, grid, PenaltyParams()).field
     assert field.values.tobytes() == per_step.values.tobytes()
     assert _in_unit_range(field.values)
-    bundle = reconstruct(field, spec, PenaltyParams())
+    bundle = reconstruct(report)
     assert float(np.max(bundle.defect.values[:-1, 1:-1])) <= 1e-10
-    assert float(np.max(np.abs(one_step_residuals(bundle, spec)))) <= 1e-10
-    other = reconstruct(field, custom, PenaltyParams())
+    assert float(np.max(np.abs(one_step_residuals(bundle)))) <= 1e-10
+    other = reconstruct(replace(report, spec=custom))
     assert bundle.defect.values.tobytes() == other.defect.values.tobytes()
 
 

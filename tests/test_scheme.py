@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gobstacle import scheme
 from gobstacle.model import (
     CoefficientSet,
     FnSpec,
@@ -33,7 +34,7 @@ NO_PEN = PenaltyParams()
 def _spec(**over):
     base = dict(gparams=BAND, coeffs=CoefficientSet(),
                 gen=GeneratorSpec(zero_bound=100.0),
-                obstacles=ObstaclePair.none(),
+                obstacles=ObstaclePair(),
                 terminal=FnSpec.polynomial([0.0, 0.0, 1.0], clip=100.0),
                 horizon=1.0)
     base.update(over)
@@ -111,6 +112,20 @@ def test_build_grid_refuses_a_field_above_the_memory_cap():
     # 2713 MiB; only the grid is built, the field is never allocated
     with pytest.raises(GridError, match="2713 MiB"):
         build_grid(_spec(), nx=4000)
+
+
+def test_build_grid_refuses_an_nx_above_the_cap_before_allocating(
+        monkeypatch):
+    # every grid has two slices at least: nx = 1e9 would need 15 GiB for
+    # them, so neither the node array nor the CFL probe is allocated
+    def refuse(*_):
+        raise AssertionError("build_grid allocated before its memory check")
+
+    monkeypatch.setattr(scheme.np, "linspace", refuse)
+    monkeypatch.setattr(scheme, "_gradient_bound", refuse)
+    with pytest.raises(GridError,
+                       match="nx=1000000000 exceed the 512 MiB memory cap"):
+        build_grid(_spec(), nx=1_000_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +255,7 @@ def test_step_preserves_order_on_interior():
 
 
 def test_step_applies_projection_modes():
-    ob = ObstaclePair.both(FnSpec.constant(-0.1), FnSpec.constant(0.1))
+    ob = ObstaclePair(FnSpec.constant(-0.1), FnSpec.constant(0.1))
     spec = _spec(obstacles=ob, terminal=FnSpec.constant(0.0),
                  gen=GeneratorSpec(zero_bound=100.0))
     g = build_grid(spec, nx=32)

@@ -13,6 +13,7 @@ from gobstacle.solvers import (
     solve_limit,
     solve_lower_reflected_upper_penalized,
     solve_penalized,
+    solve_penalized_batch,
 )
 
 
@@ -217,3 +218,41 @@ def test_limit_convergence_flag(limit_run):
     assert tr2.converged
     assert len(tr2.stages) == 2  # early stop after the first small diff
     assert tr2.reports is None
+
+
+# ---------------------------------------------------------------------------
+# what a report records of its solve
+# ---------------------------------------------------------------------------
+
+def _made_by(report, spec, pen, mode):
+    return (report.spec is spec and report.pen == pen
+            and report.mode == mode)
+
+
+def test_each_report_carries_its_spec_pen_and_mode():
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=48)
+    pen = PenaltyParams(16.0, 64.0)
+    assert _made_by(solve_penalized(spec, grid, pen), spec, pen,
+                    "penalized")
+    assert _made_by(solve_lower_reflected_upper_penalized(spec, grid, 32.0),
+                    spec, PenaltyParams(0.0, 32.0), "project_lower")
+    assert _made_by(solve_double_projection(spec, grid), spec,
+                    PenaltyParams(), "project_both")
+    pens = (PenaltyParams(4.0, 4.0), PenaltyParams(0.0, 64.0), pen)
+    for p, rep in zip(pens, solve_penalized_batch(spec, grid, pens)):
+        assert _made_by(rep, spec, p, "penalized")
+
+
+@pytest.mark.parametrize("name", ["double-active", "quadratic-drift"])
+def test_limit_reports_carry_their_stage_pen(name):
+    spec = get_preset(name)
+    schedule = PenaltySchedule.diagonal()
+    final, trace = solve_limit(spec, build_grid(spec, nx=48), schedule,
+                               keep_reports=True)
+    stop = len(trace.stages) - 1
+    if name == "quadratic-drift":
+        assert stop == 1  # stops early: the final report is stage 1's
+    assert _made_by(final, spec, schedule.steps[stop], "penalized")
+    for step, rep in zip(schedule.steps, trace.reports):
+        assert _made_by(rep, spec, step, "penalized")
