@@ -142,6 +142,15 @@ def test_failure_of_a_reported_stage_raises(monkeypatch, row):
         solve_limit(spec, grid)
 
 
+def test_a_failed_batch_row_raises_its_own_failure(monkeypatch):
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=48)
+    _poison_row(monkeypatch, 1, 7)
+    with pytest.raises(StepFailure, match=f"step to slice 7 of {grid.nt}: "
+                       "non-finite value at t="):
+        solve_penalized_batch(spec, grid, MIXED[:3])
+
+
 # ---------------------------------------------------------------------------
 # kernel calls: one per time step for a batch, one per block for a replay
 # ---------------------------------------------------------------------------

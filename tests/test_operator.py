@@ -18,7 +18,7 @@ from gobstacle.model import CoefficientSet, FnSpec, GeneratorSpec, GParams, \
 from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import PenaltyParams, StepFailure, StepOperator, \
     build_grid, layer_rhs_parts
-from gobstacle.solvers import solve_double_projection, \
+from gobstacle.solvers import solve_double_projection, solve_limit, \
     solve_lower_reflected_upper_penalized, solve_penalized
 
 from node_oracle import NodeDerivs, all_custom, pde_rhs, qv_rhs
@@ -250,6 +250,21 @@ def test_step_failure_names_the_step_and_the_last_finite_sup():
     sup = float(re.search(r"sup\|u\| = (\S+)$", msg).group(1))
     assert 20.0 <= sup < 20.0 + 40.0 * grid.dt + 1e-9
     assert "non-finite value" in msg
+
+
+def test_a_non_finite_terminal_fails_the_first_step():
+    # the terminal row is data: the step to slice nt-1 is the first to
+    # carry its NaN, and the message reads the terminal as the last layer
+    nan_core = FnSpec.custom(lambda t, x, y, z: np.where(
+        np.abs(np.asarray(x)) < 0.1, np.nan, 0.0))
+    spec = replace(get_preset("double-active"), terminal=nan_core)
+    grid = build_grid(spec, nx=48)
+    assert grid.nt == 13
+    for solve in (lambda: solve_penalized(spec, grid, PEN),
+                  lambda: solve_limit(spec, grid)):
+        with pytest.raises(StepFailure, match="step to slice 12 of 13: "
+                           "non-finite value at t="):
+            solve()
 
 
 def test_cli_step_failure_still_exits_3(tmp_path, monkeypatch, capsys):
