@@ -329,7 +329,7 @@ def _cmd_solve(args):
                  f"max={np.max(u0):.6g}")
     lines.append(f"sup (u-upper)+ = {rep.sup_upper_violation:.6g}; "
                  f"sup (lower-u)+ = {rep.sup_lower_violation:.6g}")
-    lines.append(f"steps: {rep.iterations}")
+    lines.append(f"steps: {rep.field.grid.nt}")
     _write_outputs(lines, out_rec, grid, lambda: reconstruct(rep), trace)
     return EXIT_OK
 

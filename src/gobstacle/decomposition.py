@@ -78,8 +78,10 @@ def _check_v_grid(v_grid, spec):
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     if v_grid.size == 0:
         raise SpecError("empty scenario grid")
-    if (v_grid < gp.vol_low_sq).any() or (v_grid > gp.vol_high_sq).any():
-        raise SpecError("scenario variances must lie inside the declared band")
+    if v_grid.ndim != 1 or not ((v_grid >= gp.vol_low_sq)
+                                & (v_grid <= gp.vol_high_sq)).all():
+        raise SpecError("scenario variances must be a 1-D grid of finite "
+                        "values inside the declared band")
     return v_grid
 
 

@@ -187,6 +187,8 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     is capped at 512 MiB (`_check_field_budget`), and an nx whose two
     slices already exceed that is refused before anything is allocated.
     """
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise GridError(f"domain ends must be finite, got [{x_min}, {x_max}]")
     if not x_max > x_min:
         raise GridError(f"degenerate domain [{x_min}, {x_max}]")
     if nx < 4:

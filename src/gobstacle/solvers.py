@@ -12,18 +12,20 @@ and differs only in how obstacles are enforced per step:
 
 All of them step S solves of one problem as one (S, nx+1) layer per
 time step (S = 1 for a single solve), with the intensities given per
-row; obstacle violations are then scanned over blocks of stored slices.
-A batched solve's `SolveReport.wall_time` is the time of the whole batch.
+row, and only step; each row's report is then read from its stored
+field in one pass over blocks of slices, which names the first step
+that left the finite range or scans the obstacle violations.  A
+`SolveReport.wall_time` is the stepping time of the whole batch.
 
 The limit driver steps its whole schedule as one batch, then walks the
 stages in order and records a per-stage trace (sup difference between
 consecutive stages, obstacle violations, contact residuals read from the
 stage field's penalty increments), stopping at the first stage whose
 difference drops below the schedule's tolerance, exactly as a walk that
-solved one stage at a time.  Stages past the stop never reach the
-result, and a stage that left the finite range raises only if the walk
-reaches it.  The driver flags, never raises, when the schedule ends
-above its stopping tolerance.
+solved one stage at a time.  Stages past the stop are never read, so a
+stage that left the finite range raises only if the walk reaches it.
+The driver flags, never raises, when the schedule ends above its
+stopping tolerance.
 """
 
 from __future__ import annotations
@@ -50,16 +52,16 @@ class SolveReport:
 
     sup_upper_violation / sup_lower_violation are the worst obstacle
     crossings max (u - upper)^+ and max (lower - u)^+ over every node of
-    every slice, 0.0 on inactive sides.  iterations counts time steps.
-    spec, pen and mode are the problem, intensities and enforcement
-    (a name of `scheme.MODES`) the field was stepped with, so that
-    `reconstruct(report)` replays the solve.
+    every slice, 0.0 on inactive sides; the step count is
+    `field.grid.nt`.  wall_time is the stepping time of the batch the
+    field was stepped in.  spec, pen and mode are the problem,
+    intensities and enforcement (a name of `scheme.MODES`) the field was
+    stepped with, so that `reconstruct(report)` replays the solve.
     """
 
     field: Field
     sup_upper_violation: float
     sup_lower_violation: float
-    iterations: int
     wall_time: float
     spec: ProblemSpec
     pen: PenaltyParams
@@ -78,15 +80,11 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
     """Step one solve per PenaltyParams in `pens`, all with the same
     mode, as one (S, nx+1) layer per time step.
 
-    Returns one entry per row: its SolveReport, which records spec, the
-    row's PenaltyParams and mode, or the StepFailure that stopped it.
-    Finiteness is checked per block of stored slices
-    (`StepOperator.blocks`), which names the first step that left the
-    finite range as a check after every step would; a failed row is then
-    zeroed, so the other rows step on.  A failure of row 0 ends the
-    batch and stands for every unfinished row, since every caller
-    reports row 0 first.  numpy's overflow and invalid-value warnings
-    are silenced while stepping: the finiteness check reports them.
+    Returns (the compiled StepOperator, one stored field per row, the
+    stepping wall time).  Nothing is checked here: a row that left the
+    finite range keeps stepping on non-finite values, and `_report`
+    names its failure when a caller reads that row.  numpy's overflow
+    and invalid-value warnings are silenced while stepping.
     """
     if not spec.gparams.well_ordered:
         raise SpecError("volatility band is not well ordered; "
@@ -101,68 +99,47 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
     layer = np.empty(shape)
     layer[:] = np.asarray(spec.terminal(spec.horizon, grid.x_nodes),
                           dtype=float)
-    for values, row in zip(fields, layer):
-        values[nt] = row
     if len(pens) == 1:  # a single solve steps a plain (nx+1,) layer
         layer = layer[0]
-    failures = [None] * len(pens)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1 in reversed(op.blocks(nt)):
-            for k in range(k1 - 1, k0 - 1, -1):
+        for k in range(nt, -1, -1):
+            if k < nt:
                 layer = _advance(layer, grid.t_nodes[k], op, pen_rows, mode)
-                for values, row in zip(fields, layer.reshape(shape)):
-                    values[k] = row
-            for s, values in enumerate(fields):
-                if failures[s] is None \
-                        and not np.isfinite(values[k0:k1]).all():
-                    failures[s] = _step_failure(values, k0, k1, grid)
-                    layer.reshape(shape)[s] = 0.0
-            if failures[0] is not None:
-                return [failures[0] if f is None else f for f in failures]
-
-    violations = [_violations(values, op) if failure is None else None
-                  for values, failure in zip(fields, failures)]
-    wall = time.perf_counter() - start
-    return [failure if failure is not None else SolveReport(
-                field=Field(values=values, grid=grid),
-                sup_upper_violation=viol[1], sup_lower_violation=viol[0],
-                iterations=nt, wall_time=wall, spec=spec, pen=pen, mode=mode)
-            for values, failure, viol, pen
-            in zip(fields, failures, violations, pens)]
+            for values, row in zip(fields, layer.reshape(shape)):
+                values[k] = row
+    return op, fields, time.perf_counter() - start
 
 
-def _step_failure(values, k0, k1, grid: Grid):
-    """The StepFailure of a field whose slices k0..k1-1 hold a
-    non-finite value: the first step, from the top, that made one."""
-    k = k0 + int(np.flatnonzero(~np.isfinite(values[k0:k1]).all(axis=-1))[-1])
-    return StepFailure(
-        f"step to slice {k} of {grid.nt}: "
-        f"{_nonfinite(values[k], grid.t_nodes[k], grid)}; the last finite "
-        f"layer has sup|u| = {np.max(np.abs(values[k + 1])):.6g}")
-
-
-def _violations(values, op: StepOperator):
-    """(lower, upper) violations of a field over every slice, scanned in
-    blocks of stored slices."""
+def _report(values, op: StepOperator, pen, mode, wall) -> SolveReport:
+    """The SolveReport of one stepped field, read in one pass over
+    blocks of slices from the top; raises the StepFailure of the first
+    step that made a non-finite value.  The terminal slice is data, not
+    a step, so only slices 0..nt-1 are checked for finiteness."""
+    grid = op.grid
     lo_viol = up_viol = 0.0
-    for k0, k1 in op.blocks(op.grid.nt + 1):
+    for k0, k1 in reversed(op.blocks(grid.nt + 1)):
+        bad = np.flatnonzero(
+            ~np.isfinite(values[k0:min(k1, grid.nt)]).all(axis=-1))
+        if bad.size:
+            k = k0 + int(bad[-1])
+            raise StepFailure(
+                f"step to slice {k} of {grid.nt}: "
+                f"{_nonfinite(values[k], grid.t_nodes[k], grid)}; the last "
+                f"finite layer has sup|u| = "
+                f"{np.max(np.abs(values[k + 1])):.6g}")
         lo, up = _layer_violations(values[k0:k1],
-                                   *op.obstacles(op.grid.t_nodes[k0]))
+                                   *op.obstacles(grid.t_nodes[k0]))
         lo_viol = max(lo_viol, lo)
         up_viol = max(up_viol, up)
-    return lo_viol, up_viol
-
-
-def _raise_failures(solved):
-    """The rows of a batch, or the first row's StepFailure raised."""
-    for entry in solved:
-        if isinstance(entry, StepFailure):
-            raise entry
-    return solved
+    return SolveReport(field=Field(values=values, grid=grid),
+                       sup_upper_violation=up_viol,
+                       sup_lower_violation=lo_viol, wall_time=wall,
+                       spec=op.spec, pen=pen, mode=mode)
 
 
 def _solve_one(spec, grid, pen, mode) -> SolveReport:
-    return _raise_failures(_solve_rows(spec, grid, (pen,), mode))[0]
+    op, (values,), wall = _solve_rows(spec, grid, (pen,), mode)
+    return _report(values, op, pen, mode, wall)
 
 
 def solve_penalized(spec: ProblemSpec, grid: Grid,
@@ -176,8 +153,10 @@ def solve_penalized_batch(spec: ProblemSpec, grid: Grid, pens) -> tuple:
     stepped together; the reports come in the order of `pens`, each
     with the batch's wall time.  The first row that left the finite
     range raises its StepFailure."""
-    return tuple(_raise_failures(
-        _solve_rows(spec, grid, tuple(pens), "penalized")))
+    pens = tuple(pens)
+    op, fields, wall = _solve_rows(spec, grid, pens, "penalized")
+    return tuple(_report(values, op, pen, "penalized", wall)
+                 for values, pen in zip(fields, pens))
 
 
 def solve_lower_reflected_upper_penalized(spec: ProblemSpec, grid: Grid,
@@ -300,8 +279,8 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     Steps every stage of the schedule as one batch, then walks the
     stages in order and stops early once the sup-norm difference between
     consecutive stage fields drops below the schedule's stop_tol; stages
-    past the stop are dropped, and a stage's StepFailure is raised only
-    if the walk reaches it.  A stage's contact residuals come from the
+    past the stop are never read, and a stage's StepFailure is raised
+    only if the walk reaches it.  A stage's contact residuals come from the
     penalty increments dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its
     field, which are its compensators; no reconstruction runs.  Returns
     (the SolveReport of the last stage walked, with that stage's pen,
@@ -312,20 +291,17 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
 
-    solved = _solve_rows(spec, grid, schedule.steps, "penalized")
-    op = StepOperator(spec, grid)
+    op, fields, wall = _solve_rows(spec, grid, schedule.steps, "penalized")
     stages = []
     reports = []
     prev = None
     converged = False
-    for idx, (pen, report) in enumerate(zip(schedule.steps, solved)):
-        if isinstance(report, StepFailure):
-            raise report
+    for idx, (pen, values) in enumerate(zip(schedule.steps, fields)):
+        report = _report(values, op, pen, "penalized", wall)
         r_plus, r_minus = _contact_residuals(
             report.field, op,
             lambda k0, k1, y, low, up: _penalty_increments(y, low, up, pen,
                                                            grid.dt))
-        values = report.field.values
         if prev is None:
             diff = float("inf")
         else:

@@ -171,6 +171,9 @@ def test_scenarios_outside_the_band_are_refused():
         reconstruct(rep, v_grid=[0.5])
     with pytest.raises(SpecError, match="inside the declared band"):
         reconstruct(rep, v_grid=[1.0, 2.5])
+    for bad in ([np.nan], [1.5, np.nan], [[1.5, 1.2]]):
+        with pytest.raises(SpecError, match="inside the declared band"):
+            reconstruct(rep, v_grid=bad)
     with pytest.raises(SpecError, match="empty"):
         reconstruct(rep, v_grid=[])
 

@@ -83,7 +83,7 @@ def _limit_digest(name):
                   stage.upper_violation, stage.lower_violation,
                   stage.r_plus, stage.r_minus, report.field.values,
                   report.sup_upper_violation, report.sup_lower_violation,
-                  report.iterations]
+                  report.field.grid.nt]
     assert final is trace.reports[-1]
     return _digest(*items)
 

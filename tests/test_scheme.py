@@ -1,5 +1,7 @@
 """Grid construction, the explicit step, and its closure pieces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,10 @@ def test_cfl_includes_first_order_and_zero_order_budgets():
     (dict(nx=3), "nx >= 4"),
     (dict(cfl_safety=0.0), "cfl_safety"),
     (dict(cfl_safety=1.5), "cfl_safety"),
+    (dict(x_max=math.inf), "must be finite"),
+    (dict(x_min=-math.inf), "must be finite"),
+    (dict(x_min=-math.inf, x_max=math.inf), "must be finite"),
+    (dict(x_max=math.nan), "must be finite"),
 ])
 def test_build_grid_rejections(kwargs, msg):
     with pytest.raises(GridError, match=msg):

@@ -32,7 +32,7 @@ def test_constant_sandwich_is_exact_for_every_solver():
         assert float(np.max(np.abs(rep.field.values - 0.5))) == 0.0
         assert rep.sup_upper_violation == 0.0
         assert rep.sup_lower_violation == 0.0
-        assert rep.iterations == grid.nt
+        assert rep.field.grid.nt == grid.nt
 
 
 def test_convex_quadratic_origin_value():
