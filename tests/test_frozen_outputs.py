@@ -1,6 +1,8 @@
 """Frozen sha256 digests of library outputs that the golden CSV table
 never writes: every stage field and the trace of the limit driver, the
-full process bundle of `reconstruct`, and the diagnostics read from it.
+full process bundle of `reconstruct`, and the diagnostics read from it;
+and the field and bundle of the lower-reflected and projected solves on
+every preset with an active side.
 
 The golden table hashes only a few slices per run; these digests cover
 every slice, so a refactor of the stepping or replay loops that changes
@@ -154,3 +156,64 @@ def test_t_dependent_custom_driver_bundle_digest():
     grid = build_grid(spec, nx=64)
     report = solve_penalized(spec, grid, PEN)
     assert _bundle_digest(report) == DIGESTS["bundle-custom-t-driver"]
+
+
+# ---------------------------------------------------------------------------
+# the reflected and projected solves on every preset with an active side
+# ---------------------------------------------------------------------------
+
+PROJECTION_DIGESTS = {  # (field, bundle z/dA+/dA-/defect)
+    "lower-reflected-constant-sandwich": (
+        "fab9a371050dd55e1e2760bff1310b1c024ea56c0a67536be295f5227338f527",
+        "7ae87004c307a4053ba89fabf269a65248b2707f28824b2de7f31aaedefac45f"),
+    "lower-reflected-double-active": (
+        "94a8107908b47f508d39625d24b29fa453e536850bd8a69031a896c7eca64656",
+        "c99cf181675e866adfeb5705c8e3d118d7a910047e00057bc82db896c0817d4b"),
+    "lower-reflected-lower-active": (
+        "d0767f2cd2dd56e46f99b3328f7ff055882b925d0e9bbfba68e38c250b53514c",
+        "e00040fc08b25090b26635890ffa9dd3ef8d4998a99c21578ed9b3b144a1344b"),
+    "lower-reflected-quadratic-drift": (
+        "34ba0031c1ff772ac9e482316e7186177656552ffd4eafa7c74ee1cf627067a9",
+        "0e3cfc74a0b688811aa16cb1004deb6aaff9eb911ea1452933a38594eb9538d0"),
+    "projection-constant-sandwich": (
+        "fab9a371050dd55e1e2760bff1310b1c024ea56c0a67536be295f5227338f527",
+        "7ae87004c307a4053ba89fabf269a65248b2707f28824b2de7f31aaedefac45f"),
+    "projection-double-active": (
+        "4860e109c37d7ad115ab94ddba01aa4c34b0cd2374a1b9123e5292fcbfd11872",
+        "cd999f06e07e7d0e8f969cc78334ea93bee09a47406569fe83110d133a079b22"),
+    "projection-lower-active": (
+        "d0767f2cd2dd56e46f99b3328f7ff055882b925d0e9bbfba68e38c250b53514c",
+        "e00040fc08b25090b26635890ffa9dd3ef8d4998a99c21578ed9b3b144a1344b"),
+    "projection-quadratic-drift": (
+        "34ba0031c1ff772ac9e482316e7186177656552ffd4eafa7c74ee1cf627067a9",
+        "0e3cfc74a0b688811aa16cb1004deb6aaff9eb911ea1452933a38594eb9538d0"),
+    "projection-upper-active": (
+        "03750284fa6e049599ec1e5359c4d4734efd8ae0273dd65f4724c8fbe4e9d70e",
+        "5c3803853cd579926a105e1198a36d08285b3da6139aef5dc09c2e8766c81c16"),
+}
+
+
+def _projection_case(name, kind):
+    spec = get_preset(name)
+    grid = build_grid(spec, nx=64)
+    if kind == "lower-reflected":
+        return solve_lower_reflected_upper_penalized(spec, grid, 64.0)
+    return solve_double_projection(spec, grid)
+
+
+PROJECTION_CASES = [
+    (name, kind) for name in ("constant-sandwich", "double-active",
+                              "lower-active", "quadratic-drift",
+                              "upper-active")
+    for kind in ("lower-reflected", "projection")
+    if kind == "projection" or get_preset(name).obstacles.lower_active]
+
+
+@pytest.mark.parametrize("name,kind", PROJECTION_CASES)
+def test_projection_solve_digest(name, kind):
+    report = _projection_case(name, kind)
+    bundle = reconstruct(report)
+    got = (_digest(report.field.values),
+           _digest(bundle.z.values, bundle.da_plus, bundle.da_minus,
+                   bundle.defect.values))
+    assert got == PROJECTION_DIGESTS[f"{kind}-{name}"]
