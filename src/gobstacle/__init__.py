@@ -32,7 +32,6 @@ from .scheme import (
     Field,
     Grid,
     GridError,
-    MODES,
     PenaltyParams,
     StepFailure,
     StepOperator,
@@ -50,7 +49,6 @@ from .solvers import (
     StageRecord,
     solve_double_projection,
     solve_limit,
-    solve_lower_reflected_upper_penalized,
     solve_penalized,
     solve_penalized_batch,
 )
@@ -84,13 +82,12 @@ __all__ = [
     "GParams", "ObstaclePair", "ProblemSpec", "SpecError",
     "ValidationReport", "Violation", "ZERO", "validate",
     "g_eval", "worst_case_vol",
-    "Field", "Grid", "GridError", "MODES", "PenaltyParams", "StepFailure",
+    "Field", "Grid", "GridError", "PenaltyParams", "StepFailure",
     "StepOperator", "build_grid", "explicit_step", "layer_rhs_parts",
     "resolve_penalties",
     "ConvergenceTrace", "DEFAULT_INTENSITIES", "DEFAULT_STOP_TOL",
     "PenaltySchedule", "SolveReport", "StageRecord",
-    "solve_double_projection", "solve_limit",
-    "solve_lower_reflected_upper_penalized", "solve_penalized",
+    "solve_double_projection", "solve_limit", "solve_penalized",
     "solve_penalized_batch",
     "ProcessBundle", "bmo_diagnostic", "one_step_residuals", "reconstruct",
     "skorohod_residuals",

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,8 +87,7 @@ from .model import EvaluationError, ProblemSpec, SpecError, check_record, \
 from .presets import get_preset, list_presets
 from .scheme import GridError, PenaltyParams, StepFailure, build_grid
 from .solvers import DEFAULT_INTENSITIES, DEFAULT_STOP_TOL, \
-    PenaltySchedule, solve_double_projection, solve_limit, \
-    solve_lower_reflected_upper_penalized, solve_penalized
+    PenaltySchedule, solve_double_projection, solve_limit, solve_penalized
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,8 +96,8 @@ EXIT_SOLVER_FAILURE = 3
 
 _TOP_KEYS = ("preset", "problem", "grid", "mode", "penalty", "schedule",
              "output")
-_CLI_MODES = ("penalized", "reflected_lower_pen_upper", "projection",
-              "limit")
+_SOLVE_MODE_NAMES = ("penalized", "reflected_lower_pen_upper", "projection",
+                     "limit")
 _PENALTY_KEYS = ("m_lower", "n_upper")
 _OUTPUT_PATHS = ("field_csv", "trace_csv", "report")
 _HELD = {"fixed_n": "n_upper", "fixed_m": "m_lower"}
@@ -283,8 +283,8 @@ def _cmd_solve(args):
     vrep = _validated(spec, grid)
 
     mode = cfg.get("mode", "penalized")
-    if mode not in _CLI_MODES:
-        known = ", ".join(_CLI_MODES)
+    if mode not in _SOLVE_MODE_NAMES:
+        known = ", ".join(_SOLVE_MODE_NAMES)
         raise ConfigError(f"unknown mode {mode!r}; use one of: {known}")
     out_rec = _output_section(cfg)
     if "trace_csv" in out_rec and mode != "limit":
@@ -304,8 +304,11 @@ def _cmd_solve(args):
         if rec.get("m_lower", 0.0) != 0.0:
             raise ConfigError("mode 'reflected_lower_pen_upper' uses "
                               "only penalty.n_upper; drop m_lower")
-        rep = solve_lower_reflected_upper_penalized(
-            spec, grid, rec.get("n_upper", 64.0))
+        if not spec.obstacles.lower_active:
+            raise ConfigError("lower-reflected solve needs an active lower "
+                              "obstacle")
+        rep = solve_penalized(spec, grid, PenaltyParams(
+            math.inf, rec.get("n_upper", 64.0)))
     elif mode == "projection":
         rep = solve_double_projection(spec, grid)
     else:  # limit

@@ -14,15 +14,15 @@ scenarios.  The orthogonal-decrement part of the decomposition vanishes
 along the worst-case scenario by construction and is never materialized.
 
 Each step is replayed through the step kernel of the scheme with the
-problem, intensities and mode the `SolveReport` records, reading the
-rows of the problem compiled onto the field's grid (`StepOperator`)
-like the solve did; the kernel reports the increments its penalty
-resolution, projection and boundary clamp applied, so the one-step
-identity
+problem and intensities the `SolveReport` records, reading the rows of
+the problem compiled onto the field's grid (`StepOperator`) like the
+solve did; the kernel reports the increments its penalty resolution,
+projection (an infinite intensity) and boundary clamp applied, so the
+one-step identity
 
     Y_k = Y_{k+1} + dt*rhs + dA+_k - dA-_k
 
-holds at interior nodes to rounding, for every solver mode: projection
+holds at interior nodes to rounding, at every intensity: projection
 lifts/clamps land in the increments, not in a residual.  A replay that
 does not reproduce the stored layer (a report edited by hand) is
 refused.  The bundle keeps the problem, so the residuals and the
@@ -44,7 +44,7 @@ import numpy as np
 from .gcalculus import g_eval
 from .model import ProblemSpec, SpecError
 from .scheme import _BLOCK_ELEMENTS, Field, StepOperator, \
-    _check_field_budget, _enforce, layer_rhs_parts
+    _check_field_budget, _enforce, _penalty_rows, layer_rhs_parts
 
 
 @dataclass(eq=False)
@@ -94,14 +94,14 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
     increments dA+/dA- and the scenario map, and the same step under
     each fixed scenario of v_grid the defect.
     The operator makes the solve's per-node choice of central or
-    one-sided differences again.  The report's (spec, pen, mode) are
-    those of its field, as every solver records them; a replayed layer
+    one-sided differences again.  The report's (spec, pen) are those of
+    its field, as every solver records them; a replayed layer
     that differs from the stored one (a report edited by hand) raises
     SpecError.  The bundle adds four arrays of the field's size
     (`GridError` when they and the field exceed the memory cap) and the
     scenario map, one byte per node.
     """
-    spec, pen, mode = report.spec, report.pen, report.mode
+    spec, pen = report.spec, _penalty_rows((report.pen,))
     grid = report.field.grid
     vals = report.field.values
     dt = grid.dt
@@ -135,16 +135,16 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
         rows = op_t.lower, op_t.upper
         w = nxt[:, 1:-1] + dt * (g_eval(qv, spec.gparams) + rest)
         layer, da_plus[k0:k1], da_minus[k0:k1] = _enforce(
-            w, *rows, pen, dt, mode, increments=True)
+            w, *rows, pen, dt, increments=True)
         differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
         if differs.size:
             raise SpecError(
                 f"replaying the step at t={grid.t_nodes[k0 + differs[-1]]:.6g}"
-                " does not reproduce the stored layer; the report's spec, "
-                "pen and mode are not those of its field")
+                " does not reproduce the stored layer; the report's spec "
+                "and pen are not those of its field")
 
         w_v = nxt[:, 1:-1] + dt * (0.5 * (scenarios * qv) + rest)
-        d = _enforce(w_v, *rows, pen, dt, mode)[..., 1:-1] - vals[k0:k1, 1:-1]
+        d = _enforce(w_v, *rows, pen, dt)[..., 1:-1] - vals[k0:k1, 1:-1]
         defect[k0:k1, 1:-1] = d.max(axis=0)
 
     return ProcessBundle(spec=spec, y=report.field,

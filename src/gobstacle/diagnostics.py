@@ -19,8 +19,7 @@ from .decomposition import ProcessBundle, bmo_diagnostic, \
 from .model import ProblemSpec, SpecError, validate
 from .scheme import Field, Grid, PenaltyParams, StepOperator
 from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
-    solve_limit, solve_lower_reflected_upper_penalized, solve_penalized, \
-    solve_penalized_batch
+    solve_limit, solve_penalized, solve_penalized_batch
 
 ORDER_SLACK = 1.0e-10
 
@@ -315,8 +314,8 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
          + ", ".join(f"{s:.4g}" for s in sups))
 
     # the fixed-intensity solves, stepped as one batch: the far ends of
-    # both monotonicity checks and the penalized side of the
-    # construction agreement
+    # both monotonicity checks, both sides of the construction
+    # agreement, and the projection
     m0, m1 = schedule.steps[0].m_lower, schedule.steps[-1].m_lower
     n0, n1 = schedule.steps[0].n_upper, schedule.steps[-1].n_upper
     n_star = 256.0
@@ -328,6 +327,9 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     if ob.lower_active:
         fixed["hi_m"] = PenaltyParams(m1, n0)
         fixed["diag"] = PenaltyParams(n_star, n_star)
+        fixed["bar"] = PenaltyParams(math.inf, n_star)
+    if ob.lower_active or ob.upper_active:
+        fixed["proj"] = PenaltyParams(math.inf, math.inf)
     solved = dict(zip(fixed, solve_penalized_batch(spec, grid,
                                                    fixed.values()))) \
         if fixed else {}
@@ -375,14 +377,12 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
              trace.stages[-1].lower_violation, 1e-3,
              "final-stage sup(lower-u)+")
 
-        bar = solve_lower_reflected_upper_penalized(spec, grid, n_star)
-        gap = sup_diff(bar.field, solved["diag"].field)
+        gap = sup_diff(solved["bar"].field, solved["diag"].field)
         _chk(checks, "construction-agreement", gap <= 2e-3, gap, 2e-3,
              f"reflected-vs-penalized gap at intensity {n_star:g}")
 
     if ob.lower_active or ob.upper_active:
-        proj = solve_double_projection(spec, grid)
-        gap = sup_diff(final.field, proj.field, inner=True)
+        gap = sup_diff(final.field, solved["proj"].field, inner=True)
         _chk(checks, "projection-sandwich", gap <= 5e-3, gap, 5e-3,
              "limit field vs projection field on the inner half-domain")
 

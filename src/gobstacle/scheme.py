@@ -10,11 +10,10 @@ except that first differences are one-sided at nodes where centring
 would break monotonicity (below).
 The implicit penalty equation is piecewise linear and monotone in u',
 so it resolves in closed form with at most three cases; penalty
-intensities therefore never enter the CFL restriction.  Projection
-modes replace or follow the penalty resolution:
-
-    project_lower  u' = max(u_after_upper_penalty, lower)
-    project_both   u' = clamp(u', lower, upper)      (active sides only)
+intensities therefore never enter the CFL restriction.  An infinite
+intensity is its limit, the projection (reflection) onto the obstacle,
+applied after the finite resolution: u' = max(u', lower) at m = inf,
+then u' = min(u', upper) at n = inf.
 
 A `StepOperator` compiles the problem onto the grid once; every step
 reads its rows.  Penalty resolution, projection and the boundary closure
@@ -58,8 +57,6 @@ import numpy as np
 
 from . import gcalculus
 from .model import ProblemSpec, SpecError, cell_peclet_excess
-
-MODES = ("penalized", "project_lower", "project_both")
 
 _NT_CAP = 10_000_000
 _FIELD_BYTES_CAP = 512 * 2 ** 20  # field-size float64 arrays of one call
@@ -124,33 +121,53 @@ class Field:
 @dataclass(frozen=True)
 class PenaltyParams:
     """Penalty intensities: m_lower pushes up from below the lower
-    obstacle, n_upper pushes down from above the upper one."""
+    obstacle, n_upper pushes down from above the upper one.  An
+    infinite intensity projects onto its obstacle (reflection)."""
 
     m_lower: float = 0.0
     n_upper: float = 0.0
 
     def __post_init__(self):
-        if not (self.m_lower >= 0.0 and self.n_upper >= 0.0
-                and math.isfinite(self.m_lower)
-                and math.isfinite(self.n_upper)):
-            raise SpecError("penalty intensities must be finite and >= 0")
+        if not (self.m_lower >= 0.0 and self.n_upper >= 0.0):
+            raise SpecError("penalty intensities must be >= 0 "
+                            "(inf projects onto the obstacle)")
 
 
 class _PenaltyRows(NamedTuple):
-    """Per-row intensities of a batch: m_lower and n_upper as (S, 1)
-    columns, so that they broadcast along a layer's leading axis."""
+    """The intensities of S rows, per side a finite rate (0.0 where the
+    intensity is infinite) and the rows projected instead (`lift` onto
+    the lower obstacle, `clamp` onto the upper one): None, True (every
+    row) or an (S, 1) mask.  Rates are floats for one row, else (S, 1)
+    columns that broadcast along a layer's leading axis."""
 
-    m_lower: np.ndarray
-    n_upper: np.ndarray
+    m_lower: object
+    n_upper: object
+    lift: object
+    clamp: object
+
+
+def _rows(hold):
+    """The rows where a condition holds, given as a bool shared by every
+    row or an (S, 1) mask: True for every row, None for none, else the
+    mask."""
+    if isinstance(hold, bool):
+        return True if hold else None
+    return True if hold.all() else (hold if hold.any() else None)
+
+
+def _side(rates):
+    """(finite rate, projected rows) of one side's intensities, one per
+    row; the rate is a float for a single row."""
+    inf = np.isinf(rates)[:, None]
+    finite = np.where(inf, 0.0, np.asarray(rates, dtype=float)[:, None])
+    return (float(finite[0, 0]) if len(rates) == 1 else finite), _rows(inf)
 
 
 def _penalty_rows(pens):
-    """The intensities of a batch with one PenaltyParams per row: the
-    shared PenaltyParams when every row has the same, else columns."""
-    if len(set(pens)) == 1:
-        return pens[0]
-    return _PenaltyRows(np.array([[p.m_lower] for p in pens]),
-                        np.array([[p.n_upper] for p in pens]))
+    """The `_PenaltyRows` of one PenaltyParams per row."""
+    m_lower, lift = _side([p.m_lower for p in pens])
+    n_upper, clamp = _side([p.n_upper for p in pens])
+    return _PenaltyRows(m_lower, n_upper, lift, clamp)
 
 
 def _gradient_bound(spec: ProblemSpec, xs, ts):
@@ -367,15 +384,6 @@ def layer_rhs_parts(next_layer, t, op: StepOperator):
     return qv, rest
 
 
-def _pushing(rate):
-    """Where a penalty rate acts: True on every row, None on none, else
-    the (S, 1) mask of rows with a positive rate."""
-    if isinstance(rate, float):
-        return True if rate > 0.0 else None
-    pos = rate > 0.0
-    return True if pos.all() else (pos if pos.any() else None)
-
-
 def resolve_penalties(v, low_vals, up_vals, pen, dt):
     """Closed-form solution of u = v + dt*m*(u-low)^- - dt*n*(u-up)^+.
 
@@ -387,20 +395,24 @@ def resolve_penalties(v, low_vals, up_vals, pen, dt):
         v >  up  : u = (v + dt*n*up) / (1 + dt*n)
         else     : u = v
 
-    An absent side (None) contributes nothing.  `pen` is one
-    PenaltyParams for every row of v, or per-row intensities
-    (`_penalty_rows`) along v's leading axis.
+    An absent side (None) contributes nothing.  `pen` is one finite
+    PenaltyParams for every row of v, or the finite rates of
+    `_penalty_rows` along v's leading axis; an infinite intensity is a
+    projection, which the step kernel applies, and is refused here.
     """
+    if isinstance(pen, PenaltyParams) \
+            and math.inf in (pen.m_lower, pen.n_upper):
+        raise SpecError("resolve_penalties takes finite intensities")
     u = v
     if low_vals is not None:
         a = dt * pen.m_lower
-        rows = _pushing(a)
+        rows = _rows(a > 0.0)
         if rows is not None:
             hit = v < low_vals if rows is True else (v < low_vals) & rows
             u = np.where(hit, (v + a * low_vals) / (1.0 + a), u)
     if up_vals is not None:
         a = dt * pen.n_upper
-        rows = _pushing(a)
+        rows = _rows(a > 0.0)
         if rows is not None:
             hit = v > up_vals if rows is True else (v > up_vals) & rows
             u = np.where(hit, (v + a * up_vals) / (1.0 + a), u)
@@ -419,29 +431,29 @@ def _penalty_increments(y, low, up, pen: PenaltyParams, dt):
     return low_push, up_push
 
 
-def _enforce(v, low, up, pen, dt, mode, increments=False):
-    """Obstacle enforcement of one step: the kernel of every solver mode
-    and of the process reconstruction.
+def _enforce(v, low, up, pen, dt, increments=False):
+    """Obstacle enforcement of one step: the kernel of every solver and
+    of the process reconstruction.
 
     `v` holds the explicit (pre-obstacle) values on the interior nodes,
     with any leading axes, `low`/`up` the obstacle rows of the step on
-    all nodes (None on an absent side), `pen` the intensities as in
-    `resolve_penalties`.  Resolves the penalties, projects by mode,
-    closes the boundary by zero-curvature extrapolation clamped into the
-    band, and returns the new layers.  With `increments` it returns
-    (layer, dA+, dA-): the penalty increments at the resolved value plus
-    the projection and boundary-clamp lifts, split by sign.
+    all nodes (None on an absent side), `pen` the `_penalty_rows` of
+    the call.  Resolves the finite penalties, projects the rows of an
+    infinite intensity, closes the boundary by zero-curvature
+    extrapolation clamped into the band, and returns the new layers.
+    With `increments` it returns (layer, dA+, dA-): the penalty
+    increments at the resolved value plus the projection and
+    boundary-clamp lifts, split by sign.
     """
-    if mode not in MODES:
-        raise SpecError(f"unknown step mode {mode!r}")
     low_in = None if low is None else low[1:-1]
     up_in = None if up is None else up[1:-1]
     u_pen = resolve_penalties(v, low_in, up_in, pen, dt)
     u = u_pen
-    if mode != "penalized" and low is not None:
-        u = np.maximum(u, low_in)
-    if mode == "project_both" and up is not None:
-        u = np.minimum(u, up_in)
+    for bound, obstacle, rows in ((np.maximum, low_in, pen.lift),
+                                  (np.minimum, up_in, pen.clamp)):
+        if obstacle is not None and rows is not None:
+            out = bound(u, obstacle)
+            u = out if rows is True else np.where(rows, out, u)
 
     n = u.shape[-1] + 1  # the last column
     layer = np.empty(u.shape[:-1] + (n + 1,))
@@ -470,7 +482,7 @@ def _enforce(v, low, up, pen, dt, mode, increments=False):
     return layer, da_plus, da_minus
 
 
-def _advance(next_layer, t, op: StepOperator, pen, mode):
+def _advance(next_layer, t, op: StepOperator, pen):
     """One backward step of every layer in `next_layer` (shape
     (..., nx+1)) to time t; non-finite values are left to the caller."""
     op = op.at(t)
@@ -478,7 +490,7 @@ def _advance(next_layer, t, op: StepOperator, pen, mode):
     qv, rest = layer_rhs_parts(next_layer, t, op)
     v = next_layer[..., 1:-1] + dt * (gcalculus.g_eval(qv, op.spec.gparams)
                                       + rest)
-    return _enforce(v, op.lower, op.upper, pen, dt, mode)
+    return _enforce(v, op.lower, op.upper, pen, dt)
 
 
 def _nonfinite(layer, t, grid: Grid):
@@ -489,8 +501,7 @@ def _nonfinite(layer, t, grid: Grid):
             "reduce cfl_safety or tighten the driver clip bounds")
 
 
-def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams,
-                  mode="penalized"):
+def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams):
     """Advance one backward step; returns the new layer at time t.
 
     `next_layer` is the known layer at t+dt and is not modified.  See
@@ -501,7 +512,7 @@ def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams,
     next_layer = np.asarray(next_layer, dtype=float)
     if next_layer.shape != (grid.nx + 1,):
         raise SpecError("layer shape does not match the grid")
-    out = _advance(next_layer, t, op, pen, mode)
+    out = _advance(next_layer, t, op, _penalty_rows((pen,)))
     if not np.isfinite(out).all():
         raise StepFailure(_nonfinite(out, t, grid))
     return out

@@ -1,14 +1,15 @@
 """Backward solvers: penalized, reflected/projected, and the limit driver.
 
-Every solver compiles the problem onto its grid once (`StepOperator`),
-walks the explicit scheme backward from the terminal slice through it,
-and differs only in how obstacles are enforced per step:
+Every solver compiles the problem onto its grid once (`StepOperator`)
+and walks the explicit scheme backward from the terminal slice through
+it, enforcing the obstacles per step at the intensities of a
+`PenaltyParams`; an infinite one projects onto its obstacle:
 
-    solve_penalized                      implicit two-sided penalties
-    solve_penalized_batch                S intensities of one problem
-    solve_lower_reflected_upper_penalized  lower projection + upper penalty
-    solve_double_projection              projection on the active sides
-    solve_limit                          penalized family along a schedule
+    solve_penalized          one solve; (inf, n) reflects at the lower
+                             obstacle and penalizes the upper one
+    solve_penalized_batch    S intensities of one problem
+    solve_double_projection  solve_penalized at (inf, inf)
+    solve_limit              penalized family along a schedule
 
 All of them step S solves of one problem as one (S, nx+1) layer per
 time step (S = 1 for a single solve), with the intensities given per
@@ -30,6 +31,7 @@ stopping tolerance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -54,9 +56,9 @@ class SolveReport:
     crossings max (u - upper)^+ and max (lower - u)^+ over every node of
     every slice, 0.0 on inactive sides; the step count is
     `field.grid.nt`.  wall_time is the stepping time of the batch the
-    field was stepped in.  spec, pen and mode are the problem,
-    intensities and enforcement (a name of `scheme.MODES`) the field was
-    stepped with, so that `reconstruct(report)` replays the solve.
+    field was stepped in.  spec and pen are the problem and intensities
+    (inf where a side was projected) the field was stepped with, so that
+    `reconstruct(report)` replays the solve.
     """
 
     field: Field
@@ -65,7 +67,6 @@ class SolveReport:
     wall_time: float
     spec: ProblemSpec
     pen: PenaltyParams
-    mode: str
 
 
 def _layer_violations(layers, low, up):
@@ -76,9 +77,9 @@ def _layer_violations(layers, low, up):
     return lo, hi
 
 
-def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
-    """Step one solve per PenaltyParams in `pens`, all with the same
-    mode, as one (S, nx+1) layer per time step.
+def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
+    """Step one solve per PenaltyParams in `pens` (at least one) as one
+    (S, nx+1) layer per time step.
 
     Returns (the compiled StepOperator, one stored field per row, the
     stepping wall time).  Nothing is checked here: a row that left the
@@ -86,6 +87,8 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
     names its failure when a caller reads that row.  numpy's overflow
     and invalid-value warnings are silenced while stepping.
     """
+    if not pens:
+        raise SpecError("a batch needs at least one PenaltyParams")
     if not spec.gparams.well_ordered:
         raise SpecError("volatility band is not well ordered; "
                         "run validate() for details")
@@ -104,13 +107,13 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens, mode):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(nt, -1, -1):
             if k < nt:
-                layer = _advance(layer, grid.t_nodes[k], op, pen_rows, mode)
+                layer = _advance(layer, grid.t_nodes[k], op, pen_rows)
             for values, row in zip(fields, layer.reshape(shape)):
                 values[k] = row
     return op, fields, time.perf_counter() - start
 
 
-def _report(values, op: StepOperator, pen, mode, wall) -> SolveReport:
+def _report(values, op: StepOperator, pen, wall) -> SolveReport:
     """The SolveReport of one stepped field, read in one pass over
     blocks of slices from the top; raises the StepFailure of the first
     step that made a non-finite value.  The terminal slice is data, not
@@ -134,56 +137,36 @@ def _report(values, op: StepOperator, pen, mode, wall) -> SolveReport:
     return SolveReport(field=Field(values=values, grid=grid),
                        sup_upper_violation=up_viol,
                        sup_lower_violation=lo_viol, wall_time=wall,
-                       spec=op.spec, pen=pen, mode=mode)
-
-
-def _solve_one(spec, grid, pen, mode) -> SolveReport:
-    op, (values,), wall = _solve_rows(spec, grid, (pen,), mode)
-    return _report(values, op, pen, mode, wall)
+                       spec=op.spec, pen=pen)
 
 
 def solve_penalized(spec: ProblemSpec, grid: Grid,
                     pen: PenaltyParams) -> SolveReport:
-    """Two-sided penalized solve at fixed intensities."""
-    return _solve_one(spec, grid, pen, "penalized")
+    """Two-sided penalized solve at fixed intensities; an infinite one
+    projects onto its obstacle each step (exact reflection)."""
+    op, (values,), wall = _solve_rows(spec, grid, (pen,))
+    return _report(values, op, pen, wall)
 
 
 def solve_penalized_batch(spec: ProblemSpec, grid: Grid, pens) -> tuple:
     """Penalized solves of one problem at each PenaltyParams in `pens`,
     stepped together; the reports come in the order of `pens`, each
     with the batch's wall time.  The first row that left the finite
-    range raises its StepFailure."""
+    range raises its StepFailure; an empty `pens` raises SpecError."""
     pens = tuple(pens)
-    op, fields, wall = _solve_rows(spec, grid, pens, "penalized")
-    return tuple(_report(values, op, pen, "penalized", wall)
+    op, fields, wall = _solve_rows(spec, grid, pens)
+    return tuple(_report(values, op, pen, wall)
                  for values, pen in zip(fields, pens))
 
 
-def solve_lower_reflected_upper_penalized(spec: ProblemSpec, grid: Grid,
-                                          n_upper) -> SolveReport:
-    """Exact lower reflection (projection) with an upper penalty.
-
-    The companion construction to the two-sided penalized family: the
-    lower obstacle is enforced exactly each step, the upper one only
-    through its intensity.  Requires an active lower obstacle; the
-    output satisfies u >= lower at every node by construction.
-    """
-    if not spec.obstacles.lower_active:
-        raise SpecError("lower-reflected solve needs an active lower obstacle")
-    pen = PenaltyParams(m_lower=0.0, n_upper=float(n_upper))
-    return _solve_one(spec, grid, pen, "project_lower")
-
-
 def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
-    """Projection onto the obstacle band each step (active sides).
-
-    With one side inactive this degenerates, on the same code path, to
-    the single-sided reflected solve.
-    """
+    """Projection onto the obstacle band each step: `solve_penalized`
+    at infinite intensities, refused when no side is active.  With one
+    side inactive it is the single-sided reflected solve."""
     ob = spec.obstacles
     if not (ob.lower_active or ob.upper_active):
         raise SpecError("projection solve needs at least one active obstacle")
-    return _solve_one(spec, grid, PenaltyParams(), "project_both")
+    return solve_penalized(spec, grid, PenaltyParams(math.inf, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +179,9 @@ class PenaltySchedule:
 
     pairing 'diagonal' moves both intensities together, 'fixed_n' sweeps
     the lower intensity at a constant upper one, 'fixed_m' the reverse.
-    The varying intensity must increase strictly along the list.
+    The varying intensity must increase strictly along the list, and
+    every intensity is finite: the contact residuals of a stage are
+    read from its penalty increments, which an infinite one lacks.
     """
 
     steps: tuple
@@ -208,6 +193,9 @@ class PenaltySchedule:
             raise SpecError("empty penalty schedule")
         if not all(isinstance(p, PenaltyParams) for p in self.steps):
             raise SpecError("schedule steps must be PenaltyParams")
+        if not all(math.isfinite(p.m_lower) and math.isfinite(p.n_upper)
+                   for p in self.steps):
+            raise SpecError("schedule intensities must be finite")
         if not self.stop_tol > 0.0:
             raise SpecError("stop_tol must be positive")
         if self.pairing == "diagonal":
@@ -291,13 +279,13 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
 
-    op, fields, wall = _solve_rows(spec, grid, schedule.steps, "penalized")
+    op, fields, wall = _solve_rows(spec, grid, schedule.steps)
     stages = []
     reports = []
     prev = None
     converged = False
     for idx, (pen, values) in enumerate(zip(schedule.steps, fields)):
-        report = _report(values, op, pen, "penalized", wall)
+        report = _report(values, op, pen, wall)
         r_plus, r_minus = _contact_residuals(
             report.field, op,
             lambda k0, k1, y, low, up: _penalty_increments(y, low, up, pen,

@@ -8,6 +8,7 @@ the quadrature-based classical solution - never the scheme itself.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from gobstacle.scheme import PenaltyParams, build_grid
 from gobstacle.solvers import (
     solve_double_projection,
     solve_limit,
-    solve_lower_reflected_upper_penalized,
     solve_penalized,
 )
 
@@ -108,7 +108,7 @@ def double_runs():
     spec = get_preset("double-active")
     grid = build_grid(spec)
     final, trace = solve_limit(spec, grid, keep_reports=True)
-    refl = solve_lower_reflected_upper_penalized(spec, grid, 256.0)
+    refl = solve_penalized(spec, grid, PenaltyParams(math.inf, 256.0))
     proj = solve_double_projection(spec, grid)
     return {"spec": spec, "grid": grid, "final": final, "trace": trace,
             "reflected_256": refl, "projection": proj}
@@ -231,8 +231,8 @@ def test_c10_no_scenario_beats_the_envelope(acceptance_log):
             grid = build_grid(spec)
             runs = [solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))]
             if spec.obstacles.lower_active:
-                runs.append(
-                    solve_lower_reflected_upper_penalized(spec, grid, 64.0))
+                runs.append(solve_penalized(
+                    spec, grid, PenaltyParams(math.inf, 64.0)))
             if spec.obstacles.lower_active or spec.obstacles.upper_active:
                 runs.append(solve_double_projection(spec, grid))
             for rep in runs:

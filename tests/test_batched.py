@@ -15,7 +15,7 @@ import pytest
 
 from gobstacle import cli, decomposition, scheme, solvers
 from gobstacle.decomposition import reconstruct
-from gobstacle.model import FnSpec
+from gobstacle.model import FnSpec, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
     StepOperator, build_grid
@@ -26,16 +26,30 @@ from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
 MIXED = (PenaltyParams(0.0, 0.0), PenaltyParams(4.0, 0.0),
          PenaltyParams(0.0, 64.0), PenaltyParams(64.0, 64.0),
          PenaltyParams(1024.0, 16.0))
+# infinite (projected) and finite rows on either side, then rows that
+# all project the lower side
+INF = math.inf
+MIXED_INF = (PenaltyParams(INF, 64.0), PenaltyParams(INF, INF),
+             PenaltyParams(64.0, 64.0), PenaltyParams(0.0, INF),
+             PenaltyParams(16.0, 0.0))
+REFLECTED = (PenaltyParams(INF, 256.0), PenaltyParams(INF, INF))
+BATCH_NAMES = ["double-active", "lower-active", "upper-active",
+               "quadratic-drift"]
 
 
-@pytest.mark.parametrize("name", ["double-active", "lower-active",
-                                  "upper-active", "quadratic-drift"])
-def test_batch_rows_equal_single_solves(name):
+@pytest.mark.parametrize(
+    "name,pens",
+    [(n, MIXED) for n in BATCH_NAMES]
+    + [(n, MIXED_INF) for n in BATCH_NAMES]
+    + [(n, REFLECTED) for n in BATCH_NAMES],
+    ids=BATCH_NAMES + [f"{n}-infinite" for n in BATCH_NAMES]
+    + [f"{n}-reflected" for n in BATCH_NAMES])
+def test_batch_rows_equal_single_solves(name, pens):
     spec = get_preset(name)
     grid = build_grid(spec, nx=48)
-    batch = solve_penalized_batch(spec, grid, MIXED)
-    assert len(batch) == len(MIXED)
-    for pen, got in zip(MIXED, batch):
+    batch = solve_penalized_batch(spec, grid, pens)
+    assert len(batch) == len(pens)
+    for pen, got in zip(pens, batch):
         want = solve_penalized(spec, grid, pen)
         assert got.field.values.tobytes() == want.field.values.tobytes()
         assert got.sup_lower_violation == want.sup_lower_violation
@@ -74,6 +88,12 @@ def _walk(spec, grid, schedule):
     return stages
 
 
+def test_an_empty_batch_is_refused():
+    spec = get_preset("double-active")
+    with pytest.raises(SpecError, match="at least one PenaltyParams"):
+        solve_penalized_batch(spec, build_grid(spec, nx=16), [])
+
+
 def test_zero_intensity_rows_are_left_untouched():
     # a row at zero intensity keeps v exactly, as a single solve skips
     # the resolution; the formula would turn -0.0 into +0.0
@@ -109,8 +129,8 @@ def _poison_row(monkeypatch, row, slice_k):
     """Make the kernel overflow row `row` at the step to slice k."""
     real = solvers._advance
 
-    def advance(layer, t, op, pen, mode):
-        out = real(layer, t, op, pen, mode)
+    def advance(layer, t, op, pen):
+        out = real(layer, t, op, pen)
         if out.ndim == 2 and t == op.grid.t_nodes[slice_k]:
             out[row, 3] = np.float64(1e308) * 10.0  # warns unless silenced
         return out
@@ -230,7 +250,7 @@ def test_field_budget_counts_what_a_call_holds(monkeypatch):
     values = np.broadcast_to(0.0, (grid.nt + 1, grid.nx + 1))
     with pytest.raises(GridError, match="5 field-size arrays need 716 MiB"):
         reconstruct(SolveReport(Field(values=values, grid=grid), 0.0, 0.0,
-                                0.0, spec, PenaltyParams(), "penalized"))
+                                0.0, spec, PenaltyParams()))
 
 
 @pytest.mark.parametrize("verb,extra", [("solve", {"mode": "limit"}),

@@ -1,5 +1,7 @@
 """Process reconstruction: gradient, compensators, scenario defects."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,22 +20,19 @@ from gobstacle.model import FnSpec, GParams, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import PenaltyParams, StepOperator, build_grid, \
     layer_rhs_parts
-from gobstacle.solvers import (
-    solve_double_projection,
-    solve_lower_reflected_upper_penalized,
-    solve_penalized,
-)
+from gobstacle.solvers import solve_double_projection, solve_penalized
 
 
 @pytest.fixture(scope="module")
 def mode_runs():
-    """One solved-and-reconstructed bundle per persisted solver mode."""
+    """One solve per way of meeting the obstacles: penalized, lower
+    reflection with an upper penalty, projection, and none."""
     out = []
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
 
     out.append(solve_penalized(spec, grid, PenaltyParams(64.0, 64.0)))
-    out.append(solve_lower_reflected_upper_penalized(spec, grid, 64.0))
+    out.append(solve_penalized(spec, grid, PenaltyParams(math.inf, 64.0)))
     out.append(solve_double_projection(spec, grid))
 
     free = get_preset("gheat-quadratic")
@@ -70,7 +69,7 @@ def test_gradient_uses_one_sided_differences_at_walls():
 def test_one_step_identity_holds_to_rounding(mode_runs):
     for rep in mode_runs:
         res = one_step_residuals(reconstruct(rep))
-        assert float(np.max(np.abs(res))) <= 1e-10, rep.mode
+        assert float(np.max(np.abs(res))) <= 1e-10, rep.pen
 
 
 def test_compensators_are_nonnegative_and_disjoint(mode_runs):
@@ -150,7 +149,7 @@ def _worst_defect(rep, **kwargs):
 
 def test_no_scenario_beats_the_envelope_step(mode_runs):
     for rep in mode_runs:
-        assert _worst_defect(rep) <= 1e-10, rep.mode
+        assert _worst_defect(rep) <= 1e-10, rep.pen
 
 
 def test_defect_scan_accepts_a_custom_scenario_grid():
@@ -252,15 +251,37 @@ def test_bmo_reads_the_scenario_map_without_a_replay(mode_runs, monkeypatch):
 
 
 def test_reconstruct_refuses_a_mismatched_field():
-    # a penalized field replayed as a projection solve does not reproduce
-    # its stored layers; the difference must not land in dA+/dA-
+    # a penalized field replayed at infinite intensities (projection)
+    # does not reproduce its stored layers; the difference must not land
+    # in dA+/dA-
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
     rep = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
     with pytest.raises(SpecError, match="does not reproduce"):
-        reconstruct(replace(rep, mode="project_both"))
+        reconstruct(replace(rep, pen=PenaltyParams(math.inf, math.inf)))
     with pytest.raises(SpecError, match="does not reproduce"):
         reconstruct(replace(rep, pen=PenaltyParams(16.0, 16.0)))
+
+
+@pytest.mark.parametrize("pen", [PenaltyParams(math.inf, 64.0),
+                                 PenaltyParams(64.0, math.inf),
+                                 PenaltyParams(math.inf, math.inf)])
+def test_reconstruct_at_infinite_intensity_raises_no_warning(pen):
+    # the replay runs without errstate: an infinite rate must never meet
+    # a zero (inf*0) or itself (inf/inf) in the kernel's arithmetic
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=32)
+    rep = solve_penalized(spec, grid, pen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundle = reconstruct(rep)
+        resid = one_step_residuals(bundle)
+        r_plus, r_minus = skorohod_residuals(bundle)
+    for arr in (bundle.da_plus, bundle.da_minus, bundle.defect.values,
+                resid):
+        assert np.isfinite(arr).all()
+    assert float(np.max(np.abs(resid))) <= 1e-10
+    assert math.isfinite(r_plus) and math.isfinite(r_minus)
 
 
 def test_diagnostics_follow_the_scheme_of_the_solve():

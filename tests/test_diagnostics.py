@@ -1,11 +1,12 @@
 """Oracles, rate fits, the comparison harness, and the check batteries."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gobstacle import diagnostics
+from gobstacle import diagnostics, solvers
 from gobstacle.diagnostics import (
     classical_oracle,
     comparison_harness,
@@ -186,6 +187,26 @@ def test_property_suite_full_battery_on_double_obstacles():
     assert failed == []
     assert res.final_report is not None
     assert res.trace.stages  # the walk is exposed for reporting
+
+
+def test_property_suite_steps_in_three_batches(monkeypatch):
+    # the limit ladder, the determinism re-solve (a true second run), and
+    # one batch of the fixed-intensity, reflected and projected solves
+    batches = []
+    real = solvers._solve_rows
+
+    def counting(spec, grid, pens):
+        batches.append(tuple(pens))
+        return real(spec, grid, pens)
+
+    monkeypatch.setattr(solvers, "_solve_rows", counting)
+    spec = get_preset("double-active")
+    res = run_property_suite(spec, build_grid(spec, nx=48))
+    assert res.ok
+    assert [len(b) for b in batches] == [5, 1, 5]
+    assert batches[1] == (res.final_report.pen,)
+    assert PenaltyParams(math.inf, 256.0) in batches[2]
+    assert PenaltyParams(math.inf, math.inf) in batches[2]
 
 
 def test_property_suite_skips_inapplicable_checks():

@@ -3,6 +3,7 @@ evaluation: identical fields, violations and reports, bounded function
 evaluation counts, t-dependent custom fields, and the per-node oracle."""
 
 import hashlib
+import math
 import re
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import PenaltyParams, StepFailure, StepOperator, \
     build_grid, layer_rhs_parts
 from gobstacle.solvers import solve_double_projection, solve_limit, \
-    solve_lower_reflected_upper_penalized, solve_penalized
+    solve_penalized
 
 from node_oracle import NodeDerivs, all_custom, pde_rhs, qv_rhs
 
@@ -54,7 +55,7 @@ def _solve(spec, grid, mode):
     if mode == "penalized":
         return solve_penalized(spec, grid, PEN)
     if mode == "project_lower":
-        return solve_lower_reflected_upper_penalized(spec, grid, 64.0)
+        return solve_penalized(spec, grid, PenaltyParams(math.inf, 64.0))
     return solve_double_projection(spec, grid)
 
 

@@ -168,6 +168,13 @@ def test_resolve_penalties_hand_value():
     assert out[0] == pytest.approx((-1.0 + 0.0) / 2.0, rel=1e-15)
 
 
+def test_resolve_penalties_refuses_an_infinite_intensity():
+    # the closed form would divide inf by inf; the kernel projects
+    with pytest.raises(SpecError, match="finite intensities"):
+        resolve_penalties(np.array([-5.0]), np.array([-0.5]), None,
+                          PenaltyParams(math.inf, 0.0), 0.01)
+
+
 def test_resolve_penalties_respects_activity_flags():
     v = np.array([-1.0, 1.0])
     out = resolve_penalties(v, None, None, PenaltyParams(1e6, 1e6), 0.01)
@@ -193,8 +200,8 @@ def test_large_intensity_pins_to_the_obstacle():
 
 def _close(interior, low=None, up=None):
     # the step kernel with no penalty or projection: only the closure acts
-    return _enforce(np.asarray(interior, dtype=float), low, up, NO_PEN, 0.1,
-                    "penalized")
+    return _enforce(np.asarray(interior, dtype=float), low, up,
+                    scheme._penalty_rows((NO_PEN,)), 0.1)
 
 
 def test_boundary_closure_extrapolates_zero_curvature():
@@ -260,18 +267,18 @@ def test_step_preserves_order_on_interior():
     assert float(np.min(b[1:-1] - a[1:-1])) >= -1e-12
 
 
-def test_step_applies_projection_modes():
+def test_step_projects_at_infinite_intensity():
     ob = ObstaclePair(FnSpec.constant(-0.1), FnSpec.constant(0.1))
     spec = _spec(obstacles=ob, terminal=FnSpec.constant(0.0),
                  gen=GeneratorSpec(zero_bound=100.0))
     g = build_grid(spec, nx=32)
     layer = np.sin(g.x_nodes)  # wanders far outside the band
-    out = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN,
-                        mode="project_both")
+    out = explicit_step(layer, 0.5, StepOperator(spec, g),
+                        PenaltyParams(math.inf, math.inf))
     assert float(np.max(out)) <= 0.1 + 1e-15
     assert float(np.min(out)) >= -0.1 - 1e-15
-    out_lo = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN,
-                           mode="project_lower")
+    out_lo = explicit_step(layer, 0.5, StepOperator(spec, g),
+                           PenaltyParams(math.inf, 0.0))
     assert float(np.min(out_lo)) >= -0.1 - 1e-15
     assert float(np.max(out_lo)) > 0.1  # upper side untouched
 
@@ -280,8 +287,6 @@ def test_step_rejects_bad_inputs():
     spec = _spec()
     g = build_grid(spec, nx=32)
     layer = g.x_nodes ** 2
-    with pytest.raises(SpecError, match="unknown step mode"):
-        explicit_step(layer, 0.0, StepOperator(spec, g), NO_PEN, mode="nope")
     with pytest.raises(SpecError, match="shape"):
         explicit_step(layer[:-1], 0.0, StepOperator(spec, g), NO_PEN)
 
@@ -336,4 +341,7 @@ def test_penalty_params_validation():
     with pytest.raises(SpecError):
         PenaltyParams(m_lower=-1.0)
     with pytest.raises(SpecError):
-        PenaltyParams(n_upper=float("inf"))
+        PenaltyParams(n_upper=float("nan"))
+    with pytest.raises(SpecError):
+        PenaltyParams(m_lower=-math.inf)
+    assert PenaltyParams(math.inf, math.inf).m_lower == math.inf

@@ -1,8 +1,12 @@
 """Backward solvers, penalty schedules, and the limit driver."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from gobstacle import cli
 from gobstacle.model import SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import PenaltyParams, build_grid
@@ -11,7 +15,6 @@ from gobstacle.solvers import (
     PenaltySchedule,
     solve_double_projection,
     solve_limit,
-    solve_lower_reflected_upper_penalized,
     solve_penalized,
     solve_penalized_batch,
 )
@@ -26,7 +29,7 @@ def test_constant_sandwich_is_exact_for_every_solver():
     spec = get_preset("constant-sandwich")
     grid = build_grid(spec, nx=64)
     runs = [solve_penalized(spec, grid, PenaltyParams(64.0, 64.0)),
-            solve_lower_reflected_upper_penalized(spec, grid, 64.0),
+            solve_penalized(spec, grid, PenaltyParams(math.inf, 64.0)),
             solve_double_projection(spec, grid)]
     for rep in runs:
         assert float(np.max(np.abs(rep.field.values - 0.5))) == 0.0
@@ -92,7 +95,7 @@ def test_upper_penalty_monotone_in_intensity():
 def test_reflected_solve_enforces_lower_obstacle_exactly():
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
-    rep = solve_lower_reflected_upper_penalized(spec, grid, 64.0)
+    rep = solve_penalized(spec, grid, PenaltyParams(math.inf, 64.0))
     assert rep.sup_lower_violation == 0.0
     assert rep.sup_upper_violation > 0.0  # upper side only penalized
 
@@ -110,13 +113,19 @@ def test_violations_shrink_with_intensity():
 # refusals
 # ---------------------------------------------------------------------------
 
-def test_solver_preconditions():
+def test_solver_preconditions(tmp_path, capsys):
     free = get_preset("gheat-quadratic")  # no obstacles
     grid = build_grid(free, nx=32)
-    with pytest.raises(SpecError, match="active lower obstacle"):
-        solve_lower_reflected_upper_penalized(free, grid, 64.0)
     with pytest.raises(SpecError, match="at least one active obstacle"):
         solve_double_projection(free, grid)
+    # the CLI's lower-reflected mode keeps its refusal
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "gheat-quadratic",
+                               "grid": {"nx": 32},
+                               "mode": "reflected_lower_pen_upper"}))
+    assert cli.main(["solve", "-c", str(cfg)]) == 2
+    assert "lower-reflected solve needs an active lower obstacle" \
+        in capsys.readouterr().err
 
 
 def test_solvers_refuse_misordered_band():
@@ -165,6 +174,14 @@ def test_default_intensity_ladder():
     dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(5.0, 8.0)),
          pairing="fixed_m"),
     dict(steps=(PenaltyParams(4.0, 4.0),), pairing="zigzag"),
+    # infinite stages: a stage's contact residuals come from its penalty
+    # increments, which a projection does not have
+    dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(math.inf, math.inf)),
+         pairing="diagonal"),
+    dict(steps=(PenaltyParams(4.0, math.inf), PenaltyParams(8.0, math.inf)),
+         pairing="fixed_n"),
+    dict(steps=(PenaltyParams(4.0, 8.0), PenaltyParams(4.0, math.inf)),
+         pairing="fixed_m"),
 ])
 def test_schedule_rejections(bad):
     with pytest.raises(SpecError):
@@ -224,24 +241,23 @@ def test_limit_convergence_flag(limit_run):
 # what a report records of its solve
 # ---------------------------------------------------------------------------
 
-def _made_by(report, spec, pen, mode):
-    return (report.spec is spec and report.pen == pen
-            and report.mode == mode)
+def _made_by(report, spec, pen):
+    return report.spec is spec and report.pen == pen
 
 
-def test_each_report_carries_its_spec_pen_and_mode():
+def test_each_report_carries_its_spec_and_pen():
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=48)
     pen = PenaltyParams(16.0, 64.0)
-    assert _made_by(solve_penalized(spec, grid, pen), spec, pen,
-                    "penalized")
-    assert _made_by(solve_lower_reflected_upper_penalized(spec, grid, 32.0),
-                    spec, PenaltyParams(0.0, 32.0), "project_lower")
+    assert _made_by(solve_penalized(spec, grid, pen), spec, pen)
+    reflected = PenaltyParams(math.inf, 32.0)
+    assert _made_by(solve_penalized(spec, grid, reflected), spec, reflected)
     assert _made_by(solve_double_projection(spec, grid), spec,
-                    PenaltyParams(), "project_both")
-    pens = (PenaltyParams(4.0, 4.0), PenaltyParams(0.0, 64.0), pen)
+                    PenaltyParams(math.inf, math.inf))
+    pens = (PenaltyParams(4.0, 4.0), PenaltyParams(0.0, 64.0), pen,
+            reflected)
     for p, rep in zip(pens, solve_penalized_batch(spec, grid, pens)):
-        assert _made_by(rep, spec, p, "penalized")
+        assert _made_by(rep, spec, p)
 
 
 @pytest.mark.parametrize("name", ["double-active", "quadratic-drift"])
@@ -253,6 +269,6 @@ def test_limit_reports_carry_their_stage_pen(name):
     stop = len(trace.stages) - 1
     if name == "quadratic-drift":
         assert stop == 1  # stops early: the final report is stage 1's
-    assert _made_by(final, spec, schedule.steps[stop], "penalized")
+    assert _made_by(final, spec, schedule.steps[stop])
     for step, rep in zip(schedule.steps, trace.reports):
-        assert _made_by(rep, spec, step, "penalized")
+        assert _made_by(rep, spec, step)
