@@ -147,9 +147,8 @@ class _PenaltyRows(NamedTuple):
 
 
 def _rows(hold):
-    """The rows where a condition holds, given as a bool shared by every
-    row or an (S, 1) mask: True for every row, None for none, else the
-    mask."""
+    """Rows where a condition holds (a bool for every row, or an (S, 1)
+    mask): True for every row, None for none, else the mask."""
     if isinstance(hold, bool):
         return True if hold else None
     return True if hold.all() else (hold if hold.any() else None)
@@ -449,11 +448,12 @@ def _enforce(v, low, up, pen, dt, increments=False):
     up_in = None if up is None else up[1:-1]
     u_pen = resolve_penalties(v, low_in, up_in, pen, dt)
     u = u_pen
-    for bound, obstacle, rows in ((np.maximum, low_in, pen.lift),
-                                  (np.minimum, up_in, pen.clamp)):
-        if obstacle is not None and rows is not None:
-            out = bound(u, obstacle)
-            u = out if rows is True else np.where(rows, out, u)
+    if pen.lift is not None and low is not None:  # lower side first
+        out = np.maximum(u, low_in)
+        u = out if pen.lift is True else np.where(pen.lift, out, u)
+    if pen.clamp is not None and up is not None:
+        out = np.minimum(u, up_in)
+        u = out if pen.clamp is True else np.where(pen.clamp, out, u)
 
     n = u.shape[-1] + 1  # the last column
     layer = np.empty(u.shape[:-1] + (n + 1,))
