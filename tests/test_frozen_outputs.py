@@ -1,8 +1,9 @@
 """Frozen sha256 digests of library outputs that the golden CSV table
 never writes: every stage field and the trace of the limit driver, the
 full process bundle of `reconstruct`, and the diagnostics read from it;
-and the field and bundle of the lower-reflected and projected solves on
-every preset with an active side.
+the field and bundle of the lower-reflected and projected solves on
+every preset with an active side; and the field and violations of a
+fixed-intensity solve on every single preset.
 
 The golden table hashes only a few slices per run; these digests cover
 every slice, so a refactor of the stepping or replay loops that changes
@@ -20,7 +21,7 @@ from gobstacle.decomposition import bmo_diagnostic, one_step_residuals, \
     reconstruct, skorohod_residuals
 from gobstacle.model import CoefficientSet, FnSpec, GeneratorSpec, GParams, \
     ObstaclePair, ProblemSpec
-from gobstacle.presets import get_preset
+from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import PenaltyParams, build_grid
 from gobstacle.solvers import DEFAULT_INTENSITIES, PenaltySchedule, \
     solve_double_projection, solve_limit, solve_penalized
@@ -218,3 +219,40 @@ def test_projection_solve_digest(name, kind):
            _digest(bundle.z.values, bundle.da_plus, bundle.da_minus,
                    bundle.defect.values))
     assert got == PROJECTION_DIGESTS[f"{kind}-{name}"]
+
+
+# ---------------------------------------------------------------------------
+# a fixed-intensity solve on every single preset
+# ---------------------------------------------------------------------------
+
+PENALIZED_DIGESTS = {  # field and both violations at (64, 64), nx=64
+    "constant-sandwich":
+        "859f9df74bf3355508653f422651e2e4451712bb3d5dcdff9a1ed8d0acc192ea",
+    "double-active":
+        "ca76f2f42292f88c65bcb41ffd86359e84314934dc4f6ba2c0f09b9aee3debc9",
+    "gheat-concave":
+        "f45b41ead06985c93e7eec85cf505946013d2522d7d58b6d2865c87f82ba5281",
+    "gheat-quadratic":
+        "30de70f735954e871cb92f4a33bd1816d693e3d51dc926450e87a3f6270bc19c",
+    "lower-active":
+        "7ecaefcf85eaed0fa25e5a226fa89778665b2e7bcb27eb69c736e46cd078f823",
+    "quadratic-drift":
+        "e8c3e9f9556b1db267a4b39c0c74aa55ff01cae9ffad96e33e3cc9c6916b8b33",
+    "quadratic-gen-colehopf":
+        "3a06610c046c009efabec14342105244244922609a940db595a01b0fe9768897",
+    "upper-active":
+        "212d07b21cc02d27caee928d0dc89931b1b1cdc380c17a66d6646296b0e6bb8d",
+}
+
+
+def test_every_single_preset_has_a_penalized_digest():
+    assert sorted(PENALIZED_DIGESTS) \
+        == sorted(p.name for p in list_presets() if p.kind == "single")
+
+
+@pytest.mark.parametrize("name", sorted(PENALIZED_DIGESTS))
+def test_penalized_solve_digest(name):
+    spec = get_preset(name)
+    report = solve_penalized(spec, build_grid(spec, nx=64), PEN)
+    assert _digest(report.field.values, report.sup_upper_violation,
+                   report.sup_lower_violation) == PENALIZED_DIGESTS[name]
