@@ -18,17 +18,28 @@ import numpy as np
 from .model import GParams
 
 
-def g_eval(a, gp: GParams):
-    """Envelope value 0.5*(high*a+ - low*a-).  Positively homogeneous,
-    monotone, and subadditive in a; linear when the band is degenerate."""
-    a = np.asarray(a, dtype=float)
-    pos = np.maximum(a, 0.0)
-    neg = np.maximum(-a, 0.0)
+def _envelope(a, half_high, half_low, out, scratch):
+    """0.5*(high*a+ - low*a-) into `out` from the halved variances, with
+    `scratch` as a work array of a's shape; returns `out`.  The step
+    kernel calls it with its own work arrays, `g_eval` with new ones."""
+    np.maximum(a, 0.0, out=out)
+    np.negative(a, out=scratch)
+    np.maximum(scratch, 0.0, out=scratch)
     # Halve the variances, not the product: (0.5*v)*a rounds once, so the
     # value equals 0.5*v*a at the maximizing endpoint bit for bit, also
     # where the product is subnormal and halving it afterwards would round
     # a second time.
-    out = (0.5 * gp.vol_high_sq) * pos - (0.5 * gp.vol_low_sq) * neg
+    np.multiply(half_high, out, out=out)
+    np.multiply(half_low, scratch, out=scratch)
+    return np.subtract(out, scratch, out=out)
+
+
+def g_eval(a, gp: GParams):
+    """Envelope value 0.5*(high*a+ - low*a-).  Positively homogeneous,
+    monotone, and subadditive in a; linear when the band is degenerate."""
+    a = np.asarray(a, dtype=float)
+    out = _envelope(a, 0.5 * gp.vol_high_sq, 0.5 * gp.vol_low_sq,
+                    np.empty(a.shape), np.empty(a.shape))
     return float(out) if out.ndim == 0 else out
 
 

@@ -203,10 +203,12 @@ class FnSpec:
         if self.kind == "polynomial":
             out = np.polynomial.polynomial.polyval(
                 np.asarray(x, dtype=float), np.asarray(self.coeffs))
-            return np.clip(out, -self.clip, self.clip)
+            # np.clip's bytes without its Python-level wrappers
+            return np.minimum(np.maximum(out, -self.clip), self.clip)
         if self.kind == "quadratic_in_z":
             zz = np.asarray(z, dtype=float)
-            return np.clip(self.gamma * zz * zz, -self.clip, self.clip)
+            return np.minimum(np.maximum(self.gamma * zz * zz, -self.clip),
+                              self.clip)
         if self.kind == "tabulated":
             return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
         return self.fn(t, x, y, z)

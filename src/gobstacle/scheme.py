@@ -30,6 +30,17 @@ evaluated at its own time.  The arithmetic is elementwise and the same
 for every shape, so a batched or blocked call reproduces the one-layer
 step bit for bit.  `explicit_step` is the one-layer case.
 
+A solve builds its step once (`_Kernel`): the work arrays of one step,
+the solve's constants (dt, 2*dx, dx*dx, the halved variances) and, per
+side whose penalty acts, the interior obstacle row, dt*m*row and
+1 + dt*m.  Each step then only runs ufuncs into those arrays (`out=`),
+with the operands and in the order of the plain expressions, so the
+buffers change no bit.  A single solve reads slice k+1 of its field and
+writes slice k straight into it; a batch steps two (S, nx+1) layers in
+turn and copies each row into its own field.  `layer_rhs_parts`,
+`_enforce`, `resolve_penalties` and `gcalculus.g_eval` run the same
+code into new arrays.
+
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
 The closure is second-order at the artificial boundary (exact on affine
@@ -345,6 +356,75 @@ class StepOperator:
 # stepping
 # ---------------------------------------------------------------------------
 
+class _Kernel:
+    """One backward step for layers of one shape through an operator,
+    built once per solve.
+
+    Holds the work arrays of a step (du, d2u, qv, rest, the envelope and
+    v on interior nodes), the solve's constants (dt, 2*dx, dx*dx, the
+    halved variances) and the obstacle enforcement of the operator's
+    rows (`_Obstacles`, absent when `pen` is None).  Only a `timed`
+    operator is re-read per step (`op.at`).  The arrays are overwritten
+    by every step, so nothing a caller keeps may be one of them.
+    """
+
+    def __init__(self, op: StepOperator, pen, shape):
+        grid, gp = op.grid, op.spec.gparams
+        self.grid, self.pen, self.timed = grid, pen, op.timed
+        self.dt, self.dx = grid.dt, grid.dx
+        self.two_dx, self.dx2 = 2.0 * grid.dx, grid.dx * grid.dx
+        self.half_high = 0.5 * gp.vol_high_sq
+        self.half_low = 0.5 * gp.vol_low_sq
+        inner = shape[:-1] + (shape[-1] - 2,)
+        self.du, self.d2u, self.qv, self.rest, self.env, self.v = \
+            (np.empty(inner) for _ in range(6))
+        self.bind(op)
+
+    def bind(self, op: StepOperator):
+        """Read the rows of `op`, an operator on the kernel's grid."""
+        self.op = op
+        self.obstacles = None if self.pen is None else _Obstacles(
+            op.lower, op.upper, self.pen, self.dt, self.v.shape)
+
+    def rhs(self, next_layer, t):
+        """(qv, rest) of `layer_rhs_parts` in the kernel's work arrays."""
+        op = self.op
+        right, left = next_layer[..., 2:], next_layer[..., :-2]
+        u = next_layer[..., 1:-1]
+        du, d2u, qv, rest = self.du, self.d2u, self.qv, self.rest
+        np.subtract(right, left, out=du)
+        np.divide(du, self.two_dx, out=du)
+        np.multiply(2.0, u, out=d2u)  # (right - 2.0*u) + left
+        np.subtract(right, d2u, out=d2u)
+        np.add(d2u, left, out=d2u)
+        np.divide(d2u, self.dx2, out=d2u)
+        du_drift = du_cross = du
+        if op.upwind is not None:
+            fwd = (right - u) / self.dx
+            bwd = (u - left) / self.dx
+            du_drift = np.where(op.upwind, np.where(op.drift_up, fwd, bwd),
+                                du)
+            du_cross = np.where(op.upwind, np.where(op.cross_up, fwd, bwd),
+                                du)
+
+        g2, f = op.g2, op.f
+        if g2 is None or f is None:  # drivers that read (u, z) or t
+            gen = op.spec.gen
+            x = self.grid.x_nodes[1:-1]
+            z = op.sigma[1:-1] * du
+            if g2 is None:
+                g2 = 2.0 * gen.g(t, x, u, z)
+            if f is None:
+                f = gen.f(t, x, u, z)
+        np.multiply(op.sig2, d2u, out=qv)  # sig2*d2u + cross2*du + g2
+        np.multiply(op.cross2, du_cross, out=rest)
+        np.add(qv, rest, out=qv)
+        np.add(qv, g2, out=qv)
+        np.multiply(op.drift, du_drift, out=rest)  # drift*du + f
+        np.add(rest, f, out=rest)
+        return qv, rest
+
+
 def layer_rhs_parts(next_layer, t, op: StepOperator):
     """Interior right-hand side, split for scenario re-evaluation.
 
@@ -353,34 +433,39 @@ def layer_rhs_parts(next_layer, t, op: StepOperator):
     rhs 0.5*v*qv + rest.  The stepper, the process reconstruction and the
     scenario defect scan share the split, so all see identical arithmetic.
     `next_layer` may carry leading axes (rows of a batch, slices of a
-    block); a driver that reads t is evaluated at this one t.
+    block); a driver that reads t is evaluated at this one t.  The
+    arrays returned are new.
     """
-    op = op.at(t)
-    dx = op.grid.dx
-    right, left = next_layer[..., 2:], next_layer[..., :-2]
-    u = next_layer[..., 1:-1]
-    du = (right - left) / (2.0 * dx)
-    d2u = (right - 2.0 * u + left) / (dx * dx)
-    if op.upwind is not None:
-        fwd = (right - u) / dx
-        bwd = (u - left) / dx
-        du_drift = np.where(op.upwind, np.where(op.drift_up, fwd, bwd), du)
-        du_cross = np.where(op.upwind, np.where(op.cross_up, fwd, bwd), du)
-    else:
-        du_drift = du_cross = du
+    return _Kernel(op.at(t), None, np.shape(next_layer)).rhs(next_layer, t)
 
-    g2, f = op.g2, op.f
-    if g2 is None or f is None:  # drivers that read (u, z) or t
-        gen = op.spec.gen
-        x = op.grid.x_nodes[1:-1]
-        z = op.sigma[1:-1] * du
-        if g2 is None:
-            g2 = 2.0 * gen.g(t, x, u, z)
-        if f is None:
-            f = gen.f(t, x, u, z)
-    qv = op.sig2 * d2u + op.cross2 * du_cross + g2
-    rest = op.drift * du_drift + f
-    return qv, rest
+
+def _penalty_sides(low_vals, up_vals, pen, dt):
+    """The constants of the penalty resolution against obstacle values on
+    the nodes of v: per side whose intensity acts on some row, (the
+    values, the rows it acts on as `_rows` gives them, dt*m*values,
+    1 + dt*m, the test of v that selects the nodes it pushes)."""
+    sides = []
+    for vals, rate, test in ((low_vals, pen.m_lower, np.less),
+                             (up_vals, pen.n_upper, np.greater)):
+        if vals is not None:
+            a = dt * rate
+            rows = _rows(a > 0.0)
+            if rows is not None:
+                sides.append((vals, rows, a * vals, 1.0 + a, test))
+    return sides
+
+
+def _resolve(v, u, sides, hit, val):
+    """Write the penalty resolution of v into u, which holds v; hit and
+    val are work arrays of v's shape.  Both sides test the unpenalized
+    v."""
+    for vals, rows, a_vals, one_a, test in sides:
+        test(v, vals, out=hit)
+        if rows is not True:
+            np.logical_and(hit, rows, out=hit)
+        np.add(v, a_vals, out=val)
+        np.divide(val, one_a, out=val)
+        np.copyto(u, val, where=hit)
 
 
 def resolve_penalties(v, low_vals, up_vals, pen, dt):
@@ -398,23 +483,14 @@ def resolve_penalties(v, low_vals, up_vals, pen, dt):
     PenaltyParams for every row of v, or the finite rates of
     `_penalty_rows` along v's leading axis; an infinite intensity is a
     projection, which the step kernel applies, and is refused here.
+    Returns a new array.
     """
     if isinstance(pen, PenaltyParams) \
             and math.inf in (pen.m_lower, pen.n_upper):
         raise SpecError("resolve_penalties takes finite intensities")
-    u = v
-    if low_vals is not None:
-        a = dt * pen.m_lower
-        rows = _rows(a > 0.0)
-        if rows is not None:
-            hit = v < low_vals if rows is True else (v < low_vals) & rows
-            u = np.where(hit, (v + a * low_vals) / (1.0 + a), u)
-    if up_vals is not None:
-        a = dt * pen.n_upper
-        rows = _rows(a > 0.0)
-        if rows is not None:
-            hit = v > up_vals if rows is True else (v > up_vals) & rows
-            u = np.where(hit, (v + a * up_vals) / (1.0 + a), u)
+    u = np.array(v, dtype=float)
+    _resolve(v, u, _penalty_sides(low_vals, up_vals, pen, dt),
+             np.empty(u.shape, dtype=bool), np.empty(u.shape))
     return u
 
 
@@ -430,67 +506,106 @@ def _penalty_increments(y, low, up, pen: PenaltyParams, dt):
     return low_push, up_push
 
 
-def _enforce(v, low, up, pen, dt, increments=False):
-    """Obstacle enforcement of one step: the kernel of every solver and
-    of the process reconstruction.
+class _Obstacles:
+    """Obstacle enforcement of one step for explicit values of one
+    interior shape: the kernel of every solver and of the process
+    reconstruction.
 
-    `v` holds the explicit (pre-obstacle) values on the interior nodes,
-    with any leading axes, `low`/`up` the obstacle rows of the step on
-    all nodes (None on an absent side), `pen` the `_penalty_rows` of
-    the call.  Resolves the finite penalties, projects the rows of an
-    infinite intensity, closes the boundary by zero-curvature
-    extrapolation clamped into the band, and returns the new layers.
-    With `increments` it returns (layer, dA+, dA-): the penalty
-    increments at the resolved value plus the projection and
-    boundary-clamp lifts, split by sign.
+    Built once from the obstacle rows of the step on all nodes (None on
+    an absent side), the `_penalty_rows` of the values' rows and dt: it
+    holds the penalty constants of `_penalty_sides`, the interior rows
+    and rows of each projected side, the wall values of each present
+    side, and the work arrays (the hit mask, the penalty value, the two
+    extrapolated ends).
     """
-    low_in = None if low is None else low[1:-1]
-    up_in = None if up is None else up[1:-1]
-    u_pen = resolve_penalties(v, low_in, up_in, pen, dt)
-    u = u_pen
-    if pen.lift is not None and low is not None:  # lower side first
-        out = np.maximum(u, low_in)
-        u = out if pen.lift is True else np.where(pen.lift, out, u)
-    if pen.clamp is not None and up is not None:
-        out = np.minimum(u, up_in)
-        u = out if pen.clamp is True else np.where(pen.clamp, out, u)
 
-    n = u.shape[-1] + 1  # the last column
-    layer = np.empty(u.shape[:-1] + (n + 1,))
-    layer[..., 1:n] = u
-    # both ends at once: columns (0, n) from (1, n-1) and (2, n-2)
-    ends = layer[..., ::n]
-    np.subtract(2.0 * layer[..., 1::n - 2],
-                layer[..., 2:n - 1:max(n - 4, 1)], out=ends)
-    ext = ends.copy() if increments else None
-    if low is not None:
-        np.maximum(low[::n], ends, out=ends)
-    if up is not None:
-        np.minimum(up[::n], ends, out=ends)
-    if not increments:
-        return layer
+    def __init__(self, low, up, pen, dt, shape):
+        self.pen, self.dt, self.n = pen, dt, shape[-1] + 1
+        self.low_in = None if low is None else low[1:-1]
+        self.up_in = None if up is None else up[1:-1]
+        self.penalized = _penalty_sides(self.low_in, self.up_in, pen, dt)
+        # lists, not tuple(generator): CPython builds that tuple at a
+        # guessed size and shrinks it, so every call would grow the free
+        # list of 2-tuples, which traced peaks count
+        self.projected = [  # the lower side first
+            (row, rows, bound) for row, rows, bound in
+            ((self.low_in, pen.lift, np.maximum),
+             (self.up_in, pen.clamp, np.minimum))
+            if row is not None and rows is not None]
+        self.walls = [(row[::self.n], bound) for row, bound in
+                      ((low, np.maximum), (up, np.minimum))
+                      if row is not None]
+        self.hit = np.empty(shape, dtype=bool)
+        self.val = np.empty(shape)
+        self.ends = np.empty(shape[:-1] + (2,))
 
-    da_plus = np.empty_like(layer)
-    da_minus = np.empty_like(layer)
-    dap, dam = _penalty_increments(u_pen, low_in, up_in, pen, dt)
-    lift = u - u_pen
-    da_plus[..., 1:n] = dap + np.maximum(lift, 0.0)
-    da_minus[..., 1:n] = dam + np.maximum(-lift, 0.0)
-    delta = ends - ext
-    da_plus[..., ::n] = np.where(delta < 0.0, 0.0, delta)
-    da_minus[..., ::n] = np.where(delta > 0.0, 0.0, -delta)
-    return layer, da_plus, da_minus
+    def apply(self, v, layer, increments=False):
+        """Write the layers of the explicit values v into `layer` (v's
+        shape plus the two wall columns) and return it.
+
+        Resolves the finite penalties, projects the rows of an infinite
+        intensity, closes the boundary by zero-curvature extrapolation
+        clamped into the band.  With `increments` it returns (layer,
+        dA+, dA-): the penalty increments at the resolved value plus the
+        projection and boundary-clamp lifts, split by sign.
+        """
+        n = self.n  # the last column
+        u = layer[..., 1:n]
+        np.copyto(u, v)
+        _resolve(v, u, self.penalized, self.hit, self.val)
+        u_pen = u.copy() if increments else None
+        for row, rows, bound in self.projected:
+            if rows is True:
+                bound(u, row, out=u)
+            else:
+                bound(u, row, out=self.val)
+                np.copyto(u, self.val, where=rows)
+
+        # both ends at once: columns (0, n) from (1, n-1) and (2, n-2)
+        ends = layer[..., ::n]
+        np.multiply(2.0, layer[..., 1::n - 2], out=self.ends)
+        np.subtract(self.ends, layer[..., 2:n - 1:max(n - 4, 1)], out=ends)
+        ext = ends.copy() if increments else None
+        for row, bound in self.walls:
+            bound(row, ends, out=ends)
+        if not increments:
+            return layer
+
+        da_plus = np.empty_like(layer)
+        da_minus = np.empty_like(layer)
+        dap, dam = _penalty_increments(u_pen, self.low_in, self.up_in,
+                                       self.pen, self.dt)
+        lift = u - u_pen
+        da_plus[..., 1:n] = dap + np.maximum(lift, 0.0)
+        da_minus[..., 1:n] = dam + np.maximum(-lift, 0.0)
+        delta = ends - ext
+        da_plus[..., ::n] = np.where(delta < 0.0, 0.0, delta)
+        da_minus[..., ::n] = np.where(delta > 0.0, 0.0, -delta)
+        return layer, da_plus, da_minus
 
 
-def _advance(next_layer, t, op: StepOperator, pen):
-    """One backward step of every layer in `next_layer` (shape
-    (..., nx+1)) to time t; non-finite values are left to the caller."""
-    op = op.at(t)
-    dt = op.grid.dt
-    qv, rest = layer_rhs_parts(next_layer, t, op)
-    v = next_layer[..., 1:-1] + dt * (gcalculus.g_eval(qv, op.spec.gparams)
-                                      + rest)
-    return _enforce(v, op.lower, op.upper, pen, dt)
+def _enforce(v, low, up, pen, dt, increments=False):
+    """Obstacle enforcement of the explicit values `v` (interior nodes,
+    any leading axes) against obstacle rows on all nodes (None on an
+    absent side) at the `_penalty_rows` `pen`: `_Obstacles.apply` into
+    a new layer."""
+    layer = np.empty(v.shape[:-1] + (v.shape[-1] + 2,))
+    return _Obstacles(low, up, pen, dt, v.shape).apply(v, layer, increments)
+
+
+def _advance(next_layer, t, kernel: _Kernel, out):
+    """One backward step of every layer in `next_layer` (the kernel's
+    shape) to time t, written into `out`, which it returns; non-finite
+    values are left to the caller."""
+    if kernel.timed:
+        kernel.bind(kernel.op.at(t))
+    qv, rest = kernel.rhs(next_layer, t)
+    env, v = kernel.env, kernel.v
+    gcalculus._envelope(qv, kernel.half_high, kernel.half_low, env, v)
+    np.add(env, rest, out=env)  # v = u + dt*(envelope(qv) + rest)
+    np.multiply(kernel.dt, env, out=env)
+    np.add(next_layer[..., 1:-1], env, out=v)
+    return kernel.obstacles.apply(v, out)
 
 
 def _nonfinite(layer, t, grid: Grid):
@@ -504,15 +619,17 @@ def _nonfinite(layer, t, grid: Grid):
 def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams):
     """Advance one backward step; returns the new layer at time t.
 
-    `next_layer` is the known layer at t+dt and is not modified.  See
-    the module docstring for the update; this is the one-layer case of
-    the kernel the solvers step in batches.
+    `next_layer` is the known layer at t+dt and is not modified; the
+    result is a new array.  See the module docstring for the update;
+    this is the one-layer case of the kernel the solvers step in
+    batches.
     """
     grid = op.grid
     next_layer = np.asarray(next_layer, dtype=float)
     if next_layer.shape != (grid.nx + 1,):
         raise SpecError("layer shape does not match the grid")
-    out = _advance(next_layer, t, op, _penalty_rows((pen,)))
+    kernel = _Kernel(op, _penalty_rows((pen,)), next_layer.shape)
+    out = _advance(next_layer, t, kernel, np.empty(grid.nx + 1))
     if not np.isfinite(out).all():
         raise StepFailure(_nonfinite(out, t, grid))
     return out

@@ -12,11 +12,12 @@ it, enforcing the obstacles per step at the intensities of a
     solve_limit              penalized family along a schedule
 
 All of them step S solves of one problem as one (S, nx+1) layer per
-time step (S = 1 for a single solve), with the intensities given per
-row, and only step; each row's report is then read from its stored
-field in one pass over blocks of slices, which names the first step
-that left the finite range or scans the obstacle violations.  A
-`SolveReport.wall_time` is the stepping time of the whole batch.
+time step, with the intensities given per row (a single solve steps
+straight into its field), and only step; each row's report is then
+read from its stored field in one pass over blocks of slices, which
+names the first step that left the finite range or scans the obstacle
+violations.  A `SolveReport.wall_time` is the stepping time of the
+whole batch.
 
 The limit driver steps its whole schedule as one batch, then walks the
 stages in order and records a per-stage trace (sup difference between
@@ -41,8 +42,8 @@ import numpy as np
 from .decomposition import _contact_residuals
 from .model import ProblemSpec, SpecError
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
-    _advance, _check_field_budget, _nonfinite, _penalty_increments, \
-    _penalty_rows
+    _advance, _check_field_budget, _Kernel, _nonfinite, \
+    _penalty_increments, _penalty_rows
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
 DEFAULT_STOP_TOL = 1.0e-4
@@ -79,7 +80,10 @@ def _layer_violations(layers, low, up):
 
 def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     """Step one solve per PenaltyParams in `pens` (at least one) as one
-    (S, nx+1) layer per time step.
+    (S, nx+1) layer per time step, through one `_Kernel` and one
+    `_advance` call per step; a single solve steps straight into its
+    field, a batch steps two layers in turn and copies each row into its
+    own field, so every field owns its memory.
 
     Returns (the compiled StepOperator, one stored field per row, the
     stepping wall time).  Nothing is checked here: a row that left the
@@ -95,21 +99,27 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     _check_field_budget(grid, len(pens))
     start = time.perf_counter()
     op = StepOperator(spec, grid)
-    pen_rows = _penalty_rows(pens)
     nt = grid.nt
     fields = [np.empty((nt + 1, grid.nx + 1)) for _ in pens]
-    shape = (len(pens), grid.nx + 1)
-    layer = np.empty(shape)
-    layer[:] = np.asarray(spec.terminal(spec.horizon, grid.x_nodes),
+    terminal = np.asarray(spec.terminal(spec.horizon, grid.x_nodes),
                           dtype=float)
-    if len(pens) == 1:  # a single solve steps a plain (nx+1,) layer
-        layer = layer[0]
+    shape = (grid.nx + 1,) if len(pens) == 1 else (len(pens), grid.nx + 1)
+    kernel = _Kernel(op, _penalty_rows(pens), shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nt, -1, -1):
-            if k < nt:
-                layer = _advance(layer, grid.t_nodes[k], op, pen_rows)
-            for values, row in zip(fields, layer.reshape(shape)):
-                values[k] = row
+        if len(pens) == 1:  # step straight into the field
+            (values,) = fields
+            values[nt] = terminal
+            for k in range(nt - 1, -1, -1):
+                _advance(values[k + 1], grid.t_nodes[k], kernel, values[k])
+        else:  # two layers in turn, each row copied into its field
+            layer, spare = np.empty(shape), np.empty(shape)
+            layer[:] = terminal
+            for k in range(nt, -1, -1):
+                if k < nt:
+                    _advance(layer, grid.t_nodes[k], kernel, spare)
+                    layer, spare = spare, layer
+                for values, row in zip(fields, layer):
+                    values[k] = row
     return op, fields, time.perf_counter() - start
 
 

@@ -18,7 +18,7 @@ from gobstacle.decomposition import reconstruct
 from gobstacle.model import FnSpec, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
-    StepOperator, build_grid
+    StepOperator, build_grid, explicit_step
 from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
     solve_penalized, solve_penalized_batch
 
@@ -129,9 +129,9 @@ def _poison_row(monkeypatch, row, slice_k):
     """Make the kernel overflow row `row` at the step to slice k."""
     real = solvers._advance
 
-    def advance(layer, t, op, pen):
-        out = real(layer, t, op, pen)
-        if out.ndim == 2 and t == op.grid.t_nodes[slice_k]:
+    def advance(layer, t, kernel, out):
+        real(layer, t, kernel, out)
+        if out.ndim == 2 and t == kernel.grid.t_nodes[slice_k]:
             out[row, 3] = np.float64(1e308) * 10.0  # warns unless silenced
         return out
 
@@ -169,6 +169,40 @@ def test_a_failed_batch_row_raises_its_own_failure(monkeypatch):
     with pytest.raises(StepFailure, match=f"step to slice 7 of {grid.nt}: "
                        "non-finite value at t="):
         solve_penalized_batch(spec, grid, MIXED[:3])
+
+
+# ---------------------------------------------------------------------------
+# the kernel's work arrays stay inside it; each field owns its memory
+# ---------------------------------------------------------------------------
+
+def test_kernel_buffers_never_leak_out():
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=48)
+    op = StepOperator(spec, grid)
+    pen = PenaltyParams(64.0, 64.0)
+    layer = np.sin(grid.x_nodes)
+    kept = layer.tobytes()
+    first = explicit_step(layer, grid.t_nodes[-2], op, pen)
+    first_bytes = first.tobytes()
+    second = explicit_step(first, grid.t_nodes[-3], op, pen)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == first_bytes  # also the second's next_layer
+    assert layer.tobytes() == kept
+
+    reports = solve_penalized_batch(spec, grid, MIXED)
+    others = [r.field.values.tobytes() for r in reports[1:]]
+    reports[0].field.values[...] = np.nan
+    assert [r.field.values.tobytes() for r in reports[1:]] == others
+
+
+@pytest.mark.parametrize("pens", [MIXED[:1], MIXED], ids=["single", "batch"])
+def test_each_stored_field_owns_its_memory(pens):
+    # views into one (S, nt+1, nx+1) block would keep every row's field
+    # alive as long as any one report is kept
+    spec = get_preset("double-active")
+    _, fields, _ = solvers._solve_rows(spec, build_grid(spec, nx=48), pens)
+    assert len(fields) == len(pens)
+    assert all(values.base is None for values in fields)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,24 @@ def test_quadratic_in_z_uses_z_slot_only():
     assert fs.lipschitz_z == 0.5
 
 
+@pytest.mark.parametrize("fs", [
+    FnSpec.polynomial([0.3, -2.0, 1.5], clip=4.0),
+    FnSpec.quadratic_in_z(0.5, clip=10.0),
+    FnSpec.quadratic_in_z(-0.5, clip=10.0),  # -0.0 at z = 0
+], ids=["polynomial", "quadratic-in-z", "quadratic-in-z-negative"])
+def test_clipped_kinds_equal_np_clip_bit_for_bit(fs):
+    vals = np.concatenate([np.random.default_rng(0).normal(0.0, 5.0, 1000),
+                           [np.nan, -0.0, 0.0, np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):  # inf * 0 inside polyval
+        if fs.kind == "polynomial":
+            got = fs(0.0, vals)
+            raw = np.polynomial.polynomial.polyval(vals, fs.coeffs)
+        else:
+            got = fs(0.0, 0.0, z=vals)
+            raw = fs.gamma * vals * vals
+    assert got.tobytes() == np.clip(raw, -fs.clip, fs.clip).tobytes()
+
+
 def test_tabulated_interpolates_and_extends_flat():
     fs = FnSpec.tabulated([0.0, 1.0, 2.0], [0.0, 10.0, 0.0])
     assert fs(0.0, 0.5) == 5.0
