@@ -13,12 +13,12 @@ is <= 0 at every interior node, with equality exactly at maximizing
 scenarios.  The orthogonal-decrement part of the decomposition vanishes
 along the worst-case scenario by construction and is never materialized.
 
-Each step is replayed through the step kernel of the scheme with the
-problem and intensities the `SolveReport` records, reading the rows of
-the problem compiled onto the field's grid (`StepOperator`) like the
-solve did; the kernel reports the increments its penalty resolution,
-projection (an infinite intensity) and boundary clamp applied, so the
-one-step identity
+Each step is replayed through the solvers' own step kernel
+(`scheme._Kernel`) with the problem and intensities the `SolveReport`
+records, compiled onto the field's grid (`StepOperator`) as the solve
+did; its obstacle enforcement reports the increments its penalty
+resolution, projection (an infinite intensity) and boundary clamp
+applied, so the one-step identity
 
     Y_k = Y_{k+1} + dt*rhs + dA+_k - dA-_k
 
@@ -28,11 +28,11 @@ does not reproduce the stored layer (a report edited by hand) is
 refused.  The bundle keeps the problem, so the residuals and the
 tail-energy diagnostic read it from there.
 
-Replays read only stored slices, so each call takes a block of
-consecutive slices (`StepOperator.blocks`) through the kernel, and the
-scenarios of the defect go in as one (V, B, nx-1) block.  A block is a
-single slice when a custom field or driver may depend on t.  Sums over
-slices (the contact residuals) still add in slice order.
+Replays read only stored slices, so a kernel call takes a block of
+consecutive slices (`StepOperator.blocks`; one slice when a custom
+field or driver may depend on t), one kernel serves every block of its
+shape, and the scenarios of the defect go in as one (V, B, nx-1) stack.
+Sums over slices (the contact residuals) still add in slice order.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcalculus import g_eval
 from .model import ProblemSpec, SpecError
 from .scheme import _BLOCK_ELEMENTS, Field, StepOperator, \
-    _check_field_budget, _enforce, _penalty_rows, layer_rhs_parts
+    _check_field_budget, _Kernel, _Obstacles, _penalty_rows
 
 
 @dataclass(eq=False)
@@ -88,14 +87,11 @@ def _check_v_grid(v_grid, spec):
 def reconstruct(report, v_grid=None) -> ProcessBundle:
     """Rebuild the process bundle from a `SolveReport`.
 
-    Compiles the problem onto the field's grid once and replays the
-    steps through the step kernel in blocks of slices, with the
-    right-hand side computed once per step: the replay yields the
-    increments dA+/dA- and the scenario map, and the same step under
-    each fixed scenario of v_grid the defect.
-    The operator makes the solve's per-node choice of central or
-    one-sided differences again.  The report's (spec, pen) are those of
-    its field, as every solver records them; a replayed layer
+    Replays the steps through the solvers' kernel a block of slices at
+    a time: its right-hand side gives the scenario map, its obstacle
+    enforcement the increments dA+/dA-, and the same step under each
+    fixed scenario of v_grid the defect.  The report's (spec, pen) are
+    those of its field, as every solver records them; a replayed layer
     that differs from the stored one (a report edited by hand) raises
     SpecError.  The bundle adds four arrays of the field's size
     (`GridError` when they and the field exceed the memory cap) and the
@@ -123,19 +119,19 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
         z[k0:k1, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
         z[k0:k1, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
 
-    scenarios = v_grid[:, None, None]
+    kernel = None
     # latest blocks first, as the solve stepped: a refusal names the
-    # first step that differs
+    # first step that differs; only the first block can be short
     for k0, k1 in reversed(op.blocks(grid.nt, rows=v_grid.size)):
-        t = grid.t_nodes[k0]
-        op_t = op.at(t)
         nxt = vals[k0 + 1:k1 + 1]
-        qv, rest = layer_rhs_parts(nxt, t, op_t)
-        scenario_high[k0:k1] = qv >= 0.0
-        rows = op_t.lower, op_t.upper
-        w = nxt[:, 1:-1] + dt * (g_eval(qv, spec.gparams) + rest)
-        layer, da_plus[k0:k1], da_minus[k0:k1] = _enforce(
-            w, *rows, pen, dt, increments=True)
+        if kernel is None or kernel.v.shape[0] != k1 - k0:
+            kernel = _Kernel(op, pen, nxt.shape)
+            w = np.empty((v_grid.size,) + kernel.v.shape)
+            layers = np.empty((v_grid.size,) + nxt.shape)
+        v = kernel.explicit(nxt, grid.t_nodes[k0])
+        np.greater_equal(kernel.qv, 0.0, out=scenario_high[k0:k1])
+        layer, da_plus[k0:k1], da_minus[k0:k1] = kernel.obstacles.apply(
+            v, np.empty(nxt.shape), increments=True)
         differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
         if differs.size:
             raise SpecError(
@@ -143,9 +139,16 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
                 " does not reproduce the stored layer; the report's spec "
                 "and pen are not those of its field")
 
-        w_v = nxt[:, 1:-1] + dt * (0.5 * (scenarios * qv) + rest)
-        d = _enforce(w_v, *rows, pen, dt)[..., 1:-1] - vals[k0:k1, 1:-1]
-        defect[k0:k1, 1:-1] = d.max(axis=0)
+        # u + dt*(0.5*v*qv + rest) per scenario v, in buffers that cap the peak
+        np.multiply(v_grid[:, None, None], kernel.qv, out=w)
+        np.multiply(0.5, w, out=w)
+        np.add(w, kernel.rest, out=w)
+        np.multiply(dt, w, out=w)
+        np.add(nxt[:, 1:-1], w, out=w)
+        _Obstacles(kernel.op.lower, kernel.op.upper, pen, dt,
+                   w.shape).apply(w, layers)
+        np.subtract(layers[..., 1:-1], vals[k0:k1, 1:-1], out=w)
+        np.max(w, axis=0, out=defect[k0:k1, 1:-1])
 
     return ProcessBundle(spec=spec, y=report.field,
                          z=Field(values=z, grid=grid),
@@ -165,11 +168,13 @@ def one_step_residuals(bundle: ProcessBundle):
     vals = bundle.y.values
     op = StepOperator(bundle.spec, grid)
     out = np.empty((grid.nt, grid.nx - 1))
-    for k0, k1 in op.blocks(grid.nt):
+    kernel = None
+    for k0, k1 in op.blocks(grid.nt):  # only the last block can be short
         nxt = vals[k0 + 1:k1 + 1]
-        qv, rest = layer_rhs_parts(nxt, grid.t_nodes[k0], op)
-        w = nxt[:, 1:-1] + grid.dt * (g_eval(qv, bundle.spec.gparams) + rest)
-        out[k0:k1] = vals[k0:k1, 1:-1] - (w + bundle.da_plus[k0:k1, 1:-1]
+        if kernel is None or kernel.v.shape[0] != k1 - k0:
+            kernel = _Kernel(op, None, nxt.shape)
+        v = kernel.explicit(nxt, grid.t_nodes[k0])
+        out[k0:k1] = vals[k0:k1, 1:-1] - (v + bundle.da_plus[k0:k1, 1:-1]
                                           - bundle.da_minus[k0:k1, 1:-1])
     return out
 

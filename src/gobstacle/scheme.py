@@ -16,30 +16,31 @@ applied after the finite resolution: u' = max(u', lower) at m = inf,
 then u' = min(u', upper) at n = inf.
 
 A `StepOperator` compiles the problem onto the grid once; every step
-reads its rows.  Penalty resolution, projection and the boundary closure
-form one kernel, shared by every solver and by the process
-reconstruction, which also reads the compensator increments it applied.
-The kernel (`layer_rhs_parts`, the envelope and `_enforce`) acts on the
-last axis of arrays of any leading shape: a solver steps S solves of one
-problem as one (S, nx+1) layer, with penalty intensities given per row,
-and a replay of stored slices takes a block of consecutive slices per
-call (`StepOperator.blocks`), sized so that its largest array stays
-under a fixed element budget.  A block holds a single slice when a
-custom field or driver may depend on t, so that every slice is
-evaluated at its own time.  The arithmetic is elementwise and the same
-for every shape, so a batched or blocked call reproduces the one-layer
-step bit for bit.  `explicit_step` is the one-layer case.
+reads its rows.  One kernel (`_Kernel`) forms every step the package
+takes, in the solvers and in the replays of the process reconstruction
+and its residuals: `_Kernel.explicit` forms the explicit values, then
+`_Obstacles.apply` resolves the penalties, projects and closes the
+boundary, and reports on request the compensator increments it applied.
+It acts on the last axis of arrays of any leading shape: a solver steps
+S solves of one problem as one (S, nx+1) layer, with penalty intensities
+given per row, and a replay of stored slices takes a block of
+consecutive slices per call (`StepOperator.blocks`), sized so that its
+largest array stays under a fixed element budget, or a single slice
+when a custom field or driver may depend on t.  The arithmetic is
+elementwise and the same for every shape, so a batched or blocked call
+reproduces the one-layer step bit for bit.
 
-A solve builds its step once (`_Kernel`): the work arrays of one step,
-the solve's constants (dt, 2*dx, dx*dx, the halved variances) and, per
-side whose penalty acts, the interior obstacle row, dt*m*row and
-1 + dt*m.  Each step then only runs ufuncs into those arrays (`out=`),
-with the operands and in the order of the plain expressions, so the
-buffers change no bit.  A single solve reads slice k+1 of its field and
-writes slice k straight into it; a batch steps two (S, nx+1) layers in
-turn and copies each row into its own field.  `layer_rhs_parts`,
-`_enforce`, `resolve_penalties` and `gcalculus.g_eval` run the same
-code into new arrays.
+A kernel is built once per solve, or per block shape of a replay: the
+work arrays of one step, the constants (dt, 2*dx, dx*dx, the halved
+variances) and, per side whose penalty acts, the interior obstacle row,
+dt*m*row and 1 + dt*m.  Each step only runs ufuncs into those arrays
+(`out=`), with the operands and in the order of the plain expressions,
+so the buffers change no bit.  A single solve reads slice k+1 of its
+field and writes slice k straight into it; a batch steps two (S, nx+1)
+layers in turn and copies each row into its own field.  The public
+`explicit_step` (one layer) and `layer_rhs_parts` (`_Kernel.rhs`) build
+a kernel and return new arrays; `resolve_penalties` and
+`gcalculus.g_eval` share its penalty resolution and its envelope.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -233,28 +234,46 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
 
     dx = (x_max - x_min) / nx
     xs = np.linspace(x_min, x_max, nx + 1)
-    diff = spec.gparams.vol_high_sq * spec.coeffs.vol_cap
-    zero = spec.gen.lipschitz_y * (1.0 + spec.gparams.vol_high_sq)
-    timed = "custom" in (spec.coeffs.drift.kind, spec.coeffs.cross.kind)
-    ts = (0.0, 0.5 * spec.horizon, spec.horizon)
-    nt = 0
-    while True:  # a custom coefficient: until the grid's own t-nodes pass
-        first = _gradient_bound(spec, xs, ts)
-        dt_max = cfl_safety * dx * dx / (diff + dx * first + dx * dx * zero)
-        need = max(1, math.ceil(spec.horizon / dt_max))
-        if need <= nt:
-            break
-        nt = need
+    grid = None
+    while True:  # until the grid passes its own probe (`_cfl_steps`)
+        nt = _cfl_steps(spec, xs, dx, cfl_safety, grid)
+        if grid is not None and nt <= grid.nt:
+            return grid
         if nt > _NT_CAP:
             raise GridError(f"CFL bound needs nt={nt}, above the cap "
                             f"{_NT_CAP}; coarsen nx or shorten the horizon")
         grid = Grid(x_min=x_min, x_max=x_max, nx=nx, nt=nt,
                     horizon=spec.horizon)
         _check_field_budget(grid, 1)
-        if not timed:
-            break
+
+
+def _cfl_steps(spec: ProblemSpec, xs, dx, cfl_safety, grid=None):
+    """The fewest time steps over the horizon whose dt meets the CFL
+    restriction of `build_grid` on the nodes xs, spaced dx.  The
+    first-order coefficients are probed at t = 0, T/2, T, or on the
+    t-nodes of `grid` when one is given and a drift or cross is custom."""
+    ts = (0.0, 0.5 * spec.horizon, spec.horizon)
+    if grid is not None and "custom" in (spec.coeffs.drift.kind,
+                                         spec.coeffs.cross.kind):
         ts = grid.t_nodes
-    return grid
+    diff = spec.gparams.vol_high_sq * spec.coeffs.vol_cap
+    zero = spec.gen.lipschitz_y * (1.0 + spec.gparams.vol_high_sq)
+    first = _gradient_bound(spec, xs, ts)
+    dt_max = cfl_safety * dx * dx / (diff + dx * first + dx * dx * zero)
+    return max(1, math.ceil(spec.horizon / dt_max))
+
+
+def _check_grid(spec: ProblemSpec, grid: Grid):
+    """Raise GridError unless `grid` spans the problem's horizon with a
+    dt inside its CFL bound at cfl_safety = 1, as every grid that
+    `build_grid` makes for the problem does."""
+    if grid.horizon != spec.horizon:
+        raise GridError(f"the grid spans [0, {grid.horizon:g}], the problem "
+                        f"[0, {spec.horizon:g}]; build the grid for it")
+    need = _cfl_steps(spec, grid.x_nodes, grid.dx, 1.0, grid)
+    if need > grid.nt:
+        raise GridError(f"dt={grid.dt:.6g} is above the problem's CFL bound "
+                        f"(nt={grid.nt}, needs {need}); build the grid for it")
 
 
 def _check_field_budget(grid: Grid, count):
@@ -358,14 +377,14 @@ class StepOperator:
 
 class _Kernel:
     """One backward step for layers of one shape through an operator,
-    built once per solve.
+    built once per solve or per block shape of a replay.
 
     Holds the work arrays of a step (du, d2u, qv, rest, the envelope and
-    v on interior nodes), the solve's constants (dt, 2*dx, dx*dx, the
-    halved variances) and the obstacle enforcement of the operator's
-    rows (`_Obstacles`, absent when `pen` is None).  Only a `timed`
-    operator is re-read per step (`op.at`).  The arrays are overwritten
-    by every step, so nothing a caller keeps may be one of them.
+    v on interior nodes), the constants (dt, 2*dx, dx*dx, the halved
+    variances) and the obstacle enforcement of the operator's rows
+    (`_Obstacles`, absent when `pen` is None).  Only a `timed` operator
+    is re-read per step (`op.at`).  The arrays are overwritten by every
+    step, so nothing a caller keeps may be one of them.
     """
 
     def __init__(self, op: StepOperator, pen, shape):
@@ -424,17 +443,28 @@ class _Kernel:
         np.add(rest, f, out=rest)
         return qv, rest
 
+    def explicit(self, next_layer, t):
+        """v = u + dt*(envelope(qv) + rest) of the step from `next_layer`
+        to time t into the kernel's `v`, which it returns (qv and rest
+        stay in its arrays); a `timed` operator is re-read at t first."""
+        if self.timed:
+            self.bind(self.op.at(t))
+        qv, rest = self.rhs(next_layer, t)
+        env, v = self.env, self.v
+        gcalculus._envelope(qv, self.half_high, self.half_low, env, v)
+        np.add(env, rest, out=env)
+        np.multiply(self.dt, env, out=env)
+        return np.add(next_layer[..., 1:-1], env, out=v)
+
 
 def layer_rhs_parts(next_layer, t, op: StepOperator):
     """Interior right-hand side, split for scenario re-evaluation.
 
     Returns (qv, rest) = (sig2*d2u + cross2*du + g2, drift*du + f) on
     interior nodes: the full rhs is envelope(qv) + rest, a fixed-scenario
-    rhs 0.5*v*qv + rest.  The stepper, the process reconstruction and the
-    scenario defect scan share the split, so all see identical arithmetic.
-    `next_layer` may carry leading axes (rows of a batch, slices of a
-    block); a driver that reads t is evaluated at this one t.  The
-    arrays returned are new.
+    rhs 0.5*v*qv + rest.  It is the split of every step (`_Kernel.rhs`),
+    here into new arrays.  `next_layer` may carry leading axes; a driver
+    that reads t is evaluated at this one t.
     """
     return _Kernel(op.at(t), None, np.shape(next_layer)).rhs(next_layer, t)
 
@@ -584,28 +614,11 @@ class _Obstacles:
         return layer, da_plus, da_minus
 
 
-def _enforce(v, low, up, pen, dt, increments=False):
-    """Obstacle enforcement of the explicit values `v` (interior nodes,
-    any leading axes) against obstacle rows on all nodes (None on an
-    absent side) at the `_penalty_rows` `pen`: `_Obstacles.apply` into
-    a new layer."""
-    layer = np.empty(v.shape[:-1] + (v.shape[-1] + 2,))
-    return _Obstacles(low, up, pen, dt, v.shape).apply(v, layer, increments)
-
-
 def _advance(next_layer, t, kernel: _Kernel, out):
     """One backward step of every layer in `next_layer` (the kernel's
     shape) to time t, written into `out`, which it returns; non-finite
     values are left to the caller."""
-    if kernel.timed:
-        kernel.bind(kernel.op.at(t))
-    qv, rest = kernel.rhs(next_layer, t)
-    env, v = kernel.env, kernel.v
-    gcalculus._envelope(qv, kernel.half_high, kernel.half_low, env, v)
-    np.add(env, rest, out=env)  # v = u + dt*(envelope(qv) + rest)
-    np.multiply(kernel.dt, env, out=env)
-    np.add(next_layer[..., 1:-1], env, out=v)
-    return kernel.obstacles.apply(v, out)
+    return kernel.obstacles.apply(kernel.explicit(next_layer, t), out)
 
 
 def _nonfinite(layer, t, grid: Grid):

@@ -42,7 +42,7 @@ import numpy as np
 from .decomposition import _contact_residuals
 from .model import ProblemSpec, SpecError
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
-    _advance, _check_field_budget, _Kernel, _nonfinite, \
+    _advance, _check_field_budget, _check_grid, _Kernel, _nonfinite, \
     _penalty_increments, _penalty_rows
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
@@ -86,9 +86,11 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     own field, so every field owns its memory.
 
     Returns (the compiled StepOperator, one stored field per row, the
-    stepping wall time).  Nothing is checked here: a row that left the
-    finite range keeps stepping on non-finite values, and `_report`
-    names its failure when a caller reads that row.  numpy's overflow
+    stepping wall time).  A grid not built for the problem (another
+    horizon, or a dt above its CFL bound) raises GridError before any
+    step.  Nothing else is checked here: a row that left the finite range
+    keeps stepping on non-finite values, and `_report` names its failure
+    when a caller reads that row.  numpy's overflow
     and invalid-value warnings are silenced while stepping.
     """
     if not pens:
@@ -96,6 +98,7 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     if not spec.gparams.well_ordered:
         raise SpecError("volatility band is not well ordered; "
                         "run validate() for details")
+    _check_grid(spec, grid)
     _check_field_budget(grid, len(pens))
     start = time.perf_counter()
     op = StepOperator(spec, grid)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gobstacle import cli, decomposition, scheme, solvers
-from gobstacle.decomposition import reconstruct
+from gobstacle.decomposition import one_step_residuals, reconstruct
 from gobstacle.model import FnSpec, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
@@ -238,9 +238,33 @@ def test_reconstruct_replays_blocks_of_slices(monkeypatch):
     size = blocks[0][1] - blocks[0][0]
     assert size > 1 and size * 5 * (grid.nx + 1) <= scheme._BLOCK_ELEMENTS
     assert [k for b in blocks for k in range(*b)] == list(range(grid.nt))
-    calls = _count(monkeypatch, decomposition, "layer_rhs_parts")
+    calls = _count(monkeypatch, scheme._Kernel, "explicit")
     reconstruct(report)
     assert calls[0] == len(blocks) == math.ceil(grid.nt / size)
+
+
+def test_every_step_runs_through_the_kernel(monkeypatch):
+    # a solve calls _Kernel.explicit once per step, a replay once per
+    # block, and a replay builds one kernel per block shape
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=200)
+    op = StepOperator(spec, grid)
+    calls = _count(monkeypatch, scheme._Kernel, "explicit")
+    built = _count(monkeypatch, decomposition, "_Kernel")
+
+    def one_per_block(blocks):
+        shapes = {k1 - k0 for k0, k1 in blocks}
+        assert len(shapes) == 2  # one short block, the rest full
+        assert calls[0] == len(blocks) and built[0] == len(shapes)
+        calls[0] = built[0] = 0
+
+    report = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
+    assert calls[0] == grid.nt
+    calls[0] = 0
+    bundle = reconstruct(report)
+    one_per_block(op.blocks(grid.nt, rows=5))
+    one_step_residuals(bundle)
+    one_per_block(op.blocks(grid.nt))
 
 
 @pytest.mark.parametrize("field", ["f", "g", "lower"])

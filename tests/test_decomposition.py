@@ -238,7 +238,7 @@ def test_bmo_reads_the_scenario_map_without_a_replay(mode_runs, monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("bmo_diagnostic replayed a step")
-    monkeypatch.setattr(decomposition, "layer_rhs_parts", refuse)
+    monkeypatch.setattr(decomposition, "_Kernel", refuse)
     monkeypatch.setattr(decomposition, "StepOperator", refuse)
     again, profile = bmo_diagnostic(bundle, return_profile=True)
     assert again == worst

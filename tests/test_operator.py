@@ -17,8 +17,8 @@ from gobstacle.gcalculus import g_eval
 from gobstacle.model import CoefficientSet, FnSpec, GeneratorSpec, GParams, \
     ObstaclePair, ProblemSpec, validate
 from gobstacle.presets import get_preset, list_presets
-from gobstacle.scheme import PenaltyParams, StepFailure, StepOperator, \
-    build_grid, layer_rhs_parts
+from gobstacle.scheme import GridError, PenaltyParams, StepFailure, \
+    StepOperator, build_grid, layer_rhs_parts
 from gobstacle.solvers import solve_double_projection, solve_limit, \
     solve_penalized
 
@@ -371,6 +371,11 @@ def test_custom_drift_is_bounded_on_every_step():
     assert grid.nt >= steady.nt == 889
     vals = solve_penalized(spec, grid, PenaltyParams()).field.values
     assert np.isfinite(vals).all()
+    # the solvers' grid check probes the custom drift on every step too:
+    # the grid of the steady drift 0 misses the window
+    flat = build_grid(_step_terminal(FnSpec.constant(0.0)), nx=200)
+    with pytest.raises(GridError, match="above the problem's CFL bound"):
+        solve_penalized(spec, flat, PenaltyParams())
     # the drift carries the step onto the left wall, where the non-convex
     # boundary closure may dip below 0 (by 2.8e-7 here); interior nodes
     # keep the terminal range

@@ -15,6 +15,7 @@ from gobstacle.model import (
     ProblemSpec,
     SpecError,
 )
+from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import (
     Field,
     Grid,
@@ -22,7 +23,7 @@ from gobstacle.scheme import (
     PenaltyParams,
     StepFailure,
     StepOperator,
-    _enforce,
+    _Obstacles,
     build_grid,
     explicit_step,
     layer_rhs_parts,
@@ -120,6 +121,21 @@ def test_build_grid_refuses_a_field_above_the_memory_cap():
         build_grid(_spec(), nx=4000)
 
 
+@pytest.mark.parametrize("name", [p.name for p in list_presets()
+                                  if p.kind == "single"])
+def test_the_solvers_grid_check_shares_the_bound_of_build_grid(name):
+    # build_grid's nt at cfl_safety = 1 is the fewest steps the check
+    # accepts
+    spec = get_preset(name)
+    for nx in (32, 200):
+        grid = build_grid(spec, nx=nx, cfl_safety=1.0)
+        scheme._check_grid(spec, grid)
+        fewer = Grid(x_min=grid.x_min, x_max=grid.x_max, nx=nx,
+                     nt=grid.nt - 1, horizon=grid.horizon)
+        with pytest.raises(GridError, match=f"needs {grid.nt}\\)"):
+            scheme._check_grid(spec, fewer)
+
+
 def test_build_grid_refuses_an_nx_above_the_cap_before_allocating(
         monkeypatch):
     # every grid has two slices at least: nx = 1e9 would need 15 GiB for
@@ -200,8 +216,9 @@ def test_large_intensity_pins_to_the_obstacle():
 
 def _close(interior, low=None, up=None):
     # the step kernel with no penalty or projection: only the closure acts
-    return _enforce(np.asarray(interior, dtype=float), low, up,
-                    scheme._penalty_rows((NO_PEN,)), 0.1)
+    v = np.asarray(interior, dtype=float)
+    return _Obstacles(low, up, scheme._penalty_rows((NO_PEN,)), 0.1,
+                      v.shape).apply(v, np.empty(v.size + 2))
 
 
 def test_boundary_closure_extrapolates_zero_curvature():

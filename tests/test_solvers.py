@@ -2,14 +2,15 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gobstacle import cli
-from gobstacle.model import SpecError
+from gobstacle.model import GParams, SpecError
 from gobstacle.presets import get_preset
-from gobstacle.scheme import PenaltyParams, build_grid
+from gobstacle.scheme import GridError, PenaltyParams, build_grid
 from gobstacle.solvers import (
     DEFAULT_INTENSITIES,
     PenaltySchedule,
@@ -129,12 +130,50 @@ def test_solver_preconditions(tmp_path, capsys):
 
 
 def test_solvers_refuse_misordered_band():
-    from gobstacle.model import GParams
-    from dataclasses import replace
     spec = replace(get_preset("gheat-quadratic"), gparams=GParams(2.0, 1.0))
     grid = build_grid(get_preset("gheat-quadratic"), nx=32)
     with pytest.raises(SpecError, match="not well ordered"):
         solve_penalized(spec, grid, PenaltyParams())
+
+
+# every solver, on a grid built for another problem
+SOLVES = {
+    "penalized": lambda spec, grid: solve_penalized(spec, grid,
+                                                    PenaltyParams()),
+    "batch": lambda spec, grid: solve_penalized_batch(
+        spec, grid, (PenaltyParams(), PenaltyParams(4.0, 4.0))),
+    "limit": lambda spec, grid: solve_limit(spec, grid),
+}
+
+
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+def test_solvers_refuse_a_grid_of_another_horizon(solve):
+    # stepped on the T=1 grid, the T=2 problem read u(0, 0) = 2.0 where
+    # the closed form x^2 + vol_high_sq*(T-t) gives 4.0
+    spec = get_preset("gheat-quadratic")
+    longer = replace(spec, horizon=2.0)
+    with pytest.raises(GridError, match=r"the grid spans \[0, 1\], "
+                       r"the problem \[0, 2\]"):
+        solve(longer, build_grid(spec, nx=200))
+
+
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+def test_solvers_refuse_a_grid_above_the_cfl_bound(solve):
+    # band [1, 8] on the grid of band [1, 2]: nt=223 where the bound
+    # needs 800 at cfl_safety = 1, and the solve reached sup|u| = 1.8e102
+    # without a StepFailure
+    spec = get_preset("gheat-quadratic")
+    wide = replace(spec, gparams=GParams(1.0, 8.0))
+    with pytest.raises(GridError, match=r"dt=0\.0044843 is above the "
+                       r"problem's CFL bound \(nt=223, needs 800\)"):
+        solve(wide, build_grid(spec, nx=200))
+
+
+def test_a_grid_built_for_the_problem_passes_at_cfl_safety_one():
+    spec = replace(get_preset("gheat-quadratic"), horizon=2.0)
+    grid = build_grid(spec, nx=200, cfl_safety=1.0)
+    u = solve_penalized(spec, grid, PenaltyParams()).field.values
+    assert u[0, 100] == pytest.approx(4.0, rel=1e-3)  # x = 0, t = 0
 
 
 # ---------------------------------------------------------------------------
