@@ -80,7 +80,7 @@ import sys
 
 import numpy as np
 
-from .decomposition import reconstruct
+from .decomposition import _bundle_rows
 from .diagnostics import run_comparison_suite, run_property_suite
 from .model import EvaluationError, ProblemSpec, SpecError, check_record, \
     read_number, read_numbers, validate
@@ -212,16 +212,17 @@ def _slice_indices(grid, slices):
     return idxs
 
 
-def _write_field_csv(path, bundle, ks):
-    grid = bundle.y.grid
+def _write_field_csv(path, grid, ks, rows):
+    """One line per node of each slice of ks; `rows` holds the u, z,
+    dA+, dA- and defect rows of those slices, one per slice in order."""
+    u, z, da_plus, da_minus, defect = rows
     lines = ["t,x,u,z,da_plus,da_minus,defect"]
-    for k in ks:
+    for j, k in enumerate(ks):
         t = grid.t_nodes[k]
         for i in range(grid.nx + 1):
             lines.append(",".join(_f17(v) for v in (
-                t, grid.x_nodes[i], bundle.y.values[k, i],
-                bundle.z.values[k, i], bundle.da_plus[k, i],
-                bundle.da_minus[k, i], bundle.defect.values[k, i])))
+                t, grid.x_nodes[i], u[j, i], z[j, i], da_plus[j, i],
+                da_minus[j, i], defect[j, i])))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -236,14 +237,15 @@ def _write_trace_csv(path, trace):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_outputs(lines, out_rec, grid, bundle, trace):
+def _write_outputs(lines, out_rec, grid, rows, trace):
     """Write the CSVs asked for in `out_rec`, then the report: `lines`
     and a closing `wrote:` line, to stdout and to output.report.
-    `bundle()` is called only when a field CSV is asked for."""
+    `rows(ks)`, the field CSV's rows of the slices ks, is called only
+    when a field CSV is asked for."""
     written = []
     if "field_csv" in out_rec:
         ks = _slice_indices(grid, out_rec.get("slices", [0.0]))
-        _write_field_csv(out_rec["field_csv"], bundle(), ks)
+        _write_field_csv(out_rec["field_csv"], grid, ks, rows(ks))
         written.append(f"{out_rec['field_csv']} ({len(ks)} slice(s))")
     if "trace_csv" in out_rec:
         _write_trace_csv(out_rec["trace_csv"], trace)
@@ -333,7 +335,8 @@ def _cmd_solve(args):
     lines.append(f"sup (u-upper)+ = {rep.sup_upper_violation:.6g}; "
                  f"sup (lower-u)+ = {rep.sup_lower_violation:.6g}")
     lines.append(f"steps: {rep.field.grid.nt}")
-    _write_outputs(lines, out_rec, grid, lambda: reconstruct(rep), trace)
+    _write_outputs(lines, out_rec, grid, lambda ks: (
+        rep.field.values[ks],) + _bundle_rows(rep, ks)[:4], trace)
     return EXIT_OK
 
 
@@ -353,7 +356,9 @@ def _cmd_suite(args):
             raise ConfigError("a schedule section needs a single-problem "
                               f"suite; {label!r} is a pair")
         hi, lo = built
-        grid = _build_grid(cfg, hi)
+        # both members step on one grid, so it must satisfy both
+        grid = max((_build_grid(cfg, spec) for spec in built),
+                   key=lambda g: g.nt)
         result = run_comparison_suite(hi, lo, grid)
     else:
         grid = _build_grid(cfg, built)
@@ -367,7 +372,10 @@ def _cmd_suite(args):
                      f"threshold={c.threshold:.6g} ({c.detail})")
     failed = sum(1 for c in result.checks if not c.passed)
     lines.append(f"result: {len(result.checks)} check(s), {failed} failed")
-    _write_outputs(lines, out_rec, grid, lambda: result.bundle, result.trace)
+    b = result.bundle
+    _write_outputs(lines, out_rec, grid, lambda ks: (
+        b.y.values[ks], b.z.values[ks], b.da_plus[ks], b.da_minus[ks],
+        b.defect.values[ks]), result.trace)
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 

@@ -33,6 +33,12 @@ consecutive slices (`StepOperator.blocks`; one slice when a custom
 field or driver may depend on t), one kernel serves every block of its
 shape, and the scenarios of the defect go in as one (V, B, nx-1) stack.
 Sums over slices (the contact residuals) still add in slice order.
+
+The replay always covers every stored step and compares it with the
+stored layer; the outputs (gradient, increments, scenario map, defect)
+are built only for the slices asked for.  `reconstruct` asks for all
+of them; the CLI's field CSV asks for the slices it writes, so it holds
+a few rows instead of four more field-size arrays.
 """
 
 from __future__ import annotations
@@ -97,64 +103,89 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
     (`GridError` when they and the field exceed the memory cap) and the
     scenario map, one byte per node.
     """
+    grid = report.field.grid
+    _check_field_budget(grid, 5)
+    z, da_plus, da_minus, defect, scenario_high = _bundle_rows(
+        report, range(grid.nt + 1), v_grid)
+    return ProcessBundle(spec=report.spec, y=report.field,
+                         z=Field(values=z, grid=grid),
+                         da_plus=da_plus, da_minus=da_minus,
+                         defect=Field(values=defect, grid=grid),
+                         scenario_high=scenario_high[:-1])
+
+
+def _bundle_rows(report, ks, v_grid=None):
+    """The bundle's rows at the distinct slices ks of a report's field.
+
+    Every stored step is replayed and compared with its layer, whatever
+    ks holds, so an edited report is refused as by `reconstruct`; only a
+    block holding a slice of ks goes on to the gradient, the increments,
+    the scenario map and the defect.  Returns (z, da_plus, da_minus,
+    defect, scenario_high), one row per slice of ks in that order; the
+    terminal slice has zero increments and defect and an all-False
+    scenario row.
+    """
     spec, pen = report.spec, _penalty_rows((report.pen,))
     grid = report.field.grid
     vals = report.field.values
     dt = grid.dt
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
-    _check_field_budget(grid, 5)
     op = StepOperator(spec, grid)
-
-    z = np.empty(vals.shape)
-    da_plus = np.zeros(vals.shape)
-    da_minus = np.zeros(vals.shape)
-    defect = np.zeros(vals.shape)
-    scenario_high = np.empty((grid.nt, grid.nx - 1), dtype=bool)
-
+    # slice k's row; a slice not asked for lands in a last scratch row
+    n = len(ks)
+    where = np.full(grid.nt + 1, n)
+    where[ks] = np.arange(n)
+    z = np.empty((n + 1, grid.nx + 1))
+    da_plus, da_minus, defect = (np.zeros(z.shape) for _ in range(3))
+    scenario_high = np.zeros((n + 1, grid.nx - 1), dtype=bool)
     for k0, k1 in op.blocks(grid.nt + 1):
-        sig = op.at(grid.t_nodes[k0]).sigma
-        y = vals[k0:k1]
-        z[k0:k1, 1:-1] = sig[1:-1] * (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
-        z[k0:k1, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
-        z[k0:k1, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
+        rows, y = where[k0:k1], vals[k0:k1]
+        if rows.min() < n:
+            sig = op.at(grid.t_nodes[k0]).sigma
+            z[rows, 1:-1] = sig[1:-1] * (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
+            z[rows, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
+            z[rows, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
 
+    # blocks hold the scenario stack (V layers per slice) when every
+    # slice is asked for; else only the blocks holding an asked slice
+    # do, and the blocks are sized for the replay and compare alone
+    blocks = op.blocks(grid.nt, rows=v_grid.size if n > grid.nt else 1)
     kernel = None
     # latest blocks first, as the solve stepped: a refusal names the
     # first step that differs; only the first block can be short
-    for k0, k1 in reversed(op.blocks(grid.nt, rows=v_grid.size)):
+    for k0, k1 in reversed(blocks):
         nxt = vals[k0 + 1:k1 + 1]
         if kernel is None or kernel.v.shape[0] != k1 - k0:
             kernel = _Kernel(op, pen, nxt.shape)
             w = np.empty((v_grid.size,) + kernel.v.shape)
             layers = np.empty((v_grid.size,) + nxt.shape)
         v = kernel.explicit(nxt, grid.t_nodes[k0])
-        np.greater_equal(kernel.qv, 0.0, out=scenario_high[k0:k1])
-        layer, da_plus[k0:k1], da_minus[k0:k1] = kernel.obstacles.apply(
-            v, np.empty(nxt.shape), increments=True)
+        rows = where[k0:k1]
+        if rows.min() == n:
+            layer = kernel.obstacles.apply(v, np.empty(nxt.shape))
+        else:
+            scenario_high[rows] = kernel.qv >= 0.0
+            # u + dt*(0.5*v*qv + rest) per scenario v, in buffers that cap
+            # the peak
+            np.multiply(v_grid[:, None, None], kernel.qv, out=w)
+            np.multiply(0.5, w, out=w)
+            np.add(w, kernel.rest, out=w)
+            np.multiply(dt, w, out=w)
+            np.add(nxt[:, 1:-1], w, out=w)
+            _Obstacles(kernel.op.lower, kernel.op.upper, pen, dt,
+                       w.shape).apply(w, layers)
+            np.subtract(layers[..., 1:-1], vals[k0:k1, 1:-1], out=w)
+            defect[rows, 1:-1] = np.max(w, axis=0)
+            layer, da_plus[rows], da_minus[rows] = kernel.obstacles.apply(
+                v, np.empty(nxt.shape), increments=True)
         differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
         if differs.size:
             raise SpecError(
                 f"replaying the step at t={grid.t_nodes[k0 + differs[-1]]:.6g}"
                 " does not reproduce the stored layer; the report's spec "
                 "and pen are not those of its field")
-
-        # u + dt*(0.5*v*qv + rest) per scenario v, in buffers that cap the peak
-        np.multiply(v_grid[:, None, None], kernel.qv, out=w)
-        np.multiply(0.5, w, out=w)
-        np.add(w, kernel.rest, out=w)
-        np.multiply(dt, w, out=w)
-        np.add(nxt[:, 1:-1], w, out=w)
-        _Obstacles(kernel.op.lower, kernel.op.upper, pen, dt,
-                   w.shape).apply(w, layers)
-        np.subtract(layers[..., 1:-1], vals[k0:k1, 1:-1], out=w)
-        np.max(w, axis=0, out=defect[k0:k1, 1:-1])
-
-    return ProcessBundle(spec=spec, y=report.field,
-                         z=Field(values=z, grid=grid),
-                         da_plus=da_plus, da_minus=da_minus,
-                         defect=Field(values=defect, grid=grid),
-                         scenario_high=scenario_high)
+    return z[:n], da_plus[:n], da_minus[:n], defect[:n], scenario_high[:n]
 
 
 def one_step_residuals(bundle: ProcessBundle):

@@ -17,7 +17,7 @@ import numpy as np
 from .decomposition import ProcessBundle, bmo_diagnostic, \
     one_step_residuals, reconstruct
 from .model import ProblemSpec, SpecError, validate
-from .scheme import Field, Grid, PenaltyParams, StepOperator
+from .scheme import Field, Grid, GridError, PenaltyParams, StepOperator
 from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
     solve_limit, solve_penalized, solve_penalized_batch
 
@@ -435,10 +435,15 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
 
 def run_comparison_suite(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
                          grid: Grid) -> SuiteResult:
-    """Property battery for an ordered pair: preconditions + ordering."""
+    """Property battery for an ordered pair: preconditions + ordering.
+
+    A grid that one member cannot step on raises its `GridError`; it is
+    not a failed precondition of the pair."""
     checks = []
     try:
         order = comparison_harness(spec_hi, spec_lo, grid)
+    except GridError:
+        raise
     except ValueError as err:
         _chk(checks, "ordering-preconditions", False, 1.0, 0.0, str(err))
         return SuiteResult(checks=tuple(checks), final_report=None,

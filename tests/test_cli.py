@@ -1,7 +1,7 @@
 """Command-line entry: verbs, config handling, exit codes, CSV outputs."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from gobstacle import cli
 from gobstacle.model import FnSpec
 from gobstacle.presets import get_preset, list_presets
-from gobstacle.scheme import StepFailure
+from gobstacle.scheme import StepFailure, build_grid
 
 SMALL_GRID = {"nx": 64}
 SINGLES = [p.name for p in list_presets() if p.kind == "single"]
@@ -353,6 +353,22 @@ def test_suite_verb_comparison_pair(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS comparison-order" in out
+    assert "result: 2 check(s), 0 failed" in out
+
+
+def test_pair_grid_satisfies_both_members(tmp_path, monkeypatch, capsys):
+    # lo declares larger generator moduli than hi, so its grid needs more
+    # steps; the suite builds both grids and steps the pair on the finer
+    hi, lo = get_preset("comparison-pair")
+    lo = replace(lo, gen=replace(lo.gen, lipschitz_z=5.0))
+    monkeypatch.setattr(cli, "get_preset", lambda name: (hi, lo))
+    nt = build_grid(lo, nx=100).nt
+    assert nt > build_grid(hi, nx=100).nt
+    code = run(tmp_path, {"preset": "comparison-pair", "grid": {"nx": 100}},
+               verb="suite")
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert f"nx=100, nt={nt}," in out
     assert "result: 2 check(s), 0 failed" in out
 
 

@@ -18,7 +18,7 @@ from gobstacle.diagnostics import (
 )
 from gobstacle.model import FnSpec, GParams, SpecError
 from gobstacle.presets import get_preset
-from gobstacle.scheme import Field, Grid, PenaltyParams, build_grid
+from gobstacle.scheme import Field, Grid, GridError, PenaltyParams, build_grid
 from gobstacle.solvers import PenaltySchedule, solve_penalized
 
 
@@ -235,3 +235,17 @@ def test_comparison_suite_reports_both_checks():
         == ["ordering-preconditions", "comparison-order"]
     assert all(c.passed for c in res.checks)
     assert res.final_report is None and res.trace is None
+
+
+def test_comparison_suite_raises_a_grid_error():
+    # a lo member with larger generator moduli needs more steps than hi's
+    # grid has: that is a grid the caller built wrong, not a failed
+    # ordering precondition
+    hi, lo = get_preset("comparison-pair")
+    lo = replace(lo, gen=replace(lo.gen, lipschitz_z=5.0))
+    grid = build_grid(hi, nx=100)
+    assert build_grid(lo, nx=100).nt > grid.nt
+    with pytest.raises(GridError, match="CFL bound"):
+        run_comparison_suite(hi, lo, grid)
+    res = run_comparison_suite(hi, lo, build_grid(lo, nx=100))
+    assert all(c.passed for c in res.checks)
