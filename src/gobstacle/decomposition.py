@@ -36,9 +36,10 @@ Sums over slices (the contact residuals) still add in slice order.
 
 The replay always covers every stored step and compares it with the
 stored layer; the outputs (gradient, increments, scenario map, defect)
-are built only for the slices asked for.  `reconstruct` asks for all
-of them; the CLI's field CSV asks for the slices it writes, so it holds
-a few rows instead of four more field-size arrays.
+are built only for the blocks holding a slice asked for.  `reconstruct`
+asks for all of them and gets each block written in place; the CLI's
+field CSV asks for the slices it writes, so it holds a few rows instead
+of four more field-size arrays.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
     grid = report.field.grid
     _check_field_budget(grid, 5)
     z, da_plus, da_minus, defect, scenario_high = _bundle_rows(
-        report, range(grid.nt + 1), v_grid)
+        report, None, v_grid)
     return ProcessBundle(spec=report.spec, y=report.field,
                          z=Field(values=z, grid=grid),
                          da_plus=da_plus, da_minus=da_minus,
                          defect=Field(values=defect, grid=grid),
-                         scenario_high=scenario_high[:-1])
+                         scenario_high=scenario_high)
 
 
 def _bundle_rows(report, ks, v_grid=None):
@@ -123,7 +124,8 @@ def _bundle_rows(report, ks, v_grid=None):
     the scenario map and the defect.  Returns (z, da_plus, da_minus,
     defect, scenario_high), one row per slice of ks in that order; the
     terminal slice has zero increments and defect and an all-False
-    scenario row.
+    scenario row.  ks None asks for every slice: the bundle's arrays,
+    written in place block by block, scenario_high of shape (nt, nx-1).
     """
     spec, pen = report.spec, _penalty_rows((report.pen,))
     grid = report.field.grid
@@ -132,16 +134,29 @@ def _bundle_rows(report, ks, v_grid=None):
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
     op = StepOperator(spec, grid)
-    # slice k's row; a slice not asked for lands in a last scratch row
-    n = len(ks)
-    where = np.full(grid.nt + 1, n)
-    where[ks] = np.arange(n)
-    z = np.empty((n + 1, grid.nx + 1))
+    if ks is None:
+        n, where = grid.nt + 1, None
+        z = np.empty(vals.shape)
+        scenario_high = np.empty((grid.nt, grid.nx - 1), dtype=bool)
+    else:
+        # slice k's row; a slice not asked for lands in a last scratch row
+        n = len(ks)
+        where = np.full(grid.nt + 1, n)
+        where[ks] = np.arange(n)
+        z = np.empty((n + 1, grid.nx + 1))
+        scenario_high = np.zeros((n + 1, grid.nx - 1), dtype=bool)
     da_plus, da_minus, defect = (np.zeros(z.shape) for _ in range(3))
-    scenario_high = np.zeros((n + 1, grid.nx - 1), dtype=bool)
+
+    def dest(k0, k1):
+        """The rows slices k0..k1-1 go to; None when none is asked for."""
+        if where is None:
+            return slice(k0, k1)
+        rows = where[k0:k1]
+        return rows if rows.min() < n else None
+
     for k0, k1 in op.blocks(grid.nt + 1):
-        rows, y = where[k0:k1], vals[k0:k1]
-        if rows.min() < n:
+        rows, y = dest(k0, k1), vals[k0:k1]
+        if rows is not None:
             sig = op.at(grid.t_nodes[k0]).sigma
             z[rows, 1:-1] = sig[1:-1] * (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
             z[rows, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
@@ -150,7 +165,7 @@ def _bundle_rows(report, ks, v_grid=None):
     # blocks hold the scenario stack (V layers per slice) when every
     # slice is asked for; else only the blocks holding an asked slice
     # do, and the blocks are sized for the replay and compare alone
-    blocks = op.blocks(grid.nt, rows=v_grid.size if n > grid.nt else 1)
+    blocks = op.blocks(grid.nt, rows=v_grid.size if where is None else 1)
     kernel = None
     # latest blocks first, as the solve stepped: a refusal names the
     # first step that differs; only the first block can be short
@@ -160,12 +175,17 @@ def _bundle_rows(report, ks, v_grid=None):
             kernel = _Kernel(op, pen, nxt.shape)
             w = np.empty((v_grid.size,) + kernel.v.shape)
             layers = np.empty((v_grid.size,) + nxt.shape)
+            if where is not None:
+                high = np.empty(kernel.qv.shape, dtype=bool)
+                worst = np.empty(kernel.qv.shape)
         v = kernel.explicit(nxt, grid.t_nodes[k0])
-        rows = where[k0:k1]
-        if rows.min() == n:
+        rows = dest(k0, k1)
+        if rows is None:  # compare only
             layer = kernel.obstacles.apply(v, np.empty(nxt.shape))
         else:
-            scenario_high[rows] = kernel.qv >= 0.0
+            if where is None:  # every slice: the block's rows in place
+                high, worst = scenario_high[rows], defect[rows, 1:-1]
+            np.greater_equal(kernel.qv, 0.0, out=high)
             # u + dt*(0.5*v*qv + rest) per scenario v, in buffers that cap
             # the peak
             np.multiply(v_grid[:, None, None], kernel.qv, out=w)
@@ -176,15 +196,19 @@ def _bundle_rows(report, ks, v_grid=None):
             _Obstacles(kernel.op.lower, kernel.op.upper, pen, dt,
                        w.shape).apply(w, layers)
             np.subtract(layers[..., 1:-1], vals[k0:k1, 1:-1], out=w)
-            defect[rows, 1:-1] = np.max(w, axis=0)
+            np.max(w, axis=0, out=worst)
             layer, da_plus[rows], da_minus[rows] = kernel.obstacles.apply(
                 v, np.empty(nxt.shape), increments=True)
+            if where is not None:
+                scenario_high[rows], defect[rows, 1:-1] = high, worst
         differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
         if differs.size:
             raise SpecError(
                 f"replaying the step at t={grid.t_nodes[k0 + differs[-1]]:.6g}"
                 " does not reproduce the stored layer; the report's spec "
                 "and pen are not those of its field")
+    if where is None:
+        return z, da_plus, da_minus, defect, scenario_high
     return z[:n], da_plus[:n], da_minus[:n], defect[:n], scenario_high[:n]
 
 

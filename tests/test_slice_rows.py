@@ -163,3 +163,16 @@ def test_the_rows_hold_less_than_one_field():
     finally:
         tracemalloc.stop()
     assert peak < (grid.nt + 1) * (grid.nx + 1) * 8
+
+
+def test_reconstruct_writes_whole_arrays():
+    # asked for every slice, the replay writes each block's rows in
+    # place: the bundle's arrays own their memory, with no hidden row
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=64)
+    bundle = reconstruct(solve_penalized(spec, grid,
+                                         PenaltyParams(64.0, 64.0)))
+    for a in (bundle.z.values, bundle.da_plus, bundle.da_minus,
+              bundle.defect.values, bundle.scenario_high):
+        assert a.base is None
+    assert bundle.scenario_high.shape == (grid.nt, grid.nx - 1)
