@@ -176,21 +176,21 @@ def _bundle_rows(report, ks, v_grid=None):
             w = np.empty((v_grid.size,) + kernel.v.shape)
             layers = np.empty((v_grid.size,) + nxt.shape)
             if where is not None:
-                high = np.empty(kernel.qv.shape, dtype=bool)
-                worst = np.empty(kernel.qv.shape)
-        v = kernel.explicit(nxt, grid.t_nodes[k0])
+                high = np.empty(kernel.v.shape, dtype=bool)
+                worst = np.empty(kernel.v.shape)
+        v, qv, rest = kernel.explicit(nxt, grid.t_nodes[k0])
         rows = dest(k0, k1)
         if rows is None:  # compare only
             layer = kernel.obstacles.apply(v, np.empty(nxt.shape))
         else:
             if where is None:  # every slice: the block's rows in place
                 high, worst = scenario_high[rows], defect[rows, 1:-1]
-            np.greater_equal(kernel.qv, 0.0, out=high)
+            np.greater_equal(qv, 0.0, out=high)
             # u + dt*(0.5*v*qv + rest) per scenario v, in buffers that cap
             # the peak
-            np.multiply(v_grid[:, None, None], kernel.qv, out=w)
+            np.multiply(v_grid[:, None, None], qv, out=w)
             np.multiply(0.5, w, out=w)
-            np.add(w, kernel.rest, out=w)
+            np.add(w, rest, out=w)
             np.multiply(dt, w, out=w)
             np.add(nxt[:, 1:-1], w, out=w)
             _Obstacles(kernel.op.lower, kernel.op.upper, pen, dt,
@@ -228,7 +228,7 @@ def one_step_residuals(bundle: ProcessBundle):
         nxt = vals[k0 + 1:k1 + 1]
         if kernel is None or kernel.v.shape[0] != k1 - k0:
             kernel = _Kernel(op, None, nxt.shape)
-        v = kernel.explicit(nxt, grid.t_nodes[k0])
+        v, _, _ = kernel.explicit(nxt, grid.t_nodes[k0])
         out[k0:k1] = vals[k0:k1, 1:-1] - (v + bundle.da_plus[k0:k1, 1:-1]
                                           - bundle.da_minus[k0:k1, 1:-1])
     return out

@@ -22,16 +22,17 @@ def _envelope(a, half_high, half_low, out, scratch):
     """0.5*(high*a+ - low*a-) into `out` from the halved variances, with
     `scratch` as a work array of a's shape; returns `out`.  The step
     kernel calls it with its own work arrays, `g_eval` with new ones."""
-    np.maximum(a, 0.0, out=out)
-    np.negative(a, out=scratch)
-    np.maximum(scratch, 0.0, out=scratch)
-    # Halve the variances, not the product: (0.5*v)*a rounds once, so the
-    # value equals 0.5*v*a at the maximizing endpoint bit for bit, also
-    # where the product is subnormal and halving it afterwards would round
-    # a second time.
-    np.multiply(half_high, out, out=out)
-    np.multiply(half_low, scratch, out=scratch)
-    return np.subtract(out, scratch, out=out)
+    # max((0.5*high)*a, (0.5*low)*a): for low > 0 the larger product is
+    # the high one for a > 0 and the low one for a < 0, each rounded
+    # once, so it equals 0.5*v*a at the maximizing endpoint bit for bit,
+    # also where the product is subnormal and halving it afterwards would
+    # round a second time.  The max gives -0 at a = -0 (and where a
+    # negative product underflows); adding 0.0 makes that +0, as
+    # high*a+ - low*a- gives, and changes no other value.
+    np.multiply(half_high, a, out=out)
+    np.multiply(half_low, a, out=scratch)
+    np.maximum(out, scratch, out=out)
+    return np.add(out, 0.0, out=out)
 
 
 def g_eval(a, gp: GParams):

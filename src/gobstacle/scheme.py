@@ -35,7 +35,11 @@ work arrays of one step, the constants (dt, 2*dx, dx*dx, the halved
 variances) and, per side whose penalty acts, the interior obstacle row,
 dt*m*row and 1 + dt*m.  Each step only runs ufuncs into those arrays
 (`out=`), with the operands and in the order of the plain expressions,
-so the buffers change no bit.  A single solve reads slice k+1 of its
+so the buffers change no bit.  It runs none for a term the operator
+records as absent (`StepOperator.absent`: sigma^2 == 1, a zero cross
+loading, drift or compiled g), and forms du only when a term or a
+per-step driver reads it: an obstacle-free problem with unit
+coefficients and g == 0 steps in 14 numpy calls instead of 24.  A single solve reads slice k+1 of its
 field and writes slice k straight into it; a batch steps two (S, nx+1)
 layers in turn and copies each row into its own field.  The public
 `explicit_step` (one layer) and `layer_rhs_parts` (`_Kernel.rhs`) build
@@ -311,9 +315,12 @@ class StepOperator:
     three None when every node is centred; `g2` (2*g) and `f` on interior
     nodes when that driver is x-only, else None (evaluated per step at
     z = sigma*du); `lower`/`upper` on all nodes, None on an absent side.
-    No catalog kind depends on t, so the rows serve every step; a custom
-    field may, so its rows hold at `t` and `at` recompiles them.  A
-    custom driver is called at each step's t; `per_slice` marks an
+    `absent` names the rows whose term is structurally absent, which the
+    kernel skips: "sig2" where sigma^2 == 1, "cross2" and "drift" where
+    that row is 0 and every node is centred, "g2" where a compiled g2 is
+    0.  No catalog kind depends on t, so the rows serve every step; a
+    custom field may, so its rows hold at `t` and `at` recompiles them.
+    A custom driver is called at each step's t; `per_slice` marks an
     operator with either, whose replays take one slice per block.
     """
 
@@ -341,6 +348,12 @@ class StepOperator:
         self.f = None if gen.f.kind in per_step else _row(gen.f, t, inner)
         self.lower, self.upper = (None if fs is None else _row(fs, t, x)
                                   for fs in (ob.lower, ob.upper))
+        centred = self.upwind is None
+        self.absent = frozenset(name for name, gone in (
+            ("sig2", (self.sig2 == 1.0).all()),
+            ("cross2", centred and not self.cross2.any()),
+            ("drift", centred and not self.drift.any()),
+            ("g2", self.g2 is not None and not self.g2.any())) if gone)
 
     def at(self, t):
         """The operator for a step at time t: itself unless a custom
@@ -379,12 +392,13 @@ class _Kernel:
     """One backward step for layers of one shape through an operator,
     built once per solve or per block shape of a replay.
 
-    Holds the work arrays of a step (du, d2u, qv, rest, the envelope and
-    v on interior nodes), the constants (dt, 2*dx, dx*dx, the halved
-    variances) and the obstacle enforcement of the operator's rows
-    (`_Obstacles`, absent when `pen` is None).  Only a `timed` operator
-    is re-read per step (`op.at`).  The arrays are overwritten by every
-    step, so nothing a caller keeps may be one of them.
+    Holds the work arrays of a step (du, qv, rest, the envelope and v on
+    interior nodes), the constants (dt, 2*dx, dx*dx, the halved
+    variances), the rows of the terms the operator has (`bind`) and the
+    obstacle enforcement of its obstacle rows (`_Obstacles`, absent when
+    `pen` is None).  Only a `timed` operator is re-read per step
+    (`op.at`).  The arrays are overwritten by every step, so nothing a
+    caller keeps may be one of them.
     """
 
     def __init__(self, op: StepOperator, pen, shape):
@@ -395,28 +409,47 @@ class _Kernel:
         self.half_high = 0.5 * gp.vol_high_sq
         self.half_low = 0.5 * gp.vol_low_sq
         inner = shape[:-1] + (shape[-1] - 2,)
-        self.du, self.d2u, self.qv, self.rest, self.env, self.v = \
-            (np.empty(inner) for _ in range(6))
+        self.du, self.qv, self.rest, self.env, self.v = \
+            (np.empty(inner) for _ in range(5))
         self.bind(op)
 
     def bind(self, op: StepOperator):
-        """Read the rows of `op`, an operator on the kernel's grid."""
+        """Read the rows of `op`, an operator on the kernel's grid: None
+        for a term it records as absent, and whether a term or a per-step
+        driver reads du."""
         self.op = op
+        self.sig2, self.cross2, self.drift, self.g2 = (
+            None if name in op.absent else getattr(op, name)
+            for name in ("sig2", "cross2", "drift", "g2"))
+        self.per_step = op.g2 is None or op.f is None
+        self.reads_du = self.per_step or self.cross2 is not None \
+            or self.drift is not None
         self.obstacles = None if self.pen is None else _Obstacles(
             op.lower, op.upper, self.pen, self.dt, self.v.shape)
 
     def rhs(self, next_layer, t):
-        """(qv, rest) of `layer_rhs_parts` in the kernel's work arrays."""
+        """(qv, rest) of `layer_rhs_parts`: qv in the kernel's array, rest
+        in its array or, when the drift term is absent, the operator's
+        compiled f row.  Skipping an absent term changes no bit of the
+        step where du is finite: its row would scale by 1 or add a zero,
+        which changes at most the sign of a zero qv or rest, and neither
+        the envelope nor the sum env + rest sees that sign.  (Where du
+        is not finite, 0*du is NaN, so a full step would be NaN where
+        this one need not be; a layer whose difference overflows is
+        past any bound the CFL restriction was sized for.)"""
         op = self.op
         right, left = next_layer[..., 2:], next_layer[..., :-2]
         u = next_layer[..., 1:-1]
-        du, d2u, qv, rest = self.du, self.d2u, self.qv, self.rest
-        np.subtract(right, left, out=du)
-        np.divide(du, self.two_dx, out=du)
-        np.multiply(2.0, u, out=d2u)  # (right - 2.0*u) + left
-        np.subtract(right, d2u, out=d2u)
-        np.add(d2u, left, out=d2u)
-        np.divide(d2u, self.dx2, out=d2u)
+        du, qv, rest = self.du, self.qv, self.rest
+        np.multiply(2.0, u, out=qv)  # sig2 * (((right - 2.0*u) + left)/dx2)
+        np.subtract(right, qv, out=qv)
+        np.add(qv, left, out=qv)
+        np.divide(qv, self.dx2, out=qv)
+        if self.sig2 is not None:
+            np.multiply(self.sig2, qv, out=qv)
+        if self.reads_du:
+            np.subtract(right, left, out=du)
+            np.divide(du, self.two_dx, out=du)
         du_drift = du_cross = du
         if op.upwind is not None:
             fwd = (right - u) / self.dx
@@ -426,27 +459,34 @@ class _Kernel:
             du_cross = np.where(op.upwind, np.where(op.cross_up, fwd, bwd),
                                 du)
 
-        g2, f = op.g2, op.f
-        if g2 is None or f is None:  # drivers that read (u, z) or t
+        g2, f = self.g2, op.f
+        if self.per_step:  # drivers that read (u, z) or t
             gen = op.spec.gen
             x = self.grid.x_nodes[1:-1]
             z = op.sigma[1:-1] * du
-            if g2 is None:
+            if op.g2 is None:
                 g2 = 2.0 * gen.g(t, x, u, z)
             if f is None:
                 f = gen.f(t, x, u, z)
-        np.multiply(op.sig2, d2u, out=qv)  # sig2*d2u + cross2*du + g2
-        np.multiply(op.cross2, du_cross, out=rest)
-        np.add(qv, rest, out=qv)
-        np.add(qv, g2, out=qv)
-        np.multiply(op.drift, du_drift, out=rest)  # drift*du + f
-        np.add(rest, f, out=rest)
+        if self.cross2 is not None:  # qv + cross2*du + g2
+            np.multiply(self.cross2, du_cross, out=rest)
+            np.add(qv, rest, out=qv)
+        if g2 is not None:
+            np.add(qv, g2, out=qv)
+        if self.drift is not None:  # drift*du + f
+            np.multiply(self.drift, du_drift, out=rest)
+            np.add(rest, f, out=rest)
+        elif op.f is None:
+            np.copyto(rest, f)
+        else:
+            rest = f
         return qv, rest
 
     def explicit(self, next_layer, t):
-        """v = u + dt*(envelope(qv) + rest) of the step from `next_layer`
-        to time t into the kernel's `v`, which it returns (qv and rest
-        stay in its arrays); a `timed` operator is re-read at t first."""
+        """(v, qv, rest) of the step from `next_layer` to time t, with
+        v = u + dt*(envelope(qv) + rest) in the kernel's `v` and (qv,
+        rest) as `rhs` returns them; a `timed` operator is re-read at t
+        first."""
         if self.timed:
             self.bind(self.op.at(t))
         qv, rest = self.rhs(next_layer, t)
@@ -454,7 +494,7 @@ class _Kernel:
         gcalculus._envelope(qv, self.half_high, self.half_low, env, v)
         np.add(env, rest, out=env)
         np.multiply(self.dt, env, out=env)
-        return np.add(next_layer[..., 1:-1], env, out=v)
+        return np.add(next_layer[..., 1:-1], env, out=v), qv, rest
 
 
 def layer_rhs_parts(next_layer, t, op: StepOperator):
@@ -463,10 +503,14 @@ def layer_rhs_parts(next_layer, t, op: StepOperator):
     Returns (qv, rest) = (sig2*d2u + cross2*du + g2, drift*du + f) on
     interior nodes: the full rhs is envelope(qv) + rest, a fixed-scenario
     rhs 0.5*v*qv + rest.  It is the split of every step (`_Kernel.rhs`),
-    here into new arrays.  `next_layer` may carry leading axes; a driver
-    that reads t is evaluated at this one t.
+    here into new arrays of the layer's interior shape.  `next_layer` may
+    carry leading axes; a driver that reads t is evaluated at this one t.
     """
-    return _Kernel(op.at(t), None, np.shape(next_layer)).rhs(next_layer, t)
+    kernel = _Kernel(op.at(t), None, np.shape(next_layer))
+    qv, rest = kernel.rhs(next_layer, t)
+    if rest is not kernel.rest:  # the operator's f row
+        rest = np.array(np.broadcast_to(rest, qv.shape))
+    return qv, rest
 
 
 def _penalty_sides(low_vals, up_vals, pen, dt):
@@ -618,7 +662,8 @@ def _advance(next_layer, t, kernel: _Kernel, out):
     """One backward step of every layer in `next_layer` (the kernel's
     shape) to time t, written into `out`, which it returns; non-finite
     values are left to the caller."""
-    return kernel.obstacles.apply(kernel.explicit(next_layer, t), out)
+    v, _, _ = kernel.explicit(next_layer, t)
+    return kernel.obstacles.apply(v, out)
 
 
 def _nonfinite(layer, t, grid: Grid):

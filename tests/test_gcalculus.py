@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gobstacle.gcalculus import g_eval, worst_case_vol
 from gobstacle.model import (
@@ -76,6 +76,26 @@ def test_envelope_subadditive(a, b, gp):
     lhs = g_eval(a + b, gp)
     rhs = g_eval(a, gp) + g_eval(b, gp)
     assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
+
+
+# every float but NaN: subnormals, both zeros and both infinities too
+any_floats = st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(a=any_floats, gp=bands)
+@example(a=[-0.0, 0.0, -5e-324, 5e-324, -2.2e-308, 1e-310, -np.inf, np.inf],
+         gp=BAND)
+@example(a=[-0.0, -1e-320, 1e-320, -3.0], gp=GParams(1e-3, 1e-3))
+def test_envelope_is_the_split_formula_bit_for_bit(a, gp):
+    # the kernel's max((0.5*high)*a, (0.5*low)*a) + 0.0 against
+    # (0.5*high)*a+ - (0.5*low)*a-, signs of zero included
+    a = np.array(a)
+    with np.errstate(over="ignore"):  # products past the largest float
+        want = (0.5 * gp.vol_high_sq) * np.maximum(a, 0.0) \
+            - (0.5 * gp.vol_low_sq) * np.maximum(-a, 0.0)
+        got = g_eval(a, gp)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_degenerate_band_is_linear():

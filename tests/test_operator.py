@@ -20,7 +20,7 @@ from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import GridError, PenaltyParams, StepFailure, \
     StepOperator, build_grid, layer_rhs_parts
 from gobstacle.solvers import solve_double_projection, solve_limit, \
-    solve_penalized
+    solve_penalized, solve_penalized_batch
 
 from node_oracle import NodeDerivs, all_custom, pde_rhs, qv_rhs
 
@@ -380,3 +380,91 @@ def test_custom_drift_is_bounded_on_every_step():
     # boundary closure may dip below 0 (by 2.8e-7 here); interior nodes
     # keep the terminal range
     assert _in_unit_range(vals[:, 1:-1])
+
+
+# ---------------------------------------------------------------------------
+# the kernel skips the terms a problem does not have
+# ---------------------------------------------------------------------------
+
+ALL_TERMS = frozenset(("sig2", "cross2", "drift", "g2"))
+
+LEAN_CASES = SPECS + [
+    ("affine-drift-upwind", _step_terminal(FnSpec.affine(8.0, 0.0))),
+    ("custom-t-driver",
+     _plain(FnSpec.custom(lambda t, x, y, z: np.cos(2.0 * np.pi * t)))),
+]
+
+
+def _every_term_present(monkeypatch):
+    """Compile every operator with no term recorded absent, so the
+    kernel runs each ufunc of the full step."""
+    init = StepOperator.__init__
+
+    def present(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.absent = frozenset()
+
+    monkeypatch.setattr(StepOperator, "__init__", present)
+
+
+def test_absent_terms_are_the_rows_that_add_or_scale_by_nothing():
+    absent = {name: StepOperator(spec, build_grid(spec, nx=64)).absent
+              for name, spec in LEAN_CASES}
+    assert absent.pop("quadratic-drift") == frozenset()
+    assert absent.pop("quadratic-gen-colehopf") == ALL_TERMS - {"g2"}
+    # one-sided nodes read du through drift and cross, zero or not
+    assert absent.pop("affine-drift-upwind") == {"sig2", "g2"}
+    # g = 0.05 is a term; a per-step driver f leaves g2 compiled (zero)
+    assert absent.pop("comparison-pair[0]") == ALL_TERMS - {"g2"}
+    assert all(terms == ALL_TERMS for terms in absent.values())
+
+
+@pytest.mark.parametrize("name", [name for name, _ in LEAN_CASES])
+def test_skipping_absent_terms_changes_no_bit(name, monkeypatch):
+    spec = dict(LEAN_CASES)[name]
+    grid = build_grid(spec, nx=64)
+    pens = (PEN, PenaltyParams(math.inf, 64.0),
+            PenaltyParams(4.0, math.inf))
+
+    def outputs():
+        single = solve_penalized(spec, grid, PEN)
+        batch = solve_penalized_batch(spec, grid, pens)
+        out = [single.field.values] + [r.field.values for r in batch]
+        for report in (single, batch[1]):
+            bundle = reconstruct(report)
+            out += [bundle.z.values, bundle.da_plus, bundle.da_minus,
+                    bundle.defect.values, bundle.scenario_high,
+                    one_step_residuals(bundle)]
+        return out
+
+    lean = outputs()
+    _every_term_present(monkeypatch)
+    assert StepOperator(spec, grid).absent == frozenset()
+    full = outputs()
+    assert len(lean) == len(full) == 16
+    for a, b in zip(lean, full):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["double-active", "quadratic-drift",
+                                  "quadratic-gen-colehopf",
+                                  "custom-t-driver"])
+def test_layer_rhs_parts_returns_arrays_of_its_own(name):
+    spec = dict(LEAN_CASES)[name]
+    grid = build_grid(spec, nx=32)
+    op = StepOperator(spec, grid)
+    names = ("sigma", "sig2", "cross2", "drift", "g2", "f", "lower",
+             "upper")
+    rows = {k: getattr(op, k).copy() for k in names
+            if getattr(op, k) is not None}
+    layers = 0.05 * grid.x_nodes ** 2 + np.array([[0.0], [0.5]])
+    first = layer_rhs_parts(layers, 0.3, op)
+    want = [a.copy() for a in first]
+    for a in first:
+        assert a.shape == (2, grid.nx - 1)
+        a[...] = np.nan
+    for k, row in rows.items():
+        assert getattr(op, k).tobytes() == row.tobytes()
+    second = layer_rhs_parts(layers, 0.3, op)
+    for a, b in zip(second, want):
+        assert a.tobytes() == b.tobytes()
