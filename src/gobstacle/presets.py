@@ -9,6 +9,7 @@ within the documented tolerances at the default schedule intensities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,13 @@ from .model import CoefficientSet, FnSpec, GParams, GeneratorSpec, \
 
 BAND = GParams(vol_low_sq=1.0, vol_high_sq=2.0)
 UNIT_COEFFS = CoefficientSet()  # zero drift/cross, sigma == 1
+
+
+def _per_node(fn, xs):
+    """fn at each node of xs through `math`: numpy's exp and tanh pick a
+    SIMD loop by CPU, and their last bit differs between loops, so a
+    table built with them would differ between hosts."""
+    return np.array([fn(x) for x in xs])
 
 
 def _sine_table(amplitude, wavelength, n=801, span=10.0):
@@ -88,7 +96,8 @@ def _colehopf():
         gen=GeneratorSpec(g=FnSpec.quadratic_in_z(0.5), lipschitz_z=0.5,
                           zero_bound=1.0),
         obstacles=ObstaclePair(),
-        terminal=FnSpec.tabulated(xs, 0.5 * (1.0 + np.tanh(xs))))
+        terminal=FnSpec.tabulated(xs, 0.5 * (1.0 + _per_node(math.tanh,
+                                                              xs))))
 
 
 def _comparison_pair():
@@ -125,7 +134,8 @@ def _quadratic_drift():
                           lipschitz_z=0.25, zero_bound=1.0),
         obstacles=ObstaclePair(FnSpec.constant(-2.0), FnSpec.constant(2.0),
                                level_bound=2.0),
-        terminal=FnSpec.tabulated(xs, 0.8 * np.exp(-0.5 * xs * xs)))
+        terminal=FnSpec.tabulated(
+            xs, 0.8 * _per_node(math.exp, -0.5 * xs * xs)))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ DIGESTS = {
     "limit-lower-active":
         "893eb939adb2f1f69825015cd555de4e284d02f10d79b78191d94de86232a242",
     "limit-quadratic-drift":
-        "71cfb56f53b9aeac3aee6755ae0d295027340e9c041b8c3301b284da32574b6c",
+        "1bf3e86e33155d4d45d70e3bb411bc28338fdacd7e0317b0c6a449c7e236be83",
     "limit-upper-active":
         "c1c760f0e7530ad77487ca1a161e55f6ee2d7060fa81d2f181f2f895810cd51c",
 }
@@ -175,8 +175,8 @@ PROJECTION_DIGESTS = {  # (field, bundle z/dA+/dA-/defect)
         "d0767f2cd2dd56e46f99b3328f7ff055882b925d0e9bbfba68e38c250b53514c",
         "e00040fc08b25090b26635890ffa9dd3ef8d4998a99c21578ed9b3b144a1344b"),
     "lower-reflected-quadratic-drift": (
-        "34ba0031c1ff772ac9e482316e7186177656552ffd4eafa7c74ee1cf627067a9",
-        "0e3cfc74a0b688811aa16cb1004deb6aaff9eb911ea1452933a38594eb9538d0"),
+        "b26c071b55bce8d394a9d0471f7ab02e36035901530382739cf3c0ffb72a563c",
+        "8e66bffae732afe9a190d96d02200960ce8367803bc3f699f2122d9f806558f3"),
     "projection-constant-sandwich": (
         "fab9a371050dd55e1e2760bff1310b1c024ea56c0a67536be295f5227338f527",
         "7ae87004c307a4053ba89fabf269a65248b2707f28824b2de7f31aaedefac45f"),
@@ -187,8 +187,8 @@ PROJECTION_DIGESTS = {  # (field, bundle z/dA+/dA-/defect)
         "d0767f2cd2dd56e46f99b3328f7ff055882b925d0e9bbfba68e38c250b53514c",
         "e00040fc08b25090b26635890ffa9dd3ef8d4998a99c21578ed9b3b144a1344b"),
     "projection-quadratic-drift": (
-        "34ba0031c1ff772ac9e482316e7186177656552ffd4eafa7c74ee1cf627067a9",
-        "0e3cfc74a0b688811aa16cb1004deb6aaff9eb911ea1452933a38594eb9538d0"),
+        "b26c071b55bce8d394a9d0471f7ab02e36035901530382739cf3c0ffb72a563c",
+        "8e66bffae732afe9a190d96d02200960ce8367803bc3f699f2122d9f806558f3"),
     "projection-upper-active": (
         "03750284fa6e049599ec1e5359c4d4734efd8ae0273dd65f4724c8fbe4e9d70e",
         "5c3803853cd579926a105e1198a36d08285b3da6139aef5dc09c2e8766c81c16"),
@@ -237,9 +237,9 @@ PENALIZED_DIGESTS = {  # field and both violations at (64, 64), nx=64
     "lower-active":
         "7ecaefcf85eaed0fa25e5a226fa89778665b2e7bcb27eb69c736e46cd078f823",
     "quadratic-drift":
-        "e8c3e9f9556b1db267a4b39c0c74aa55ff01cae9ffad96e33e3cc9c6916b8b33",
+        "7f959dd5e319be33ed18562c5f29dc61ce050d6416679e27e95a65f3b401d00c",
     "quadratic-gen-colehopf":
-        "3a06610c046c009efabec14342105244244922609a940db595a01b0fe9768897",
+        "bd6e449843e14495aa94dd1cb1eba7a0f7702e8e5b4f26234db2930d841a973f",
     "upper-active":
         "212d07b21cc02d27caee928d0dc89931b1b1cdc380c17a66d6646296b0e6bb8d",
 }

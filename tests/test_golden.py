@@ -137,7 +137,7 @@ GOLDEN = {
         "report.txt": "ff3e95076a8d31df7d17e0b708a510aea064582a8b15ea61503e6342f4e517c4",
     }),
     ('solve', 'quadratic-gen-colehopf', 'penalized'): (0, {
-        "field.csv": "882de19346a0c0a866d47f3bcb823015c492d9e562cd23485db4270f767d5eab",
+        "field.csv": "a16c58e5a0028da6aa7d66f8097739ed01f10f1a0474ef8907e41140ff1415c2",
         "report.txt": "63a98c975a29b073e92c43748b522f971c5f203d59cb2a2bc35845b56df08dcb",
     }),
     ('solve', 'quadratic-gen-colehopf', 'reflected_lower_pen_upper'): (2, {
@@ -145,24 +145,24 @@ GOLDEN = {
     ('solve', 'quadratic-gen-colehopf', 'projection'): (2, {
     }),
     ('solve', 'quadratic-gen-colehopf', 'limit'): (0, {
-        "field.csv": "882de19346a0c0a866d47f3bcb823015c492d9e562cd23485db4270f767d5eab",
+        "field.csv": "a16c58e5a0028da6aa7d66f8097739ed01f10f1a0474ef8907e41140ff1415c2",
         "trace.csv": "9ce4d7b051b737362b1171819bfad9f42261e4072eb738d6a3fab2cf2315db71",
         "report.txt": "a466d8da38de0cb69656df4e66d68f1bf87a1daf8e035c338af0f2d88b775349",
     }),
     ('solve', 'quadratic-drift', 'penalized'): (0, {
-        "field.csv": "2519cfc9da46b0f8d0c6f7d406be1e8dfaff067a46a55c18f0eef50db7ccdc29",
+        "field.csv": "de1e381ece3a519c05d6e6530fd11814a268eddbeaa8da9078d7983b5a1e647f",
         "report.txt": "fa8f40d854b0006adef8b71fb0e878097ac67755b91ad151fe4c1318db397b45",
     }),
     ('solve', 'quadratic-drift', 'reflected_lower_pen_upper'): (0, {
-        "field.csv": "2519cfc9da46b0f8d0c6f7d406be1e8dfaff067a46a55c18f0eef50db7ccdc29",
+        "field.csv": "de1e381ece3a519c05d6e6530fd11814a268eddbeaa8da9078d7983b5a1e647f",
         "report.txt": "ed0905eff173eed58320768b50b66c7ca6a9b2cb957f1e9431b87567ef9bdd8e",
     }),
     ('solve', 'quadratic-drift', 'projection'): (0, {
-        "field.csv": "2519cfc9da46b0f8d0c6f7d406be1e8dfaff067a46a55c18f0eef50db7ccdc29",
+        "field.csv": "de1e381ece3a519c05d6e6530fd11814a268eddbeaa8da9078d7983b5a1e647f",
         "report.txt": "3597e3a056d5a4c1256e65e48d40595d59d5aa3c72d0d16810ef661d3f8c2173",
     }),
     ('solve', 'quadratic-drift', 'limit'): (0, {
-        "field.csv": "2519cfc9da46b0f8d0c6f7d406be1e8dfaff067a46a55c18f0eef50db7ccdc29",
+        "field.csv": "de1e381ece3a519c05d6e6530fd11814a268eddbeaa8da9078d7983b5a1e647f",
         "trace.csv": "9ce4d7b051b737362b1171819bfad9f42261e4072eb738d6a3fab2cf2315db71",
         "report.txt": "c29994defa95b69fa53e9cd626e59c7ac9613a8657bb4b031d95fc661b6aef76",
     }),
@@ -197,7 +197,7 @@ GOLDEN = {
         "report.txt": "a58bdb843c08a237b71b58b5c77690a689614c9d32cc37dc5932842692863ed2",
     }),
     ('suite', 'quadratic-gen-colehopf', None): (0, {
-        "field.csv": "882de19346a0c0a866d47f3bcb823015c492d9e562cd23485db4270f767d5eab",
+        "field.csv": "a16c58e5a0028da6aa7d66f8097739ed01f10f1a0474ef8907e41140ff1415c2",
         "trace.csv": "9ce4d7b051b737362b1171819bfad9f42261e4072eb738d6a3fab2cf2315db71",
         "report.txt": "7b0a3ca3c3207529f517388b496da354b302ede153f4b97cb09452b4112f2162",
     }),
@@ -205,7 +205,7 @@ GOLDEN = {
         "report.txt": "177559cd55ccafc133ab92632db5f5dc932ef87224586ca67472d557f44b75ca",
     }),
     ('suite', 'quadratic-drift', None): (0, {
-        "field.csv": "2519cfc9da46b0f8d0c6f7d406be1e8dfaff067a46a55c18f0eef50db7ccdc29",
+        "field.csv": "de1e381ece3a519c05d6e6530fd11814a268eddbeaa8da9078d7983b5a1e647f",
         "trace.csv": "9ce4d7b051b737362b1171819bfad9f42261e4072eb738d6a3fab2cf2315db71",
         "report.txt": "569d687454cec67927ff60b12c4eb0710a14348decdb3f52ff62f7e6b81d430f",
     }),
