@@ -162,10 +162,8 @@ def _bundle_rows(report, ks, v_grid=None):
             z[rows, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
             z[rows, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
 
-    # blocks hold the scenario stack (V layers per slice) when every
-    # slice is asked for; else only the blocks holding an asked slice
-    # do, and the blocks are sized for the replay and compare alone
-    blocks = op.blocks(grid.nt, rows=v_grid.size if where is None else 1)
+    # a block holding an asked slice holds the scenario stack too
+    blocks = op.blocks(grid.nt, rows=v_grid.size)
     kernel = None
     # latest blocks first, as the solve stepped: a refusal names the
     # first step that differs; only the first block can be short

@@ -38,9 +38,9 @@ CASES = [(p.name, mode) for p in list_presets() if p.kind == "single"
 def _slices(spec, grid):
     """Slice indices: an interior one, the first, the last of the
     next-to-last replay block (of the only one) and the terminal one, in
-    that (unsorted) order.  A replay asked for a few slices sizes its
-    blocks for one layer per slice."""
-    blocks = StepOperator(spec, grid).blocks(grid.nt)
+    that (unsorted) order.  A replay sizes its blocks for the scenario
+    stack, five layers per slice on the default scenario grid."""
+    blocks = StepOperator(spec, grid).blocks(grid.nt, rows=5)
     ks = [grid.nt // 3, 0, blocks[-2:][0][1] - 1, grid.nt]
     assert len(set(ks)) == len(ks)
     return ks
