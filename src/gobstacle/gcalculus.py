@@ -15,20 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GParams
+from .model import GParams, SpecError
 
 
 def _envelope(a, half_high, half_low, out, scratch):
     """0.5*(high*a+ - low*a-) into `out` from the halved variances, with
     `scratch` as a work array of a's shape; returns `out`.  The step
     kernel calls it with its own work arrays, `g_eval` with new ones."""
-    # max((0.5*high)*a, (0.5*low)*a): for low > 0 the larger product is
-    # the high one for a > 0 and the low one for a < 0, each rounded
-    # once, so it equals 0.5*v*a at the maximizing endpoint bit for bit,
-    # also where the product is subnormal and halving it afterwards would
-    # round a second time.  The max gives -0 at a = -0 (and where a
-    # negative product underflows); adding 0.0 makes that +0, as
-    # high*a+ - low*a- gives, and changes no other value.
+    # max((0.5*high)*a, (0.5*low)*a): halving the variances, not the
+    # product, rounds once, so the value equals 0.5*v*a at the maximizing
+    # endpoint bit for bit, also where the product is subnormal.  The max
+    # is -0 at a = -0 and where a negative product underflows; adding 0.0
+    # makes that the +0 of high*a+ - low*a- and changes no other value.
     np.multiply(half_high, a, out=out)
     np.multiply(half_low, a, out=scratch)
     np.maximum(out, scratch, out=out)
@@ -37,7 +35,11 @@ def _envelope(a, half_high, half_low, out, scratch):
 
 def g_eval(a, gp: GParams):
     """Envelope value 0.5*(high*a+ - low*a-).  Positively homogeneous,
-    monotone, and subadditive in a; linear when the band is degenerate."""
+    monotone, and subadditive in a; linear when the band is degenerate.
+    A band that is not well ordered (0 < low <= high) raises SpecError."""
+    if not gp.well_ordered:
+        raise SpecError("volatility band is not well ordered; "
+                        "run validate() for details")
     a = np.asarray(a, dtype=float)
     out = _envelope(a, 0.5 * gp.vol_high_sq, 0.5 * gp.vol_low_sq,
                     np.empty(a.shape), np.empty(a.shape))

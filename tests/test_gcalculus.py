@@ -98,6 +98,14 @@ def test_envelope_is_the_split_formula_bit_for_bit(a, gp):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("gp", [GParams(0.0, 1.0), GParams(2.0, 1.0)])
+def test_envelope_refuses_a_band_that_is_not_well_ordered(gp):
+    # max over the band of 0.5*v*a needs 0 < low <= high: at low = 0,
+    # (0.5*low)*inf would be NaN, and a misordered band picks low for a > 0
+    with pytest.raises(SpecError, match="not well ordered"):
+        g_eval(np.array([np.inf, 1.0]), gp)
+
+
 def test_degenerate_band_is_linear():
     gp = GParams(1.5, 1.5)
     a = np.array([-3.0, -1.0, 2.0, 5.0])
