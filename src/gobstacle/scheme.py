@@ -38,9 +38,10 @@ dt*m*row and 1 + dt*m.  Each step only runs ufuncs into those arrays
 so the buffers change no bit.  It runs none for a term the operator
 records as absent (`StepOperator.absent`: sigma^2 == 1, a zero cross
 loading, drift or compiled g), and forms du only when a term or a
-per-step driver reads it: an obstacle-free problem with unit
-coefficients and g == 0 steps in 14 numpy calls instead of 24.  A single solve reads slice k+1 of its
-field and writes slice k straight into it; a batch steps two (S, nx+1)
+per-step driver reads it, so an obstacle-free problem with unit
+coefficients and g == 0 steps in 14 numpy calls instead of 24.  A
+single solve reads slice k+1 of its field and writes slice k straight
+into it; a batch steps two (S, nx+1)
 layers in turn and copies each row into its own field.  The public
 `explicit_step` (one layer) and `layer_rhs_parts` (`_Kernel.rhs`) build
 a kernel and return new arrays; `resolve_penalties` and
@@ -430,13 +431,11 @@ class _Kernel:
     def rhs(self, next_layer, t):
         """(qv, rest) of `layer_rhs_parts`: qv in the kernel's array, rest
         in its array or, when the drift term is absent, the operator's
-        compiled f row.  Skipping an absent term changes no bit of the
-        step where du is finite: its row would scale by 1 or add a zero,
-        which changes at most the sign of a zero qv or rest, and neither
-        the envelope nor the sum env + rest sees that sign.  (Where du
-        is not finite, 0*du is NaN, so a full step would be NaN where
-        this one need not be; a layer whose difference overflows is
-        past any bound the CFL restriction was sized for.)"""
+        compiled f row.  Where du is finite, skipping an absent term
+        changes at most the sign of a zero qv or rest, which neither the
+        envelope nor env + rest sees, so the step keeps every bit; where
+        it is not (a layer whose difference overflows), 0*du would have
+        made the full step NaN."""
         op = self.op
         right, left = next_layer[..., 2:], next_layer[..., :-2]
         u = next_layer[..., 1:-1]

@@ -414,8 +414,8 @@ def test_absent_terms_are_the_rows_that_add_or_scale_by_nothing():
     assert absent.pop("quadratic-gen-colehopf") == ALL_TERMS - {"g2"}
     # one-sided nodes read du through drift and cross, zero or not
     assert absent.pop("affine-drift-upwind") == {"sig2", "g2"}
-    # g = 0.05 is a term; a per-step driver f leaves g2 compiled (zero)
-    assert absent.pop("comparison-pair[0]") == ALL_TERMS - {"g2"}
+    assert absent.pop("comparison-pair[0]") == ALL_TERMS - {"g2"}  # g=0.05
+    # the rest, the custom f driver included, compile g2 to zeros
     assert all(terms == ALL_TERMS for terms in absent.values())
 
 
