@@ -30,8 +30,9 @@ tail-energy diagnostic read it from there.
 
 Replays read only stored slices, so a kernel call takes a block of
 consecutive slices (`StepOperator.blocks`; one slice when a custom
-field or driver may depend on t), one kernel serves every block of its
-shape, and the scenarios of the defect go in as one (V, B, nx-1) stack.
+field or driver may depend on t), copied into the kernel's input layer;
+one kernel serves every block of its shape, and the scenarios of the
+defect go in as one (V, B, nx-1) stack.
 Sums over slices (the contact residuals) still add in slice order.
 
 The replay always covers every stored step and compares it with the
@@ -176,10 +177,11 @@ def _bundle_rows(report, ks, v_grid=None):
             if where is not None:
                 high = np.empty(kernel.v.shape, dtype=bool)
                 worst = np.empty(kernel.v.shape)
-        v, qv, rest = kernel.explicit(nxt, grid.t_nodes[k0])
+        np.copyto(kernel.layer, nxt)
+        v, qv, rest = kernel.explicit(grid.t_nodes[k0])
         rows = dest(k0, k1)
         if rows is None:  # compare only
-            layer = kernel.obstacles.apply(v, np.empty(nxt.shape))
+            layer = kernel.apply()
         else:
             if where is None:  # every slice: the block's rows in place
                 high, worst = scenario_high[rows], defect[rows, 1:-1]
@@ -195,8 +197,8 @@ def _bundle_rows(report, ks, v_grid=None):
                        w.shape).apply(w, layers)
             np.subtract(layers[..., 1:-1], vals[k0:k1, 1:-1], out=w)
             np.max(w, axis=0, out=worst)
-            layer, da_plus[rows], da_minus[rows] = kernel.obstacles.apply(
-                v, np.empty(nxt.shape), increments=True)
+            layer, da_plus[rows], da_minus[rows] = kernel.apply(
+                increments=True)
             if where is not None:
                 scenario_high[rows], defect[rows, 1:-1] = high, worst
         differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
@@ -226,7 +228,8 @@ def one_step_residuals(bundle: ProcessBundle):
         nxt = vals[k0 + 1:k1 + 1]
         if kernel is None or kernel.v.shape[0] != k1 - k0:
             kernel = _Kernel(op, None, nxt.shape)
-        v, _, _ = kernel.explicit(nxt, grid.t_nodes[k0])
+        np.copyto(kernel.layer, nxt)
+        v, _, _ = kernel.explicit(grid.t_nodes[k0])
         out[k0:k1] = vals[k0:k1, 1:-1] - (v + bundle.da_plus[k0:k1, 1:-1]
                                           - bundle.da_minus[k0:k1, 1:-1])
     return out

@@ -15,22 +15,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GParams, SpecError
+from .model import GParams, SpecError, _bound_call
 
 
-def _envelope(a, half_high, half_low, out, scratch):
-    """0.5*(high*a+ - low*a-) into `out` from the halved variances, with
-    `scratch` as a work array of a's shape; returns `out`.  The step
-    kernel calls it with its own work arrays, `g_eval` with new ones."""
+def _envelope_calls(a, half_high, half_low, out, scratch):
+    """The numpy calls, in order, that write 0.5*(high*a+ - low*a-) into
+    `out` from the halved variances, with `scratch` as a work array of
+    a's shape.  The step kernel compiles them over its own arrays,
+    `g_eval` runs them on new ones."""
     # max((0.5*high)*a, (0.5*low)*a): halving the variances, not the
     # product, rounds once, so the value equals 0.5*v*a at the maximizing
     # endpoint bit for bit, also where the product is subnormal.  The max
     # is -0 at a = -0 and where a negative product underflows; adding 0.0
     # makes that the +0 of high*a+ - low*a- and changes no other value.
-    np.multiply(half_high, a, out=out)
-    np.multiply(half_low, a, out=scratch)
-    np.maximum(out, scratch, out=out)
-    return np.add(out, 0.0, out=out)
+    return [_bound_call(np.multiply, half_high, a, out),
+            _bound_call(np.multiply, half_low, a, scratch),
+            _bound_call(np.maximum, out, scratch, out=out),
+            _bound_call(np.add, out, 0.0, out)]
 
 
 def g_eval(a, gp: GParams):
@@ -41,8 +42,10 @@ def g_eval(a, gp: GParams):
         raise SpecError("volatility band is not well ordered; "
                         "run validate() for details")
     a = np.asarray(a, dtype=float)
-    out = _envelope(a, 0.5 * gp.vol_high_sq, 0.5 * gp.vol_low_sq,
-                    np.empty(a.shape), np.empty(a.shape))
+    out = np.empty(a.shape)
+    for call in _envelope_calls(a, 0.5 * gp.vol_high_sq, 0.5 * gp.vol_low_sq,
+                                out, np.empty(a.shape)):
+        call()
     return float(out) if out.ndim == 0 else out
 
 

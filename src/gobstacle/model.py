@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -81,6 +82,15 @@ def read_numbers(values, where):
     if not isinstance(values, (list, tuple)):
         raise SpecError(f"{where} must be a list of numbers, got {values!r}")
     return tuple(read_number(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _bound_call(fn, *args, **kwargs):
+    """fn bound to its arguments, to be called with none: one numpy call
+    of a compiled sequence.  A float argument is bound as a 0-d float64
+    array, the same operand to a ufunc, which then does not convert a
+    Python scalar on every call."""
+    return partial(fn, *[np.array(a) if isinstance(a, float) else a
+                         for a in args], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +217,23 @@ class FnSpec:
             return np.minimum(np.maximum(out, -self.clip), self.clip)
         if self.kind == "quadratic_in_z":
             zz = np.asarray(z, dtype=float)
-            return np.minimum(np.maximum(self.gamma * zz * zz, -self.clip),
-                              self.clip)
+            out = np.empty(zz.shape)
+            for call in self._quadratic_calls(zz, out):
+                call()
+            return out[()]
         if self.kind == "tabulated":
             return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
         return self.fn(t, x, y, z)
+
+    def _quadratic_calls(self, z, out):
+        """The numpy calls, in order, that write a quadratic_in_z field's
+        value (gamma*z)*z, hard-clipped to [-clip, clip], at the float
+        array z into `out`: `__call__` runs them on a new array, the step
+        kernel compiles them over its own."""
+        return [_bound_call(np.multiply, self.gamma, z, out),
+                _bound_call(np.multiply, out, z, out),
+                _bound_call(np.maximum, out, -self.clip, out=out),
+                _bound_call(np.minimum, out, self.clip, out=out)]
 
     # -- serialization ---------------------------------------------------
 

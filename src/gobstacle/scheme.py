@@ -19,8 +19,9 @@ A `StepOperator` compiles the problem onto the grid once; every step
 reads its rows.  One kernel (`_Kernel`) forms every step the package
 takes, in the solvers and in the replays of the process reconstruction
 and its residuals: `_Kernel.explicit` forms the explicit values, then
-`_Obstacles.apply` resolves the penalties, projects and closes the
-boundary, and reports on request the compensator increments it applied.
+`_Kernel.apply` resolves the penalties, projects and closes the boundary
+(`_Obstacles`), and reports on request the compensator increments it
+applied.
 It acts on the last axis of arrays of any leading shape: a solver steps
 S solves of one problem as one (S, nx+1) layer, with penalty intensities
 given per row, and a replay of stored slices takes a block of
@@ -30,22 +31,30 @@ when a custom field or driver may depend on t.  The arithmetic is
 elementwise and the same for every shape, so a batched or blocked call
 reproduces the one-layer step bit for bit.
 
-A kernel is built once per solve, or per block shape of a replay: the
-work arrays of one step, the constants (dt, 2*dx, dx*dx, the halved
+A kernel is built once per solve, or per block shape of a replay: two
+layers of that shape, which a solve steps between in turn, the work
+arrays of one step, the constants (dt, 2*dx, dx*dx, the halved
 variances) and, per side whose penalty acts, the interior obstacle row,
-dt*m*row and 1 + dt*m.  Each step only runs ufuncs into those arrays
-(`out=`), with the operands and in the order of the plain expressions,
-so the buffers change no bit.  It runs none for a term the operator
-records as absent (`StepOperator.absent`: sigma^2 == 1, a zero cross
-loading, drift or compiled g), and forms du only when a term or a
-per-step driver reads it, so an obstacle-free problem with unit
-coefficients and g == 0 steps in 14 numpy calls instead of 24.  A
-single solve reads slice k+1 of its field and writes slice k straight
-into it; a batch steps two (S, nx+1)
-layers in turn and copies each row into its own field.  The public
-`explicit_step` (one layer) and `layer_rhs_parts` (`_Kernel.rhs`) build
-a kernel and return new arrays; `resolve_penalties` and
-`gcalculus.g_eval` share its penalty resolution and its envelope.
+dt*m*row and 1 + dt*m.  It binds a step once into a fixed sequence of
+numpy calls (`_Kernel._compile`), every operand bound and every view
+into its two layers prebuilt, so a step only runs that sequence: ufuncs
+into those arrays (`out=`), with the operands and in the order of the
+plain expressions, so the buffers change no bit.  A float operand is
+bound as a 0-d array (`model._bound_call`), the same operand, which the
+ufunc need not convert on every call.  A catalog quadratic_in_z driver
+is part of the sequence, with the calls its own evaluation runs
+(`FnSpec._quadratic_calls`); a custom driver is one call at the step's
+t, and a `timed` operator binds the sequence again at each new t.  It
+runs no call for a term the operator records as absent
+(`StepOperator.absent`: sigma^2 == 1, a zero cross loading, drift or
+compiled g), and forms du only when a term or a per-step driver reads
+it, so an obstacle-free problem with unit coefficients and g == 0 steps
+in 14 numpy calls.  No step writes into a field: a solve copies each new
+layer's rows into their fields, and a replay copies its block of stored
+slices into the kernel's input layer.  The public `explicit_step` (one
+layer) and `layer_rhs_parts` (`_Kernel.rhs`) build a kernel and return
+new arrays; `resolve_penalties` and `gcalculus.g_eval` share its penalty
+resolution and its envelope.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -73,7 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gcalculus
-from .model import ProblemSpec, SpecError, cell_peclet_excess
+from .model import ProblemSpec, SpecError, _bound_call, cell_peclet_excess
 
 _NT_CAP = 10_000_000
 _FIELD_BYTES_CAP = 512 * 2 ** 20  # field-size float64 arrays of one call
@@ -391,15 +400,21 @@ class StepOperator:
 
 class _Kernel:
     """One backward step for layers of one shape through an operator,
-    built once per solve or per block shape of a replay.
+    built once per solve or per block shape of a replay and compiled
+    into fixed sequences of numpy calls.
 
-    Holds the work arrays of a step (du, qv, rest, the envelope and v on
-    interior nodes), the constants (dt, 2*dx, dx*dx, the halved
-    variances), the rows of the terms the operator has (`bind`) and the
-    obstacle enforcement of its obstacle rows (`_Obstacles`, absent when
-    `pen` is None).  Only a `timed` operator is re-read per step
-    (`op.at`).  The arrays are overwritten by every step, so nothing a
-    caller keeps may be one of them.
+    Owns two layers of that shape: a step reads the input layer (`layer`)
+    and writes the other, which `_advance` makes the input of the next
+    step; a replay copies its block into `layer` first.  Holds the work
+    arrays of a step (du, qv, rest, the envelope and v on interior nodes;
+    a sequence that needs more makes its own), the constants (dt, 2*dx,
+    dx*dx, the halved variances) and the obstacle enforcement of its
+    operator's obstacle rows (`_Obstacles`, absent when `pen` is None).
+    The calls of each stage of a step are bound once per input layer,
+    with every view prebuilt (`_compile`), and bound again only when a
+    `timed` operator is re-read at another t (`op.at`).  The arrays are
+    overwritten by every step, so nothing a caller keeps may be one of
+    them.
     """
 
     def __init__(self, op: StepOperator, pen, shape):
@@ -409,91 +424,160 @@ class _Kernel:
         self.two_dx, self.dx2 = 2.0 * grid.dx, grid.dx * grid.dx
         self.half_high = 0.5 * gp.vol_high_sq
         self.half_low = 0.5 * gp.vol_low_sq
-        inner = shape[:-1] + (shape[-1] - 2,)
+        self.layers = (np.empty(shape), np.empty(shape))
+        self.p = 0  # the index of the input layer
+        self.inner = shape[:-1] + (shape[-1] - 2,)
         self.du, self.qv, self.rest, self.env, self.v = \
-            (np.empty(inner) for _ in range(5))
+            (np.empty(self.inner) for _ in range(5))
+        self.clock = [0.0]  # the t of the step a per-step driver reads
         self.bind(op)
 
+    @property
+    def layer(self):
+        return self.layers[self.p]
+
     def bind(self, op: StepOperator):
-        """Read the rows of `op`, an operator on the kernel's grid: None
-        for a term it records as absent, and whether a term or a per-step
-        driver reads du."""
+        """Take `op`, an operator on the kernel's grid: its obstacle
+        enforcement, and the outputs (v, qv, rest), where rest is the
+        operator's compiled f row when the drift term is absent; the calls
+        of each stage are bound on first use."""
         self.op = op
-        self.sig2, self.cross2, self.drift, self.g2 = (
-            None if name in op.absent else getattr(op, name)
-            for name in ("sig2", "cross2", "drift", "g2"))
-        self.per_step = op.g2 is None or op.f is None
-        self.reads_du = self.per_step or self.cross2 is not None \
-            or self.drift is not None
         self.obstacles = None if self.pen is None else _Obstacles(
             op.lower, op.upper, self.pen, self.dt, self.v.shape)
+        rest = op.f if "drift" in op.absent and op.f is not None \
+            else self.rest
+        self.out = (self.v, self.qv, rest)
+        self.plans = {}
 
-    def rhs(self, next_layer, t):
-        """(qv, rest) of `layer_rhs_parts`: qv in the kernel's array, rest
-        in its array or, when the drift term is absent, the operator's
-        compiled f row.  Where du is finite, skipping an absent term
-        changes at most the sign of a zero qv or rest, which neither the
-        envelope nor env + rest sees, so the step keeps every bit; where
-        it is not (a layer whose difference overflows), 0*du would have
-        made the full step NaN."""
+    def _calls(self, stage):
+        """The bound calls of `stage` for the current input layer."""
+        key = (self.p, stage)
+        if key not in self.plans:
+            self.plans[key] = self._compile(stage)
+        return self.plans[key]
+
+    def _compile(self, stage):
+        """The numpy calls of one stage of the step from the input layer:
+        "rhs" forms (qv, rest), "explicit" goes on to v, "apply" writes the
+        obstacle enforcement of v into the other layer, and "increments"
+        does so reporting the compensator increments too."""
+        if stage in ("apply", "increments"):
+            return self.obstacles.calls(  # env is free once v is formed
+                self.v, self.layers[1 - self.p],
+                self.env if stage == "increments" else None)
+        calls = self._rhs_calls(self.layer)
+        if stage == "explicit":
+            qv, rest, env, v = self.qv, self.out[2], self.env, self.v
+            calls += gcalculus._envelope_calls(qv, self.half_high,
+                                               self.half_low, env, v)
+            calls += [_bound_call(np.add, env, rest, env),
+                      _bound_call(np.multiply, self.dt, env, env),
+                      _bound_call(np.add, self.layer[..., 1:-1], env, v)]
+        return calls
+
+    def _rhs_calls(self, layer):
+        """The calls that form (qv, rest) of `layer_rhs_parts` from
+        `layer`.  They skip every term the operator records as absent,
+        and form du only when a term or a per-step driver reads it.  Where
+        du is finite, skipping an absent term changes at most the sign of
+        a zero qv or rest, which neither the envelope nor env + rest sees,
+        so the step keeps every bit; where it is not (a layer whose
+        difference overflows), 0*du would have made the full step NaN."""
         op = self.op
-        right, left = next_layer[..., 2:], next_layer[..., :-2]
-        u = next_layer[..., 1:-1]
+        right, left, u = layer[..., 2:], layer[..., :-2], layer[..., 1:-1]
         du, qv, rest = self.du, self.qv, self.rest
-        np.multiply(2.0, u, out=qv)  # sig2 * (((right - 2.0*u) + left)/dx2)
-        np.subtract(right, qv, out=qv)
-        np.add(qv, left, out=qv)
-        np.divide(qv, self.dx2, out=qv)
-        if self.sig2 is not None:
-            np.multiply(self.sig2, qv, out=qv)
-        if self.reads_du:
-            np.subtract(right, left, out=du)
-            np.divide(du, self.two_dx, out=du)
+        sig2, cross2, drift, g2 = (None if name in op.absent
+                                   else getattr(op, name)
+                                   for name in ("sig2", "cross2", "drift",
+                                                "g2"))
+        per_step = op.g2 is None or op.f is None
+        # sig2 * (((right - 2.0*u) + left)/dx2)
+        calls = [_bound_call(np.multiply, 2.0, u, qv),
+                 _bound_call(np.subtract, right, qv, qv),
+                 _bound_call(np.add, qv, left, qv),
+                 _bound_call(np.divide, qv, self.dx2, qv)]
+        if sig2 is not None:
+            calls.append(_bound_call(np.multiply, sig2, qv, qv))
+        if per_step or cross2 is not None or drift is not None:
+            calls += [_bound_call(np.subtract, right, left, du),
+                      _bound_call(np.divide, du, self.two_dx, du)]
         du_drift = du_cross = du
         if op.upwind is not None:
-            fwd = (right - u) / self.dx
-            bwd = (u - left) / self.dx
-            du_drift = np.where(op.upwind, np.where(op.drift_up, fwd, bwd),
-                                du)
-            du_cross = np.where(op.upwind, np.where(op.cross_up, fwd, bwd),
-                                du)
+            fwd, bwd, du_drift, du_cross = \
+                (np.empty(self.inner) for _ in range(4))
+            calls += [_bound_call(np.subtract, right, u, fwd),
+                      _bound_call(np.divide, fwd, self.dx, fwd),
+                      _bound_call(np.subtract, u, left, bwd),
+                      _bound_call(np.divide, bwd, self.dx, bwd)]
+            for out, up in ((du_drift, op.drift_up), (du_cross, op.cross_up)):
+                calls += [_bound_call(np.copyto, out, du),
+                          _bound_call(np.copyto, out, fwd,
+                                      where=op.upwind & up),
+                          _bound_call(np.copyto, out, bwd,
+                                      where=op.upwind & ~up)]
 
-        g2, f = self.g2, op.f
-        if self.per_step:  # drivers that read (u, z) or t
-            gen = op.spec.gen
-            x = self.grid.x_nodes[1:-1]
-            z = op.sigma[1:-1] * du
+        f = op.f
+        if per_step:  # drivers that read (u, z) or t; env and v are free
+            gen, z = op.spec.gen, self.env
+            calls.append(_bound_call(np.multiply, op.sigma[1:-1], du, z))
             if op.g2 is None:
-                g2 = 2.0 * gen.g(t, x, u, z)
+                g2 = self.v
+                calls += self._driver(gen.g, u, z, g2)
+                calls.append(_bound_call(np.multiply, 2.0, g2, g2))
             if f is None:
-                f = gen.f(t, x, u, z)
-        if self.cross2 is not None:  # qv + cross2*du + g2
-            np.multiply(self.cross2, du_cross, out=rest)
-            np.add(qv, rest, out=qv)
+                f = rest if drift is None else np.empty(self.inner)
+                calls += self._driver(gen.f, u, z, f)
+        if cross2 is not None:  # qv + cross2*du + g2, env as scratch
+            calls += [_bound_call(np.multiply, cross2, du_cross, self.env),
+                      _bound_call(np.add, qv, self.env, qv)]
         if g2 is not None:
-            np.add(qv, g2, out=qv)
-        if self.drift is not None:  # drift*du + f
-            np.multiply(self.drift, du_drift, out=rest)
-            np.add(rest, f, out=rest)
-        elif op.f is None:
-            np.copyto(rest, f)
-        else:
-            rest = f
-        return qv, rest
+            calls.append(_bound_call(np.add, qv, g2, qv))
+        if drift is not None:  # drift*du + f
+            calls += [_bound_call(np.multiply, drift, du_drift, rest),
+                      _bound_call(np.add, rest, f, rest)]
+        return calls
 
-    def explicit(self, next_layer, t):
-        """(v, qv, rest) of the step from `next_layer` to time t, with
+    def _driver(self, fs, u, z, out):
+        """The calls that write a per-step driver's value at (t, x, u, z)
+        into `out`: a quadratic_in_z one as numpy calls, any other as one
+        call of fs at the step's t."""
+        if fs.kind == "quadratic_in_z":
+            return fs._quadratic_calls(z, out)
+        clock, x = self.clock, self.grid.x_nodes[1:-1]
+        return [lambda: np.copyto(out, fs(clock[0], x, u, z))]
+
+    def rhs(self, t):
+        """(qv, rest) of the input layer's step to time t, as `bind` names
+        them."""
+        self.clock[0] = t
+        for call in self._calls("rhs"):
+            call()
+        return self.out[1:]
+
+    def explicit(self, t):
+        """(v, qv, rest) of the step from the input layer to time t, with
         v = u + dt*(envelope(qv) + rest) in the kernel's `v` and (qv,
-        rest) as `rhs` returns them; a `timed` operator is re-read at t
+        rest) as `rhs` gives them; a `timed` operator is re-read at t
         first."""
         if self.timed:
-            self.bind(self.op.at(t))
-        qv, rest = self.rhs(next_layer, t)
-        env, v = self.env, self.v
-        gcalculus._envelope(qv, self.half_high, self.half_low, env, v)
-        np.add(env, rest, out=env)
-        np.multiply(self.dt, env, out=env)
-        return np.add(next_layer[..., 1:-1], env, out=v), qv, rest
+            op = self.op.at(t)
+            if op is not self.op:
+                self.bind(op)
+        self.clock[0] = t
+        for call in self._calls("explicit"):
+            call()
+        return self.out
+
+    def apply(self, increments=False):
+        """Enforce the obstacles on v into the other layer and return it;
+        with `increments`, return (layer, dA+, dA-) as `_Obstacles.calls`
+        writes them."""
+        for call in self._calls("increments" if increments else "apply"):
+            call()
+        out = self.layers[1 - self.p]
+        if increments:
+            return out, self.obstacles.da_plus, self.obstacles.da_minus
+        return out
 
 
 def layer_rhs_parts(next_layer, t, op: StepOperator):
@@ -506,7 +590,8 @@ def layer_rhs_parts(next_layer, t, op: StepOperator):
     carry leading axes; a driver that reads t is evaluated at this one t.
     """
     kernel = _Kernel(op.at(t), None, np.shape(next_layer))
-    qv, rest = kernel.rhs(next_layer, t)
+    np.copyto(kernel.layer, next_layer)
+    qv, rest = kernel.rhs(t)
     if rest is not kernel.rest:  # the operator's f row
         rest = np.array(np.broadcast_to(rest, qv.shape))
     return qv, rest
@@ -528,17 +613,19 @@ def _penalty_sides(low_vals, up_vals, pen, dt):
     return sides
 
 
-def _resolve(v, u, sides, hit, val):
-    """Write the penalty resolution of v into u, which holds v; hit and
-    val are work arrays of v's shape.  Both sides test the unpenalized
-    v."""
+def _resolve_calls(v, u, sides, hit, val):
+    """The calls that write the penalty resolution of v into u, which
+    holds v; hit and val are work arrays of v's shape.  Both sides test
+    the unpenalized v."""
+    calls = []
     for vals, rows, a_vals, one_a, test in sides:
-        test(v, vals, out=hit)
+        calls.append(_bound_call(test, v, vals, hit))
         if rows is not True:
-            np.logical_and(hit, rows, out=hit)
-        np.add(v, a_vals, out=val)
-        np.divide(val, one_a, out=val)
-        np.copyto(u, val, where=hit)
+            calls.append(_bound_call(np.logical_and, hit, rows, hit))
+        calls += [_bound_call(np.add, v, a_vals, val),
+                  _bound_call(np.divide, val, one_a, val),
+                  _bound_call(np.copyto, u, val, where=hit)]
+    return calls
 
 
 def resolve_penalties(v, low_vals, up_vals, pen, dt):
@@ -562,9 +649,20 @@ def resolve_penalties(v, low_vals, up_vals, pen, dt):
             and math.inf in (pen.m_lower, pen.n_upper):
         raise SpecError("resolve_penalties takes finite intensities")
     u = np.array(v, dtype=float)
-    _resolve(v, u, _penalty_sides(low_vals, up_vals, pen, dt),
-             np.empty(u.shape, dtype=bool), np.empty(u.shape))
+    for call in _resolve_calls(v, u, _penalty_sides(low_vals, up_vals, pen,
+                                                    dt),
+                               np.empty(u.shape, dtype=bool),
+                               np.empty(u.shape)):
+        call()
     return u
+
+
+def _push_calls(a, b, rate, out):
+    """The calls that write rate*max(a - b, 0), a penalty compensator
+    increment, into `out`."""
+    return [_bound_call(np.subtract, a, b, out),
+            _bound_call(np.maximum, out, 0.0, out=out),
+            _bound_call(np.multiply, rate, out, out)]
 
 
 def _penalty_increments(y, low, up, pen: PenaltyParams, dt):
@@ -572,11 +670,15 @@ def _penalty_increments(y, low, up, pen: PenaltyParams, dt):
     the values y against obstacle rows on the same nodes; zero on absent
     sides and at zero intensity.  At the penalty-resolved value they are
     exactly the push the resolution applied."""
-    low_push = dt * pen.m_lower * np.maximum(low - y, 0.0) \
-        if low is not None and pen.m_lower > 0.0 else np.zeros_like(y)
-    up_push = dt * pen.n_upper * np.maximum(y - up, 0.0) \
-        if up is not None and pen.n_upper > 0.0 else np.zeros_like(y)
-    return low_push, up_push
+    pushes = []
+    for a, b, row, rate in ((low, y, low, pen.m_lower),
+                            (y, up, up, pen.n_upper)):
+        out = np.zeros(np.shape(y))
+        if row is not None and rate > 0.0:
+            for call in _push_calls(a, b, dt * rate, out):
+                call()
+        pushes.append(out)
+    return tuple(pushes)
 
 
 class _Obstacles:
@@ -589,7 +691,8 @@ class _Obstacles:
     holds the penalty constants of `_penalty_sides`, the interior rows
     and rows of each projected side, the wall values of each present
     side, and the work arrays (the hit mask, the penalty value, the two
-    extrapolated ends).
+    extrapolated ends, and the increments once asked for).  `calls`
+    binds its numpy calls for given values and layer arrays.
     """
 
     def __init__(self, low, up, pen, dt, shape):
@@ -611,58 +714,104 @@ class _Obstacles:
         self.hit = np.empty(shape, dtype=bool)
         self.val = np.empty(shape)
         self.ends = np.empty(shape[:-1] + (2,))
+        self.da_plus = self.da_minus = None
 
-    def apply(self, v, layer, increments=False):
-        """Write the layers of the explicit values v into `layer` (v's
-        shape plus the two wall columns) and return it.
+    def calls(self, v, layer, u_pen=None):
+        """The calls that write the layers of the explicit values v into
+        `layer` (v's shape plus the two wall columns).
 
-        Resolves the finite penalties, projects the rows of an infinite
-        intensity, closes the boundary by zero-curvature extrapolation
-        clamped into the band.  With `increments` it returns (layer,
-        dA+, dA-): the penalty increments at the resolved value plus the
-        projection and boundary-clamp lifts, split by sign.
+        They resolve the finite penalties, project the rows of an infinite
+        intensity, and close the boundary by zero-curvature extrapolation
+        clamped into the band.  Given `u_pen`, a work array of v's shape,
+        they go on to write dA+ and dA- into `da_plus` and `da_minus`
+        (arrays of the layer's shape): the penalty increments at the
+        resolved value plus the projection and boundary-clamp lifts, split
+        by sign.
         """
         n = self.n  # the last column
-        u = layer[..., 1:n]
-        np.copyto(u, v)
-        _resolve(v, u, self.penalized, self.hit, self.val)
-        u_pen = u.copy() if increments else None
+        u, ends = layer[..., 1:n], layer[..., ::n]
+        calls = [_bound_call(np.copyto, u, v)]
+        calls += _resolve_calls(v, u, self.penalized, self.hit, self.val)
+        if u_pen is not None:
+            calls.append(_bound_call(np.copyto, u_pen, u))
         for row, rows, bound in self.projected:
             if rows is True:
-                bound(u, row, out=u)
+                calls.append(_bound_call(bound, u, row, out=u))
             else:
-                bound(u, row, out=self.val)
-                np.copyto(u, self.val, where=rows)
+                calls += [_bound_call(bound, u, row, out=self.val),
+                          _bound_call(np.copyto, u, self.val, where=rows)]
 
         # both ends at once: columns (0, n) from (1, n-1) and (2, n-2)
-        ends = layer[..., ::n]
-        np.multiply(2.0, layer[..., 1::n - 2], out=self.ends)
-        np.subtract(self.ends, layer[..., 2:n - 1:max(n - 4, 1)], out=ends)
-        ext = ends.copy() if increments else None
-        for row, bound in self.walls:
-            bound(row, ends, out=ends)
-        if not increments:
-            return layer
+        calls += [_bound_call(np.multiply, 2.0, layer[..., 1::n - 2],
+                              self.ends),
+                  _bound_call(np.subtract, self.ends,
+                              layer[..., 2:n - 1:max(n - 4, 1)], ends)]
+        if u_pen is not None:
+            ext = np.empty(ends.shape)
+            calls.append(_bound_call(np.copyto, ext, ends))
+        calls += [_bound_call(bound, row, ends, out=ends)
+                  for row, bound in self.walls]
+        if u_pen is not None:
+            calls += self._increment_calls(u, u_pen, ends, ext)
+        return calls
 
-        da_plus = np.empty_like(layer)
-        da_minus = np.empty_like(layer)
-        dap, dam = _penalty_increments(u_pen, self.low_in, self.up_in,
-                                       self.pen, self.dt)
-        lift = u - u_pen
-        da_plus[..., 1:n] = dap + np.maximum(lift, 0.0)
-        da_minus[..., 1:n] = dam + np.maximum(-lift, 0.0)
-        delta = ends - ext
-        da_plus[..., ::n] = np.where(delta < 0.0, 0.0, delta)
-        da_minus[..., ::n] = np.where(delta > 0.0, 0.0, -delta)
-        return layer, da_plus, da_minus
+    def _increment_calls(self, u, u_pen, ends, ext):
+        """The calls that write dA+ and dA- into `da_plus` and `da_minus`,
+        made on first use, from the layer's interior u and ends, the penalized
+        values u_pen and the extrapolated ends ext; overwrites u_pen and
+        ext."""
+        n, pen, lift = self.n, self.pen, self.val
+        if self.da_plus is None:  # one pair for the calls of either layer
+            self.da_plus = np.empty(ends.shape[:-1] + (n + 1,))
+            self.da_minus = np.empty(self.da_plus.shape)
+        plus, minus = self.da_plus[..., 1:n], self.da_minus[..., 1:n]
+        calls = []
+        # the pushes at the resolved value, or 0.0 where a side has none
+        pushes = []
+        for a, b, row, rate, out in ((self.low_in, u_pen, self.low_in,
+                                      pen.m_lower, plus),
+                                     (u_pen, self.up_in, self.up_in,
+                                      pen.n_upper, minus)):
+            if row is not None and rate > 0.0:
+                calls += _push_calls(a, b, self.dt * rate, out)
+                pushes.append(out)
+            else:
+                pushes.append(0.0)
+        calls += [_bound_call(np.subtract, u, u_pen, u_pen),  # the lift
+                  _bound_call(np.maximum, u_pen, 0.0, out=lift),
+                  _bound_call(np.add, pushes[0], lift, plus),
+                  _bound_call(np.negative, u_pen, lift),
+                  _bound_call(np.maximum, lift, 0.0, out=lift),
+                  _bound_call(np.add, pushes[1], lift, minus)]
+        # the boundary clamp, split by sign
+        mask = np.empty(ends.shape, dtype=bool)
+        plus, minus = self.da_plus[..., ::n], self.da_minus[..., ::n]
+        calls += [_bound_call(np.subtract, ends, ext, ext),
+                  _bound_call(np.copyto, plus, ext),
+                  _bound_call(np.less, ext, 0.0, mask),
+                  _bound_call(np.copyto, plus, 0.0, where=mask),
+                  _bound_call(np.negative, ext, minus),
+                  _bound_call(np.greater, ext, 0.0, mask),
+                  _bound_call(np.copyto, minus, 0.0, where=mask)]
+        return calls
+
+    def apply(self, v, layer):
+        """Write the layers of the explicit values v into `layer` (v's
+        shape plus the two wall columns) and return it (`calls`)."""
+        for call in self.calls(v, layer):
+            call()
+        return layer
 
 
-def _advance(next_layer, t, kernel: _Kernel, out):
-    """One backward step of every layer in `next_layer` (the kernel's
-    shape) to time t, written into `out`, which it returns; non-finite
-    values are left to the caller."""
-    v, _, _ = kernel.explicit(next_layer, t)
-    return kernel.obstacles.apply(v, out)
+def _advance(kernel: _Kernel, t):
+    """One backward step of every layer in the kernel's input layer to
+    time t, written into its other layer, which it returns and makes the
+    input layer of the next step; non-finite values are left to the
+    caller."""
+    kernel.explicit(t)
+    out = kernel.apply()
+    kernel.p = 1 - kernel.p
+    return out
 
 
 def _nonfinite(layer, t, grid: Grid):
@@ -686,7 +835,8 @@ def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams):
     if next_layer.shape != (grid.nx + 1,):
         raise SpecError("layer shape does not match the grid")
     kernel = _Kernel(op, _penalty_rows((pen,)), next_layer.shape)
-    out = _advance(next_layer, t, kernel, np.empty(grid.nx + 1))
+    np.copyto(kernel.layer, next_layer)
+    out = _advance(kernel, t)
     if not np.isfinite(out).all():
         raise StepFailure(_nonfinite(out, t, grid))
     return out

@@ -12,8 +12,8 @@ it, enforcing the obstacles per step at the intensities of a
     solve_limit              penalized family along a schedule
 
 All of them step S solves of one problem as one (S, nx+1) layer per
-time step, with the intensities given per row (a single solve steps
-straight into its field), and only step; each row's report is then
+time step (one nx+1 layer for a single solve), with the intensities
+given per row, and only step; each row's report is then
 read from its stored field in one pass over blocks of slices, which
 names the first step that left the finite range or scans the obstacle
 violations.  A `SolveReport.wall_time` is the stepping time of the
@@ -81,9 +81,9 @@ def _layer_violations(layers, low, up):
 def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     """Step one solve per PenaltyParams in `pens` (at least one) as one
     (S, nx+1) layer per time step, through one `_Kernel` and one
-    `_advance` call per step; a single solve steps straight into its
-    field, a batch steps two layers in turn and copies each row into its
-    own field, so every field owns its memory.
+    `_advance` call per step, which steps the kernel's two layers in
+    turn; each new layer's rows are copied into their own fields, so
+    every field owns its memory.  A single solve steps one nx+1 layer.
 
     Returns (the compiled StepOperator, one stored field per row, the
     stepping wall time).  A grid not built for the problem (another
@@ -106,21 +106,18 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     fields = [np.empty((nt + 1, grid.nx + 1)) for _ in pens]
     terminal = np.asarray(spec.terminal(spec.horizon, grid.x_nodes),
                           dtype=float)
-    shape = (grid.nx + 1,) if len(pens) == 1 else (len(pens), grid.nx + 1)
+    single = len(pens) == 1  # one layer: 1-D steps cost less per call
+    shape = (grid.nx + 1,) if single else (len(pens), grid.nx + 1)
     kernel = _Kernel(op, _penalty_rows(pens), shape)
+    layer = kernel.layer
+    layer[:] = terminal
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(pens) == 1:  # step straight into the field
-            (values,) = fields
-            values[nt] = terminal
-            for k in range(nt - 1, -1, -1):
-                _advance(values[k + 1], grid.t_nodes[k], kernel, values[k])
-        else:  # two layers in turn, each row copied into its field
-            layer, spare = np.empty(shape), np.empty(shape)
-            layer[:] = terminal
-            for k in range(nt, -1, -1):
-                if k < nt:
-                    _advance(layer, grid.t_nodes[k], kernel, spare)
-                    layer, spare = spare, layer
+        for k in range(nt, -1, -1):
+            if k < nt:
+                layer = _advance(kernel, grid.t_nodes[k])
+            if single:
+                fields[0][k] = layer
+            else:
                 for values, row in zip(fields, layer):
                     values[k] = row
     return op, fields, time.perf_counter() - start
@@ -130,13 +127,16 @@ def _report(values, op: StepOperator, pen, wall) -> SolveReport:
     """The SolveReport of one stepped field, read in one pass over
     blocks of slices from the top; raises the StepFailure of the first
     step that made a non-finite value.  The terminal slice is data, not
-    a step, so only slices 0..nt-1 are checked for finiteness."""
+    a step, so only slices 0..nt-1 are checked for finiteness: a block's
+    min and max are both finite exactly when all its values are, and only
+    a block that fails that is searched for its slice."""
     grid = op.grid
     lo_viol = up_viol = 0.0
     for k0, k1 in reversed(op.blocks(grid.nt + 1)):
-        bad = np.flatnonzero(
-            ~np.isfinite(values[k0:min(k1, grid.nt)]).all(axis=-1))
-        if bad.size:
+        block = values[k0:min(k1, grid.nt)]
+        if not (math.isfinite(block.min(initial=0.0))
+                and math.isfinite(block.max(initial=0.0))):
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=-1))
             k = k0 + int(bad[-1])
             raise StepFailure(
                 f"step to slice {k} of {grid.nt}: "

@@ -129,8 +129,8 @@ def _poison_row(monkeypatch, row, slice_k):
     """Make the kernel overflow row `row` at the step to slice k."""
     real = solvers._advance
 
-    def advance(layer, t, kernel, out):
-        real(layer, t, kernel, out)
+    def advance(kernel, t):
+        out = real(kernel, t)
         if out.ndim == 2 and t == kernel.grid.t_nodes[slice_k]:
             out[row, 3] = np.float64(1e308) * 10.0  # warns unless silenced
         return out

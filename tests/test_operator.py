@@ -18,7 +18,7 @@ from gobstacle.model import CoefficientSet, FnSpec, GeneratorSpec, GParams, \
     ObstaclePair, ProblemSpec, validate
 from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import GridError, PenaltyParams, StepFailure, \
-    StepOperator, build_grid, layer_rhs_parts
+    StepOperator, _Kernel, _penalty_rows, build_grid, layer_rhs_parts
 from gobstacle.solvers import solve_double_projection, solve_limit, \
     solve_penalized, solve_penalized_batch
 
@@ -166,16 +166,107 @@ def _solve_counts(monkeypatch, name):
     return counts, [g.nt for g in grids]
 
 
-def test_catalog_fields_are_evaluated_once_per_solve(monkeypatch):
-    (c64, c128), (nt64, nt128) = _solve_counts(monkeypatch, "double-active")
+SINGLE = [name for name, spec in SPECS if "[" not in name]
+
+# numpy calls of one step at PEN (the explicit values, then the obstacle
+# enforcement; the row copy into the field is not counted): 14 without
+# obstacles, 5 more per penalized side (test, add, divide, masked copy)
+# and a wall clamp; a quadratic_in_z driver adds du (2), z, its own 4
+# calls, x2 and the add; quadratic-drift has every term
+STEP_CALLS = {"constant-sandwich": 24, "gheat-quadratic": 14,
+              "gheat-concave": 14, "upper-active": 19, "lower-active": 19,
+              "double-active": 24, "quadratic-gen-colehopf": 23,
+              "quadratic-drift": 38}
+
+
+@pytest.mark.parametrize("name", SINGLE)
+def test_catalog_fields_are_evaluated_once_per_solve(name, monkeypatch):
+    # a quadratic_in_z driver too: the step runs its compiled calls
+    (c64, c128), (nt64, nt128) = _solve_counts(monkeypatch, name)
     assert nt128 > nt64
     assert c64 == c128
 
 
-def test_quadratic_driver_is_evaluated_once_per_step(monkeypatch):
-    (c64, c128), (nt64, nt128) = _solve_counts(monkeypatch,
-                                               "quadratic-gen-colehopf")
-    assert c128 - c64 == nt128 - nt64
+@pytest.mark.parametrize("name", SINGLE)
+def test_a_step_is_a_sequence_bound_once_per_solve(name, monkeypatch):
+    spec = get_preset(name)
+    op = StepOperator(spec, build_grid(spec, nx=64))
+    kernel = _Kernel(op, _penalty_rows((PEN,)), (op.grid.nx + 1,))
+    steps = kernel._calls("explicit") + kernel._calls("apply")
+    assert len(steps) == STEP_CALLS[name]
+    compiled = [0]
+    real = _Kernel._compile
+
+    def compile_(self, stage):
+        compiled[0] += 1
+        return real(self, stage)
+
+    monkeypatch.setattr(_Kernel, "_compile", compile_)
+    for nx in (64, 128):
+        compiled[0] = 0
+        solve_penalized(spec, build_grid(spec, nx=nx), PEN)
+        assert compiled[0] == 4  # explicit and apply, from either layer
+
+
+def _integer_slopes(grid):
+    # integer multiples of a power of two: the second difference is
+    # exactly 0, so qv is the driver row 2*g; at 2**600, gamma*z*z
+    # overflows to inf and the clip bounds it
+    steps = np.array([[0.0], [2.0 ** -3], [-3.0], [2.0 ** 600],
+                      [-(2.0 ** 600)]])
+    return steps * np.arange(grid.nx + 1)
+
+
+def test_compiled_quadratic_driver_is_the_catalog_call_bit_for_bit():
+    spec = get_preset("quadratic-gen-colehopf")
+    grid = build_grid(spec, nx=32)
+    op = StepOperator(spec, grid)
+    assert op.g2 is None and {"sig2", "cross2"} <= op.absent
+    gen, x, t = spec.gen, grid.x_nodes[1:-1], 0.3
+    layers = _integer_slopes(grid)
+    with np.errstate(over="ignore"):
+        qv, _ = layer_rhs_parts(layers, t, op)
+        du = (layers[:, 2:] - layers[:, :-2]) / (2.0 * grid.dx)
+        want = 2.0 * gen.g(t, x, layers[:, 1:-1], op.sigma[1:-1] * du)
+    assert qv.tobytes() == want.tobytes()
+    assert (qv[-2:] == 2.0 * gen.g.clip).all()
+
+
+@pytest.mark.parametrize("name", ["quadratic-gen-colehopf",
+                                  "quadratic-drift"])
+def test_compiled_quadratic_driver_equals_the_per_step_call(name):
+    # NaN and overflowing layers give the bits of the driver called per
+    # step, as a custom one is; quadratic-drift has sigma != 1
+    spec = get_preset(name)
+    grid = build_grid(spec, nx=32)
+    nan = np.sin(grid.x_nodes) + np.zeros((3, 1))
+    nan[0, 5] = nan[1, 0] = nan[2, [9, 10]] = np.nan
+    layers = np.concatenate([_integer_slopes(grid), nan])
+    compiled = StepOperator(spec, grid)
+    custom = StepOperator(all_custom(spec), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = layer_rhs_parts(layers, 0.3, compiled)
+        ref = layer_rhs_parts(layers, 0.3, custom)
+    assert np.isnan(got[0]).any()
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_custom_driver_is_called_once_per_step_at_its_t():
+    seen = []
+
+    def drive(t, x, y, z):
+        seen.append(t)
+        return 0.0 * np.asarray(x) + np.cos(2.0 * np.pi * t)
+
+    spec = _plain(FnSpec.custom(drive))
+    grid = build_grid(spec, nx=32)
+    steps = list(grid.t_nodes[grid.nt - 1::-1])
+    solve_penalized(spec, grid, PenaltyParams())
+    assert seen == steps
+    seen.clear()
+    solve_penalized_batch(spec, grid, (PenaltyParams(), PEN))
+    assert seen == steps
 
 
 # ---------------------------------------------------------------------------
