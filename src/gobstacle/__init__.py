@@ -27,7 +27,7 @@ from .model import (
     ZERO,
     validate,
 )
-from .gcalculus import g_eval, worst_case_vol
+from .gcalculus import g_eval
 from .scheme import (
     Field,
     Grid,
@@ -37,8 +37,6 @@ from .scheme import (
     StepOperator,
     build_grid,
     explicit_step,
-    layer_rhs_parts,
-    resolve_penalties,
 )
 from .solvers import (
     ConvergenceTrace,
@@ -81,10 +79,9 @@ __all__ = [
     "CoefficientSet", "EvaluationError", "FnSpec", "GeneratorSpec",
     "GParams", "ObstaclePair", "ProblemSpec", "SpecError",
     "ValidationReport", "Violation", "ZERO", "validate",
-    "g_eval", "worst_case_vol",
+    "g_eval",
     "Field", "Grid", "GridError", "PenaltyParams", "StepFailure",
-    "StepOperator", "build_grid", "explicit_step", "layer_rhs_parts",
-    "resolve_penalties",
+    "StepOperator", "build_grid", "explicit_step",
     "ConvergenceTrace", "DEFAULT_INTENSITIES", "DEFAULT_STOP_TOL",
     "PenaltySchedule", "SolveReport", "StageRecord",
     "solve_double_projection", "solve_limit", "solve_penalized",

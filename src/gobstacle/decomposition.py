@@ -64,8 +64,8 @@ class ProcessBundle:
     at that node (zero on boundary columns and the terminal row).
     scenario_high[k] is the bang-bang scenario map of the step that
     produced slice k on interior nodes, (nt, nx-1): True where the
-    envelope took the high variance (ties included, as in
-    `gcalculus.worst_case_vol`), False where it took the low one.
+    envelope took the high variance (qv >= 0, ties included), False
+    where it took the low one.
     spec is the problem of the solve.
     """
 
@@ -245,8 +245,9 @@ def _add_in_order(acc, terms):
 def _contact_residuals(field: Field, op: StepOperator, increments):
     """(r_plus, r_minus) of a field whose interior increments over a
     block of slices k0..k1-1 are increments(k0, k1, y, lower, upper) ->
-    (dA+, dA-), with y the block's interior values and the obstacle rows
-    read from the operator; each column sums in slice order."""
+    (dA+, dA-), each an array or 0.0, with y the block's interior values
+    and the obstacle rows read from the operator; each column sums in
+    slice order."""
     grid = field.grid
     acc_plus = np.zeros(grid.nx - 1)
     acc_minus = np.zeros(grid.nx - 1)

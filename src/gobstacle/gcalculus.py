@@ -5,10 +5,12 @@ The envelope over a band [low, high] acts on a curvature-like scalar a:
     envelope(a) = 0.5 * (high * a+  -  low * a-)
                = max over v in [low, high] of 0.5 * v * a,
 
-attained at v = high for a >= 0 and v = low for a < 0 (bang-bang).
-All functions broadcast over numpy arrays, so the per-node view used in
-tests and the vectorized layer view used by the stepping scheme share
-one code path.
+attained at v = high for a >= 0 and v = low for a < 0 (bang-bang):
+the scenario of a step is `qv >= 0`, which the process reconstruction
+reads as its scenario map.  `g_eval` broadcasts over numpy arrays and
+runs the calls that the stepping scheme compiles over its own layers
+(`_envelope_calls`), so the per-node view used in tests and the
+vectorized layer view share one code path.
 """
 
 from __future__ import annotations
@@ -48,13 +50,3 @@ def g_eval(a, gp: GParams):
         call()
     return float(out) if out.ndim == 0 else out
 
-
-def worst_case_vol(a, gp: GParams):
-    """Maximizing variance scenario for the envelope at a.
-
-    Bang-bang selector: high where a >= 0 (ties resolve high), low
-    where a < 0.  Satisfies g_eval(a) == 0.5 * worst_case_vol(a) * a.
-    """
-    a = np.asarray(a, dtype=float)
-    out = np.where(a >= 0.0, gp.vol_high_sq, gp.vol_low_sq)
-    return float(out) if out.ndim == 0 else out

@@ -51,10 +51,11 @@ compiled g), and forms du only when a term or a per-step driver reads
 it, so an obstacle-free problem with unit coefficients and g == 0 steps
 in 14 numpy calls.  No step writes into a field: a solve copies each new
 layer's rows into their fields, and a replay copies its block of stored
-slices into the kernel's input layer.  The public `explicit_step` (one
-layer) and `layer_rhs_parts` (`_Kernel.rhs`) build a kernel and return
-new arrays; `resolve_penalties` and `gcalculus.g_eval` share its penalty
-resolution and its envelope.
+slices into the kernel's input layer.  The public `explicit_step` builds
+a kernel for one layer and returns a new array; `gcalculus.g_eval`
+shares its envelope.  The penalty pushes are written once
+(`_push_calls`), for the kernel's increments and for the limit driver's
+contact residuals.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -458,26 +459,23 @@ class _Kernel:
 
     def _compile(self, stage):
         """The numpy calls of one stage of the step from the input layer:
-        "rhs" forms (qv, rest), "explicit" goes on to v, "apply" writes the
-        obstacle enforcement of v into the other layer, and "increments"
-        does so reporting the compensator increments too."""
+        "explicit" forms (v, qv, rest), "apply" writes the obstacle
+        enforcement of v into the other layer, and "increments" does so
+        reporting the compensator increments too."""
         if stage in ("apply", "increments"):
             return self.obstacles.calls(  # env is free once v is formed
                 self.v, self.layers[1 - self.p],
                 self.env if stage == "increments" else None)
-        calls = self._rhs_calls(self.layer)
-        if stage == "explicit":
-            qv, rest, env, v = self.qv, self.out[2], self.env, self.v
-            calls += gcalculus._envelope_calls(qv, self.half_high,
-                                               self.half_low, env, v)
-            calls += [_bound_call(np.add, env, rest, env),
-                      _bound_call(np.multiply, self.dt, env, env),
-                      _bound_call(np.add, self.layer[..., 1:-1], env, v)]
-        return calls
+        qv, rest, env, v = self.qv, self.out[2], self.env, self.v
+        return self._rhs_calls(self.layer) + gcalculus._envelope_calls(
+            qv, self.half_high, self.half_low, env, v) + [
+            _bound_call(np.add, env, rest, env),
+            _bound_call(np.multiply, self.dt, env, env),
+            _bound_call(np.add, self.layer[..., 1:-1], env, v)]
 
     def _rhs_calls(self, layer):
-        """The calls that form (qv, rest) of `layer_rhs_parts` from
-        `layer`.  They skip every term the operator records as absent,
+        """The calls that form (qv, rest) from `layer`, as `explicit`
+        names them.  They skip every term the operator records as absent,
         and form du only when a term or a per-step driver reads it.  Where
         du is finite, skipping an absent term changes at most the sign of
         a zero qv or rest, which neither the envelope nor env + rest sees,
@@ -546,19 +544,12 @@ class _Kernel:
         clock, x = self.clock, self.grid.x_nodes[1:-1]
         return [lambda: np.copyto(out, fs(clock[0], x, u, z))]
 
-    def rhs(self, t):
-        """(qv, rest) of the input layer's step to time t, as `bind` names
-        them."""
-        self.clock[0] = t
-        for call in self._calls("rhs"):
-            call()
-        return self.out[1:]
-
     def explicit(self, t):
         """(v, qv, rest) of the step from the input layer to time t, with
-        v = u + dt*(envelope(qv) + rest) in the kernel's `v` and (qv,
-        rest) as `rhs` gives them; a `timed` operator is re-read at t
-        first."""
+        v = u + dt*(envelope(qv) + rest) in the kernel's `v`, qv =
+        sig2*d2u + cross2*du + g2 and rest = drift*du + f on interior nodes
+        (a fixed-scenario step takes 0.5*v*qv + rest); a `timed` operator
+        is re-read at t first."""
         if self.timed:
             op = self.op.at(t)
             if op is not self.op:
@@ -580,105 +571,25 @@ class _Kernel:
         return out
 
 
-def layer_rhs_parts(next_layer, t, op: StepOperator):
-    """Interior right-hand side, split for scenario re-evaluation.
-
-    Returns (qv, rest) = (sig2*d2u + cross2*du + g2, drift*du + f) on
-    interior nodes: the full rhs is envelope(qv) + rest, a fixed-scenario
-    rhs 0.5*v*qv + rest.  It is the split of every step (`_Kernel.rhs`),
-    here into new arrays of the layer's interior shape.  `next_layer` may
-    carry leading axes; a driver that reads t is evaluated at this one t.
-    """
-    kernel = _Kernel(op.at(t), None, np.shape(next_layer))
-    np.copyto(kernel.layer, next_layer)
-    qv, rest = kernel.rhs(t)
-    if rest is not kernel.rest:  # the operator's f row
-        rest = np.array(np.broadcast_to(rest, qv.shape))
-    return qv, rest
-
-
-def _penalty_sides(low_vals, up_vals, pen, dt):
-    """The constants of the penalty resolution against obstacle values on
-    the nodes of v: per side whose intensity acts on some row, (the
-    values, the rows it acts on as `_rows` gives them, dt*m*values,
-    1 + dt*m, the test of v that selects the nodes it pushes)."""
-    sides = []
-    for vals, rate, test in ((low_vals, pen.m_lower, np.less),
-                             (up_vals, pen.n_upper, np.greater)):
-        if vals is not None:
-            a = dt * rate
-            rows = _rows(a > 0.0)
-            if rows is not None:
-                sides.append((vals, rows, a * vals, 1.0 + a, test))
-    return sides
-
-
-def _resolve_calls(v, u, sides, hit, val):
-    """The calls that write the penalty resolution of v into u, which
-    holds v; hit and val are work arrays of v's shape.  Both sides test
-    the unpenalized v."""
-    calls = []
-    for vals, rows, a_vals, one_a, test in sides:
-        calls.append(_bound_call(test, v, vals, hit))
-        if rows is not True:
-            calls.append(_bound_call(np.logical_and, hit, rows, hit))
-        calls += [_bound_call(np.add, v, a_vals, val),
-                  _bound_call(np.divide, val, one_a, val),
-                  _bound_call(np.copyto, u, val, where=hit)]
-    return calls
-
-
-def resolve_penalties(v, low_vals, up_vals, pen, dt):
-    """Closed-form solution of u = v + dt*m*(u-low)^- - dt*n*(u-up)^+.
-
-    The map u -> u - dt*m*(u-low)^- + dt*n*(u-up)^+ is piecewise linear,
-    increasing, with kinks only at the obstacles, so inversion has three
-    cases decided by where v lands:
-
-        v <  low : u = (v + dt*m*low) / (1 + dt*m)
-        v >  up  : u = (v + dt*n*up) / (1 + dt*n)
-        else     : u = v
-
-    An absent side (None) contributes nothing.  `pen` is one finite
-    PenaltyParams for every row of v, or the finite rates of
-    `_penalty_rows` along v's leading axis; an infinite intensity is a
-    projection, which the step kernel applies, and is refused here.
-    Returns a new array.
-    """
-    if isinstance(pen, PenaltyParams) \
-            and math.inf in (pen.m_lower, pen.n_upper):
-        raise SpecError("resolve_penalties takes finite intensities")
-    u = np.array(v, dtype=float)
-    for call in _resolve_calls(v, u, _penalty_sides(low_vals, up_vals, pen,
-                                                    dt),
-                               np.empty(u.shape, dtype=bool),
-                               np.empty(u.shape)):
-        call()
-    return u
-
-
-def _push_calls(a, b, rate, out):
-    """The calls that write rate*max(a - b, 0), a penalty compensator
-    increment, into `out`."""
-    return [_bound_call(np.subtract, a, b, out),
-            _bound_call(np.maximum, out, 0.0, out=out),
-            _bound_call(np.multiply, rate, out, out)]
-
-
-def _penalty_increments(y, low, up, pen: PenaltyParams, dt):
-    """Penalty compensator increments (dt*m*(low-y)^+, dt*n*(y-up)^+) of
-    the values y against obstacle rows on the same nodes; zero on absent
-    sides and at zero intensity.  At the penalty-resolved value they are
-    exactly the push the resolution applied."""
-    pushes = []
-    for a, b, row, rate in ((low, y, low, pen.m_lower),
-                            (y, up, up, pen.n_upper)):
-        out = np.zeros(np.shape(y))
+def _push_calls(y, low, up, pen, dt, plus, minus):
+    """The calls that write the penalty pushes dt*m*(low - y)^+ and
+    dt*n*(y - up)^+ of the values y against obstacle rows on the same
+    nodes (None on an absent side) into plus and minus, and the pushes:
+    per side that array, or 0.0 where the side pushes nothing (absent, or
+    a rate of 0.0, as on a projected side).  `pen` holds the rates of one
+    row (`_penalty_rows`).  At the penalty-resolved value they are exactly
+    the push the resolution applied."""
+    calls, pushes = [], []
+    for a, b, row, rate, out in ((low, y, low, pen.m_lower, plus),
+                                 (y, up, up, pen.n_upper, minus)):
         if row is not None and rate > 0.0:
-            for call in _push_calls(a, b, dt * rate, out):
-                call()
-        pushes.append(out)
-    return tuple(pushes)
+            calls += [_bound_call(np.subtract, a, b, out),
+                      _bound_call(np.maximum, out, 0.0, out=out),
+                      _bound_call(np.multiply, dt * rate, out, out)]
+            pushes.append(out)
+        else:
+            pushes.append(0.0)
+    return calls, pushes
 
 
 class _Obstacles:
@@ -688,18 +599,28 @@ class _Obstacles:
 
     Built once from the obstacle rows of the step on all nodes (None on
     an absent side), the `_penalty_rows` of the values' rows and dt: it
-    holds the penalty constants of `_penalty_sides`, the interior rows
-    and rows of each projected side, the wall values of each present
-    side, and the work arrays (the hit mask, the penalty value, the two
-    extrapolated ends, and the increments once asked for).  `calls`
-    binds its numpy calls for given values and layer arrays.
+    holds the penalty constants of each side whose intensity acts on
+    some row, the interior rows and rows of each projected side, the
+    wall values of each present side, and the work arrays (the hit mask,
+    the penalty value, the two extrapolated ends, and the increments once
+    asked for).  `calls` binds its numpy calls for given values and layer
+    arrays; `resolve_calls` those of the penalty resolution alone.
     """
 
     def __init__(self, low, up, pen, dt, shape):
         self.pen, self.dt, self.n = pen, dt, shape[-1] + 1
         self.low_in = None if low is None else low[1:-1]
         self.up_in = None if up is None else up[1:-1]
-        self.penalized = _penalty_sides(self.low_in, self.up_in, pen, dt)
+        # per penalized side: (the interior row, the rows it acts on as
+        # `_rows` gives them, dt*m*row, 1 + dt*m, the test of v that
+        # selects the nodes it pushes)
+        self.penalized = []
+        for row, rate, test in ((self.low_in, pen.m_lower, np.less),
+                                (self.up_in, pen.n_upper, np.greater)):
+            a = dt * rate
+            rows = None if row is None else _rows(a > 0.0)
+            if rows is not None:
+                self.penalized.append((row, rows, a * row, 1.0 + a, test))
         # lists, not tuple(generator): CPython builds that tuple at a
         # guessed size and shrinks it, so every call would grow the free
         # list of 2-tuples, which traced peaks count
@@ -716,6 +637,19 @@ class _Obstacles:
         self.ends = np.empty(shape[:-1] + (2,))
         self.da_plus = self.da_minus = None
 
+    def resolve_calls(self, v, u):
+        """The calls that write the penalty resolution of v into u, which
+        holds v; both sides test the unpenalized v."""
+        calls, hit, val = [], self.hit, self.val
+        for row, rows, a_row, one_a, test in self.penalized:
+            calls.append(_bound_call(test, v, row, hit))
+            if rows is not True:
+                calls.append(_bound_call(np.logical_and, hit, rows, hit))
+            calls += [_bound_call(np.add, v, a_row, val),
+                      _bound_call(np.divide, val, one_a, val),
+                      _bound_call(np.copyto, u, val, where=hit)]
+        return calls
+
     def calls(self, v, layer, u_pen=None):
         """The calls that write the layers of the explicit values v into
         `layer` (v's shape plus the two wall columns).
@@ -731,7 +665,7 @@ class _Obstacles:
         n = self.n  # the last column
         u, ends = layer[..., 1:n], layer[..., ::n]
         calls = [_bound_call(np.copyto, u, v)]
-        calls += _resolve_calls(v, u, self.penalized, self.hit, self.val)
+        calls += self.resolve_calls(v, u)
         if u_pen is not None:
             calls.append(_bound_call(np.copyto, u_pen, u))
         for row, rows, bound in self.projected:
@@ -765,18 +699,9 @@ class _Obstacles:
             self.da_plus = np.empty(ends.shape[:-1] + (n + 1,))
             self.da_minus = np.empty(self.da_plus.shape)
         plus, minus = self.da_plus[..., 1:n], self.da_minus[..., 1:n]
-        calls = []
-        # the pushes at the resolved value, or 0.0 where a side has none
-        pushes = []
-        for a, b, row, rate, out in ((self.low_in, u_pen, self.low_in,
-                                      pen.m_lower, plus),
-                                     (u_pen, self.up_in, self.up_in,
-                                      pen.n_upper, minus)):
-            if row is not None and rate > 0.0:
-                calls += _push_calls(a, b, self.dt * rate, out)
-                pushes.append(out)
-            else:
-                pushes.append(0.0)
+        # the pushes at the resolved value
+        calls, pushes = _push_calls(u_pen, self.low_in, self.up_in, pen,
+                                    self.dt, plus, minus)
         calls += [_bound_call(np.subtract, u, u_pen, u_pen),  # the lift
                   _bound_call(np.maximum, u_pen, 0.0, out=lift),
                   _bound_call(np.add, pushes[0], lift, plus),

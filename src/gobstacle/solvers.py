@@ -43,7 +43,7 @@ from .decomposition import _contact_residuals
 from .model import ProblemSpec, SpecError
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
     _advance, _check_field_budget, _check_grid, _Kernel, _nonfinite, \
-    _penalty_increments, _penalty_rows
+    _penalty_rows, _push_calls
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
 DEFAULT_STOP_TOL = 1.0e-4
@@ -192,9 +192,11 @@ class PenaltySchedule:
 
     pairing 'diagonal' moves both intensities together, 'fixed_n' sweeps
     the lower intensity at a constant upper one, 'fixed_m' the reverse.
-    The varying intensity must increase strictly along the list, and
-    every intensity is finite: the contact residuals of a stage are
-    read from its penalty increments, which an infinite one lacks.
+    The varying intensity must increase strictly along the list.  An
+    infinite intensity projects its side, whose contact residual is 0:
+    a projected side pushes nothing, and (lower - Y)^+ or (Y - upper)^+
+    is 0 on its interior nodes.  So `fixed_m(inf, ...)` walks the
+    family reflected at the lower obstacle and penalized at the upper.
     """
 
     steps: tuple
@@ -206,9 +208,6 @@ class PenaltySchedule:
             raise SpecError("empty penalty schedule")
         if not all(isinstance(p, PenaltyParams) for p in self.steps):
             raise SpecError("schedule steps must be PenaltyParams")
-        if not all(math.isfinite(p.m_lower) and math.isfinite(p.n_upper)
-                   for p in self.steps):
-            raise SpecError("schedule intensities must be finite")
         if not self.stop_tol > 0.0:
             raise SpecError("stop_tol must be positive")
         if self.pairing == "diagonal":
@@ -283,11 +282,11 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     past the stop are never read, and a stage's StepFailure is raised
     only if the walk reaches it.  A stage's contact residuals come from the
     penalty increments dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its
-    field, which are its compensators; no reconstruction runs.  Returns
-    (the SolveReport of the last stage walked, with that stage's pen,
-    ConvergenceTrace); a schedule that ends above tolerance only clears
-    the converged flag.  The batch holds one field per stage
-    (`GridError` above the memory cap).
+    field, which are its compensators (none on a projected side); no
+    reconstruction runs.  Returns (the SolveReport of the last stage
+    walked, with that stage's pen, ConvergenceTrace); a schedule that
+    ends above tolerance only clears the converged flag.  The batch
+    holds one field per stage (`GridError` above the memory cap).
     """
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
@@ -299,10 +298,16 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     converged = False
     for idx, (pen, values) in enumerate(zip(schedule.steps, fields)):
         report = _report(values, op, pen, wall)
-        r_plus, r_minus = _contact_residuals(
-            report.field, op,
-            lambda k0, k1, y, low, up: _penalty_increments(y, low, up, pen,
-                                                           grid.dt))
+        rates = _penalty_rows((pen,))
+
+        def pushes(k0, k1, y, low, up):
+            calls, out = _push_calls(y, low, up, rates, grid.dt,
+                                     np.empty(y.shape), np.empty(y.shape))
+            for call in calls:
+                call()
+            return out
+
+        r_plus, r_minus = _contact_residuals(report.field, op, pushes)
         if prev is None:
             diff = float("inf")
         else:

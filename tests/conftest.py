@@ -6,6 +6,11 @@ normal pytest output, not only inside -s runs.
 """
 
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, so a pass or a failure repeats
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 _criterion_lines = []
 

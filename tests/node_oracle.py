@@ -1,5 +1,6 @@
-"""Independent per-node reference for the right-hand side, and a helper
-that turns every field of a problem into a `custom` one.
+"""Independent per-node reference for the right-hand side, a helper
+that turns every field of a problem into a `custom` one, and thin
+helpers that read the pieces of a step from the step kernel.
 
 The oracle evaluates the problem's functions at one node (or broadcast
 over a layer) directly from the spec, without the compiled rows of
@@ -13,6 +14,8 @@ import numpy as np
 
 from gobstacle.gcalculus import g_eval
 from gobstacle.model import FnSpec, ProblemSpec, SpecError
+from gobstacle.scheme import PenaltyParams, _Kernel, _Obstacles, \
+    _penalty_rows
 
 
 @dataclass(frozen=True)
@@ -97,3 +100,34 @@ def all_custom(spec: ProblemSpec):
         obstacles=replace(ob, lower=as_custom(ob.lower),
                           upper=as_custom(ob.upper)),
         terminal=as_custom(spec.terminal))
+
+
+def layer_rhs_parts(next_layer, t, op):
+    """(qv, rest) = (sig2*d2u + cross2*du + g2, drift*du + f) of the step
+    from `next_layer` (any leading shape) to time t, as `_Kernel.explicit`
+    forms them, in new arrays of the layer's interior shape."""
+    kernel = _Kernel(op, None, np.shape(next_layer))
+    np.copyto(kernel.layer, next_layer)
+    _, qv, rest = kernel.explicit(t)
+    return qv.copy(), np.array(np.broadcast_to(rest, qv.shape))
+
+
+def resolve_penalties(v, low, up, pen, dt):
+    """u = v + dt*m*(u-low)^- - dt*n*(u-up)^+ against obstacle values on
+    the nodes of v (None on an absent side), as `_Obstacles` resolves it
+    before projecting, in a new array; `pen` is one PenaltyParams or the
+    `_penalty_rows` of v's rows."""
+    if isinstance(pen, PenaltyParams):
+        pen = _penalty_rows((pen,))
+    walled = (None if row is None else np.pad(row, 1) for row in (low, up))
+    ob = _Obstacles(*walled, pen, dt, np.shape(v))
+    u = np.array(v, dtype=float)
+    for call in ob.resolve_calls(v, u):
+        call()
+    return u
+
+
+def worst_case_vol(a, gp):
+    """The envelope's maximizing variance at a: high where a >= 0 (ties
+    resolve high), low where a < 0."""
+    return np.where(np.asarray(a) >= 0.0, gp.vol_high_sq, gp.vol_low_sq)

@@ -15,12 +15,14 @@ import pytest
 
 from gobstacle import cli, decomposition, scheme, solvers
 from gobstacle.decomposition import one_step_residuals, reconstruct
+from gobstacle.diagnostics import ORDER_SLACK
 from gobstacle.model import FnSpec, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
     StepOperator, build_grid, explicit_step
 from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
     solve_penalized, solve_penalized_batch
+from node_oracle import resolve_penalties
 
 # rows with zero and positive intensities on either side
 MIXED = (PenaltyParams(0.0, 0.0), PenaltyParams(4.0, 0.0),
@@ -58,6 +60,12 @@ def test_batch_rows_equal_single_solves(name, pens):
     assert len({r.wall_time for r in batch}) == 1
 
 
+def _push(gap, rate, dt):
+    """dt*rate*gap; 0 on a projected side (inf), which has no gap."""
+    assert rate < INF or not gap.any()
+    return 0.0 if rate == INF else dt * rate * gap
+
+
 def _walk(spec, grid, schedule):
     """The limit driver as a stage-by-stage walk of single solves, with
     the contact residuals summed slice by slice."""
@@ -72,10 +80,10 @@ def _walk(spec, grid, schedule):
         for k in range(grid.nt):
             if lower is not None:
                 gap = np.maximum(lower(0.0, x) - y[k], 0.0)
-                acc[0] += gap * (dt * pen.m_lower * gap)
+                acc[0] += gap * _push(gap, pen.m_lower, dt)
             if upper is not None:
                 gap = np.maximum(y[k] - upper(0.0, x), 0.0)
-                acc[1] += gap * (dt * pen.n_upper * gap)
+                acc[1] += gap * _push(gap, pen.n_upper, dt)
         diff = float("inf") if prev is None \
             else float(np.max(np.abs(rep.field.values - prev)))
         stages.append((rep.field.values.tobytes(), diff,
@@ -100,9 +108,9 @@ def test_zero_intensity_rows_are_left_untouched():
     v = np.array([[-0.0, -1.0], [-0.0, -1.0]])
     rows = scheme._penalty_rows((PenaltyParams(0.0, 0.0),
                                  PenaltyParams(4.0, 0.0)))
-    out = scheme.resolve_penalties(v, np.array([0.5, 0.5]), None, rows, 0.1)
+    out = resolve_penalties(v, np.array([0.5, 0.5]), None, rows, 0.1)
     assert out[0].tobytes() == v[0].tobytes()
-    assert out[1].tobytes() == scheme.resolve_penalties(
+    assert out[1].tobytes() == resolve_penalties(
         v[1], np.array([0.5, 0.5]), None, PenaltyParams(4.0, 0.0),
         0.1).tobytes()
 
@@ -113,6 +121,9 @@ def test_zero_intensity_rows_are_left_untouched():
     (48, "lower-active", PenaltySchedule.fixed_n(0.0, (0.0, 16.0, 256.0))),
     (48, "upper-active", PenaltySchedule.diagonal((4.0, 16.0, 64.0, 256.0),
                                                   stop_tol=0.02)),
+    # the paper's family: reflected below, penalized above
+    (200, "double-active",
+     PenaltySchedule.fixed_m(INF, (4.0, 16.0, 64.0, 256.0))),
 ])
 def test_limit_driver_equals_the_stage_walk(nx, name, schedule):
     # at nx=200 the contact residuals sum over several blocks of slices
@@ -123,6 +134,19 @@ def test_limit_driver_equals_the_stage_walk(nx, name, schedule):
             s.lower_violation, s.r_plus, s.r_minus)
            for s, r in zip(trace.stages, trace.reports)]
     assert got == _walk(spec, grid, schedule)
+
+
+@pytest.mark.parametrize("name", ["double-active", "upper-active",
+                                  "quadratic-drift"])
+def test_reflected_family_decreases_in_the_upper_intensity(name):
+    # u_n, reflected below and penalized above at n, decreases in n
+    spec = get_preset(name)
+    grid = build_grid(spec, nx=64)
+    family = solve_penalized_batch(spec, grid, [
+        PenaltyParams(INF, n) for n in (4.0, 16.0, 64.0, 256.0, 1024.0)])
+    for low_n, high_n in zip(family, family[1:]):
+        rise = high_n.field.values[:, 1:-1] - low_n.field.values[:, 1:-1]
+        assert rise.max() <= ORDER_SLACK
 
 
 def _poison_row(monkeypatch, row, slice_k):

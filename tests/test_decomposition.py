@@ -15,12 +15,11 @@ from gobstacle.decomposition import (
     skorohod_residuals,
 )
 from gobstacle.diagnostics import inner_mask
-from gobstacle.gcalculus import worst_case_vol
 from gobstacle.model import FnSpec, GParams, SpecError
 from gobstacle.presets import get_preset
-from gobstacle.scheme import PenaltyParams, StepOperator, build_grid, \
-    layer_rhs_parts
+from gobstacle.scheme import PenaltyParams, StepOperator, build_grid
 from gobstacle.solvers import solve_double_projection, solve_penalized
+from node_oracle import layer_rhs_parts, worst_case_vol
 
 
 @pytest.fixture(scope="module")

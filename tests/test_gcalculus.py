@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gobstacle.gcalculus import g_eval, worst_case_vol
+from gobstacle.gcalculus import g_eval
 from gobstacle.model import (
     CoefficientSet,
     FnSpec,
@@ -15,7 +15,8 @@ from gobstacle.model import (
     SpecError,
 )
 from gobstacle.scheme import PenaltyParams
-from node_oracle import NodeDerivs, pde_rhs, pde_rhs_penalized, qv_rhs
+from node_oracle import NodeDerivs, pde_rhs, pde_rhs_penalized, qv_rhs, \
+    worst_case_vol
 
 BAND = GParams(1.0, 2.0)
 

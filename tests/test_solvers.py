@@ -213,14 +213,6 @@ def test_default_intensity_ladder():
     dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(5.0, 8.0)),
          pairing="fixed_m"),
     dict(steps=(PenaltyParams(4.0, 4.0),), pairing="zigzag"),
-    # infinite stages: a stage's contact residuals come from its penalty
-    # increments, which a projection does not have
-    dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(math.inf, math.inf)),
-         pairing="diagonal"),
-    dict(steps=(PenaltyParams(4.0, math.inf), PenaltyParams(8.0, math.inf)),
-         pairing="fixed_n"),
-    dict(steps=(PenaltyParams(4.0, 8.0), PenaltyParams(4.0, math.inf)),
-         pairing="fixed_m"),
 ])
 def test_schedule_rejections(bad):
     with pytest.raises(SpecError):
