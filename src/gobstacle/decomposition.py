@@ -30,10 +30,12 @@ tail-energy diagnostic read it from there.
 
 Replays read only stored slices, so a kernel call takes a block of
 consecutive slices (`StepOperator.blocks`; one slice when a custom
-field or driver may depend on t), copied into the kernel's input layer;
-one kernel serves every block of its shape, and the scenarios of the
-defect go in as one (V, B, nx-1) stack.
-Sums over slices (the contact residuals) still add in slice order.
+field or driver may depend on t), copied into the kernel's input layer,
+which lays them end to end as it lays out the solves of a batch; one
+kernel serves every block of its shape, and the fixed scenarios of the
+defect step one at a time over the same flat layout, through the
+kernel's own obstacle enforcement.  Sums over slices (the contact
+residuals) still add in slice order.
 
 The replay always covers every stored step and compares it with the
 stored layer; the outputs (gradient, increments, scenario map, defect)
@@ -49,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec, SpecError
+from .model import ProblemSpec, SpecError, _bound_call
 from .scheme import _BLOCK_ELEMENTS, Field, StepOperator, \
-    _check_field_budget, _Kernel, _Obstacles, _penalty_rows
+    _check_field_budget, _gap_calls, _Kernel, _penalty_rows
 
 
 @dataclass(eq=False)
@@ -131,7 +133,6 @@ def _bundle_rows(report, ks, v_grid=None):
     spec, pen = report.spec, _penalty_rows((report.pen,))
     grid = report.field.grid
     vals = report.field.values
-    dt = grid.dt
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
     op = StepOperator(spec, grid)
@@ -163,44 +164,47 @@ def _bundle_rows(report, ks, v_grid=None):
             z[rows, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
             z[rows, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
 
-    # a block holding an asked slice holds the scenario stack too
+    # blocks of a V-th of the element budget: the kernel and the scenario
+    # scans hold some twenty arrays of a block's size
     blocks = op.blocks(grid.nt, rows=v_grid.size)
     kernel = None
     # latest blocks first, as the solve stepped: a refusal names the
     # first step that differs; only the first block can be short
     for k0, k1 in reversed(blocks):
         nxt = vals[k0 + 1:k1 + 1]
-        if kernel is None or kernel.v.shape[0] != k1 - k0:
+        if kernel is None or kernel.shape[0] != k1 - k0:
+            # free the last shape's arrays first
+            kernel = scans = scenario = worst = None
             kernel = _Kernel(op, pen, nxt.shape)
-            w = np.empty((v_grid.size,) + kernel.v.shape)
-            layers = np.empty((v_grid.size,) + nxt.shape)
             if where is not None:
-                high = np.empty(kernel.v.shape, dtype=bool)
-                worst = np.empty(kernel.v.shape)
+                high = np.empty(kernel.out[0].shape, dtype=bool)
         np.copyto(kernel.layer, nxt)
-        v, qv, rest = kernel.explicit(grid.t_nodes[k0])
+        _, qv, _ = kernel.explicit(grid.t_nodes[k0])
         rows = dest(k0, k1)
         if rows is None:  # compare only
             layer = kernel.apply()
         else:
+            if scans is None or scanned != kernel.key:
+                # a timed operator's change of structure moves rest
+                scans = scenario = worst = None
+                scans, scenario, worst = _scenario_scans(kernel, v_grid)
+                scanned = kernel.key
             if where is None:  # every slice: the block's rows in place
-                high, worst = scenario_high[rows], defect[rows, 1:-1]
+                high = scenario_high[rows]
             np.greater_equal(qv, 0.0, out=high)
-            # u + dt*(0.5*v*qv + rest) per scenario v, in buffers that cap
-            # the peak
-            np.multiply(v_grid[:, None, None], qv, out=w)
-            np.multiply(0.5, w, out=w)
-            np.add(w, rest, out=w)
-            np.multiply(dt, w, out=w)
-            np.add(nxt[:, 1:-1], w, out=w)
-            _Obstacles(kernel.op.lower, kernel.op.upper, pen, dt,
-                       w.shape).apply(w, layers)
-            np.subtract(layers[..., 1:-1], vals[k0:k1, 1:-1], out=w)
-            np.max(w, axis=0, out=worst)
+            # the worst scenario step less the stored one
+            stored = vals[k0:k1].reshape(-1)
+            worst.fill(-np.inf)
+            for calls in scans:
+                for call in calls:
+                    call()
+                np.subtract(scenario, stored, out=scenario)
+                np.maximum(worst, scenario, out=worst)
+            defect[rows, 1:-1] = kernel.rows(worst)
             layer, da_plus[rows], da_minus[rows] = kernel.apply(
                 increments=True)
             if where is not None:
-                scenario_high[rows], defect[rows, 1:-1] = high, worst
+                scenario_high[rows] = high
         differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
         if differs.size:
             raise SpecError(
@@ -210,6 +214,27 @@ def _bundle_rows(report, ks, v_grid=None):
     if where is None:
         return z, da_plus, da_minus, defect, scenario_high
     return z[:n], da_plus[:n], da_minus[:n], defect[:n], scenario_high[:n]
+
+
+def _scenario_scans(kernel, v_grid):
+    """The fixed-scenario steps of a replay kernel's block, one scenario
+    at a time over the kernel's flat layout: per variance v of v_grid,
+    the calls that write the layers of u + dt*(0.5*v*qv + rest) from the
+    kernel's input layer, qv and rest, enforced on its obstacle rows,
+    into `scenario`.  Returns (those call lists, scenario, a work array
+    of its size).  They hold while the kernel's structure (`key`) does:
+    a change of it may move rest to another array."""
+    dt = kernel.dt
+    w, scenario, worst = (np.empty(kernel.v.size) for _ in range(3))
+    step, qv, rest = (a[1:-1] for a in (w, kernel.qv, kernel.rest_out))
+    enforce = kernel.obstacles.calls(step, scenario)
+    scans = [[_bound_call(np.multiply, v, qv, step),
+              _bound_call(np.multiply, 0.5, step, step),
+              _bound_call(np.add, step, rest, step),
+              _bound_call(np.multiply, dt, step, step),
+              _bound_call(np.add, kernel.layers[kernel.p][1:-1], step,
+                          step)] + enforce for v in v_grid]
+    return scans, scenario, worst
 
 
 def one_step_residuals(bundle: ProcessBundle):
@@ -226,7 +251,7 @@ def one_step_residuals(bundle: ProcessBundle):
     kernel = None
     for k0, k1 in op.blocks(grid.nt):  # only the last block can be short
         nxt = vals[k0 + 1:k1 + 1]
-        if kernel is None or kernel.v.shape[0] != k1 - k0:
+        if kernel is None or kernel.shape[0] != k1 - k0:
             kernel = _Kernel(op, None, nxt.shape)
         np.copyto(kernel.layer, nxt)
         v, _, _ = kernel.explicit(grid.t_nodes[k0])
@@ -242,29 +267,40 @@ def _add_in_order(acc, terms):
     return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
-def _contact_residuals(field: Field, op: StepOperator, increments):
-    """(r_plus, r_minus) of a field whose interior increments over a
-    block of slices k0..k1-1 are increments(k0, k1, y, lower, upper) ->
-    (dA+, dA-), each an array or 0.0, with y the block's interior values
-    and the obstacle rows read from the operator; each column sums in
-    slice order."""
+def _contact_residuals(field: Field, op: StepOperator, terms):
+    """(r_plus, r_minus) of a field: per side, the max over interior
+    columns of sum_k gap_k*dA_k, with gap the (lower - Y)^+ or
+    (Y - upper)^+ of slice k and dA its increment, each column summed in
+    slice order.
+
+    `terms(y, low, up, gaps)` binds the terms of one block shape: y is a
+    (B, nx-1) array that holds the block's interior values, low and up
+    the interior obstacle rows read from the operator (None on an absent
+    side) and gaps a (2, B, nx-1) array.  It returns (sides, fill), with
+    fill(k0, k1) writing the terms of slices k0..k1-1 into gaps[i] for
+    each side i of sides; a side not in sides adds nothing.  It is
+    called once per block shape, or per block for a `timed` operator."""
     grid = field.grid
-    acc_plus = np.zeros(grid.nx - 1)
-    acc_minus = np.zeros(grid.nx - 1)
+    m = grid.nx - 1
+    acc = np.zeros((2, m))
+    size = None
     for k0, k1 in op.blocks(grid.nt):
-        y = field.values[k0:k1, 1:-1]
-        low, up = (None if row is None else row[1:-1]
-                   for row in op.obstacles(grid.t_nodes[k0]))
-        da_plus, da_minus = increments(k0, k1, y, low, up)
-        if low is not None:
-            acc_plus = _add_in_order(acc_plus,
-                                     np.maximum(low - y, 0.0) * da_plus)
-        if up is not None:
-            acc_minus = _add_in_order(acc_minus,
-                                      np.maximum(y - up, 0.0) * da_minus)
+        if k1 - k0 != size or op.timed:
+            size = k1 - k0
+            low, up = (None if row is None else row[1:-1]
+                       for row in op.obstacles(grid.t_nodes[k0]))
+            y = np.empty((size, m))
+            # per side: the sum so far, then the block's terms
+            block = np.empty((2, size + 1, m))
+            sides, fill = terms(y, low, up, block[:, 1:])
+        np.copyto(y, field.values[k0:k1, 1:-1])
+        fill(k0, k1)
+        for i in sides:
+            block[i, 0] = acc[i]
+            np.add.reduce(block[i], axis=0, out=acc[i])
     ob = op.spec.obstacles
-    return (float(np.max(acc_plus)) if ob.lower_active else 0.0,
-            float(np.max(acc_minus)) if ob.upper_active else 0.0)
+    return (float(np.max(acc[0])) if ob.lower_active else 0.0,
+            float(np.max(acc[1])) if ob.upper_active else 0.0)
 
 
 def skorohod_residuals(bundle: ProcessBundle):
@@ -279,10 +315,25 @@ def skorohod_residuals(bundle: ProcessBundle):
     vanish (to step-size slack) for projection solves.  Inactive sides
     report 0.
     """
+    increments = (bundle.da_plus, bundle.da_minus)
+
+    def terms(y, low, up, gaps):
+        sides, calls = [], []
+        for i, a, b, row in ((0, low, y, low), (1, y, up, up)):
+            if row is not None:
+                sides.append(i)
+                calls += _gap_calls(a, b, gaps[i])
+
+        def fill(k0, k1):
+            for call in calls:
+                call()
+            for i in sides:
+                np.multiply(gaps[i], increments[i][k0:k1, 1:-1],
+                            out=gaps[i])
+        return sides, fill
+
     return _contact_residuals(
-        bundle.y, StepOperator(bundle.spec, bundle.y.grid),
-        lambda k0, k1, *_: (bundle.da_plus[k0:k1, 1:-1],
-                            bundle.da_minus[k0:k1, 1:-1]))
+        bundle.y, StepOperator(bundle.spec, bundle.y.grid), terms)
 
 
 def bmo_diagnostic(bundle: ProcessBundle, return_profile=False):

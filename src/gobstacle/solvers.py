@@ -11,9 +11,10 @@ it, enforcing the obstacles per step at the intensities of a
     solve_double_projection  solve_penalized at (inf, inf)
     solve_limit              penalized family along a schedule
 
-All of them step S solves of one problem as one (S, nx+1) layer per
-time step (one nx+1 layer for a single solve), with the intensities
-given per row, and only step; each row's report is then
+All of them step S solves of one problem through one kernel per time
+step, its S layers laid end to end in one flat array of S*(nx+1) nodes
+(one nx+1 layer for a single solve), with the intensities given per
+row, and only step; each row's report is then
 read from its stored field in one pass over blocks of slices, which
 names the first step that left the finite range or scans the obstacle
 violations.  A `SolveReport.wall_time` is the stepping time of the
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import _contact_residuals
-from .model import ProblemSpec, SpecError
+from .model import ProblemSpec, SpecError, _bound_call
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
     _advance, _check_field_budget, _check_grid, _Kernel, _nonfinite, \
     _penalty_rows, _push_calls
@@ -79,11 +80,12 @@ def _layer_violations(layers, low, up):
 
 
 def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
-    """Step one solve per PenaltyParams in `pens` (at least one) as one
-    (S, nx+1) layer per time step, through one `_Kernel` and one
-    `_advance` call per step, which steps the kernel's two layers in
-    turn; each new layer's rows are copied into their own fields, so
-    every field owns its memory.  A single solve steps one nx+1 layer.
+    """Step one solve per PenaltyParams in `pens` (at least one) as S
+    layers laid end to end, through one `_Kernel` and one `_advance` call
+    per time step, which steps the kernel's two flat layers in turn and
+    returns the new one as an (S, nx+1) view; each of its rows is copied
+    into its own field, so every field owns its memory.  A single solve
+    steps one nx+1 layer.
 
     Returns (the compiled StepOperator, one stored field per row, the
     stepping wall time).  A grid not built for the problem (another
@@ -300,12 +302,19 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
         report = _report(values, op, pen, wall)
         rates = _penalty_rows((pen,))
 
-        def pushes(k0, k1, y, low, up):
-            calls, out = _push_calls(y, low, up, rates, grid.dt,
-                                     np.empty(y.shape), np.empty(y.shape))
-            for call in calls:
-                call()
-            return out
+        def pushes(y, low, up, gaps):
+            # per pushing side, the gap times its push dt*m*gap, the gap
+            # read once
+            calls, out = _push_calls(y, low, up, rates, grid.dt, gaps,
+                                     np.empty(gaps.shape))
+            sides = [i for i in (0, 1) if isinstance(out[i], np.ndarray)]
+            calls += [_bound_call(np.multiply, gaps[i], out[i], gaps[i])
+                      for i in sides]
+
+            def fill(k0, k1):
+                for call in calls:
+                    call()
+            return sides, fill
 
         r_plus, r_minus = _contact_residuals(report.field, op, pushes)
         if prev is None:

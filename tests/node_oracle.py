@@ -119,12 +119,18 @@ def resolve_penalties(v, low, up, pen, dt):
     `_penalty_rows` of v's rows."""
     if isinstance(pen, PenaltyParams):
         pen = _penalty_rows((pen,))
+    v = np.asarray(v, dtype=float)
     walled = (None if row is None else np.pad(row, 1) for row in (low, up))
-    ob = _Obstacles(*walled, pen, dt, np.shape(v))
-    u = np.array(v, dtype=float)
-    for call in ob.resolve_calls(v, u):
+    ob = _Obstacles(*walled, pen, dt, v.shape)
+    # v's rows laid end to end with their wall columns, as the kernel
+    # lays out its layers
+    layers = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,))
+    layers[..., 1:-1] = v
+    flat = layers.reshape(-1)[1:-1]
+    u = flat.copy()
+    for call in ob.resolve_calls(flat, u):
         call()
-    return u
+    return np.pad(u, 1).reshape(layers.shape)[..., 1:-1].copy()
 
 
 def worst_case_vol(a, gp):

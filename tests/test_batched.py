@@ -1,8 +1,9 @@
 """Batched stepping and blocked replays: S solves of one problem stepped
-as one (S, nx+1) layer equal S single solves bit for bit, the limit
-driver reports exactly the stage-by-stage walk, replays take blocks of
-slices except where a field or driver may depend on t, and each call
-checks what it will hold against the memory cap before allocating."""
+as S layers laid end to end equal S single solves bit for bit, the
+limit driver reports exactly the stage-by-stage walk, replays take
+blocks of slices except where a field or driver may depend on t, and
+each call checks what it will hold against the memory cap before
+allocating."""
 
 import json
 import math
@@ -22,7 +23,7 @@ from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
     StepOperator, build_grid, explicit_step
 from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
     solve_penalized, solve_penalized_batch
-from node_oracle import resolve_penalties
+from node_oracle import all_custom, layer_rhs_parts, resolve_penalties
 
 # rows with zero and positive intensities on either side
 MIXED = (PenaltyParams(0.0, 0.0), PenaltyParams(4.0, 0.0),
@@ -39,15 +40,62 @@ BATCH_NAMES = ["double-active", "lower-active", "upper-active",
                "quadratic-drift"]
 
 
+def _upwinding():
+    # double-active under an affine drift 8x: one-sided differences on
+    # the nodes that fail cell-Peclet
+    spec = get_preset("double-active")
+    return replace(spec, coeffs=replace(spec.coeffs,
+                                        drift=FnSpec.affine(8.0, 0.0)))
+
+
+def _t_dependent():
+    # a custom drift and a custom lower obstacle that move with t, so
+    # the kernel re-reads its rows on every step
+    spec = get_preset("double-active")
+    low = spec.obstacles.lower
+    drift = FnSpec.custom(
+        lambda t, x, y=0.0, z=0.0: 0.4 + 0.3 * np.sin(2.0 * np.pi * t)
+        + 0.0 * np.asarray(x))
+    lower = FnSpec.custom(lambda t, x, y=0.0, z=0.0: low(t, x) - 0.1 * t,
+                          sup_bound=low.sup_bound)
+    return replace(spec, coeffs=replace(spec.coeffs, drift=drift),
+                   obstacles=replace(spec.obstacles, lower=lower))
+
+
+def _per_step_driver(seen=None):
+    # a custom driver, called once per step on every layer of the
+    # batch; records the shapes of the (y, z) it gets in `seen`
+    spec = get_preset("double-active")
+    base = spec.gen.f
+
+    def f(t, x, y, z):
+        if seen is not None:
+            seen.add((np.shape(y), np.shape(z)))
+        return base(t, x) + 0.1 * np.tanh(z) * np.cos(t) - 0.05 * y
+
+    return replace(spec, gen=replace(spec.gen, f=FnSpec.custom(
+        f, lipschitz_y=0.05, lipschitz_z=0.1)))
+
+
+PROBLEMS = {"upwinding": _upwinding, "t-dependent": _t_dependent,
+            "per-step-driver": _per_step_driver,
+            "all-custom": lambda: all_custom(get_preset("double-active"))}
+
+
+def _problem(name):
+    return PROBLEMS[name]() if name in PROBLEMS else get_preset(name)
+
+
 @pytest.mark.parametrize(
     "name,pens",
     [(n, MIXED) for n in BATCH_NAMES]
     + [(n, MIXED_INF) for n in BATCH_NAMES]
-    + [(n, REFLECTED) for n in BATCH_NAMES],
+    + [(n, REFLECTED) for n in BATCH_NAMES]
+    + [(n, MIXED_INF) for n in PROBLEMS],
     ids=BATCH_NAMES + [f"{n}-infinite" for n in BATCH_NAMES]
-    + [f"{n}-reflected" for n in BATCH_NAMES])
+    + [f"{n}-reflected" for n in BATCH_NAMES] + list(PROBLEMS))
 def test_batch_rows_equal_single_solves(name, pens):
-    spec = get_preset(name)
+    spec = _problem(name)
     grid = build_grid(spec, nx=48)
     batch = solve_penalized_batch(spec, grid, pens)
     assert len(batch) == len(pens)
@@ -58,6 +106,104 @@ def test_batch_rows_equal_single_solves(name, pens):
         assert got.sup_upper_violation == want.sup_upper_violation
         assert got.field.grid.nt == want.field.grid.nt == grid.nt
     assert len({r.wall_time for r in batch}) == 1
+
+
+def test_the_extra_problems_exercise_what_they_name():
+    grid = build_grid(_upwinding(), nx=48)
+    assert StepOperator(_upwinding(), grid).upwind is not None
+    for name in ("t-dependent", "all-custom"):
+        spec = _problem(name)
+        assert StepOperator(spec, build_grid(spec, nx=48)).timed
+
+
+def test_a_custom_driver_gets_the_shape_of_its_solve():
+    # (S, nx-1) arrays for a batch of S, (nx-1,) for a single solve
+    seen = set()
+    spec = _per_step_driver(seen)
+    grid = build_grid(spec, nx=48)
+    solve_penalized_batch(spec, grid, MIXED)
+    assert seen == {((len(MIXED), grid.nx - 1), (len(MIXED), grid.nx - 1))}
+    seen.clear()
+    solve_penalized(spec, grid, MIXED[0])
+    assert seen == {((grid.nx - 1,), (grid.nx - 1,))}
+
+
+def _step_raising(spec, grid, pens):
+    """Step the solves of `pens` through one kernel, as `_solve_rows`
+    does, with every floating-point warning raised."""
+    op = StepOperator(spec, grid)
+    shape = (grid.nx + 1,) if len(pens) == 1 else (len(pens), grid.nx + 1)
+    kernel = scheme._Kernel(op, scheme._penalty_rows(pens), shape)
+    kernel.layer[:] = spec.terminal(spec.horizon, grid.x_nodes)
+    with np.errstate(all="raise"):
+        for k in range(grid.nt - 1, -1, -1):
+            scheme._advance(kernel, grid.t_nodes[k])
+
+
+@pytest.mark.parametrize("name", BATCH_NAMES + list(PROBLEMS))
+def test_seam_nodes_raise_no_warning_of_their_own(name):
+    # each row stepped alone raises none, so neither may the batch,
+    # whose seam nodes step on the wall columns between its rows
+    spec = _problem(name)
+    grid = build_grid(spec, nx=48)
+    for pen in MIXED_INF:
+        _step_raising(spec, grid, (pen,))
+    _step_raising(spec, grid, MIXED_INF)
+
+
+@pytest.mark.parametrize("pens", [MIXED[:1], MIXED], ids=["single", "batch"])
+@pytest.mark.parametrize("name", ["t-dependent", "all-custom"])
+def test_a_timed_operator_binds_its_step_once_per_solve(name, pens,
+                                                        monkeypatch):
+    # the rows re-read at each t are copied into the kernel's own; the
+    # calls are bound again only when the step's structure changes
+    spec = _problem(name)
+    grid = build_grid(spec, nx=48)
+    compiled = _count(monkeypatch, scheme._Kernel, "_compile")
+    solve_penalized_batch(spec, grid, pens)
+    assert compiled[0] == 4  # explicit and apply, from either layer
+
+
+def _structure_change():
+    # a drift (t - 0.45)^+ is absent from every step to t < 0.45
+    spec = _t_dependent()
+    drift = FnSpec.custom(lambda t, x, y=0.0, z=0.0: max(t - 0.45, 0.0)
+                          + 0.0 * np.asarray(x))
+    return replace(spec, coeffs=replace(spec.coeffs, drift=drift))
+
+
+def test_a_change_of_structure_binds_the_step_again(monkeypatch):
+    spec = _structure_change()
+    grid = build_grid(spec, nx=48)
+    compiled = _count(monkeypatch, scheme._Kernel, "_compile")
+    batch = solve_penalized_batch(spec, grid, MIXED)
+    # explicit and apply from either layer with the drift, then without
+    assert compiled[0] == 4 + 4
+    for pen, got in zip(MIXED, batch):
+        want = solve_penalized(spec, grid, pen)
+        assert got.field.values.tobytes() == want.field.values.tobytes()
+
+
+def test_a_change_of_structure_rebinds_the_scenario_steps():
+    # each fixed-scenario step of the defect takes the rest of its own
+    # step: drift*du + f once the drift is present, f before
+    spec = _structure_change()
+    grid = build_grid(spec, nx=48)
+    pen = PenaltyParams(64.0, 64.0)
+    rep = solve_penalized(spec, grid, pen)
+    defect = reconstruct(rep).defect.values
+    vals, dt, gp = rep.field.values, grid.dt, spec.gparams
+    v_grid = np.linspace(gp.vol_low_sq, gp.vol_high_sq, 5)
+    for k in range(grid.nt):
+        t = grid.t_nodes[k]
+        op = StepOperator(spec, grid, t)
+        qv, rest = layer_rhs_parts(vals[k + 1], t, op)
+        u = vals[k + 1, 1:-1]
+        scenarios = [resolve_penalties(u + dt * (0.5 * (v * qv) + rest),
+                                       op.lower[1:-1], op.upper[1:-1], pen,
+                                       dt) - vals[k, 1:-1] for v in v_grid]
+        assert defect[k, 1:-1].tobytes() == \
+            np.max(scenarios, axis=0).tobytes(), t
 
 
 def _push(gap, rate, dt):

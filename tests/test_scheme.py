@@ -209,8 +209,11 @@ def test_large_intensity_pins_to_the_obstacle():
 def _close(interior, low=None, up=None):
     # the step kernel with no penalty or projection: only the closure acts
     v = np.asarray(interior, dtype=float)
-    return _Obstacles(low, up, scheme._penalty_rows((NO_PEN,)), 0.1,
-                      v.shape).apply(v, np.empty(v.size + 2))
+    layer = np.empty(v.size + 2)
+    for call in _Obstacles(low, up, scheme._penalty_rows((NO_PEN,)), 0.1,
+                           v.shape).calls(v, layer):
+        call()
+    return layer
 
 
 def test_boundary_closure_extrapolates_zero_curvature():
