@@ -9,7 +9,7 @@ continuous problem are tested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,8 @@ import numpy as np
 from .decomposition import ProcessBundle, bmo_diagnostic, \
     one_step_residuals, reconstruct
 from .model import ProblemSpec, SpecError, validate
-from .scheme import Field, Grid, GridError, PenaltyParams, StepOperator
+from .scheme import _BLOCK_ELEMENTS, Field, Grid, GridError, \
+    PenaltyParams, StepOperator, _check_field_budget
 from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
     solve_limit, solve_penalized, solve_penalized_batch
 
@@ -32,6 +33,15 @@ def inner_mask(grid: Grid):
     return (grid.x_nodes >= lo) & (grid.x_nodes <= hi)
 
 
+def _block_max(fn, *arrays):
+    """np.max(fn(*arrays)), taken over blocks of leading rows so that no
+    temporary outgrows a block; the max is exact, so the value is the
+    same, and a NaN anywhere still gives NaN."""
+    size = max(1, _BLOCK_ELEMENTS // arrays[0][0].size)
+    return float(np.max([np.max(fn(*(a[k:k + size] for a in arrays)))
+                         for k in range(0, len(arrays[0]), size)]))
+
+
 def sup_diff(a: Field, b: Field, inner=False) -> float:
     """Sup-norm difference of two fields on the same grid.
 
@@ -41,10 +51,9 @@ def sup_diff(a: Field, b: Field, inner=False) -> float:
     if not a.grid.compatible_with(b.grid):
         raise ValueError("fields live on incompatible grids "
                          f"({a.grid} vs {b.grid})")
-    if inner:
-        m = inner_mask(a.grid)
-        return float(np.max(np.abs(a.values[:, m] - b.values[:, m])))
-    return float(np.max(np.abs(a.values - b.values)))
+    m = inner_mask(a.grid) if inner else slice(None)
+    return _block_max(lambda x, y: np.abs(x[:, m] - y[:, m]),
+                      a.values, b.values)
 
 
 @dataclass(frozen=True)
@@ -220,10 +229,17 @@ def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
         else solve_double_projection(spec_hi, grid)
     lo = solve_penalized(spec_lo, grid, pen) if mode == "penalized" \
         else solve_double_projection(spec_lo, grid)
-    diff = hi.field.values - lo.field.values
-    k, i = np.unravel_index(int(np.argmin(diff)), diff.shape)
-    min_diff = float(diff[k, i])
-    where = f"(t={grid.t_nodes[k]:g}, x={grid.x_nodes[i]:g})"
+    # the first minimum in row-major order, a block of slices at a time;
+    # the first NaN wins, as in np.argmin
+    size = max(1, _BLOCK_ELEMENTS // (grid.nx + 1))
+    min_diff = None
+    for k0 in range(0, grid.nt + 1, size):
+        diff = hi.field.values[k0:k0 + size] - lo.field.values[k0:k0 + size]
+        j, i = np.unravel_index(int(np.argmin(diff)), diff.shape)
+        if min_diff is None or not (math.isnan(min_diff)
+                                    or diff[j, i] >= min_diff):
+            min_diff, k, col = float(diff[j, i]), k0 + j, i
+    where = f"(t={grid.t_nodes[k]:g}, x={grid.x_nodes[col]:g})"
     return OrderReport(min_diff=min_diff, passed=min_diff >= -ORDER_SLACK,
                        where=where)
 
@@ -244,7 +260,8 @@ class CheckResult:
 @dataclass(eq=False)
 class SuiteResult:
     """Checks of one suite run; a single-problem run also carries its
-    final solve, schedule trace, and the process bundle reconstructed
+    final solve, schedule trace (its stages, with `reports=None`: the
+    stage fields are not kept), and the process bundle reconstructed
     from the final field."""
 
     checks: tuple
@@ -276,10 +293,20 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     contact (Skorohod-type) residual decay, the worst-case scenario
     defect, the one-step identity of the reconstruction, and
     compensator sign/disjointness.
+
+    Each field is dropped after the last check that reads it and the
+    comparisons read blocks of slices; the most field-size arrays held
+    at once are checked against the memory cap (`GridError`) before any
+    step.  The returned trace carries the stages, with `reports=None`.
     """
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
     ob = spec.obstacles
+    # the most fields held at once: the stages and a re-solve, the first
+    # and final stages and the fixed rows, or the final one and the bundle
+    rows = ob.upper_active + 3 * ob.lower_active \
+        + (ob.lower_active or ob.upper_active)
+    _check_field_budget(grid, max(len(schedule.steps) + 1, 2 + rows, 6))
     checks = []
 
     report = validate(spec, grid)
@@ -289,8 +316,9 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     final, trace = solve_limit(spec, grid, schedule, keep_reports=True)
 
     again = solve_penalized(spec, grid, final.pen)
-    identical = np.array_equal(again.field.values, final.field.values)
-    _chk(checks, "determinism", identical, 0.0 if identical else 1.0, 0.0,
+    unequal = _block_max(np.not_equal, again.field.values, final.field.values)
+    del again
+    _chk(checks, "determinism", unequal == 0.0, unequal, 0.0,
          "two identical solves produce byte-identical fields")
 
     term = np.broadcast_to(
@@ -307,11 +335,14 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
          "consecutive stage sup-differences decrease strictly: "
          + ", ".join(f"{d:.3g}" for d in diffs))
 
-    sups = [float(np.max(np.abs(r.field.values))) for r in trace.reports]
+    sups = [_block_max(np.abs, r.field.values) for r in trace.reports]
     bound = 1.1 * sups[0] + 1e-6
     _chk(checks, "uniform-bound", max(sups) <= bound, max(sups), bound,
          "stage sup-norms do not grow with intensity: "
          + ", ".join(f"{s:.4g}" for s in sups))
+    # from here on only the first stage (m0, n0) and the final one are read
+    first = trace.reports[0].field.values
+    trace = replace(trace, reports=None)
 
     # the fixed-intensity solves, stepped as one batch: the far ends of
     # both monotonicity checks, both sides of the construction
@@ -334,13 +365,12 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
                                                    fixed.values()))) \
         if fixed else {}
 
-    # the first stage solved at (m0, n0), the baseline of both
-    # monotonicity checks
-    first = trace.reports[0].field.values
+    # interior columns: the boundary closure is not order-preserving
+    def interior_excess(a, b):
+        return a[:, 1:-1] - b[:, 1:-1]
     if ob.upper_active:
-        # interior columns: the boundary closure is not order-preserving
-        worst = float(np.max(solved["hi_n"].field.values[:, 1:-1]
-                             - first[:, 1:-1]))
+        worst = _block_max(interior_excess, solved["hi_n"].field.values,
+                           first)
         _chk(checks, "monotone-in-upper-intensity", worst <= ORDER_SLACK,
              worst, ORDER_SLACK,
              f"pointwise u(n={n1:g}) <= u(n={n0:g}) at fixed m={m0:g} "
@@ -365,8 +395,8 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
              "final-stage sup(u-upper)+")
 
     if ob.lower_active:
-        worst = float(np.max(first[:, 1:-1]
-                             - solved["hi_m"].field.values[:, 1:-1]))
+        worst = _block_max(interior_excess, first,
+                           solved["hi_m"].field.values)
         _chk(checks, "monotone-in-lower-intensity", worst <= ORDER_SLACK,
              worst, ORDER_SLACK,
              f"pointwise u(m={m0:g}) <= u(m={m1:g}) at fixed n={n0:g} "
@@ -397,17 +427,18 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
              "contact residuals shrink along the schedule, final r+="
              f"{rp[-1]:.3g}, r-={rm[-1]:.3g}")
 
+    del solved, first
     bundle = reconstruct(final)
     defect = float(np.max(bundle.defect.values[:-1, 1:-1]))
     _chk(checks, "martingale-defect", defect <= 1e-10, defect, 1e-10,
          "no fixed-variance scenario beats the envelope step")
 
-    resid = float(np.max(np.abs(one_step_residuals(bundle))))
+    resid = _block_max(np.abs, one_step_residuals(bundle))
     _chk(checks, "one-step-identity", resid <= 1e-10, resid, 1e-10,
          "Y_k = Y_{k+1} + dt*rhs + dA+ - dA- at interior nodes")
 
     neg = min(float(np.min(bundle.da_plus)), float(np.min(bundle.da_minus)))
-    overlap = float(np.max(np.minimum(bundle.da_plus, bundle.da_minus)))
+    overlap = _block_max(np.minimum, bundle.da_plus, bundle.da_minus)
     signs_ok = neg >= 0.0 and overlap == 0.0
     act = 0.0
     op = StepOperator(spec, grid)

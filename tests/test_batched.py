@@ -16,7 +16,7 @@ import pytest
 
 from gobstacle import cli, decomposition, scheme, solvers
 from gobstacle.decomposition import one_step_residuals, reconstruct
-from gobstacle.diagnostics import ORDER_SLACK
+from gobstacle.diagnostics import ORDER_SLACK, run_property_suite
 from gobstacle.model import FnSpec, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
@@ -455,7 +455,8 @@ def test_t_dependent_fields_replay_one_slice_per_block(field):
 # what one call holds, against the memory cap
 # ---------------------------------------------------------------------------
 
-NX_ONE_FITS = 1500  # double-active: one field is 143 MiB, five are 716
+# double-active: one field is 143 MiB, five are 716 and seven 1002
+NX_ONE_FITS = 1500
 
 
 def _no_steps(monkeypatch):
@@ -490,7 +491,36 @@ def test_cli_exits_2_when_the_batch_exceeds_the_cap(verb, extra, tmp_path,
     path.write_text(json.dumps({"preset": "double-active",
                                 "grid": {"nx": NX_ONE_FITS}, **extra}))
     assert cli.main([verb, "-c", str(path)]) == 2
-    assert "716 MiB" in capsys.readouterr().err
+    # the limit ladder holds five fields, the suite up to seven
+    need = {"solve": "5 field-size arrays need 716 MiB",
+            "suite": "7 field-size arrays need 1002 MiB"}[verb]
+    assert need in capsys.readouterr().err
+
+
+def test_the_suite_checks_its_peak_before_any_step(monkeypatch, tmp_path,
+                                                   capsys):
+    # double-active holds at most seven fields at once; each callee
+    # checks only its own five
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=48)
+    field = (grid.nt + 1) * (grid.nx + 1) * 8
+    monkeypatch.setattr(scheme, "_FIELD_BYTES_CAP", 13 * field // 2)
+
+    def refuse(*_):
+        raise AssertionError("a batch was stepped past the memory check")
+
+    monkeypatch.setattr(solvers, "_solve_rows", refuse)
+    with pytest.raises(GridError, match="7 field-size arrays need"):
+        run_property_suite(spec, grid)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"preset": "double-active",
+                                "grid": {"nx": 48}}))
+    assert cli.main(["suite", "-c", str(path)]) == 2
+    assert "7 field-size arrays need" in capsys.readouterr().err
+
+    monkeypatch.undo()
+    monkeypatch.setattr(scheme, "_FIELD_BYTES_CAP", 7 * field)
+    assert run_property_suite(spec, grid).ok
 
 
 # ---------------------------------------------------------------------------
@@ -523,3 +553,14 @@ def test_peak_memory_is_the_fields_plus_one_mib():
     assert peak <= len(schedule.steps) * field + slack
     peak, _ = _traced_peak(lambda: reconstruct(report))
     assert peak <= 4 * field + slack
+
+
+def test_property_suite_peak_is_seven_fields_plus_one_mib():
+    # the fixed-intensity phase holds the most: the first and final
+    # stages with five rows; every field is dropped after its last check
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=400)
+    field = (grid.nt + 1) * (grid.nx + 1) * 8
+    peak, result = _traced_peak(lambda: run_property_suite(spec, grid))
+    assert result.ok
+    assert peak <= 7 * field + 2 ** 20

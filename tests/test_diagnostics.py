@@ -2,11 +2,12 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gobstacle import diagnostics, solvers
+from gobstacle import diagnostics, scheme, solvers
 from gobstacle.diagnostics import (
     classical_oracle,
     comparison_harness,
@@ -42,6 +43,68 @@ def test_sup_diff_full_and_inner():
     b = Field(values=bvals, grid=g)
     assert sup_diff(a, b) == 7.0
     assert sup_diff(a, b, inner=True) == 1.0
+
+
+# 101 nodes a slice: blocks of 81 slices, which do not divide the 201
+# slices, so the last block is short
+BLOCKED = Grid(-10.0, 10.0, 100, 200, 1.0)
+
+
+def _random_fields(seed):
+    rng = np.random.default_rng(seed)
+    return [Field(values=rng.standard_normal((201, 101)), grid=BLOCKED)
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("inner", [False, True])
+def test_sup_diff_read_in_blocks_equals_the_whole_array_formula(inner):
+    assert (BLOCKED.nt + 1) % (scheme._BLOCK_ELEMENTS // 101) != 0
+    m = inner_mask(BLOCKED) if inner else slice(None)
+    for seed in range(5):
+        a, b = _random_fields(seed)
+        whole = float(np.max(np.abs(a.values[:, m] - b.values[:, m])))
+        assert sup_diff(a, b, inner=inner) == whole
+
+
+@pytest.mark.parametrize("k", [0, 80, 81, 200])
+def test_sup_diff_is_nan_when_any_node_is(k):
+    a, b = _random_fields(k)
+    a.values[k, 50] = np.nan  # an inner column
+    assert math.isnan(sup_diff(a, b))
+    assert math.isnan(sup_diff(b, a, inner=True))
+
+
+def test_comparison_names_the_first_minimum_across_blocks(monkeypatch):
+    hi, lo = get_preset("comparison-pair")
+    grid = build_grid(hi, nx=200)
+    size = scheme._BLOCK_ELEMENTS // 201
+    assert grid.nt + 1 > 3 * size
+    rng = np.random.default_rng(0)
+    lo_vals = np.zeros((grid.nt + 1, 201))
+    hi_vals = rng.uniform(1.0, 2.0, lo_vals.shape)
+    # ties: the last slice of the first block, an earlier column of the
+    # next block's first slice, and the row after
+    for k, i in [(size - 1, 60), (size, 3), (size + 1, 0)]:
+        hi_vals[k, i] = -0.5
+    fields = iter([hi_vals, lo_vals] * 2)
+    monkeypatch.setattr(diagnostics, "solve_penalized", lambda *_: (
+        SimpleNamespace(field=Field(values=next(fields), grid=grid))))
+
+    def whole(values):
+        k, i = np.unravel_index(int(np.argmin(values)), values.shape)
+        return f"(t={grid.t_nodes[k]:g}, x={grid.x_nodes[i]:g})"
+
+    rep = comparison_harness(hi, lo, grid)
+    assert rep.min_diff == -0.5 and not rep.passed
+    assert rep.where == whole(hi_vals) == \
+        f"(t={grid.t_nodes[size - 1]:g}, x={grid.x_nodes[60]:g})"
+
+    # the first NaN wins over any number, as in np.argmin
+    hi_vals[size + 2, 7] = hi_vals[3 * size, 1] = np.nan
+    rep = comparison_harness(hi, lo, grid)
+    assert math.isnan(rep.min_diff) and not rep.passed
+    assert rep.where == whole(hi_vals) == \
+        f"(t={grid.t_nodes[size + 2]:g}, x={grid.x_nodes[7]:g})"
 
 
 def test_sup_diff_refuses_incompatible_grids():
@@ -187,6 +250,7 @@ def test_property_suite_full_battery_on_double_obstacles():
     assert failed == []
     assert res.final_report is not None
     assert res.trace.stages  # the walk is exposed for reporting
+    assert res.trace.reports is None  # its stage fields are not kept
 
 
 def test_property_suite_steps_in_three_batches(monkeypatch):
