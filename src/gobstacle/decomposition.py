@@ -184,11 +184,8 @@ def _bundle_rows(report, ks, v_grid=None):
         if rows is None:  # compare only
             layer = kernel.apply()
         else:
-            if scans is None or scanned != kernel.key:
-                # a timed operator's change of structure moves rest
-                scans = scenario = worst = None
+            if scans is None:
                 scans, scenario, worst = _scenario_scans(kernel, v_grid)
-                scanned = kernel.key
             if where is None:  # every slice: the block's rows in place
                 high = scenario_high[rows]
             np.greater_equal(qv, 0.0, out=high)
@@ -222,8 +219,9 @@ def _scenario_scans(kernel, v_grid):
     the calls that write the layers of u + dt*(0.5*v*qv + rest) from the
     kernel's input layer, qv and rest, enforced on its obstacle rows,
     into `scenario`.  Returns (those call lists, scenario, a work array
-    of its size).  They hold while the kernel's structure (`key`) does:
-    a change of it may move rest to another array."""
+    of its size).  They hold for the kernel's life: a `timed` operator
+    is re-read into the kernel's rows in place, and the structure of its
+    step is fixed per solve."""
     dt = kernel.dt
     w, scenario, worst = (np.empty(kernel.v.size) for _ in range(3))
     step, qv, rest = (a[1:-1] for a in (w, kernel.qv, kernel.rest_out))
@@ -275,20 +273,22 @@ def _contact_residuals(field: Field, op: StepOperator, terms):
 
     `terms(y, low, up, gaps)` binds the terms of one block shape: y is a
     (B, nx-1) array that holds the block's interior values, low and up
-    the interior obstacle rows read from the operator (None on an absent
-    side) and gaps a (2, B, nx-1) array.  It returns (sides, fill), with
-    fill(k0, k1) writing the terms of slices k0..k1-1 into gaps[i] for
-    each side i of sides; a side not in sides adds nothing.  It is
-    called once per block shape, or per block for a `timed` operator."""
+    the interior obstacle rows of the operator (None on an absent side),
+    which a `timed` one re-reads in place at each block's t, and gaps a
+    (2, B, nx-1) array.  It returns (sides, fill), with fill(k0, k1)
+    writing the terms of slices k0..k1-1 into gaps[i] for each side i of
+    sides; a side not in sides adds nothing.  It is called once per
+    block shape."""
     grid = field.grid
     m = grid.nx - 1
     acc = np.zeros((2, m))
     size = None
     for k0, k1 in op.blocks(grid.nt):
-        if k1 - k0 != size or op.timed:
+        op.at(grid.t_nodes[k0])
+        if k1 - k0 != size:
             size = k1 - k0
             low, up = (None if row is None else row[1:-1]
-                       for row in op.obstacles(grid.t_nodes[k0]))
+                       for row in (op.lower, op.upper))
             y = np.empty((size, m))
             # per side: the sum so far, then the block's terms
             block = np.empty((2, size + 1, m))

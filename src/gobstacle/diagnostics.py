@@ -443,7 +443,8 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     act = 0.0
     op = StepOperator(spec, grid)
     for k0, k1 in op.blocks(grid.nt + 1):
-        low, up = op.obstacles(grid.t_nodes[k0])
+        op.at(grid.t_nodes[k0])
+        low, up = op.lower, op.upper
         y = bundle.y.values[k0:k1]
         if low is not None:
             act = max(act, float(np.max(

@@ -138,8 +138,13 @@ class FnSpec:
     lipschitz_z: float = 0.0
     sup_bound: Optional[float] = None
 
-    _KINDS = ("constant", "affine", "polynomial", "quadratic_in_z",
-              "tabulated", "custom")
+    # the fields each catalog kind reads, in the order of its record
+    _FIELDS = {"constant": ("value",),
+               "affine": ("slope", "intercept"),
+               "polynomial": ("coeffs", "clip"),
+               "quadratic_in_z": ("gamma", "clip"),
+               "tabulated": ("xs", "values")}
+    _KINDS = (*_FIELDS, "custom")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -241,16 +246,9 @@ class FnSpec:
         if self.kind == "custom":
             raise SpecError("custom FnSpec is not serializable")
         rec = {"kind": self.kind}
-        if self.kind == "constant":
-            rec["value"] = self.value
-        elif self.kind == "affine":
-            rec.update(slope=self.slope, intercept=self.intercept)
-        elif self.kind == "polynomial":
-            rec.update(coeffs=list(self.coeffs), clip=self.clip)
-        elif self.kind == "quadratic_in_z":
-            rec.update(gamma=self.gamma, clip=self.clip)
-        elif self.kind == "tabulated":
-            rec.update(xs=list(self.xs), values=list(self.values))
+        for name in self._FIELDS[self.kind]:
+            value = getattr(self, name)
+            rec[name] = list(value) if isinstance(value, tuple) else value
         if self.lipschitz_y:
             rec["lipschitz_y"] = self.lipschitz_y
         if self.lipschitz_z:
@@ -259,11 +257,6 @@ class FnSpec:
             rec["sup_bound"] = self.sup_bound
         return rec
 
-    _FIELDS = {"constant": ("value",),
-               "affine": ("slope", "intercept"),
-               "polynomial": ("coeffs", "clip"),
-               "quadratic_in_z": ("gamma", "clip"),
-               "tabulated": ("xs", "values")}
     _DECLARED = ("lipschitz_y", "lipschitz_z", "sup_bound")
 
     @classmethod

@@ -52,10 +52,10 @@ need not convert on every call.  A catalog quadratic_in_z driver is part
 of the sequence, with the calls its own evaluation runs
 (`FnSpec._quadratic_calls`); a custom driver is one call at the step's
 t on the layers' interior nodes, in the (R, nx-1) shape of the batch
-((nx-1,) for one layer).  A `timed` operator is re-read at each new t
-and copied into the tiled rows in place; the sequence is bound again
-only when the step's structure changes (the absent rows, or whether it
-upwinds).  It runs no call for a term the operator records as absent
+((nx-1,) for one layer).  A `timed` operator is re-read in place at
+each new t (`StepOperator.at`) and copied into the tiled rows; its
+structure is fixed per solve, so the sequence is never bound again.
+It runs no call for a term the operator records as absent
 (`StepOperator.absent`: sigma^2 == 1, a zero cross loading, drift or
 compiled g), and forms du only when a term or a per-step driver reads
 it, so an obstacle-free problem with unit coefficients and g == 0 steps
@@ -269,8 +269,9 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     is capped at 512 MiB (`_check_field_budget`), and an nx whose two
     slices already exceed that is refused before anything is allocated.
     """
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise GridError(f"domain ends must be finite, got [{x_min}, {x_max}]")
+    if not math.isfinite(x_max - x_min):  # NaN where both ends are inf
+        raise GridError("domain ends and their span must be finite, got "
+                        f"[{x_min}, {x_max}]")
     if not x_max > x_min:
         raise GridError(f"degenerate domain [{x_min}, {x_max}]")
     if nx < 4:
@@ -293,9 +294,6 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
         nt = _cfl_steps(spec, xs, dx, cfl_safety, grid)
         if grid is not None and nt <= grid.nt:
             return grid
-        if nt > _NT_CAP:
-            raise GridError(f"CFL bound needs nt={nt}, above the cap "
-                            f"{_NT_CAP}; coarsen nx or shorten the horizon")
         grid = Grid(x_min=x_min, x_max=x_max, nx=nx, nt=nt,
                     horizon=spec.horizon)
         _check_field_budget(grid, 1)
@@ -305,7 +303,8 @@ def _cfl_steps(spec: ProblemSpec, xs, dx, cfl_safety, grid=None):
     """The fewest time steps over the horizon whose dt meets the CFL
     restriction of `build_grid` on the nodes xs, spaced dx.  The
     first-order coefficients are probed at t = 0, T/2, T, or on the
-    t-nodes of `grid` when one is given and a drift or cross is custom."""
+    t-nodes of `grid` when one is given and a drift or cross is custom.
+    A count above the cap, inf or NaN included, raises GridError."""
     ts = (0.0, 0.5 * spec.horizon, spec.horizon)
     if grid is not None and "custom" in (spec.coeffs.drift.kind,
                                          spec.coeffs.cross.kind):
@@ -313,8 +312,14 @@ def _cfl_steps(spec: ProblemSpec, xs, dx, cfl_safety, grid=None):
     diff = spec.gparams.vol_high_sq * spec.coeffs.vol_cap
     zero = spec.gen.lipschitz_y * (1.0 + spec.gparams.vol_high_sq)
     first = _gradient_bound(spec, xs, ts)
-    dt_max = cfl_safety * dx * dx / (diff + dx * first + dx * dx * zero)
-    return max(1, math.ceil(spec.horizon / dt_max))
+    with np.errstate(all="ignore"):  # a dt_max of 0 gives inf steps
+        steps = spec.horizon / (np.float64(cfl_safety * dx * dx)
+                                / (diff + dx * first + dx * dx * zero))
+    if not steps <= _NT_CAP:
+        raise GridError(f"CFL bound needs a step count above the cap "
+                        f"{_NT_CAP}; coarsen nx, shorten the horizon or "
+                        "bound the coefficients")
+    return max(1, math.ceil(steps))
 
 
 def _check_grid(spec: ProblemSpec, grid: Grid):
@@ -348,15 +353,16 @@ def _check_field_budget(grid: Grid, count):
 # the problem compiled onto the grid
 # ---------------------------------------------------------------------------
 
-def _row(fs, t, x):
-    """fs at time t on the nodes x as a float row (constants broadcast)."""
-    out = np.empty(np.shape(x))
+def _row(fs, t, x, out=None):
+    """fs at time t on the nodes x as a float row (constants broadcast),
+    written into `out` when one is given."""
+    out = np.empty(np.shape(x)) if out is None else out
     out[...] = fs(t, x)
     return out
 
 
 class StepOperator:
-    """A problem compiled onto a grid.
+    """A problem compiled onto a grid, one object per solve.
 
     Rows: `sigma` on all nodes; `sig2` (sigma^2), `cross2` (2*cross) and
     `drift` on interior nodes; `upwind`, the interior nodes that fail the
@@ -366,63 +372,73 @@ class StepOperator:
     nodes when that driver is x-only, else None (evaluated per step at
     z = sigma*du); `lower`/`upper` on all nodes, None on an absent side.
     `absent` names the rows whose term is structurally absent, which the
-    kernel skips: "sig2" where sigma^2 == 1, "cross2" and "drift" where
-    that row is 0 and every node is centred, "g2" where a compiled g2 is
-    0.  No catalog kind depends on t, so the rows serve every step; a
-    custom field may, so its rows hold at `t` and `at` recompiles them.
-    A custom driver is called at each step's t; `per_slice` marks an
-    operator with either, whose replays take one slice per block.
+    kernel skips: "sig2" where a catalog sigma^2 == 1, "cross2" and
+    "drift" where that row is 0 and every node is centred, "g2" where a
+    compiled g2 is 0.  No catalog kind depends on t, so its rows serve
+    every step; a custom coefficient or obstacle may (`timed`), and `at`
+    re-reads its rows in place.  The step's structure is fixed when the
+    operator is built: a custom row is never absent, and a custom sigma,
+    cross or drift always carries the one-sided picks (all False at a
+    centred node).  A custom driver is called at each step's t;
+    `per_slice` marks an operator with either, whose replays take one
+    slice per block.
     """
 
-    def __init__(self, spec: ProblemSpec, grid: Grid, t=0.0):
-        self.spec, self.grid, self.t = spec, grid, t
+    def __init__(self, spec: ProblemSpec, grid: Grid):
+        self.spec, self.grid, self.t = spec, grid, 0.0
         c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
-        self.timed = any(fs is not None and fs.kind == "custom" for fs in
-                         (c.sigma, c.cross, c.drift, ob.lower, ob.upper))
-        self.per_slice = self.timed or "custom" in (gen.f.kind, gen.g.kind)
         x, inner = grid.x_nodes, grid.x_nodes[1:-1]
-        self.sigma = _row(c.sigma, t, x)
-        self.sig2 = self.sigma[1:-1] * self.sigma[1:-1]
-        cross = _row(c.cross, t, inner)
-        self.cross2 = 2.0 * cross
-        self.drift = _row(c.drift, t, inner)
-        upwind = cell_peclet_excess(self.drift, cross, self.sig2, grid.dx,
-                                    spec.gparams.vol_low_sq) > 0.0
-        self.upwind = self.drift_up = self.cross_up = None
-        if upwind.any():
-            self.upwind, self.drift_up, self.cross_up = \
-                upwind, self.drift >= 0.0, cross >= 0.0
+        read = [("sigma", c.sigma, x), ("_cross", c.cross, inner),
+                ("drift", c.drift, inner), ("lower", ob.lower, x),
+                ("upper", ob.upper, x)]
+        for name, fs, nodes in read:
+            setattr(self, name, None if fs is None else _row(fs, 0.0, nodes))
+        # (attribute, field, nodes) of each row `at` re-reads
+        self._custom = [(name, fs, nodes) for name, fs, nodes in read
+                        if fs is not None and fs.kind == "custom"]
+        self.timed = bool(self._custom)
+        self.per_slice = self.timed or "custom" in (gen.f.kind, gen.g.kind)
+        self.sig2, self.cross2 = np.empty(inner.shape), np.empty(inner.shape)
+        self.upwind, self.drift_up, self.cross_up = (
+            np.empty(inner.shape, dtype=bool) for _ in range(3))
+        self._derive()
+        moving = any(fs.kind == "custom" for fs in (c.sigma, c.cross,
+                                                   c.drift))
+        if not (moving or self.upwind.any()):
+            self.upwind = self.drift_up = self.cross_up = None
         per_step = ("quadratic_in_z", "custom")
         self.g2 = None if gen.g.kind in per_step \
-            else 2.0 * _row(gen.g, t, inner)
-        self.f = None if gen.f.kind in per_step else _row(gen.f, t, inner)
-        self.lower, self.upper = (None if fs is None else _row(fs, t, x)
-                                  for fs in (ob.lower, ob.upper))
+            else 2.0 * _row(gen.g, 0.0, inner)
+        self.f = None if gen.f.kind in per_step else _row(gen.f, 0.0, inner)
         centred = self.upwind is None
         self.absent = frozenset(name for name, gone in (
-            ("sig2", (self.sig2 == 1.0).all()),
+            ("sig2", c.sigma.kind != "custom" and (self.sig2 == 1.0).all()),
             ("cross2", centred and not self.cross2.any()),
             ("drift", centred and not self.drift.any()),
             ("g2", self.g2 is not None and not self.g2.any())) if gone)
 
-    def at(self, t):
-        """The operator for a step at time t: itself unless a custom
-        coefficient or obstacle needs its rows at another time."""
-        if not self.timed or t == self.t:
-            return self
-        return StepOperator(self.spec, self.grid, t)
+    def _derive(self):
+        """Write sig2, cross2 and the one-sided picks (if any) in place."""
+        sigma = self.sigma[1:-1]
+        np.multiply(sigma, sigma, out=self.sig2)
+        np.multiply(2.0, self._cross, out=self.cross2)
+        if self.upwind is not None:
+            np.greater(cell_peclet_excess(
+                self.drift, self._cross, self.sig2, self.grid.dx,
+                self.spec.gparams.vol_low_sq), 0.0, out=self.upwind)
+            np.greater_equal(self.drift, 0.0, out=self.drift_up)
+            np.greater_equal(self._cross, 0.0, out=self.cross_up)
 
-    def obstacles(self, t):
-        """The (lower, upper) rows at time t on all nodes, None on an
-        absent side; re-evaluates only a custom obstacle."""
-        rows = []
-        for fs, row in zip((self.spec.obstacles.lower,
-                            self.spec.obstacles.upper),
-                           (self.lower, self.upper)):
-            if fs is not None and fs.kind == "custom" and t != self.t:
-                row = _row(fs, t, self.grid.x_nodes)
-            rows.append(row)
-        return rows
+    def at(self, t):
+        """The operator at time t, which is itself: a `timed` one first
+        re-reads its custom rows at t in place, then the rows derived
+        from them.  Catalog rows are never read again."""
+        if self.timed and t != self.t:
+            self.t = t
+            for name, fs, nodes in self._custom:
+                _row(fs, t, nodes, getattr(self, name))
+            self._derive()
+        return self
 
     def blocks(self, stop, rows=1):
         """Consecutive slice ranges (k0, k1) covering slices 0..stop-1,
@@ -461,12 +477,11 @@ class _Kernel:
     layers, and the obstacle enforcement of its operator's obstacle
     rows (`_Obstacles`, absent when `pen` is None).  The calls of each
     stage of a step are bound once per input layer, with every view
-    prebuilt (`_compile`).  A `timed` operator
-    re-read at another t (`op.at`) is copied into the tiled rows in
-    place, and the calls are bound again only when the structure of the
-    step changes: the rows the operator records as absent, or whether it
-    upwinds.  The arrays are overwritten by every step, so nothing a
-    caller keeps may be one of them.
+    prebuilt (`_compile`).  At a new t a `timed` operator is re-read
+    (`op.at`) into the tiles and the obstacle rows, and the kernel
+    records the t they hold; its structure is fixed per solve, so the
+    calls stay valid.  The arrays are overwritten by every step, so
+    nothing a caller keeps may be one of them.
     """
 
     def __init__(self, op: StepOperator, pen, shape):
@@ -489,8 +504,15 @@ class _Kernel:
         inner = shape[:-1] + (shape[-1] - 2,)
         self.obstacles = None if pen is None else _Obstacles(
             op.lower, op.upper, pen, self.dt, inner)
-        self.op, self.key = None, None
-        self.bind(op)
+        self.op, self.t = op, op.t  # the t its tiled rows hold
+        self.tiles = {name: _tiled(row, self.count)
+                      for name, row in self._read(op)}
+        self.plans = {}
+        # rest is the compiled f row when the drift term is absent
+        self.rest_out = self.tiles["f"] if "drift" in op.absent \
+            and op.f is not None else self.rest
+        self.out = tuple(self.rows(a) for a in (self.v, self.qv,
+                                                self.rest_out))
 
     @property
     def layer(self):
@@ -500,26 +522,6 @@ class _Kernel:
         """The interior nodes of each layer in `a`, a flat array of the
         kernel's size: an (R, nx-1) view, (nx-1,) for one layer."""
         return a.reshape(self.shape)[..., 1:-1]
-
-    def bind(self, op: StepOperator):
-        """Take `op`, an operator on the kernel's grid: its rows that a
-        step reads, tiled over the layers, its obstacle rows, and the
-        outputs (v, qv, rest), where rest is the operator's compiled f
-        row when the drift term is absent.  Rows are copied in place; the
-        calls of each stage are bound on first use after a change of
-        structure."""
-        if self.obstacles is not None and self.op is not None:
-            self.obstacles.refresh(op.lower, op.upper)
-        self.op = op
-        key = (op.absent, op.upwind is None)
-        if key != self.key:
-            self.key, self.tiles, self.plans = key, {}, {}
-        for name, row in self._read(op):
-            self.tiles[name] = _tiled(row, self.count, self.tiles.get(name))
-        self.rest_out = self.tiles["f"] if "drift" in op.absent \
-            and op.f is not None else self.rest
-        self.out = tuple(self.rows(a) for a in (self.v, self.qv,
-                                                self.rest_out))
 
     @staticmethod
     def _read(op: StepOperator):
@@ -652,11 +654,14 @@ class _Kernel:
         v = u + dt*(envelope(qv) + rest) in the kernel's `v`, qv =
         sig2*d2u + cross2*du + g2 and rest = drift*du + f on interior nodes
         (a fixed-scenario step takes 0.5*v*qv + rest); a `timed` operator
-        is re-read at t first."""
-        if self.timed:
+        is re-read first when t moved."""
+        if self.timed and t != self.t:
             op = self.op.at(t)
-            if op is not self.op:
-                self.bind(op)
+            for name, row in self._read(op):
+                _tiled(row, self.count, self.tiles[name])
+            if self.obstacles is not None:
+                self.obstacles.refresh(op.lower, op.upper)
+            self.t = t
         self.clock[0] = t
         for call in self._calls("explicit"):
             call()

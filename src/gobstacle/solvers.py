@@ -145,8 +145,8 @@ def _report(values, op: StepOperator, pen, wall) -> SolveReport:
                 f"{_nonfinite(values[k], grid.t_nodes[k], grid)}; the last "
                 f"finite layer has sup|u| = "
                 f"{np.max(np.abs(values[k + 1])):.6g}")
-        lo, up = _layer_violations(values[k0:k1],
-                                   *op.obstacles(grid.t_nodes[k0]))
+        op.at(grid.t_nodes[k0])
+        lo, up = _layer_violations(values[k0:k1], op.lower, op.upper)
         lo_viol = max(lo_viol, lo)
         up_viol = max(up_viol, up)
     return SolveReport(field=Field(values=values, grid=grid),

@@ -156,12 +156,26 @@ def test_seam_nodes_raise_no_warning_of_their_own(name):
 def test_a_timed_operator_binds_its_step_once_per_solve(name, pens,
                                                         monkeypatch):
     # the rows re-read at each t are copied into the kernel's own; the
-    # calls are bound again only when the step's structure changes
+    # structure of the step is fixed per solve, so its calls are bound once
     spec = _problem(name)
     grid = build_grid(spec, nx=48)
     compiled = _count(monkeypatch, scheme._Kernel, "_compile")
     solve_penalized_batch(spec, grid, pens)
     assert compiled[0] == 4  # explicit and apply, from either layer
+
+
+@pytest.mark.parametrize("name", ["t-dependent", "all-custom"])
+def test_a_timed_operator_is_one_object_per_solve(name, monkeypatch):
+    # re-read in place at each step's t, by the solve, its report and
+    # the replay alike
+    spec = _problem(name)
+    grid = build_grid(spec, nx=48)
+    built = _count(monkeypatch, StepOperator, "__init__")
+    report = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
+    assert built[0] == 1
+    built[0] = 0
+    reconstruct(report)
+    assert built[0] == 1
 
 
 def _structure_change():
@@ -177,8 +191,9 @@ def test_a_change_of_structure_binds_the_step_again(monkeypatch):
     grid = build_grid(spec, nx=48)
     compiled = _count(monkeypatch, scheme._Kernel, "_compile")
     batch = solve_penalized_batch(spec, grid, MIXED)
-    # explicit and apply from either layer with the drift, then without
-    assert compiled[0] == 4 + 4
+    # explicit and apply from either layer: a custom drift is a present
+    # term at every step, zero or not
+    assert compiled[0] == 4
     for pen, got in zip(MIXED, batch):
         want = solve_penalized(spec, grid, pen)
         assert got.field.values.tobytes() == want.field.values.tobytes()
@@ -196,7 +211,7 @@ def test_a_change_of_structure_rebinds_the_scenario_steps():
     v_grid = np.linspace(gp.vol_low_sq, gp.vol_high_sq, 5)
     for k in range(grid.nt):
         t = grid.t_nodes[k]
-        op = StepOperator(spec, grid, t)
+        op = StepOperator(spec, grid).at(t)
         qv, rest = layer_rhs_parts(vals[k + 1], t, op)
         u = vals[k + 1, 1:-1]
         scenarios = [resolve_penalties(u + dt * (0.5 * (v * qv) + rest),

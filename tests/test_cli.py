@@ -88,6 +88,18 @@ def test_limit_mode_writes_trace(tmp_path, capsys):
     assert "stage 0" in out and "converged:" in out
 
 
+def test_fixed_m_limit_holds_m_in_the_trace(tmp_path):
+    trace = tmp_path / "trace.csv"
+    code = run(tmp_path, {"preset": "double-active", "grid": SMALL_GRID,
+                          "mode": "limit",
+                          "schedule": {"pairing": "fixed_m", "held": 16.0,
+                                       "intensities": [4.0, 64.0]},
+                          "output": {"trace_csv": str(trace)}})
+    assert code == 0
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    assert [(n, m) for _, n, m, *_ in rows] == [("4", "16"), ("64", "16")]
+
+
 def test_reflected_mode_rejects_lower_intensity(tmp_path):
     code = run(tmp_path, {"preset": "double-active", "grid": SMALL_GRID,
                           "mode": "reflected_lower_pen_upper",
@@ -220,6 +232,8 @@ def _inline(**sections):
      "output.field_csv"),
     ({"preset": "constant-sandwich", "mode": "limit",
       "penalty": {"n_upper": 4.0}}, "mode 'limit' takes no penalty section"),
+    ({"preset": "constant-sandwich", "mode": "limit",
+      "schedule": {"held": 16.0}}, "schedule.held only applies"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, hint):
     code = run(tmp_path, cfg)
@@ -285,6 +299,35 @@ def test_cell_peclet_violation_exits_2(tmp_path, capsys):
     code = run(tmp_path, {"problem": problem, "grid": {"nx": 400}})
     assert code == 2
     assert "cell-peclet" in capsys.readouterr().err
+
+
+def test_non_finite_evaluation_exits_2(tmp_path, capsys):
+    # f = 1e308*x overflows on the domain: validate raises, not reports
+    problem = _inline(gen={"f": {"kind": "affine", "slope": 1e308,
+                                 "intercept": 0.0}})
+    with np.errstate(over="ignore"):
+        code = run(tmp_path, {"problem": problem, "grid": SMALL_GRID})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("problem,grid", [
+    (_inline(coeffs={"drift": {"kind": "affine", "slope": 1e308,
+                               "intercept": 0}}), SMALL_GRID),
+    (_inline(gen={"lipschitz_y": 1e308}), SMALL_GRID),
+    (_inline(), {"nx": 64, "x_min": 0, "x_max": 1e-300}),
+    (_inline(), {"nx": 64, "x_min": -1e308, "x_max": 1e308}),
+    (_inline(horizon=1e300), SMALL_GRID),
+], ids=["drift-overflows", "lipschitz-y-overflows", "dx2-underflows",
+        "span-overflows", "horizon-1e300"])
+def test_an_infinite_cfl_count_exits_2(tmp_path, capsys, problem, grid):
+    # not a traceback and exit 1, which means a failed suite check
+    with np.errstate(over="ignore"):
+        code = run(tmp_path, {"problem": problem, "grid": grid})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "nt=" not in err
 
 
 def test_oversized_grid_exits_2(tmp_path, capsys):

@@ -212,6 +212,10 @@ def test_comparison_requires_matching_structure():
         comparison_harness(replace(hi, gparams=GParams(1.0, 3.0)), lo, grid)
     with pytest.raises(ValueError, match="horizons"):
         comparison_harness(replace(hi, horizon=2.0), lo, grid)
+    drifting = replace(hi, coeffs=replace(hi.coeffs,
+                                          drift=FnSpec.constant(0.1)))
+    with pytest.raises(ValueError, match="dynamics coefficients"):
+        comparison_harness(drifting, lo, grid)
     from gobstacle.model import ObstaclePair
     stripped = replace(hi, obstacles=ObstaclePair())
     with pytest.raises(ValueError, match="activity flags"):
@@ -298,6 +302,20 @@ def test_comparison_suite_reports_both_checks():
     assert [c.name for c in res.checks] \
         == ["ordering-preconditions", "comparison-order"]
     assert all(c.passed for c in res.checks)
+    assert res.final_report is None and res.trace is None
+
+
+def test_comparison_suite_fails_a_swapped_pair_without_solving(
+        monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a solve ran on a refused pair")
+
+    monkeypatch.setattr(diagnostics, "solve_penalized", refuse)
+    hi, lo = get_preset("comparison-pair")
+    res = run_comparison_suite(lo, hi, build_grid(hi, nx=100))
+    assert [(c.name, c.passed) for c in res.checks] \
+        == [("ordering-preconditions", False)]
+    assert "ordering precondition" in res.checks[0].detail
     assert res.final_report is None and res.trace is None
 
 

@@ -111,6 +111,7 @@ def test_fnspec_constructor_rejections(bad):
     FnSpec.quadratic_in_z(0.5, clip=7.0),
     FnSpec.tabulated([0.0, 1.0, 3.0], [1.0, -1.0, 2.0]),
     FnSpec.constant(0.1, sup_bound=0.5),
+    FnSpec.affine(0.5, 0.0, lipschitz_y=0.25),
 ])
 def test_dict_round_trip(fs):
     rec = fs.to_dict()
@@ -140,6 +141,7 @@ def test_from_dict_rejects_unknown_fields():
     ({"kind": "tabulated", "xs": [0.0, float("inf")], "values": [0.0, 1.0]},
      "FnSpec.xs[1]"),
     ({"kind": "polynomial", "coeffs": [1.0], "clip": None}, "FnSpec.clip"),
+    ({"kind": "constant", "value": 10 ** 400}, "FnSpec.value"),  # > float
 ])
 def test_from_dict_reads_finite_numbers_only(rec, key):
     with pytest.raises(SpecError, match=re.escape(key)):
@@ -252,6 +254,9 @@ def test_validate_flags_obstacle_order_and_level():
     tall = ObstaclePair(lower=FnSpec.constant(3.0), level_bound=1.0)
     got = _constraints(_spec(obstacles=tall, terminal=FnSpec.constant(0.5)))
     assert "obstacle-level" in got
+    deep = ObstaclePair(upper=FnSpec.constant(-3.0), level_bound=1.0)
+    got = _constraints(_spec(obstacles=deep, terminal=FnSpec.constant(-3.5)))
+    assert got == {"obstacle-level", "terminal-bound"}  # the negated upper
 
 
 def test_validate_flags_terminal_sandwich():

@@ -22,8 +22,8 @@ from gobstacle.scheme import GridError, PenaltyParams, StepFailure, \
 from gobstacle.solvers import solve_double_projection, solve_limit, \
     solve_penalized, solve_penalized_batch
 
-from node_oracle import NodeDerivs, all_custom, layer_rhs_parts, pde_rhs, \
-    qv_rhs
+from node_oracle import NodeDerivs, all_custom, as_custom, layer_rhs_parts, \
+    pde_rhs, qv_rhs
 
 PEN = PenaltyParams(64.0, 64.0)
 
@@ -237,14 +237,18 @@ def test_compiled_quadratic_driver_is_the_catalog_call_bit_for_bit():
                                   "quadratic-drift"])
 def test_compiled_quadratic_driver_equals_the_per_step_call(name):
     # NaN and overflowing layers give the bits of the driver called per
-    # step, as a custom one is; quadratic-drift has sigma != 1
+    # step, as a custom one is; quadratic-drift has sigma != 1.  Only the
+    # drivers are custom: a custom coefficient is a present term, whose
+    # zero times an overflowing du is NaN
     spec = get_preset(name)
     grid = build_grid(spec, nx=32)
     nan = np.sin(grid.x_nodes) + np.zeros((3, 1))
     nan[0, 5] = nan[1, 0] = nan[2, [9, 10]] = np.nan
     layers = np.concatenate([_integer_slopes(grid), nan])
     compiled = StepOperator(spec, grid)
-    custom = StepOperator(all_custom(spec), grid)
+    gen = spec.gen
+    custom = StepOperator(replace(spec, gen=replace(
+        gen, f=as_custom(gen.f), g=as_custom(gen.g))), grid)
     with np.errstate(over="ignore", invalid="ignore"):
         got = layer_rhs_parts(layers, 0.3, compiled)
         ref = layer_rhs_parts(layers, 0.3, custom)

@@ -97,6 +97,8 @@ def test_cfl_includes_first_order_and_zero_order_budgets():
     (dict(x_min=-math.inf), "must be finite"),
     (dict(x_min=-math.inf, x_max=math.inf), "must be finite"),
     (dict(x_max=math.nan), "must be finite"),
+    (dict(x_min=-1e308, x_max=1e308), "span must be finite"),
+    (dict(x_min=0.0, x_max=1e-300), "above the cap 10000000"),  # dx*dx is 0
 ])
 def test_build_grid_rejections(kwargs, msg):
     with pytest.raises(GridError, match=msg):
@@ -111,6 +113,19 @@ def test_build_grid_refuses_misordered_band():
 def test_build_grid_enforces_step_cap():
     with pytest.raises(GridError, match="above the cap"):
         build_grid(_spec(), nx=200_000)
+
+
+@pytest.mark.parametrize("spec", [
+    _spec(coeffs=CoefficientSet(drift=FnSpec.affine(1e308, 0.0))),
+    _spec(gen=GeneratorSpec(lipschitz_y=1e308)),
+    _spec(horizon=1e300),
+], ids=["drift-overflows", "lipschitz-y-overflows", "horizon-1e300"])
+def test_build_grid_refuses_an_infinite_step_count(spec):
+    # an overflowing bound makes dt_max 0; the message names the cap,
+    # not the count
+    with np.errstate(over="ignore"):
+        with pytest.raises(GridError, match="above the cap 10000000;"):
+            build_grid(spec, nx=64)
 
 
 def test_build_grid_refuses_a_field_above_the_memory_cap():
