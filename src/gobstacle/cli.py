@@ -214,15 +214,17 @@ def _slice_indices(grid, slices):
 
 def _write_field_csv(path, grid, ks, rows):
     """One line per node of each slice of ks; `rows` holds the u, z,
-    dA+, dA- and defect rows of those slices, one per slice in order."""
-    u, z, da_plus, da_minus, defect = rows
+    dA+, dA- and defect rows of those slices, one per slice in order;
+    a node's line is one format of its 7 floats, the bytes of `_f17`."""
     lines = ["t,x,u,z,da_plus,da_minus,defect"]
+    cols = np.empty((grid.nx + 1, 7))
+    line = ",".join(["%.17g"] * 7)
     for j, k in enumerate(ks):
-        t = grid.t_nodes[k]
-        for i in range(grid.nx + 1):
-            lines.append(",".join(_f17(v) for v in (
-                t, grid.x_nodes[i], u[j, i], z[j, i], da_plus[j, i],
-                da_minus[j, i], defect[j, i])))
+        cols[:, 0], cols[:, 1] = grid.t_nodes[k], grid.x_nodes
+        for c, row in enumerate(rows, start=2):
+            cols[:, c] = row[j]
+        np.add(cols, 0.0, out=cols)  # collapse -0.0, as _f17 does
+        lines += [line % tuple(node) for node in cols.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

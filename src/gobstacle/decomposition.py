@@ -38,11 +38,12 @@ kernel's own obstacle enforcement.  Sums over slices (the contact
 residuals) still add in slice order.
 
 The replay always covers every stored step and compares it with the
-stored layer; the outputs (gradient, increments, scenario map, defect)
-are built only for the blocks holding a slice asked for.  `reconstruct`
-asks for all of them and gets each block written in place; the CLI's
-field CSV asks for the slices it writes, so it holds a few rows instead
-of four more field-size arrays.
+stored layer.  `reconstruct` builds the outputs (gradient, increments,
+scenario map, defect) in that same replay, each block written in place.
+The CLI's field CSV only verifies every step, in blocks of one layer
+per slice, then replays the slices it writes, one at a time, so it
+holds a few rows instead of four more field-size arrays and runs the
+scenario scans on those slices alone.
 """
 
 from __future__ import annotations
@@ -121,14 +122,15 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
 def _bundle_rows(report, ks, v_grid=None):
     """The bundle's rows at the distinct slices ks of a report's field.
 
-    Every stored step is replayed and compared with its layer, whatever
-    ks holds, so an edited report is refused as by `reconstruct`; only a
-    block holding a slice of ks goes on to the gradient, the increments,
-    the scenario map and the defect.  Returns (z, da_plus, da_minus,
-    defect, scenario_high), one row per slice of ks in that order; the
-    terminal slice has zero increments and defect and an all-False
-    scenario row.  ks None asks for every slice: the bundle's arrays,
-    written in place block by block, scenario_high of shape (nt, nx-1).
+    Every stored step is replayed and compared with its layer first,
+    whatever ks holds, in blocks of one layer per slice, so an edited
+    report is refused as by `reconstruct`; then the slices of ks are
+    replayed one at a time for the gradient, the increments, the
+    scenario map and the defect.  Returns (z, da_plus, da_minus, defect,
+    scenario_high), one row per slice of ks in that order; the terminal
+    slice has zero increments and defect and an all-False scenario row.
+    ks None asks for every slice: the bundle's arrays, written in place
+    block by block in the one replay, scenario_high of shape (nt, nx-1).
     """
     spec, pen = report.spec, _penalty_rows((report.pen,))
     grid = report.field.grid
@@ -136,96 +138,85 @@ def _bundle_rows(report, ks, v_grid=None):
     dx = grid.dx
     v_grid = _check_v_grid(v_grid, spec)
     op = StepOperator(spec, grid)
+    # (k0, k1, r0): slices k0..k1-1 to output rows r0.., or compare only
     if ks is None:
-        n, where = grid.nt + 1, None
         z = np.empty(vals.shape)
         scenario_high = np.empty((grid.nt, grid.nx - 1), dtype=bool)
+        slices = [(k0, k1, k0) for k0, k1 in op.blocks(grid.nt + 1)]
+        # blocks of a V-th of the element budget: the kernel and the
+        # scenario scans hold some twenty arrays of a block's size
+        steps = [(k0, k1, k0)
+                 for k0, k1 in op.blocks(grid.nt, rows=v_grid.size)]
     else:
-        # slice k's row; a slice not asked for lands in a last scratch row
-        n = len(ks)
-        where = np.full(grid.nt + 1, n)
-        where[ks] = np.arange(n)
-        z = np.empty((n + 1, grid.nx + 1))
-        scenario_high = np.zeros((n + 1, grid.nx - 1), dtype=bool)
+        z = np.empty((len(ks), grid.nx + 1))
+        scenario_high = np.zeros((len(ks), grid.nx - 1), dtype=bool)
+        slices = [(k, k + 1, j) for j, k in enumerate(ks)]
+        # compare every step first, in blocks of one layer per slice
+        steps = [s for s in slices if s[0] < grid.nt] + [
+            (k0, k1, None) for k0, k1 in op.blocks(grid.nt)]
     da_plus, da_minus, defect = (np.zeros(z.shape) for _ in range(3))
+    for k0, k1, r0 in slices:
+        y, out = vals[k0:k1], z[r0:r0 + k1 - k0]
+        sig = op.at(grid.t_nodes[k0]).sigma
+        out[:, 1:-1] = sig[1:-1] * (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
+        out[:, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
+        out[:, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
 
-    def dest(k0, k1):
-        """The rows slices k0..k1-1 go to; None when none is asked for."""
-        if where is None:
-            return slice(k0, k1)
-        rows = where[k0:k1]
-        return rows if rows.min() < n else None
-
-    for k0, k1 in op.blocks(grid.nt + 1):
-        rows, y = dest(k0, k1), vals[k0:k1]
-        if rows is not None:
-            sig = op.at(grid.t_nodes[k0]).sigma
-            z[rows, 1:-1] = sig[1:-1] * (y[:, 2:] - y[:, :-2]) / (2.0 * dx)
-            z[rows, 0] = sig[0] * (y[:, 1] - y[:, 0]) / dx
-            z[rows, -1] = sig[-1] * (y[:, -1] - y[:, -2]) / dx
-
-    # blocks of a V-th of the element budget: the kernel and the scenario
-    # scans hold some twenty arrays of a block's size
-    blocks = op.blocks(grid.nt, rows=v_grid.size)
     kernel = None
-    # latest blocks first, as the solve stepped: a refusal names the
-    # first step that differs; only the first block can be short
-    for k0, k1 in reversed(blocks):
+    # latest first, as the solve stepped: a refusal names the first
+    # step that differs
+    for k0, k1, r0 in reversed(steps):
         nxt = vals[k0 + 1:k1 + 1]
         if kernel is None or kernel.shape[0] != k1 - k0:
             # free the last shape's arrays first
             kernel = scans = scenario = worst = None
             kernel = _Kernel(op, pen, nxt.shape)
-            if where is not None:
-                high = np.empty(kernel.out[0].shape, dtype=bool)
         np.copyto(kernel.layer, nxt)
         _, qv, _ = kernel.explicit(grid.t_nodes[k0])
-        rows = dest(k0, k1)
-        if rows is None:  # compare only
+        if r0 is None:  # compare only
             layer = kernel.apply()
         else:
+            rows = slice(r0, r0 + k1 - k0)
             if scans is None:
                 scans, scenario, worst = _scenario_scans(kernel, v_grid)
-            if where is None:  # every slice: the block's rows in place
-                high = scenario_high[rows]
-            np.greater_equal(qv, 0.0, out=high)
-            # the worst scenario step less the stored one
-            stored = vals[k0:k1].reshape(-1)
+            np.greater_equal(qv, 0.0, out=scenario_high[rows])
+            # the worst scenario step less the stored one, on the nodes
+            # the scans write
+            stored = vals[k0:k1].reshape(-1)[1:-1]
             worst.fill(-np.inf)
             for calls in scans:
                 for call in calls:
                     call()
                 np.subtract(scenario, stored, out=scenario)
-                np.maximum(worst, scenario, out=worst)
+                np.maximum(worst[1:-1], scenario, out=worst[1:-1])
             defect[rows, 1:-1] = kernel.rows(worst)
             layer, da_plus[rows], da_minus[rows] = kernel.apply(
                 increments=True)
-            if where is not None:
-                scenario_high[rows] = high
         differs = np.flatnonzero((layer != vals[k0:k1]).any(axis=-1))
         if differs.size:
             raise SpecError(
                 f"replaying the step at t={grid.t_nodes[k0 + differs[-1]]:.6g}"
                 " does not reproduce the stored layer; the report's spec "
                 "and pen are not those of its field")
-    if where is None:
-        return z, da_plus, da_minus, defect, scenario_high
-    return z[:n], da_plus[:n], da_minus[:n], defect[:n], scenario_high[:n]
+    return z, da_plus, da_minus, defect, scenario_high
 
 
 def _scenario_scans(kernel, v_grid):
     """The fixed-scenario steps of a replay kernel's block, one scenario
     at a time over the kernel's flat layout: per variance v of v_grid,
-    the calls that write the layers of u + dt*(0.5*v*qv + rest) from the
-    kernel's input layer, qv and rest, enforced on its obstacle rows,
-    into `scenario`.  Returns (those call lists, scenario, a work array
-    of its size).  They hold for the kernel's life: a `timed` operator
-    is re-read into the kernel's rows in place, and the structure of its
-    step is fixed per solve."""
+    the calls that write u + dt*(0.5*v*qv + rest) from the kernel's
+    input layer, qv and rest, enforced on its obstacle rows short of the
+    boundary closure (`_Obstacles.interior_calls`: the defect reads
+    interior nodes only), into `scenario`, the nodes of the flat layout
+    but its two ends.  Returns (those call lists, scenario, a flat work
+    array of the kernel's size).  They hold for the kernel's life: a
+    `timed` operator is re-read into the kernel's rows in place, and the
+    structure of its step is fixed per solve."""
     dt = kernel.dt
     w, scenario, worst = (np.empty(kernel.v.size) for _ in range(3))
     step, qv, rest = (a[1:-1] for a in (w, kernel.qv, kernel.rest_out))
-    enforce = kernel.obstacles.calls(step, scenario)
+    scenario = scenario[1:-1]
+    enforce = kernel.obstacles.interior_calls(step, scenario)
     scans = [[_bound_call(np.multiply, v, qv, step),
               _bound_call(np.multiply, 0.5, step, step),
               _bound_call(np.add, step, rest, step),

@@ -9,11 +9,11 @@ with centered first and second differences taken from the known layer,
 except that first differences are one-sided at nodes where centring
 would break monotonicity (below).
 The implicit penalty equation is piecewise linear and monotone in u',
-so it resolves in closed form with at most three cases; penalty
-intensities therefore never enter the CFL restriction.  An infinite
-intensity is its limit, the projection (reflection) onto the obstacle,
-applied after the finite resolution: u' = max(u', lower) at m = inf,
-then u' = min(u', upper) at n = inf.
+so it resolves in closed form: at most three cases, a masked divide per
+penalized side.  Penalty intensities therefore never enter the CFL
+restriction.  An infinite intensity is its limit, the projection
+(reflection) onto the obstacle, applied after the finite resolution:
+u' = max(u', lower) at m = inf, then u' = min(u', upper) at n = inf.
 
 A `StepOperator` compiles the problem onto the grid once; every step
 reads its rows.  One kernel (`_Kernel`) forms every step the package
@@ -21,7 +21,7 @@ takes, in the solvers and in the replays of the process reconstruction
 and its residuals: `_Kernel.explicit` forms the explicit values, then
 `_Kernel.apply` resolves the penalties, projects and closes the boundary
 (`_Obstacles`), and reports on request the compensator increments it
-applied.
+applied; a solver step (`_advance`) runs the calls of both as one list.
 It steps R layers of one problem at a time: a solver steps the S
 solves of a batch, with penalty intensities given per row, and a replay
 of stored slices takes a block of consecutive slices per call
@@ -58,14 +58,16 @@ structure is fixed per solve, so the sequence is never bound again.
 It runs no call for a term the operator records as absent
 (`StepOperator.absent`: sigma^2 == 1, a zero cross loading, drift or
 compiled g), and forms du only when a term or a per-step driver reads
-it, so an obstacle-free problem with unit coefficients and g == 0 steps
-in 14 numpy calls.  No step writes into a field: a solve copies each new
-layer's rows into their fields, and a replay copies its block of stored
-slices into the kernel's input layer.  The public `explicit_step` builds
-a kernel for one layer and returns a new array; `gcalculus.g_eval`
-shares its envelope.  The penalty pushes are written once
-(`_push_calls`), for the kernel's increments and for the limit driver's
-contact residuals.
+it.  The envelope's closing add of 0.0 (-0 to +0) is dropped where rest
+is a compiled f row with no -0, or drift*du plus it: a sum is -0 only
+if both terms are, so the add of rest does the same.  An obstacle-free
+problem with unit coefficients and g == 0 steps in 13 numpy calls.
+No step writes into a field: a solve copies each new layer's rows into
+their fields, and a replay copies its block of stored slices into the
+kernel's input layer.  The public `explicit_step` builds a kernel for
+one layer and returns a new array; `gcalculus.g_eval` shares its
+envelope.  The penalty pushes are written once (`_push_calls`), for the
+kernel's increments and for the limit driver's contact residuals.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -311,8 +313,8 @@ def _cfl_steps(spec: ProblemSpec, xs, dx, cfl_safety, grid=None):
         ts = grid.t_nodes
     diff = spec.gparams.vol_high_sq * spec.coeffs.vol_cap
     zero = spec.gen.lipschitz_y * (1.0 + spec.gparams.vol_high_sq)
-    first = _gradient_bound(spec, xs, ts)
-    with np.errstate(all="ignore"):  # a dt_max of 0 gives inf steps
+    with np.errstate(all="ignore"):  # inf bound or dt_max of 0: inf steps
+        first = _gradient_bound(spec, xs, ts)
         steps = spec.horizon / (np.float64(cfl_safety * dx * dx)
                                 / (diff + dx * first + dx * dx * zero))
     if not steps <= _NT_CAP:
@@ -548,10 +550,12 @@ class _Kernel:
         return self.work[name]
 
     def _calls(self, stage):
-        """The bound calls of `stage` for the current input layer."""
+        """The bound calls of `stage` for the current input layer; "step"
+        is "explicit" then "apply" in one list."""
         key = (self.p, stage)
         if key not in self.plans:
-            self.plans[key] = self._compile(stage)
+            self.plans[key] = self._calls("explicit") + self._calls("apply") \
+                if stage == "step" else self._compile(stage)
         return self.plans[key]
 
     def _compile(self, stage):
@@ -565,8 +569,12 @@ class _Kernel:
                 self.env[1:-1] if stage == "increments" else None)
         layer = self.layers[self.p]
         qv, env, v = self.qv[1:-1], self.env[1:-1], self.v[1:-1]
-        return self._rhs_calls(layer) + gcalculus._envelope_calls(
-            qv, self.half_high, self.half_low, env, v) + [
+        envelope = gcalculus._envelope_calls(qv, self.half_high,
+                                             self.half_low, env, v)
+        f = self.op.f
+        if f is not None and not (np.signbit(f) & (f == 0.0)).any():
+            envelope.pop()  # its add of 0.0: rest is never -0 (module doc)
+        return self._rhs_calls(layer) + envelope + [
             _bound_call(np.add, env, self.rest_out[1:-1], env),
             _bound_call(np.multiply, self.dt, env, env),
             _bound_call(np.add, layer[1:-1], env, v)]
@@ -649,12 +657,8 @@ class _Kernel:
         u, z, out = (self.rows(a) for a in (layer, self.env, out))
         return [lambda: np.copyto(out, fs(clock[0], x, u, z))]
 
-    def explicit(self, t):
-        """(v, qv, rest) of the step from the input layer to time t, with
-        v = u + dt*(envelope(qv) + rest) in the kernel's `v`, qv =
-        sig2*d2u + cross2*du + g2 and rest = drift*du + f on interior nodes
-        (a fixed-scenario step takes 0.5*v*qv + rest); a `timed` operator
-        is re-read first when t moved."""
+    def at(self, t):
+        """Set the clock to t; re-read a `timed` operator if t moved."""
         if self.timed and t != self.t:
             op = self.op.at(t)
             for name, row in self._read(op):
@@ -663,6 +667,13 @@ class _Kernel:
                 self.obstacles.refresh(op.lower, op.upper)
             self.t = t
         self.clock[0] = t
+
+    def explicit(self, t):
+        """(v, qv, rest) of the step from the input layer to time t, with
+        v = u + dt*(envelope(qv) + rest) in the kernel's `v`, qv =
+        sig2*d2u + cross2*du + g2 and rest = drift*du + f on interior nodes
+        (a fixed-scenario step takes 0.5*v*qv + rest)."""
+        self.at(t)
         for call in self._calls("explicit"):
             call()
         return self.out
@@ -726,8 +737,9 @@ class _Obstacles:
     and the work arrays (the hit mask, the penalty value, the two
     extrapolated ends, and the increments once asked for).  `refresh`
     copies new obstacle rows in place.  `calls` binds its numpy calls
-    for given values and layer arrays of that layout, `resolve_calls`
-    those of the penalty resolution alone.
+    for given values and layer arrays of that layout, `interior_calls`
+    those short of the boundary closure, `resolve_calls` those of the
+    penalty resolution alone.
     """
 
     def __init__(self, low, up, pen, dt, shape):
@@ -805,26 +817,12 @@ class _Obstacles:
             if rows is not True:
                 calls.append(_bound_call(np.logical_and, hit, rows, hit))
             calls += [_bound_call(np.add, v, a_row, val),
-                      _bound_call(np.divide, val, one_a, val),
-                      _bound_call(np.copyto, u, val, where=hit)]
+                      _bound_call(np.divide, val, one_a, u, where=hit)]
         return calls
 
-    def calls(self, v, layer, u_pen=None):
-        """The calls that write the layers of the explicit values v into
-        `layer`, a flat layout of v's layers with their wall columns (and
-        v's size).
-
-        They resolve the finite penalties, project the rows of an infinite
-        intensity, and close the boundary of each layer by zero-curvature
-        extrapolation clamped into the band, through 1-D views of its wall
-        columns (`_walls`), which they overwrite, seams included.  Given
-        `u_pen`, a work array of v's shape, they go on to write dA+ and
-        dA- into `da_plus` and `da_minus` (flat arrays of the layer's
-        size): the penalty increments at the resolved value plus the
-        projection and boundary-clamp lifts, split by sign, the wall
-        columns last.
-        """
-        u = layer[1:-1]
+    def interior_calls(self, v, u, u_pen=None):
+        """The calls of `calls` short of the boundary closure, into u of
+        v's shape (the penalized values copied into `u_pen` if given)."""
         calls = [_bound_call(np.copyto, u, v)]
         calls += self.resolve_calls(v, u)
         if u_pen is not None:
@@ -835,6 +833,25 @@ class _Obstacles:
             else:
                 calls += [_bound_call(bound, u, row, out=self.val),
                           _bound_call(np.copyto, u, self.val, where=rows)]
+        return calls
+
+    def calls(self, v, layer, u_pen=None):
+        """The calls that write the layers of the explicit values v into
+        `layer`, a flat layout of v's layers with their wall columns (and
+        v's size).
+
+        They resolve the finite penalties, project the rows of an infinite
+        intensity (`interior_calls`), and close the boundary of each layer
+        by zero-curvature extrapolation clamped into the band, through 1-D
+        views of its wall columns (`_walls`), which they overwrite, seams
+        included.  Given `u_pen`, a work array of v's shape, they go on to
+        write dA+ and dA- into `da_plus` and `da_minus` (flat arrays of the
+        layer's size): the penalty increments at the resolved value plus
+        the projection and boundary-clamp lifts, split by sign, the wall
+        columns last.
+        """
+        u = layer[1:-1]
+        calls = self.interior_calls(v, u, u_pen)
 
         # columns 0 and n of each layer from (1, n-1) and (2, n-2)
         groups = []
@@ -894,10 +911,11 @@ def _advance(kernel: _Kernel, t):
     time t, written into its other layer, which it returns and makes the
     input layer of the next step; non-finite values are left to the
     caller."""
-    kernel.explicit(t)
-    out = kernel.apply()
+    kernel.at(t)
+    for call in kernel._calls("step"):
+        call()
     kernel.p = 1 - kernel.p
-    return out
+    return kernel.views[kernel.p]
 
 
 def _nonfinite(layer, t, grid: Grid):

@@ -126,16 +126,28 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
 
 
 def _report(values, op: StepOperator, pen, wall) -> SolveReport:
-    """The SolveReport of one stepped field, read in one pass over
-    blocks of slices from the top; raises the StepFailure of the first
-    step that made a non-finite value.  The terminal slice is data, not
-    a step, so only slices 0..nt-1 are checked for finiteness: a block's
-    min and max are both finite exactly when all its values are, and only
-    a block that fails that is searched for its slice."""
-    grid = op.grid
+    """The SolveReport of one stepped field; raises the StepFailure of
+    the first step that made a non-finite value (the terminal slice is
+    data, not a step, so it is not checked).  An operator that is not
+    `timed` is read from three rows: the steps' column min and max, all
+    finite exactly when the steps are, and the terminal slice; as
+    fl(lower - u) falls and fl(u - upper) rises with u, their violations
+    are the worst of every node's.  Else, or past a non-finite step, one
+    pass over blocks of slices from the top reads each block against the
+    obstacle rows at its t; only a block whose min or max is not finite
+    is searched for its slice."""
+    grid, nt = op.grid, op.grid.nt
     lo_viol = up_viol = 0.0
-    for k0, k1 in reversed(op.blocks(grid.nt + 1)):
-        block = values[k0:min(k1, grid.nt)]
+    blocks = reversed(op.blocks(nt + 1))
+    if not op.timed:
+        steps = values[:nt]
+        cols = np.stack((steps.min(axis=0), steps.max(axis=0), values[nt]))
+        if np.isfinite(cols[:2]).all():
+            blocks = ()
+            lo, up = _layer_violations(cols, op.lower, op.upper)
+            lo_viol, up_viol = max(lo_viol, lo), max(up_viol, up)
+    for k0, k1 in blocks:
+        block = values[k0:min(k1, nt)]
         if not (math.isfinite(block.min(initial=0.0))
                 and math.isfinite(block.max(initial=0.0))):
             bad = np.flatnonzero(~np.isfinite(block).all(axis=-1))
@@ -285,10 +297,12 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     only if the walk reaches it.  A stage's contact residuals come from the
     penalty increments dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its
     field, which are its compensators (none on a projected side); no
-    reconstruction runs.  Returns (the SolveReport of the last stage
-    walked, with that stage's pen, ConvergenceTrace); a schedule that
-    ends above tolerance only clears the converged flag.  The batch
-    holds one field per stage (`GridError` above the memory cap).
+    reconstruction runs; a side whose stage violation is 0.0 has no gap,
+    so its residual is 0.0 unscanned.  Returns (the SolveReport of the
+    last stage walked, with that stage's pen, ConvergenceTrace); a
+    schedule that ends above tolerance only clears the converged flag.
+    The batch holds one field per stage (`GridError` above the memory
+    cap).
     """
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
@@ -304,9 +318,11 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
 
         def pushes(y, low, up, gaps):
             # per pushing side, the gap times its push dt*m*gap, the gap
-            # read once
-            calls, out = _push_calls(y, low, up, rates, grid.dt, gaps,
-                                     np.empty(gaps.shape))
+            # read once; a side the stage never crossed has no gap
+            calls, out = _push_calls(
+                y, low if report.sup_lower_violation else None,
+                up if report.sup_upper_violation else None, rates, grid.dt,
+                gaps, np.empty(gaps.shape))
             sides = [i for i in (0, 1) if isinstance(out[i], np.ndarray)]
             calls += [_bound_call(np.multiply, gaps[i], out[i], gaps[i])
                       for i in sides]
@@ -316,7 +332,9 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
                     call()
             return sides, fill
 
-        r_plus, r_minus = _contact_residuals(report.field, op, pushes)
+        r_plus = r_minus = 0.0
+        if report.sup_lower_violation or report.sup_upper_violation:
+            r_plus, r_minus = _contact_residuals(report.field, op, pushes)
         if prev is None:
             diff = float("inf")
         else:

@@ -428,12 +428,28 @@ def test_reconstruct_replays_blocks_of_slices(monkeypatch):
     assert calls[0] == len(blocks) == math.ceil(grid.nt / size)
 
 
+def test_the_csv_rows_verify_then_replay_the_asked_slices(monkeypatch):
+    # every step is compared in blocks of one layer per slice (20 at
+    # nx=400), then each asked slice below the terminal one is replayed
+    # on its own for its rows
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=400)
+    report = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
+    calls = _count(monkeypatch, scheme._Kernel, "explicit")
+    decomposition._bundle_rows(report, [0, grid.nt // 2])
+    size = scheme._BLOCK_ELEMENTS // (grid.nx + 1)
+    assert (grid.nt, size) == (889, 20)
+    assert calls[0] == math.ceil(grid.nt / size) + 2 == 47
+
+
 def test_every_step_runs_through_the_kernel(monkeypatch):
-    # a solve calls _Kernel.explicit once per step, a replay once per
-    # block, and a replay builds one kernel per block shape
+    # a solve calls _advance once per step, a replay calls
+    # _Kernel.explicit once per block, and a replay builds one kernel per
+    # block shape
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=200)
     op = StepOperator(spec, grid)
+    steps = _count(monkeypatch, solvers, "_advance")
     calls = _count(monkeypatch, scheme._Kernel, "explicit")
     built = _count(monkeypatch, decomposition, "_Kernel")
 
@@ -444,8 +460,7 @@ def test_every_step_runs_through_the_kernel(monkeypatch):
         calls[0] = built[0] = 0
 
     report = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
-    assert calls[0] == grid.nt
-    calls[0] = 0
+    assert steps[0] == grid.nt and calls[0] == 0
     bundle = reconstruct(report)
     one_per_block(op.blocks(grid.nt, rows=5))
     one_step_residuals(bundle)

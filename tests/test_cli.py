@@ -289,6 +289,18 @@ def test_validation_violations_exit_2(tmp_path, capsys):
     assert "obstacle-order" in capsys.readouterr().err
 
 
+def test_an_overflowing_drift_exits_2_with_one_line(tmp_path, capsys):
+    # no np.errstate here: the suite turns any stray numpy warning into
+    # an error, so the CFL probe must silence its own overflow
+    problem = _inline(coeffs={"drift": {"kind": "affine", "slope": 1e308,
+                                        "intercept": 0}})
+    code = run(tmp_path, {"problem": problem, "grid": SMALL_GRID})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: CFL bound needs a step count")
+    assert err.count("\n") == 1
+
+
 def test_cell_peclet_violation_exits_2(tmp_path, capsys):
     problem = {
         "gparams": {"vol_low_sq": 1.0, "vol_high_sq": 2.0},

@@ -13,8 +13,9 @@ import json
 
 import pytest
 
-from gobstacle import cli
-from gobstacle.presets import list_presets
+from gobstacle import cli, solvers
+from gobstacle.presets import get_preset, list_presets
+from gobstacle.scheme import build_grid
 
 SINGLES = [p.name for p in list_presets() if p.kind == "single"]
 MODES = ("penalized", "reflected_lower_pen_upper", "projection", "limit")
@@ -224,3 +225,25 @@ def test_cli_outputs_match_the_frozen_table(tmp_path, monkeypatch, capsys,
     code, digests = _run_case(tmp_path, monkeypatch, verb, preset, mode)
     assert code == want_code
     assert digests == want_digests
+
+
+def test_a_side_the_stages_never_cross_has_no_contact_scan(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    # quadratic-drift crosses neither obstacle in any stage: solve_limit
+    # builds no push calls for either side, and the trace keeps its bytes
+    built = []
+    real = solvers._push_calls
+
+    def push_calls(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_push_calls", push_calls)
+    spec = get_preset("double-active")
+    solvers.solve_limit(spec, build_grid(spec, nx=32))
+    assert built  # a crossed side is scanned
+    built.clear()
+    case = ("solve", "quadratic-drift", "limit")
+    assert _run_case(tmp_path, monkeypatch, *case) == GOLDEN[case]
+    assert built == []

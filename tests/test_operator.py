@@ -170,14 +170,15 @@ def _solve_counts(monkeypatch, name):
 SINGLE = [name for name, spec in SPECS if "[" not in name]
 
 # numpy calls of one step at PEN (the explicit values, then the obstacle
-# enforcement; the row copy into the field is not counted): 14 without
-# obstacles, 5 more per penalized side (test, add, divide, masked copy)
-# and a wall clamp; a quadratic_in_z driver adds du (2), z, its own 4
-# calls, x2 and the add; quadratic-drift has every term
-STEP_CALLS = {"constant-sandwich": 24, "gheat-quadratic": 14,
-              "gheat-concave": 14, "upper-active": 19, "lower-active": 19,
-              "double-active": 24, "quadratic-gen-colehopf": 23,
-              "quadratic-drift": 38}
+# enforcement; the row copy into the field is not counted): 13 without
+# obstacles (the envelope's add of 0.0 is dropped, as every preset's f
+# row is compiled and holds no -0), 4 more per penalized side (test,
+# add, masked divide) and a wall clamp; a quadratic_in_z driver adds du
+# (2), z, its own 4 calls, x2 and the add; quadratic-drift has every term
+STEP_CALLS = {"constant-sandwich": 21, "gheat-quadratic": 13,
+              "gheat-concave": 13, "upper-active": 17, "lower-active": 17,
+              "double-active": 21, "quadratic-gen-colehopf": 22,
+              "quadratic-drift": 35}
 
 
 @pytest.mark.parametrize("name", SINGLE)
@@ -195,6 +196,7 @@ def test_a_step_is_a_sequence_bound_once_per_solve(name, monkeypatch):
     kernel = _Kernel(op, _penalty_rows((PEN,)), (op.grid.nx + 1,))
     steps = kernel._calls("explicit") + kernel._calls("apply")
     assert len(steps) == STEP_CALLS[name]
+    assert kernel._calls("step") == steps  # what _advance runs
     compiled = [0]
     real = _Kernel._compile
 

@@ -27,7 +27,8 @@ from gobstacle.scheme import (
     build_grid,
     explicit_step,
 )
-from node_oracle import layer_rhs_parts, resolve_penalties
+from node_oracle import NodeDerivs, layer_rhs_parts, pde_rhs, \
+    resolve_penalties
 
 BAND = GParams(1.0, 2.0)
 NO_PEN = PenaltyParams()
@@ -308,6 +309,45 @@ def test_step_projects_at_infinite_intensity():
                            PenaltyParams(math.inf, 0.0))
     assert float(np.min(out_lo)) >= -0.1 - 1e-15
     assert float(np.max(out_lo)) > 0.1  # upper side untouched
+
+
+@pytest.mark.parametrize("f,adds", [(-0.0, True), (0.0, False)])
+def test_the_envelope_add_of_zero_stays_where_rest_may_be_negative_zero(
+        f, adds):
+    # dx = 1 and a unit sigma: at node 4, -0 with a right neighbour of
+    # -5e-324, qv = -5e-324, (0.5*low)*qv rounds to -0 and the envelope's
+    # max is -0.  Its add of 0.0 makes that +0, and so does the add of
+    # rest unless rest is -0 too: with f == -0 the kernel must keep the
+    # add for the node to step to +0, with f == +0 it may drop it
+    spec = _spec(gen=GeneratorSpec(f=FnSpec.constant(f), zero_bound=100.0))
+    g = build_grid(spec, x_min=-4.0, x_max=4.0, nx=8)
+    assert g.dx == 1.0
+    layer = np.zeros(g.nx + 1)
+    layer[4], layer[5] = -0.0, -5e-324
+    t = g.t_nodes[-2]
+    op = StepOperator(spec, g)
+    out = explicit_step(layer, t, op, NO_PEN)
+    u, right, left = layer[1:-1], layer[2:], layer[:-2]
+    d = NodeDerivs(u=u, du=(right - left) / (2.0 * g.dx),
+                   d2u=((right - 2.0 * u) + left) / (g.dx * g.dx),
+                   x=g.x_nodes[1:-1], t=t)
+    want = u + g.dt * pde_rhs(d, spec)
+    assert out[4] == 0.0 and not np.signbit(out[4])
+    assert out[1:-1].tobytes() == want.tobytes()
+    kernel = scheme._Kernel(op, None, layer.shape)
+    # the envelope's four calls, or three, then rest, dt and u
+    assert len(kernel._calls("explicit")) == 4 + (4 if adds else 3) + 3
+
+
+def test_penalty_resolution_is_the_plain_quotient_on_the_nodes_it_pushes():
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=50)
+    low, up = np.full(50, -0.5), np.full(50, 0.5)
+    pen, dt = PenaltyParams(30.0, 50.0), 0.01
+    a, b = dt * pen.m_lower, dt * pen.n_upper
+    want = np.where(v < low, (v + a * low) / (1.0 + a),
+                    np.where(v > up, (v + b * up) / (1.0 + b), v))
+    assert resolve_penalties(v, low, up, pen, dt).tobytes() == want.tobytes()
 
 
 def test_step_rejects_bad_inputs():
