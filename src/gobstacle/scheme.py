@@ -35,9 +35,12 @@ the 2(R-1) seam nodes, the wall columns between layers, step on finite
 tiled values and are overwritten by the boundary closure, which acts
 through strided 1-D views of the wall columns.  The arithmetic is
 elementwise and the same at every node, so a batched or blocked call
-reproduces the one-layer step bit for bit; R = 1 is the single solve.
+reproduces the one-layer step bit for bit; R = 1 is the single solve,
+and a batch whose rows still step as one (`solvers._solve_rows`).
 
-A kernel is built once per solve, or per block shape of a replay: two
+A kernel is built once per solve (a batch whose rows separate builds
+its S-layer kernel at the separating step), or per block shape of a
+replay: two
 flat layers, which a solve steps between in turn, the work arrays of
 one step, the constants (dt, 2*dx, dx*dx, the halved variances), the
 operator rows a step reads and, per side whose penalty acts, the
@@ -52,7 +55,8 @@ need not convert on every call.  A catalog quadratic_in_z driver is part
 of the sequence, with the calls its own evaluation runs
 (`FnSpec._quadratic_calls`); a custom driver is one call at the step's
 t on the layers' interior nodes, in the (R, nx-1) shape of the batch
-((nx-1,) for one layer).  A `timed` operator is re-read in place at
+((nx-1,) for one layer: a single solve, or a batch before its rows
+separate).  A `timed` operator is re-read in place at
 each new t (`StepOperator.at`) and copied into the tiled rows; its
 structure is fixed per solve, so the sequence is never bound again.
 It runs no call for a term the operator records as absent

@@ -11,22 +11,28 @@ it, enforcing the obstacles per step at the intensities of a
     solve_double_projection  solve_penalized at (inf, inf)
     solve_limit              penalized family along a schedule
 
-All of them step S solves of one problem through one kernel per time
-step, its S layers laid end to end in one flat array of S*(nx+1) nodes
-(one nx+1 layer for a single solve), with the intensities given per
-row, and only step; each row's report is then
-read from its stored field in one pass over blocks of slices, which
-names the first step that left the finite range or scans the obstacle
-violations.  A `SolveReport.wall_time` is the stepping time of the
-whole batch.
+All of them step S solves of one problem, one kernel call per time
+step, and only step.  The S rows step as one nx+1 layer into one field
+as long as the penalties act alike on all of them, that is until a step
+reaches an obstacle on a side whose intensity differs between rows (a
+single solve, or rows of equal intensities, have no such side).  That
+step is taken again, and the rest, through one kernel of S layers laid
+end to end in one flat array of S*(nx+1) nodes, with the intensities
+given per row, each row into its own field.  Rows that never separate
+share one read-only field.  Each row's report is then read from its
+stored field in one pass over blocks of slices, which names the first
+step that left the finite range or scans the obstacle violations, once
+per field.  A `SolveReport.wall_time` is the stepping time of the whole
+batch.
 
 The limit driver steps its whole schedule as one batch, then walks the
 stages in order and records a per-stage trace (sup difference between
 consecutive stages, obstacle violations, contact residuals read from the
 stage field's penalty increments), stopping at the first stage whose
 difference drops below the schedule's tolerance, exactly as a walk that
-solved one stage at a time.  Stages past the stop are never read, so a
-stage that left the finite range raises only if the walk reaches it.
+solved one stage at a time; two stages that share a field differ by
+0.0.  Stages past the stop are never read, so a stage that left the
+finite range raises only if the walk reaches it.
 The driver flags, never raises, when the schedule ends above its
 stopping tolerance.
 """
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,7 +66,9 @@ class SolveReport:
     `field.grid.nt`.  wall_time is the stepping time of the batch the
     field was stepped in.  spec and pen are the problem and intensities
     (inf where a side was projected) the field was stepped with, so that
-    `reconstruct(report)` replays the solve.
+    `reconstruct(report)` replays the solve.  The rows of a batch that
+    never separated share one read-only field; every other field owns
+    its memory.
     """
 
     field: Field
@@ -79,21 +87,60 @@ def _layer_violations(layers, low, up):
     return lo, hi
 
 
+def _separating(op: StepOperator, rows):
+    """The tests that keep a batch stepping as one layer: per present
+    side whose intensity differs between rows (`_PenaltyRows`), the
+    explicit values v against the interior obstacle row where the finite
+    rates differ, and the new layer where the projected rows do, each as
+    (on the new layer, row, test): v or the layer must lie strictly above
+    the lower row (`np.greater`) or below the upper one (`np.less`).
+    Where every test holds, each row's resolution and projection on that
+    side is the identity, so every row steps as the merged one.  The rows
+    are views, so a `timed` operator's re-read reaches them."""
+    checks = []
+    for row, rate, projected, test in (
+            (op.lower, rows.m_lower, rows.lift, np.greater),
+            (op.upper, rows.n_upper, rows.clamp, np.less)):
+        if row is not None:
+            checks += [(on_layer, row[1:-1], test) for on_layer, differs in
+                       ((False, rate), (True, projected))
+                       if isinstance(differs, np.ndarray)]
+    return checks
+
+
+def _crossed(checks, v, u, hit):
+    """Whether the values v or the new layer's interior u fail one of the
+    `_separating` tests, written into the bool array `hit`; a NaN fails
+    every test, so it counts as crossed."""
+    return not all(test(u if on_layer else v, row, out=hit).all()
+                   for on_layer, row, test in checks)
+
+
 def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
-    """Step one solve per PenaltyParams in `pens` (at least one) as S
-    layers laid end to end, through one `_Kernel` and one `_advance` call
-    per time step, which steps the kernel's two flat layers in turn and
-    returns the new one as an (S, nx+1) view; each of its rows is copied
-    into its own field, so every field owns its memory.  A single solve
-    steps one nx+1 layer.
+    """Step one solve per PenaltyParams in `pens` (at least one), one
+    `_advance` call per time step.
+
+    The rows step as one layer, a one-layer `_Kernel` at `pens[0]` into
+    one field, until a step reaches an obstacle on a side whose intensity
+    differs between rows (`_separating`; a single solve or rows of equal
+    intensities have no such side and are never tested).  Until then the
+    penalties act alike on every row, so that step is every row's step
+    bit for bit.  At the first crossing each row gets its own field
+    holding the merged slices, and that step and the rest run in an
+    S-row kernel, which steps its two flat layers in turn and returns the
+    new one as an (S, nx+1) view whose rows are copied into their fields;
+    a batch whose terminal slice already fails a test starts there.  Rows
+    that never separate share one read-only field (a single solve's is
+    writable); rows that separated each own their memory.
 
     Returns (the compiled StepOperator, one stored field per row, the
     stepping wall time).  A grid not built for the problem (another
     horizon, or a dt above its CFL bound) raises GridError before any
-    step.  Nothing else is checked here: a row that left the finite range
-    keeps stepping on non-finite values, and `_report` names its failure
-    when a caller reads that row.  numpy's overflow
-    and invalid-value warnings are silenced while stepping.
+    step, and S fields are checked against the memory cap before any is
+    allocated.  Nothing else is checked here: a row that left the finite
+    range keeps stepping on non-finite values, and `_report` names its
+    failure when a caller reads that row.  numpy's overflow and
+    invalid-value warnings are silenced while stepping.
     """
     if not pens:
         raise SpecError("a batch needs at least one PenaltyParams")
@@ -104,24 +151,38 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     _check_field_budget(grid, len(pens))
     start = time.perf_counter()
     op = StepOperator(spec, grid)
-    nt = grid.nt
-    fields = [np.empty((nt + 1, grid.nx + 1)) for _ in pens]
-    terminal = np.asarray(spec.terminal(spec.horizon, grid.x_nodes),
-                          dtype=float)
-    single = len(pens) == 1  # one layer: 1-D steps cost less per call
-    shape = (grid.nx + 1,) if single else (len(pens), grid.nx + 1)
-    kernel = _Kernel(op, _penalty_rows(pens), shape)
-    layer = kernel.layer
-    layer[:] = terminal
+    nt, ts = grid.nt, grid.t_nodes
+    rows = _penalty_rows(pens)
+    checks = _separating(op.at(ts[nt]), rows)
+    merged = np.empty((nt + 1, grid.nx + 1))
+    merged[nt] = spec.terminal(spec.horizon, grid.x_nodes)
+    hit = np.empty(grid.nx - 1, dtype=bool)
+    k = nt  # slices k..nt are stepped as one layer
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nt, -1, -1):
-            if k < nt:
-                layer = _advance(kernel, grid.t_nodes[k])
-            if single:
-                fields[0][k] = layer
-            else:
-                for values, row in zip(fields, layer):
-                    values[k] = row
+        if not _crossed(checks, merged[nt, 1:-1], merged[nt, 1:-1], hit):
+            kernel = _Kernel(op, _penalty_rows(pens[:1]), merged[nt].shape)
+            kernel.layer[:] = merged[nt]
+            v = kernel.v[1:-1]
+            while k:
+                layer = _advance(kernel, ts[k - 1])
+                if checks and _crossed(checks, v, layer[1:-1], hit):
+                    break
+                k -= 1
+                merged[k] = layer
+        if not k:
+            if len(pens) > 1:
+                merged.setflags(write=False)  # every row reads it
+            return op, [merged] * len(pens), time.perf_counter() - start
+        fields = [merged] + [np.empty(merged.shape) for _ in pens[1:]]
+        for values in fields[1:]:
+            values[k:] = merged[k:]
+        kernel = _Kernel(op, rows, (len(pens), grid.nx + 1))
+        layer = kernel.layer
+        layer[:] = merged[k]
+        for k in range(k - 1, -1, -1):
+            layer = _advance(kernel, ts[k])
+            for values, row in zip(fields, layer):
+                values[k] = row
     return op, fields, time.perf_counter() - start
 
 
@@ -167,6 +228,18 @@ def _report(values, op: StepOperator, pen, wall) -> SolveReport:
                        spec=op.spec, pen=pen)
 
 
+def _reports(op: StepOperator, fields, pens, wall):
+    """The SolveReport of each row in turn, read as it is asked for: a
+    row that shares the previous row's field shares its scan, with its
+    own pen."""
+    report = None
+    for values, pen in zip(fields, pens):
+        report = replace(report, pen=pen) \
+            if report is not None and values is report.field.values \
+            else _report(values, op, pen, wall)
+        yield report
+
+
 def solve_penalized(spec: ProblemSpec, grid: Grid,
                     pen: PenaltyParams) -> SolveReport:
     """Two-sided penalized solve at fixed intensities; an infinite one
@@ -178,12 +251,13 @@ def solve_penalized(spec: ProblemSpec, grid: Grid,
 def solve_penalized_batch(spec: ProblemSpec, grid: Grid, pens) -> tuple:
     """Penalized solves of one problem at each PenaltyParams in `pens`,
     stepped together; the reports come in the order of `pens`, each
-    with the batch's wall time.  The first row that left the finite
-    range raises its StepFailure; an empty `pens` raises SpecError."""
+    with the batch's wall time.  Rows that never separated (see
+    `_solve_rows`) share one read-only field; every other row's field
+    owns its memory.  The first row that left the finite range raises
+    its StepFailure; an empty `pens` raises SpecError."""
     pens = tuple(pens)
     op, fields, wall = _solve_rows(spec, grid, pens)
-    return tuple(_report(values, op, pen, wall)
-                 for values, pen in zip(fields, pens))
+    return tuple(_reports(op, fields, pens, wall))
 
 
 def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
@@ -294,15 +368,19 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     stages in order and stops early once the sup-norm difference between
     consecutive stage fields drops below the schedule's stop_tol; stages
     past the stop are never read, and a stage's StepFailure is raised
-    only if the walk reaches it.  A stage's contact residuals come from the
-    penalty increments dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its
-    field, which are its compensators (none on a projected side); no
-    reconstruction runs; a side whose stage violation is 0.0 has no gap,
-    so its residual is 0.0 unscanned.  Returns (the SolveReport of the
-    last stage walked, with that stage's pen, ConvergenceTrace); a
-    schedule that ends above tolerance only clears the converged flag.
-    The batch holds one field per stage (`GridError` above the memory
-    cap).
+    only if the walk reaches it.  Stages that never separated share one
+    field (`_solve_rows`), which is read once: their difference is 0.0,
+    and each stage's report carries its own pen.  A stage's contact
+    residuals come from the penalty increments dt*m*(lower - Y)^+ and
+    dt*n*(Y - upper)^+ of its field, which are its compensators (none on
+    a projected side); no reconstruction runs; a side whose stage
+    violation is 0.0 has no gap, so its residual is 0.0 unscanned.
+    Returns (the SolveReport of the last stage walked, with that stage's
+    pen, ConvergenceTrace); a schedule that ends above tolerance only
+    clears the converged flag.
+    The batch may hold one field per stage, and is checked for that
+    before any step (`GridError` above the memory cap); stages that never
+    separate hold one.
     """
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
@@ -312,8 +390,9 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     reports = []
     prev = None
     converged = False
-    for idx, (pen, values) in enumerate(zip(schedule.steps, fields)):
-        report = _report(values, op, pen, wall)
+    for idx, report in enumerate(_reports(op, fields, schedule.steps,
+                                          wall)):
+        pen, values = report.pen, report.field.values
         rates = _penalty_rows((pen,))
 
         def pushes(y, low, up, gaps):
@@ -337,6 +416,8 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
             r_plus, r_minus = _contact_residuals(report.field, op, pushes)
         if prev is None:
             diff = float("inf")
+        elif values is prev:  # one field, which `_report` found finite
+            diff = 0.0
         else:
             diff = max(float(np.max(np.abs(values[k0:k1] - prev[k0:k1])))
                        for k0, k1 in op.blocks(grid.nt + 1))

@@ -1,9 +1,9 @@
 """Batched stepping and blocked replays: S solves of one problem stepped
-as S layers laid end to end equal S single solves bit for bit, the
-limit driver reports exactly the stage-by-stage walk, replays take
-blocks of slices except where a field or driver may depend on t, and
-each call checks what it will hold against the memory cap before
-allocating."""
+as one layer until an obstacle separates them, then as S layers laid
+end to end, equal S single solves bit for bit, the limit driver reports
+exactly the stage-by-stage walk, replays take blocks of slices except
+where a field or driver may depend on t, and each call checks what it
+will hold against the memory cap before allocating."""
 
 import json
 import math
@@ -17,7 +17,7 @@ import pytest
 from gobstacle import cli, decomposition, scheme, solvers
 from gobstacle.decomposition import one_step_residuals, reconstruct
 from gobstacle.diagnostics import ORDER_SLACK, run_property_suite
-from gobstacle.model import FnSpec, SpecError
+from gobstacle.model import FnSpec, ObstaclePair, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
     StepOperator, build_grid, explicit_step
@@ -91,10 +91,14 @@ def _problem(name):
     [(n, MIXED) for n in BATCH_NAMES]
     + [(n, MIXED_INF) for n in BATCH_NAMES]
     + [(n, REFLECTED) for n in BATCH_NAMES]
-    + [(n, MIXED_INF) for n in PROBLEMS],
+    + [(n, MIXED_INF) for n in PROBLEMS]
+    + [(n, MIXED) for n in PROBLEMS]
+    + [(n, REFLECTED) for n in PROBLEMS],
     ids=BATCH_NAMES + [f"{n}-infinite" for n in BATCH_NAMES]
-    + [f"{n}-reflected" for n in BATCH_NAMES] + list(PROBLEMS))
+    + [f"{n}-reflected" for n in BATCH_NAMES] + list(PROBLEMS)
+    + [f"{n}-mixed" for n in PROBLEMS] + [f"{n}-reflected" for n in PROBLEMS])
 def test_batch_rows_equal_single_solves(name, pens):
+    # the merged slices, the step that separates the rows and the rest
     spec = _problem(name)
     grid = build_grid(spec, nx=48)
     batch = solve_penalized_batch(spec, grid, pens)
@@ -117,12 +121,14 @@ def test_the_extra_problems_exercise_what_they_name():
 
 
 def test_a_custom_driver_gets_the_shape_of_its_solve():
-    # (S, nx-1) arrays for a batch of S, (nx-1,) for a single solve
+    # (nx-1,) arrays for a single solve and for a batch of S while its
+    # rows step as one, (S, nx-1) once they separate
     seen = set()
     spec = _per_step_driver(seen)
     grid = build_grid(spec, nx=48)
     solve_penalized_batch(spec, grid, MIXED)
-    assert seen == {((len(MIXED), grid.nx - 1), (len(MIXED), grid.nx - 1))}
+    assert seen == {((len(MIXED), grid.nx - 1), (len(MIXED), grid.nx - 1)),
+                    ((grid.nx - 1,), (grid.nx - 1,))}
     seen.clear()
     solve_penalized(spec, grid, MIXED[0])
     assert seen == {((grid.nx - 1,), (grid.nx - 1,))}
@@ -156,12 +162,16 @@ def test_seam_nodes_raise_no_warning_of_their_own(name):
 def test_a_timed_operator_binds_its_step_once_per_solve(name, pens,
                                                         monkeypatch):
     # the rows re-read at each t are copied into the kernel's own; the
-    # structure of the step is fixed per solve, so its calls are bound once
+    # structure of the step is fixed per solve, so each kernel binds its
+    # calls once: one kernel for a single solve, and for a batch the
+    # merged one and the one its rows separate into
     spec = _problem(name)
     grid = build_grid(spec, nx=48)
     compiled = _count(monkeypatch, scheme._Kernel, "_compile")
+    built = _count(monkeypatch, solvers, "_Kernel")
     solve_penalized_batch(spec, grid, pens)
-    assert compiled[0] == 4  # explicit and apply, from either layer
+    assert built[0] == (1 if len(pens) == 1 else 2)
+    assert compiled[0] == 4 * built[0]  # explicit and apply, either layer
 
 
 @pytest.mark.parametrize("name", ["t-dependent", "all-custom"])
@@ -190,10 +200,12 @@ def test_a_change_of_structure_binds_the_step_again(monkeypatch):
     spec = _structure_change()
     grid = build_grid(spec, nx=48)
     compiled = _count(monkeypatch, scheme._Kernel, "_compile")
+    built = _count(monkeypatch, solvers, "_Kernel")
     batch = solve_penalized_batch(spec, grid, MIXED)
-    # explicit and apply from either layer: a custom drift is a present
-    # term at every step, zero or not
-    assert compiled[0] == 4
+    # explicit and apply from either layer of the merged kernel and of
+    # the separated one: a custom drift is a present term at every step,
+    # zero or not
+    assert (built[0], compiled[0]) == (2, 8)
     for pen, got in zip(MIXED, batch):
         want = solve_penalized(spec, grid, pen)
         assert got.field.values.tobytes() == want.field.values.tobytes()
@@ -311,16 +323,28 @@ def test_reflected_family_decreases_in_the_upper_intensity(name):
 
 
 def _poison_row(monkeypatch, row, slice_k):
-    """Make the kernel overflow row `row` at the step to slice k."""
+    """Make the kernel overflow row `row` at the step to slice k, or the
+    merged layer when `row` is None; returns the count of layers it
+    poisoned, in a list."""
     real = solvers._advance
+    poisoned = [0]
 
     def advance(kernel, t):
         out = real(kernel, t)
-        if out.ndim == 2 and t == kernel.grid.t_nodes[slice_k]:
-            out[row, 3] = np.float64(1e308) * 10.0  # warns unless silenced
+        if out.ndim == (1 if row is None else 2) \
+                and t == kernel.grid.t_nodes[slice_k]:
+            out[(3,) if row is None else (row, 3)] = \
+                np.float64(1e308) * 10.0  # warns unless silenced
+            poisoned[0] += 1
         return out
 
     monkeypatch.setattr(solvers, "_advance", advance)
+    return poisoned
+
+
+# double-active at nx=48 (nt=13): the diagonal ladder and MIXED step as
+# one layer down to slice 5 and separate at the step to slice 4
+SEPARATED = 4
 
 
 def test_failure_past_the_stop_never_escapes(monkeypatch):
@@ -329,10 +353,11 @@ def test_failure_past_the_stop_never_escapes(monkeypatch):
     schedule = PenaltySchedule.diagonal(stop_tol=0.05)
     _, want = solve_limit(spec, grid, schedule)
     assert len(want.stages) == 2
-    _poison_row(monkeypatch, 3, 5)
+    poisoned = _poison_row(monkeypatch, 3, SEPARATED - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         final, trace = solve_limit(spec, grid, schedule)
+    assert poisoned == [1]
     assert trace.stages == want.stages and trace.converged
     assert np.isfinite(final.field.values).all()
 
@@ -341,19 +366,37 @@ def test_failure_past_the_stop_never_escapes(monkeypatch):
 def test_failure_of_a_reported_stage_raises(monkeypatch, row):
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=48)
-    _poison_row(monkeypatch, row, 5)
-    with pytest.raises(StepFailure, match=f"step to slice 5 of {grid.nt}: "
-                       "non-finite value at t="):
+    poisoned = _poison_row(monkeypatch, row, SEPARATED - 1)
+    with pytest.raises(StepFailure, match=f"step to slice {SEPARATED - 1} "
+                       f"of {grid.nt}: non-finite value at t="):
         solve_limit(spec, grid)
+    assert poisoned == [1]
 
 
 def test_a_failed_batch_row_raises_its_own_failure(monkeypatch):
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=48)
-    _poison_row(monkeypatch, 1, 7)
-    with pytest.raises(StepFailure, match=f"step to slice 7 of {grid.nt}: "
-                       "non-finite value at t="):
+    poisoned = _poison_row(monkeypatch, 1, SEPARATED - 2)
+    with pytest.raises(StepFailure, match=f"step to slice {SEPARATED - 2} "
+                       f"of {grid.nt}: non-finite value at t="):
         solve_penalized_batch(spec, grid, MIXED[:3])
+    assert poisoned == [1]
+
+
+@pytest.mark.parametrize("pens", [MIXED, (PenaltyParams(64.0, 64.0),) * 3],
+                         ids=["separating", "equal"])
+def test_a_non_finite_merged_layer_fails_every_row(monkeypatch, pens):
+    # a NaN counts as crossed, so the rows of MIXED separate at the next
+    # step; rows of equal intensities step on as one
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=48)
+    poisoned = _poison_row(monkeypatch, None, 7)
+    op, fields, wall = solvers._solve_rows(spec, grid, pens)
+    assert poisoned == [1]
+    for values, pen in zip(fields, pens):
+        with pytest.raises(StepFailure, match=f"step to slice 7 of {grid.nt}: "
+                           "non-finite value at t="):
+            solvers._report(values, op, pen, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +426,149 @@ def test_kernel_buffers_never_leak_out():
 @pytest.mark.parametrize("pens", [MIXED[:1], MIXED], ids=["single", "batch"])
 def test_each_stored_field_owns_its_memory(pens):
     # views into one (S, nt+1, nx+1) block would keep every row's field
-    # alive as long as any one report is kept
+    # alive as long as any one report is kept; the rows of MIXED separate
     spec = get_preset("double-active")
     _, fields, _ = solvers._solve_rows(spec, build_grid(spec, nx=48), pens)
     assert len(fields) == len(pens)
     assert all(values.base is None for values in fields)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(fields)
+                   for b in fields[i + 1:])
+    assert all(values.flags.writeable for values in fields)
+
+
+def test_rows_that_never_separate_share_one_read_only_field():
+    # quadratic-drift never reaches its obstacles: the ladder's rows are
+    # one layer from the terminal slice to t = 0
+    spec = get_preset("quadratic-drift")
+    grid = build_grid(spec, nx=48)
+    steps = PenaltySchedule.diagonal().steps
+    _, fields, _ = solvers._solve_rows(spec, grid, steps)
+    assert len(fields) == len(steps)
+    assert all(values is fields[0] for values in fields)
+    assert fields[0].base is None and not fields[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        fields[0][0, 0] = 0.0
+    reports = solve_penalized_batch(spec, grid, steps)
+    assert [r.pen for r in reports] == list(steps)
+    assert all(r.field.values is reports[0].field.values for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# where a batch separates: only the sides whose intensities differ
+# ---------------------------------------------------------------------------
+
+def _steps(monkeypatch):
+    """Record (slice, layers) of every `_advance` call: 1 while the rows
+    step as one layer, 2 once they are an (S, nx+1) batch."""
+    real = solvers._advance
+    steps = []
+
+    def advance(kernel, t):
+        out = real(kernel, t)
+        steps.append((int(np.searchsorted(kernel.grid.t_nodes, t)), out.ndim))
+        return out
+
+    monkeypatch.setattr(solvers, "_advance", advance)
+    return steps
+
+
+def _separation(steps, nt):
+    """The slice of the step that separated the rows: nt where they
+    started separated, None where they never did.  Checks that every
+    step ran once, and the separating one once more, in the batch."""
+    merged = [k for k, layers in steps if layers == 1]
+    split = [k for k, layers in steps if layers == 2]
+    assert steps == [(k, 1) for k in merged] + [(k, 2) for k in split]
+    if not split:
+        assert merged == list(range(nt - 1, -1, -1))
+        return None
+    k = split[0] if merged else nt
+    assert merged == list(range(nt - 1, k - 1, -1))
+    assert split == list(range(min(k, nt - 1), -1, -1))
+    return k
+
+
+@pytest.mark.parametrize("name,where", [("double-active", "inside"),
+                                        ("quadratic-drift", "never"),
+                                        ("upper-active", "terminal")])
+def test_where_a_ladder_separates(name, where, monkeypatch):
+    spec = get_preset(name)
+    grid = build_grid(spec, nx=48)
+    steps = _steps(monkeypatch)
+    solvers._solve_rows(spec, grid, PenaltySchedule.diagonal().steps)
+    k = _separation(steps, grid.nt)
+    if where == "inside":
+        assert 0 < k < grid.nt and k == SEPARATED
+        assert len(steps) == grid.nt + 1
+    elif where == "never":
+        assert k is None and len(steps) == grid.nt
+    else:
+        assert k == grid.nt and len(steps) == grid.nt
+
+
+def test_only_the_sides_whose_intensities_differ_are_tested():
+    spec = get_preset("double-active")
+    op = StepOperator(spec, build_grid(spec, nx=48))
+
+    def tested(pens):
+        checks = solvers._separating(op, scheme._penalty_rows(pens))
+        for _, row, test in checks:  # views of the operator's own rows
+            assert np.shares_memory(
+                row, op.lower if test is np.greater else op.upper)
+        return [(on_layer, test) for on_layer, _, test in checks]
+
+    # the reflected family: every row projects the lower side alike
+    family = PenaltySchedule.fixed_m(INF, (4.0, 16.0, 64.0, 256.0)).steps
+    assert tested(family) == [(False, np.less)]
+    assert tested((PenaltyParams(64.0, 16.0),) * 3) == []
+    assert tested(MIXED[:1]) == []
+    # finite rates differ on both sides: v; projected rows too: the layer
+    assert tested(MIXED) == [(False, np.greater), (False, np.less)]
+    assert tested(MIXED_INF) == [(False, np.greater), (True, np.greater),
+                                 (False, np.less), (True, np.less)]
+
+
+def test_a_projection_is_tested_on_the_resolved_layer():
+    # obstacles touching at 0.3: the upper resolution of a v just above
+    # them can round below 0.3, where the rows that project the lower
+    # side lift it and the others do not, though v never crosses
+    spec = replace(get_preset("upper-active"),
+                   obstacles=ObstaclePair(FnSpec.constant(0.3),
+                                          FnSpec.constant(0.3),
+                                          level_bound=1.6),
+                   terminal=FnSpec.constant(0.35))
+    grid = build_grid(spec, nx=32)
+    pens = (PenaltyParams(INF, 2.9e16), PenaltyParams(0.0, 2.9e16))
+    free = solve_penalized(spec, grid, pens[1]).field.values
+    assert (free[:, 1:-1] < 0.3).any()
+    for pen, got in zip(pens, solve_penalized_batch(spec, grid, pens)):
+        want = solve_penalized(spec, grid, pen)
+        assert got.field.values.tobytes() == want.field.values.tobytes()
+
+
+def test_a_timed_obstacle_separates_where_it_meets_the_solution(
+        monkeypatch):
+    # quadratic-drift's solution stays in (-2, 2); a lower obstacle that
+    # jumps from -2 to 0.9, above the terminal's peak of 0.8, meets it at
+    # the first step to a t at or below the jump
+    spec = get_preset("quadratic-drift")
+    grid = build_grid(spec, nx=48)
+    meet = grid.nt // 2
+    jump = 0.5 * (grid.t_nodes[meet] + grid.t_nodes[meet + 1])
+    low = spec.obstacles.lower
+    lower = FnSpec.custom(
+        lambda t, x, y=0.0, z=0.0: np.full(np.shape(x),
+                                           -2.0 if t > jump else 0.9),
+        sup_bound=low.sup_bound)
+    spec = replace(spec, obstacles=replace(spec.obstacles, lower=lower))
+    pens = PenaltySchedule.diagonal((4.0, 16.0, 64.0)).steps
+    steps = _steps(monkeypatch)
+    batch = solve_penalized_batch(spec, grid, pens)
+    assert _separation(steps, grid.nt) == meet
+    monkeypatch.undo()
+    for pen, got in zip(pens, batch):
+        want = solve_penalized(spec, grid, pen)
+        assert got.field.values.tobytes() == want.field.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +588,13 @@ def _count(monkeypatch, module, name):
 
 
 def test_the_ladder_makes_one_kernel_call_per_step(monkeypatch):
+    # and one more for the step that separates the rows, which the batch
+    # takes again
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
     calls = _count(monkeypatch, solvers, "_advance")
     _, trace = solve_limit(spec, grid)
-    assert len(trace.stages) == 5 and calls[0] == grid.nt
+    assert len(trace.stages) == 5 and calls[0] == grid.nt + 1
 
 
 def test_reconstruct_replays_blocks_of_slices(monkeypatch):
@@ -581,6 +764,7 @@ def test_peak_memory_is_the_fields_plus_one_mib():
     peak, (_, trace) = _traced_peak(lambda: solve_limit(spec, grid, schedule))
     assert len(trace.stages) < len(schedule.steps)  # stops early
     assert peak <= len(schedule.steps) * field + slack
+    assert peak <= field + slack  # its rows never separate: one field
     peak, _ = _traced_peak(lambda: reconstruct(report))
     assert peak <= 4 * field + slack
 
