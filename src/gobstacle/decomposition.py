@@ -54,7 +54,7 @@ import numpy as np
 
 from .model import ProblemSpec, SpecError, _bound_call
 from .scheme import _BLOCK_ELEMENTS, Field, StepOperator, \
-    _check_field_budget, _gap_calls, _Kernel, _penalty_rows
+    _check_field_budget, _Kernel, _penalty_rows
 
 
 @dataclass(eq=False)
@@ -256,42 +256,44 @@ def _add_in_order(acc, terms):
     return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
-def _contact_residuals(field: Field, op: StepOperator, terms):
+def _contact_residuals(field: Field, op: StepOperator, increments):
     """(r_plus, r_minus) of a field: per side, the max over interior
     columns of sum_k gap_k*dA_k, with gap the (lower - Y)^+ or
-    (Y - upper)^+ of slice k and dA its increment, each column summed in
-    slice order.
+    (Y - upper)^+ of slice k against the operator's obstacle row, which
+    a `timed` one re-reads at each block's t, and dA its increment, each
+    column summed in slice order.
 
-    `terms(y, low, up, gaps)` binds the terms of one block shape: y is a
-    (B, nx-1) array that holds the block's interior values, low and up
-    the interior obstacle rows of the operator (None on an absent side),
-    which a `timed` one re-reads in place at each block's t, and gaps a
-    (2, B, nx-1) array.  It returns (sides, fill), with fill(k0, k1)
-    writing the terms of slices k0..k1-1 into gaps[i] for each side i of
-    sides; a side not in sides adds nothing.  It is called once per
-    block shape."""
+    `increments` holds one value per side (lower, upper): a field-size
+    array of dA, a float c whose dA is the push c*gap, or None for a
+    side that adds nothing, whose residual is 0.0 (with both None, no
+    block is walked).  Per block shape one buffer holds the block's
+    interior values, one the sum so far and the block's terms per side,
+    and one a push."""
     grid = field.grid
     m = grid.nx - 1
     acc = np.zeros((2, m))
+    sides = [i for i in (0, 1) if increments[i] is not None]
     size = None
-    for k0, k1 in op.blocks(grid.nt):
+    for k0, k1 in op.blocks(grid.nt) if sides else ():
         op.at(grid.t_nodes[k0])
         if k1 - k0 != size:
             size = k1 - k0
-            low, up = (None if row is None else row[1:-1]
-                       for row in (op.lower, op.upper))
-            y = np.empty((size, m))
-            # per side: the sum so far, then the block's terms
+            y, push = np.empty((size, m)), np.empty((size, m))
             block = np.empty((2, size + 1, m))
-            sides, fill = terms(y, low, up, block[:, 1:])
         np.copyto(y, field.values[k0:k1, 1:-1])
-        fill(k0, k1)
         for i in sides:
+            gap, da = block[i, 1:], increments[i]
+            if i:
+                np.subtract(y, op.upper[1:-1], out=gap)
+            else:
+                np.subtract(op.lower[1:-1], y, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            da = np.multiply(da, gap, out=push) if isinstance(da, float) \
+                else da[k0:k1, 1:-1]
+            np.multiply(gap, da, out=gap)
             block[i, 0] = acc[i]
             np.add.reduce(block[i], axis=0, out=acc[i])
-    ob = op.spec.obstacles
-    return (float(np.max(acc[0])) if ob.lower_active else 0.0,
-            float(np.max(acc[1])) if ob.upper_active else 0.0)
+    return float(np.max(acc[0])), float(np.max(acc[1]))
 
 
 def skorohod_residuals(bundle: ProcessBundle):
@@ -304,27 +306,13 @@ def skorohod_residuals(bundle: ProcessBundle):
     from its contact set an increment acted, so both residuals are >= 0;
     they shrink like the inverse intensity along a penalty schedule and
     vanish (to step-size slack) for projection solves.  Inactive sides
-    report 0.
+    report 0.  The bundle's dA+ and dA- are scanned against the obstacle
+    rows at each slice's t (`_contact_residuals`).
     """
-    increments = (bundle.da_plus, bundle.da_minus)
-
-    def terms(y, low, up, gaps):
-        sides, calls = [], []
-        for i, a, b, row in ((0, low, y, low), (1, y, up, up)):
-            if row is not None:
-                sides.append(i)
-                calls += _gap_calls(a, b, gaps[i])
-
-        def fill(k0, k1):
-            for call in calls:
-                call()
-            for i in sides:
-                np.multiply(gaps[i], increments[i][k0:k1, 1:-1],
-                            out=gaps[i])
-        return sides, fill
-
-    return _contact_residuals(
-        bundle.y, StepOperator(bundle.spec, bundle.y.grid), terms)
+    op = StepOperator(bundle.spec, bundle.y.grid)
+    return _contact_residuals(bundle.y, op, [
+        None if row is None else da for row, da in
+        ((op.lower, bundle.da_plus), (op.upper, bundle.da_minus))])
 
 
 def bmo_diagnostic(bundle: ProcessBundle, return_profile=False):

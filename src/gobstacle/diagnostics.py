@@ -18,7 +18,7 @@ from .decomposition import ProcessBundle, bmo_diagnostic, \
     one_step_residuals, reconstruct
 from .model import ProblemSpec, SpecError, validate
 from .scheme import _BLOCK_ELEMENTS, Field, Grid, GridError, \
-    PenaltyParams, StepOperator, _check_field_budget
+    PenaltyParams, StepOperator, _block_max, _check_field_budget
 from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
     solve_limit, solve_penalized, solve_penalized_batch
 
@@ -31,15 +31,6 @@ def inner_mask(grid: Grid):
     lo = grid.x_min + 0.25 * span
     hi = grid.x_max - 0.25 * span
     return (grid.x_nodes >= lo) & (grid.x_nodes <= hi)
-
-
-def _block_max(fn, *arrays):
-    """np.max(fn(*arrays)), taken over blocks of leading rows so that no
-    temporary outgrows a block; the max is exact, so the value is the
-    same, and a NaN anywhere still gives NaN."""
-    size = max(1, _BLOCK_ELEMENTS // arrays[0][0].size)
-    return float(np.max([np.max(fn(*(a[k:k + size] for a in arrays)))
-                         for k in range(0, len(arrays[0]), size)]))
 
 
 def sup_diff(a: Field, b: Field, inner=False) -> float:

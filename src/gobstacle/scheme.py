@@ -70,8 +70,8 @@ No step writes into a field: a solve copies each new layer's rows into
 their fields, and a replay copies its block of stored slices into the
 kernel's input layer.  The public `explicit_step` builds a kernel for
 one layer and returns a new array; `gcalculus.g_eval` shares its
-envelope.  The penalty pushes are written once (`_push_calls`), for the
-kernel's increments and for the limit driver's contact residuals.
+envelope.  The kernel's increments form the penalty pushes in
+`_push_calls`, the limit driver's contact residuals in a plain scan.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -341,6 +341,15 @@ def _check_grid(spec: ProblemSpec, grid: Grid):
                         f"(nt={grid.nt}, needs {need}); build the grid for it")
 
 
+def _block_max(fn, *arrays):
+    """np.max(fn(*arrays)), taken over blocks of leading rows so that no
+    temporary outgrows a block; the max is exact, so the value is the
+    same, and a NaN anywhere still gives NaN."""
+    size = max(1, _BLOCK_ELEMENTS // arrays[0][0].size)
+    return float(np.max([np.max(fn(*(a[k:k + size] for a in arrays)))
+                         for k in range(0, len(arrays[0]), size)]))
+
+
 def _check_field_budget(grid: Grid, count):
     """Raise GridError when `count` float64 arrays of the grid's field
     size, (nt+1)*(nx+1) doubles each, exceed the memory cap.  A call
@@ -483,11 +492,11 @@ class _Kernel:
     layers, and the obstacle enforcement of its operator's obstacle
     rows (`_Obstacles`, absent when `pen` is None).  The calls of each
     stage of a step are bound once per input layer, with every view
-    prebuilt (`_compile`).  At a new t a `timed` operator is re-read
-    (`op.at`) into the tiles and the obstacle rows, and the kernel
-    records the t they hold; its structure is fixed per solve, so the
-    calls stay valid.  The arrays are overwritten by every step, so
-    nothing a caller keeps may be one of them.
+    prebuilt (`_compile`).  The kernel records the step's t (`t`), which
+    a custom driver reads; at a new t a `timed` operator is re-read
+    (`op.at`) into the tiles and the obstacle rows, and its structure is
+    fixed per solve, so the calls stay valid.  The arrays are overwritten
+    by every step, so nothing a caller keeps may be one of them.
     """
 
     def __init__(self, op: StepOperator, pen, shape):
@@ -506,11 +515,10 @@ class _Kernel:
         self.du, self.qv, self.rest, self.env, self.v = \
             (np.zeros(size) for _ in range(5))
         self.work = {}
-        self.clock = [0.0]  # the t of the step a per-step driver reads
         inner = shape[:-1] + (shape[-1] - 2,)
         self.obstacles = None if pen is None else _Obstacles(
             op.lower, op.upper, pen, self.dt, inner)
-        self.op, self.t = op, op.t  # the t its tiled rows hold
+        self.op, self.t = op, op.t  # the step's t, which its rows hold
         self.tiles = {name: _tiled(row, self.count)
                       for name, row in self._read(op)}
         self.plans = {}
@@ -657,20 +665,19 @@ class _Kernel:
         the kernel was built for; a seam node keeps its value."""
         if fs.kind == "quadratic_in_z":
             return fs._quadratic_calls(self.env[1:-1], out[1:-1])
-        clock, x = self.clock, self.grid.x_nodes[1:-1]
+        x = self.grid.x_nodes[1:-1]
         u, z, out = (self.rows(a) for a in (layer, self.env, out))
-        return [lambda: np.copyto(out, fs(clock[0], x, u, z))]
+        return [lambda: np.copyto(out, fs(self.t, x, u, z))]
 
     def at(self, t):
-        """Set the clock to t; re-read a `timed` operator if t moved."""
+        """Set the step's t; re-read a `timed` operator if t moved."""
         if self.timed and t != self.t:
             op = self.op.at(t)
             for name, row in self._read(op):
                 _tiled(row, self.count, self.tiles[name])
             if self.obstacles is not None:
                 self.obstacles.refresh(op.lower, op.upper)
-            self.t = t
-        self.clock[0] = t
+        self.t = t
 
     def explicit(self, t):
         """(v, qv, rest) of the step from the input layer to time t, with
@@ -696,34 +703,27 @@ class _Kernel:
         return out
 
 
-def _gap_calls(a, b, out):
-    """The calls that write the obstacle gap (a - b)^+ into out."""
-    return [_bound_call(np.subtract, a, b, out),
-            _bound_call(np.maximum, out, 0.0, out=out)]
-
-
-def _push_calls(y, low, up, pen, dt, gaps, pushes):
+def _push_calls(y, low, up, pen, dt, out):
     """The calls that write the penalty pushes dt*m*(low - y)^+ and
     dt*n*(y - up)^+ of the values y against obstacle rows on the same
-    nodes (None on an absent side): per side the gap into `gaps`, then
-    the push into `pushes`, which may be the gaps.  Returns them and the
-    pushes: per side that array, or 0.0 where the side pushes nothing
-    (absent, or a rate of 0.0, as on a projected side), whose gap is not
-    formed.  `pen` holds float rates (`_penalty_rows` of rows that share
-    them).  At the penalty-resolved value they are exactly the push the
-    resolution applied."""
-    calls, out = [], []
-    for a, b, row, rate, gap, push in ((low, y, low, pen.m_lower, gaps[0],
-                                        pushes[0]),
-                                       (y, up, up, pen.n_upper, gaps[1],
-                                        pushes[1])):
+    nodes (None on an absent side) into the pair `out`, per side the gap
+    first, then the push over it.  Returns them and the pushes: per side
+    that array, or 0.0 where the side pushes nothing (absent, or a rate
+    of 0.0, as on a projected side), which it leaves unwritten.  `pen`
+    holds float rates (`_penalty_rows` of rows that share them).  At the
+    penalty-resolved value they are exactly the push the resolution
+    applied."""
+    calls, pushes = [], []
+    for a, b, row, rate, push in ((low, y, low, pen.m_lower, out[0]),
+                                  (y, up, up, pen.n_upper, out[1])):
         if row is not None and rate > 0.0:
-            calls += _gap_calls(a, b, gap)
-            calls.append(_bound_call(np.multiply, dt * rate, gap, push))
-            out.append(push)
+            calls += [_bound_call(np.subtract, a, b, push),
+                      _bound_call(np.maximum, push, 0.0, out=push),
+                      _bound_call(np.multiply, dt * rate, push, push)]
+            pushes.append(push)
         else:
-            out.append(0.0)
-    return calls, out
+            pushes.append(0.0)
+    return calls, pushes
 
 
 class _Obstacles:
@@ -888,7 +888,7 @@ class _Obstacles:
         plus, minus = self.da_plus[1:-1], self.da_minus[1:-1]
         # the pushes at the resolved value
         calls, pushes = _push_calls(u_pen, self.low_in, self.up_in, pen,
-                                    self.dt, (plus, minus), (plus, minus))
+                                    self.dt, (plus, minus))
         calls += [_bound_call(np.subtract, u, u_pen, u_pen),  # the lift
                   _bound_call(np.maximum, u_pen, 0.0, out=lift),
                   _bound_call(np.add, pushes[0], lift, plus),

@@ -47,10 +47,10 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import _contact_residuals
-from .model import ProblemSpec, SpecError, _bound_call
+from .model import ProblemSpec, SpecError
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
-    _advance, _check_field_budget, _check_grid, _Kernel, _nonfinite, \
-    _penalty_rows, _push_calls
+    _advance, _block_max, _check_field_budget, _check_grid, _Kernel, \
+    _nonfinite, _penalty_rows
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
 DEFAULT_STOP_TOL = 1.0e-4
@@ -373,8 +373,10 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     and each stage's report carries its own pen.  A stage's contact
     residuals come from the penalty increments dt*m*(lower - Y)^+ and
     dt*n*(Y - upper)^+ of its field, which are its compensators (none on
-    a projected side); no reconstruction runs; a side whose stage
-    violation is 0.0 has no gap, so its residual is 0.0 unscanned.
+    a projected side): `_contact_residuals` takes the rate dt*m or dt*n
+    and forms them block by block, so no reconstruction runs.  A side
+    whose stage violation is 0.0 has no gap, so its residual is 0.0
+    unscanned.
     Returns (the SolveReport of the last stage walked, with that stage's
     pen, ConvergenceTrace); a schedule that ends above tolerance only
     clears the converged flag.
@@ -393,34 +395,18 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     for idx, report in enumerate(_reports(op, fields, schedule.steps,
                                           wall)):
         pen, values = report.pen, report.field.values
-        rates = _penalty_rows((pen,))
-
-        def pushes(y, low, up, gaps):
-            # per pushing side, the gap times its push dt*m*gap, the gap
-            # read once; a side the stage never crossed has no gap
-            calls, out = _push_calls(
-                y, low if report.sup_lower_violation else None,
-                up if report.sup_upper_violation else None, rates, grid.dt,
-                gaps, np.empty(gaps.shape))
-            sides = [i for i in (0, 1) if isinstance(out[i], np.ndarray)]
-            calls += [_bound_call(np.multiply, gaps[i], out[i], gaps[i])
-                      for i in sides]
-
-            def fill(k0, k1):
-                for call in calls:
-                    call()
-            return sides, fill
-
-        r_plus = r_minus = 0.0
-        if report.sup_lower_violation or report.sup_upper_violation:
-            r_plus, r_minus = _contact_residuals(report.field, op, pushes)
+        # a side's compensator is its push dt*rate*gap; a side the stage
+        # never crossed, or pushes at no finite positive rate, adds 0.0
+        r_plus, r_minus = _contact_residuals(report.field, op, [
+            grid.dt * rate if viol and 0.0 < rate < math.inf else None
+            for viol, rate in ((report.sup_lower_violation, pen.m_lower),
+                               (report.sup_upper_violation, pen.n_upper))])
         if prev is None:
             diff = float("inf")
         elif values is prev:  # one field, which `_report` found finite
             diff = 0.0
         else:
-            diff = max(float(np.max(np.abs(values[k0:k1] - prev[k0:k1])))
-                       for k0, k1 in op.blocks(grid.nt + 1))
+            diff = _block_max(lambda a, b: np.abs(a - b), values, prev)
         stages.append(StageRecord(
             stage=idx, m_lower=pen.m_lower, n_upper=pen.n_upper,
             sup_diff=diff, upper_violation=report.sup_upper_violation,

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from gobstacle import cli, decomposition, scheme, solvers
-from gobstacle.decomposition import one_step_residuals, reconstruct
+from gobstacle.decomposition import one_step_residuals, reconstruct, \
+    skorohod_residuals
 from gobstacle.diagnostics import ORDER_SLACK, run_property_suite
 from gobstacle.model import FnSpec, ObstaclePair, SpecError
 from gobstacle.presets import get_preset
@@ -241,7 +242,8 @@ def _push(gap, rate, dt):
 
 def _walk(spec, grid, schedule):
     """The limit driver as a stage-by-stage walk of single solves, with
-    the contact residuals summed slice by slice."""
+    the contact residuals summed slice by slice against the obstacle
+    rows at each slice's t."""
     dt = grid.dt
     lower, upper = spec.obstacles.lower, spec.obstacles.upper
     stages, prev = [], None
@@ -250,12 +252,12 @@ def _walk(spec, grid, schedule):
         y = rep.field.values[:, 1:-1]
         x = grid.x_nodes[1:-1]
         acc = [np.zeros(grid.nx - 1), np.zeros(grid.nx - 1)]
-        for k in range(grid.nt):
+        for k, t in enumerate(grid.t_nodes[:-1]):
             if lower is not None:
-                gap = np.maximum(lower(0.0, x) - y[k], 0.0)
+                gap = np.maximum(lower(t, x) - y[k], 0.0)
                 acc[0] += gap * _push(gap, pen.m_lower, dt)
             if upper is not None:
-                gap = np.maximum(y[k] - upper(0.0, x), 0.0)
+                gap = np.maximum(y[k] - upper(t, x), 0.0)
                 acc[1] += gap * _push(gap, pen.n_upper, dt)
         diff = float("inf") if prev is None \
             else float(np.max(np.abs(rep.field.values - prev)))
@@ -297,16 +299,40 @@ def test_zero_intensity_rows_are_left_untouched():
     # the paper's family: reflected below, penalized above
     (200, "double-active",
      PenaltySchedule.fixed_m(INF, (4.0, 16.0, 64.0, 256.0))),
+    # a timed lower obstacle, re-read at each slice's t
+    (48, "t-dependent", PenaltySchedule.diagonal((4.0, 16.0, 64.0))),
+    (200, "t-dependent", PenaltySchedule.diagonal((4.0, 16.0, 64.0))),
+    (48, "t-dependent", PenaltySchedule.fixed_m(INF, (4.0, 16.0, 64.0))),
+    (200, "t-dependent", PenaltySchedule.fixed_m(INF, (4.0, 16.0, 64.0))),
 ])
 def test_limit_driver_equals_the_stage_walk(nx, name, schedule):
     # at nx=200 the contact residuals sum over several blocks of slices
-    spec = get_preset(name)
+    spec = _problem(name)
     grid = build_grid(spec, nx=nx)
     _, trace = solve_limit(spec, grid, schedule, keep_reports=True)
     got = [(r.field.values.tobytes(), s.sup_diff, s.upper_violation,
             s.lower_violation, s.r_plus, s.r_minus)
            for s, r in zip(trace.stages, trace.reports)]
     assert got == _walk(spec, grid, schedule)
+
+
+def test_skorohod_residuals_of_a_timed_obstacle_sum_slice_by_slice():
+    # the lower obstacle moves with t: each slice's gap reads the rows at
+    # that slice's t, and each column adds in slice order
+    spec = _t_dependent()
+    grid = build_grid(spec, nx=48)
+    bundle = reconstruct(solve_penalized(spec, grid,
+                                         PenaltyParams(16.0, 16.0)))
+    ob, x, y = spec.obstacles, grid.x_nodes[1:-1], bundle.y.values[:, 1:-1]
+    acc = [np.zeros(grid.nx - 1), np.zeros(grid.nx - 1)]
+    for k, t in enumerate(grid.t_nodes[:-1]):
+        acc[0] += np.maximum(ob.lower(t, x) - y[k], 0.0) \
+            * bundle.da_plus[k, 1:-1]
+        acc[1] += np.maximum(y[k] - ob.upper(t, x), 0.0) \
+            * bundle.da_minus[k, 1:-1]
+    want = (float(np.max(acc[0])), float(np.max(acc[1])))
+    assert min(want) > 0.0  # both sides are really scanned
+    assert skorohod_residuals(bundle) == want
 
 
 @pytest.mark.parametrize("name", ["double-active", "upper-active",

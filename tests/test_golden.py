@@ -15,7 +15,7 @@ import pytest
 
 from gobstacle import cli, solvers
 from gobstacle.presets import get_preset, list_presets
-from gobstacle.scheme import build_grid
+from gobstacle.scheme import StepOperator, build_grid
 
 SINGLES = [p.name for p in list_presets() if p.kind == "single"]
 MODES = ("penalized", "reflected_lower_pen_upper", "projection", "limit")
@@ -231,19 +231,29 @@ def test_a_side_the_stages_never_cross_has_no_contact_scan(tmp_path,
                                                           monkeypatch,
                                                           capsys):
     # quadratic-drift crosses neither obstacle in any stage: solve_limit
-    # builds no push calls for either side, and the trace keeps its bytes
-    built = []
-    real = solvers._push_calls
+    # passes no increment for either side, so no block is scanned, and
+    # the trace keeps its bytes
+    scans = []
+    real = solvers._contact_residuals
 
-    def push_calls(*args):
-        built.append(args)
-        return real(*args)
+    def contact_residuals(field, op, increments):
+        walked = []
+        op.blocks = lambda *args: walked.append(args) or \
+            StepOperator.blocks(op, *args)
+        try:
+            return real(field, op, increments)
+        finally:
+            del op.blocks
+            scans.append((tuple(increments), bool(walked)))
 
-    monkeypatch.setattr(solvers, "_push_calls", push_calls)
+    monkeypatch.setattr(solvers, "_contact_residuals", contact_residuals)
     spec = get_preset("double-active")
-    solvers.solve_limit(spec, build_grid(spec, nx=32))
-    assert built  # a crossed side is scanned
-    built.clear()
+    grid = build_grid(spec, nx=32)
+    _, trace = solvers.solve_limit(spec, grid)
+    # every stage crosses both sides: its pushes dt*m and dt*n, scanned
+    assert scans == [((grid.dt * s.m_lower, grid.dt * s.n_upper), True)
+                     for s in trace.stages]
+    scans.clear()
     case = ("solve", "quadratic-drift", "limit")
     assert _run_case(tmp_path, monkeypatch, *case) == GOLDEN[case]
-    assert built == []
+    assert scans and set(scans) == {((None, None), False)}
