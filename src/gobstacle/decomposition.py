@@ -10,8 +10,13 @@ v in the band can never beat the envelope step, so the defect
     (step value under fixed v) - (actual step value)
 
 is <= 0 at every interior node, with equality exactly at maximizing
-scenarios.  The orthogonal-decrement part of the decomposition vanishes
-along the worst-case scenario by construction and is never materialized.
+scenarios.  The fixed-scenario step u + dt*(0.5*v*qv + rest) is affine
+in v and its obstacle enforcement is monotone, so, as the envelope
+G(a) = 0.5*sup_v v*a does, it takes its largest value over the band
+at an endpoint: the defect steps the two endpoint variances
+(vol_low_sq, vol_high_sq) and no interior one.  The orthogonal-decrement
+part of the decomposition vanishes along the worst-case scenario by
+construction and is never materialized.
 
 Each step is replayed through the solvers' own step kernel
 (`scheme._Kernel`) with the problem and intensities the `SolveReport`
@@ -32,10 +37,10 @@ Replays read only stored slices, so a kernel call takes a block of
 consecutive slices (`StepOperator.blocks`; one slice when a custom
 field or driver may depend on t), copied into the kernel's input layer,
 which lays them end to end as it lays out the solves of a batch; one
-kernel serves every block of its shape, and the fixed scenarios of the
-defect step one at a time over the same flat layout, through the
-kernel's own obstacle enforcement.  Sums over slices (the contact
-residuals) still add in slice order.
+kernel serves every block of its shape, and the two endpoint scenarios
+of the defect step one after the other over the same flat layout,
+through the kernel's own obstacle enforcement.  Sums over slices (the
+contact residuals) still add in slice order.
 
 The replay always covers every stored step and compares it with the
 stored layer.  `reconstruct` builds the outputs (gradient, increments,
@@ -56,6 +61,10 @@ from .model import ProblemSpec, SpecError, _bound_call
 from .scheme import _BLOCK_ELEMENTS, Field, StepOperator, \
     _check_field_budget, _Kernel, _penalty_rows
 
+# a full replay's blocks take a fifth of the element budget: the kernel
+# and the scenario scans hold some twenty arrays of a block's size
+_REPLAY_SHARE = 5
+
 
 @dataclass(eq=False)
 class ProcessBundle:
@@ -64,7 +73,8 @@ class ProcessBundle:
     Arrays are slice-aligned with the field: da_plus[k], da_minus[k] are
     the increments created by the step that produced slice k (zero on
     the terminal row); defect[k, i] is the worst fixed-scenario defect
-    at that node (zero on boundary columns and the terminal row).
+    at that node, the larger of the band's two endpoint variances' (zero
+    on boundary columns and the terminal row).
     scenario_high[k] is the bang-bang scenario map of the step that
     produced slice k on interior nodes, (nt, nx-1): True where the
     envelope took the high variance (qv >= 0, ties included), False
@@ -81,37 +91,22 @@ class ProcessBundle:
     scenario_high: np.ndarray
 
 
-def _check_v_grid(v_grid, spec):
-    gp = spec.gparams
-    if v_grid is None:
-        v_grid = np.linspace(gp.vol_low_sq, gp.vol_high_sq, 5)
-    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    if v_grid.size == 0:
-        raise SpecError("empty scenario grid")
-    if v_grid.ndim != 1 or not ((v_grid >= gp.vol_low_sq)
-                                & (v_grid <= gp.vol_high_sq)).all():
-        raise SpecError("scenario variances must be a 1-D grid of finite "
-                        "values inside the declared band")
-    return v_grid
-
-
-def reconstruct(report, v_grid=None) -> ProcessBundle:
+def reconstruct(report) -> ProcessBundle:
     """Rebuild the process bundle from a `SolveReport`.
 
     Replays the steps through the solvers' kernel a block of slices at
     a time: its right-hand side gives the scenario map, its obstacle
     enforcement the increments dA+/dA-, and the same step under each
-    fixed scenario of v_grid the defect.  The report's (spec, pen) are
-    those of its field, as every solver records them; a replayed layer
-    that differs from the stored one (a report edited by hand) raises
-    SpecError.  The bundle adds four arrays of the field's size
+    endpoint variance of the band the defect.  The report's (spec, pen)
+    are those of its field, as every solver records them; a replayed
+    layer that differs from the stored one (a report edited by hand)
+    raises SpecError.  The bundle adds four arrays of the field's size
     (`GridError` when they and the field exceed the memory cap) and the
     scenario map, one byte per node.
     """
     grid = report.field.grid
     _check_field_budget(grid, 5)
-    z, da_plus, da_minus, defect, scenario_high = _bundle_rows(
-        report, None, v_grid)
+    z, da_plus, da_minus, defect, scenario_high = _bundle_rows(report, None)
     return ProcessBundle(spec=report.spec, y=report.field,
                          z=Field(values=z, grid=grid),
                          da_plus=da_plus, da_minus=da_minus,
@@ -119,7 +114,7 @@ def reconstruct(report, v_grid=None) -> ProcessBundle:
                          scenario_high=scenario_high)
 
 
-def _bundle_rows(report, ks, v_grid=None):
+def _bundle_rows(report, ks):
     """The bundle's rows at the distinct slices ks of a report's field.
 
     Every stored step is replayed and compared with its layer first,
@@ -130,23 +125,21 @@ def _bundle_rows(report, ks, v_grid=None):
     scenario_high), one row per slice of ks in that order; the terminal
     slice has zero increments and defect and an all-False scenario row.
     ks None asks for every slice: the bundle's arrays, written in place
-    block by block in the one replay, scenario_high of shape (nt, nx-1).
+    block by block in the one replay, scenario_high of shape (nt, nx-1),
+    in blocks of a `_REPLAY_SHARE`-th of the element budget.
     """
     spec, pen = report.spec, _penalty_rows((report.pen,))
     grid = report.field.grid
     vals = report.field.values
     dx = grid.dx
-    v_grid = _check_v_grid(v_grid, spec)
     op = StepOperator(spec, grid)
     # (k0, k1, r0): slices k0..k1-1 to output rows r0.., or compare only
     if ks is None:
         z = np.empty(vals.shape)
         scenario_high = np.empty((grid.nt, grid.nx - 1), dtype=bool)
         slices = [(k0, k1, k0) for k0, k1 in op.blocks(grid.nt + 1)]
-        # blocks of a V-th of the element budget: the kernel and the
-        # scenario scans hold some twenty arrays of a block's size
         steps = [(k0, k1, k0)
-                 for k0, k1 in op.blocks(grid.nt, rows=v_grid.size)]
+                 for k0, k1 in op.blocks(grid.nt, rows=_REPLAY_SHARE)]
     else:
         z = np.empty((len(ks), grid.nx + 1))
         scenario_high = np.zeros((len(ks), grid.nx - 1), dtype=bool)
@@ -178,7 +171,7 @@ def _bundle_rows(report, ks, v_grid=None):
         else:
             rows = slice(r0, r0 + k1 - k0)
             if scans is None:
-                scans, scenario, worst = _scenario_scans(kernel, v_grid)
+                scans, scenario, worst = _scenario_scans(kernel)
             np.greater_equal(qv, 0.0, out=scenario_high[rows])
             # the worst scenario step less the stored one, on the nodes
             # the scans write
@@ -201,18 +194,19 @@ def _bundle_rows(report, ks, v_grid=None):
     return z, da_plus, da_minus, defect, scenario_high
 
 
-def _scenario_scans(kernel, v_grid):
+def _scenario_scans(kernel):
     """The fixed-scenario steps of a replay kernel's block, one scenario
-    at a time over the kernel's flat layout: per variance v of v_grid,
-    the calls that write u + dt*(0.5*v*qv + rest) from the kernel's
-    input layer, qv and rest, enforced on its obstacle rows short of the
-    boundary closure (`_Obstacles.interior_calls`: the defect reads
-    interior nodes only), into `scenario`, the nodes of the flat layout
-    but its two ends.  Returns (those call lists, scenario, a flat work
+    at a time over the kernel's flat layout: per endpoint v of the
+    kernel's band, vol_low_sq then vol_high_sq, the calls that write
+    u + dt*(0.5*v*qv + rest) from the kernel's input layer, qv and rest,
+    enforced on its obstacle rows short of the boundary closure
+    (`_Obstacles.interior_calls`: the defect reads interior nodes only),
+    into `scenario`, the nodes of the flat layout but its two ends.
+    Returns (those call lists, scenario, a flat work
     array of the kernel's size).  They hold for the kernel's life: a
     `timed` operator is re-read into the kernel's rows in place, and the
     structure of its step is fixed per solve."""
-    dt = kernel.dt
+    dt, gp = kernel.dt, kernel.op.spec.gparams
     w, scenario, worst = (np.empty(kernel.v.size) for _ in range(3))
     step, qv, rest = (a[1:-1] for a in (w, kernel.qv, kernel.rest_out))
     scenario = scenario[1:-1]
@@ -222,7 +216,8 @@ def _scenario_scans(kernel, v_grid):
               _bound_call(np.add, step, rest, step),
               _bound_call(np.multiply, dt, step, step),
               _bound_call(np.add, kernel.layers[kernel.p][1:-1], step,
-                          step)] + enforce for v in v_grid]
+                          step)] + enforce
+             for v in (gp.vol_low_sq, gp.vol_high_sq)]
     return scans, scenario, worst
 
 

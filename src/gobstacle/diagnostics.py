@@ -60,16 +60,20 @@ class RateFit:
 def rate_fit(pairs) -> RateFit:
     """Fit value ~ C * intensity^slope through (intensity, value) pairs.
 
-    Refuses fewer than three pairs and nonpositive entries (the fit
-    lives in log-log space).
+    Refuses fewer than three pairs, entries that are not positive and
+    finite (the fit lives in log-log space), and fewer than two distinct
+    intensities, which leave the slope undetermined.
     """
     pairs = [(float(n), float(v)) for n, v in pairs]
     if len(pairs) < 3:
         raise ValueError("rate_fit needs at least three pairs")
-    if any(n <= 0 or v <= 0 for n, v in pairs):
-        raise ValueError("rate_fit needs positive intensities and values")
+    if not all(0.0 < a < math.inf for pair in pairs for a in pair):
+        raise ValueError("rate_fit needs positive finite intensities and "
+                         "values")
     ln = np.log([n for n, _ in pairs])
     lv = np.log([v for _, v in pairs])
+    if np.all(ln == ln[0]):
+        raise ValueError("rate_fit needs at least two distinct intensities")
     slope, intercept = np.polyfit(ln, lv, 1)
     fit = slope * ln + intercept
     ss_res = float(np.sum((lv - fit) ** 2))

@@ -71,7 +71,8 @@ their fields, and a replay copies its block of stored slices into the
 kernel's input layer.  The public `explicit_step` builds a kernel for
 one layer and returns a new array; `gcalculus.g_eval` shares its
 envelope.  The kernel's increments form the penalty pushes in
-`_push_calls`, the limit driver's contact residuals in a plain scan.
+`_Obstacles._increment_calls`, the limit driver's contact residuals in
+a plain scan.
 
 Boundary nodes are filled by zero-curvature extrapolation from the two
 nearest interior nodes and then clamped into the active obstacle band.
@@ -118,8 +119,9 @@ class StepFailure(RuntimeError):
 class Grid:
     """Uniform grid on [0, horizon] x [x_min, x_max].
 
-    nx space intervals (nx+1 nodes), nt time intervals (nt+1 slices).
-    Immutable after construction; node arrays are materialized once.
+    nx space intervals (nx+1 nodes), nt time intervals (nt+1 slices);
+    nx < 4 or nt < 1 raises GridError.  Immutable after construction;
+    node arrays are materialized once.
     """
 
     x_min: float
@@ -131,6 +133,9 @@ class Grid:
     t_nodes: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
+        if self.nx < 4 or self.nt < 1:
+            raise GridError("a grid needs nx >= 4 space and nt >= 1 time "
+                            f"intervals, got nx={self.nx}, nt={self.nt}")
         object.__setattr__(self, "x_nodes",
                            np.linspace(self.x_min, self.x_max, self.nx + 1))
         object.__setattr__(self, "t_nodes",
@@ -703,29 +708,6 @@ class _Kernel:
         return out
 
 
-def _push_calls(y, low, up, pen, dt, out):
-    """The calls that write the penalty pushes dt*m*(low - y)^+ and
-    dt*n*(y - up)^+ of the values y against obstacle rows on the same
-    nodes (None on an absent side) into the pair `out`, per side the gap
-    first, then the push over it.  Returns them and the pushes: per side
-    that array, or 0.0 where the side pushes nothing (absent, or a rate
-    of 0.0, as on a projected side), which it leaves unwritten.  `pen`
-    holds float rates (`_penalty_rows` of rows that share them).  At the
-    penalty-resolved value they are exactly the push the resolution
-    applied."""
-    calls, pushes = [], []
-    for a, b, row, rate, push in ((low, y, low, pen.m_lower, out[0]),
-                                  (y, up, up, pen.n_upper, out[1])):
-        if row is not None and rate > 0.0:
-            calls += [_bound_call(np.subtract, a, b, push),
-                      _bound_call(np.maximum, push, 0.0, out=push),
-                      _bound_call(np.multiply, dt * rate, push, push)]
-            pushes.append(push)
-        else:
-            pushes.append(0.0)
-    return calls, pushes
-
-
 class _Obstacles:
     """Obstacle enforcement of one step for the explicit values of R
     layers laid end to end: the kernel of every solver and of the
@@ -880,15 +862,29 @@ class _Obstacles:
         """The calls that write dA+ and dA- into `da_plus` and `da_minus`,
         made on first use, from the layer's interior u, the penalized
         values u_pen and per group of wall columns its clamped and
-        extrapolated ends; overwrites u_pen and the extrapolated ends."""
+        extrapolated ends; overwrites u_pen and the extrapolated ends.
+        The rates of `pen` are floats: a replay kernel steps one solve."""
         pen, lift = self.pen, self.val
         if self.da_plus is None:  # one pair for the calls of either layer
             self.da_plus = np.empty(u.size + 2)
             self.da_minus = np.empty(self.da_plus.shape)
         plus, minus = self.da_plus[1:-1], self.da_minus[1:-1]
-        # the pushes at the resolved value
-        calls, pushes = _push_calls(u_pen, self.low_in, self.up_in, pen,
-                                    self.dt, (plus, minus))
+        # the pushes dt*m*(low - u_pen)^+ and dt*n*(u_pen - up)^+ at the
+        # resolved value, exactly those the resolution applied, written
+        # over their gaps; 0.0 on a side that pushes nothing (absent, or
+        # a rate of 0.0, as on a projected side)
+        calls, pushes = [], []
+        for a, b, row, rate, push in (
+                (self.low_in, u_pen, self.low_in, pen.m_lower, plus),
+                (u_pen, self.up_in, self.up_in, pen.n_upper, minus)):
+            if row is not None and rate > 0.0:
+                calls += [_bound_call(np.subtract, a, b, push),
+                          _bound_call(np.maximum, push, 0.0, out=push),
+                          _bound_call(np.multiply, self.dt * rate, push,
+                                      push)]
+                pushes.append(push)
+            else:
+                pushes.append(0.0)
         calls += [_bound_call(np.subtract, u, u_pen, u_pen),  # the lift
                   _bound_call(np.maximum, u_pen, 0.0, out=lift),
                   _bound_call(np.add, pushes[0], lift, plus),

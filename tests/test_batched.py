@@ -19,7 +19,7 @@ from gobstacle.decomposition import one_step_residuals, reconstruct, \
     skorohod_residuals
 from gobstacle.diagnostics import ORDER_SLACK, run_property_suite
 from gobstacle.model import FnSpec, ObstaclePair, SpecError
-from gobstacle.presets import get_preset
+from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
     StepOperator, build_grid, explicit_step
 from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
@@ -39,6 +39,7 @@ MIXED_INF = (PenaltyParams(INF, 64.0), PenaltyParams(INF, INF),
 REFLECTED = (PenaltyParams(INF, 256.0), PenaltyParams(INF, INF))
 BATCH_NAMES = ["double-active", "lower-active", "upper-active",
                "quadratic-drift"]
+SINGLES = [p.name for p in list_presets() if p.kind == "single"]
 
 
 def _upwinding():
@@ -212,26 +213,63 @@ def test_a_change_of_structure_binds_the_step_again(monkeypatch):
         assert got.field.values.tobytes() == want.field.values.tobytes()
 
 
+def _scenario_defect(report, variances):
+    """The worst defect over `variances` of each step, (nt, nx-1): the
+    step u + dt*(0.5*(v*qv) + rest) under each fixed variance v,
+    penalty-resolved and projected (the lower side first) as the kernel
+    enforces it, less the stored layer."""
+    spec, pen = report.spec, report.pen
+    vals, grid = report.field.values, report.field.grid
+    dt, variances = grid.dt, np.asarray(variances)[:, None]
+    op = StepOperator(spec, grid)
+    out = np.empty((grid.nt, grid.nx - 1))
+    for k in range(grid.nt):
+        t = grid.t_nodes[k]
+        qv, rest = layer_rhs_parts(vals[k + 1], t, op.at(t))
+        low, up = (None if row is None else row[1:-1]
+                   for row in (op.lower, op.upper))
+        u = resolve_penalties(
+            vals[k + 1, 1:-1] + dt * (0.5 * (variances * qv) + rest),
+            low, up, pen, dt)
+        if low is not None and pen.m_lower == INF:
+            u = np.maximum(u, low)
+        if up is not None and pen.n_upper == INF:
+            u = np.minimum(u, up)
+        out[k] = np.max(u - vals[k, 1:-1], axis=0)
+    return out
+
+
+def _assert_the_endpoints_cover_the_band(report):
+    # the defect steps the band's two endpoints; 5 and 17 variances
+    # across the band, endpoints included, give the same bytes
+    defect = reconstruct(report).defect.values[:-1, 1:-1]
+    gp = report.spec.gparams
+    for count in (5, 17):
+        want = _scenario_defect(
+            report, np.linspace(gp.vol_low_sq, gp.vol_high_sq, count))
+        assert defect.tobytes() == want.tobytes(), count
+
+
 def test_a_change_of_structure_rebinds_the_scenario_steps():
     # each fixed-scenario step of the defect takes the rest of its own
     # step: drift*du + f once the drift is present, f before
     spec = _structure_change()
     grid = build_grid(spec, nx=48)
-    pen = PenaltyParams(64.0, 64.0)
-    rep = solve_penalized(spec, grid, pen)
-    defect = reconstruct(rep).defect.values
-    vals, dt, gp = rep.field.values, grid.dt, spec.gparams
-    v_grid = np.linspace(gp.vol_low_sq, gp.vol_high_sq, 5)
-    for k in range(grid.nt):
-        t = grid.t_nodes[k]
-        op = StepOperator(spec, grid).at(t)
-        qv, rest = layer_rhs_parts(vals[k + 1], t, op)
-        u = vals[k + 1, 1:-1]
-        scenarios = [resolve_penalties(u + dt * (0.5 * (v * qv) + rest),
-                                       op.lower[1:-1], op.upper[1:-1], pen,
-                                       dt) - vals[k, 1:-1] for v in v_grid]
-        assert defect[k, 1:-1].tobytes() == \
-            np.max(scenarios, axis=0).tobytes(), t
+    _assert_the_endpoints_cover_the_band(
+        solve_penalized(spec, grid, PenaltyParams(64.0, 64.0)))
+
+
+@pytest.mark.parametrize("pen", [PenaltyParams(64.0, 64.0),
+                                 PenaltyParams(INF, 64.0),
+                                 PenaltyParams(INF, INF)],
+                         ids=["penalized", "reflected", "projected"])
+@pytest.mark.parametrize("name", SINGLES)
+def test_no_interior_variance_beats_the_band_endpoints(name, pen):
+    # the fixed-scenario step is affine in v and its enforcement
+    # monotone, so no variance inside the band beats both endpoints
+    spec = get_preset(name)
+    _assert_the_endpoints_cover_the_band(
+        solve_penalized(spec, build_grid(spec, nx=48), pen))
 
 
 def _push(gap, rate, dt):

@@ -127,6 +127,13 @@ def test_rate_fit_refusals():
         rate_fit([(1.0, 1.0), (2.0, 0.5)])
     with pytest.raises(ValueError, match="positive"):
         rate_fit([(1.0, 1.0), (2.0, 0.5), (4.0, -0.1)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            rate_fit([(1.0, 1.0), (2.0, 0.5), (4.0, bad)])
+        with pytest.raises(ValueError, match="positive finite"):
+            rate_fit([(1.0, 1.0), (2.0, 0.5), (bad, 0.25)])
+    with pytest.raises(ValueError, match="two distinct intensities"):
+        rate_fit([(4.0, 1.0), (4.0, 0.5), (4.0, 0.25)])
 
 
 # ---------------------------------------------------------------------------

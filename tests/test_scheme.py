@@ -64,6 +64,16 @@ def test_grid_compatibility():
     assert not a.compatible_with(Grid(-1.0, 1.0, 8, 5, 1.0))
 
 
+@pytest.mark.parametrize("nx,nt", [(64, 0), (64, -3), (2, 10), (3, 10)])
+def test_a_degenerate_grid_is_refused_when_built(nx, nt):
+    # a hand-built grid too coarse to step on is refused before any
+    # solve reads its dt or slices its layers
+    with pytest.raises(GridError, match=f"got nx={nx}, nt={nt}"):
+        Grid(-10.0, 10.0, nx, nt, 1.0)
+    small = Grid(-10.0, 10.0, 4, 1, 1.0)
+    assert small.x_nodes.shape == (5,) and small.t_nodes.shape == (2,)
+
+
 def test_time_step_count_frozen_default_grid():
     # dx = 20/400 = 0.05; diffusion budget vol_high_sq*vol_cap = 2;
     # no drift/cross/z-modulus, lipschitz_y = 0, so
