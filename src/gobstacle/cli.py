@@ -107,13 +107,6 @@ class ConfigError(ValueError):
     """The configuration file cannot be turned into a run."""
 
 
-def _f17(v):
-    f = float(v)
-    if f == 0.0:
-        f = 0.0  # collapse -0.0
-    return "%.17g" % f
-
-
 def _load_config(path):
     try:
         with open(path) as fh:
@@ -212,31 +205,36 @@ def _slice_indices(grid, slices):
     return idxs
 
 
-def _write_field_csv(path, grid, ks, rows):
-    """One line per node of each slice of ks; `rows` holds the u, z,
-    dA+, dA- and defect rows of those slices, one per slice in order;
-    a node's line is one format of its 7 floats, the bytes of `_f17`."""
-    lines = ["t,x,u,z,da_plus,da_minus,defect"]
-    cols = np.empty((grid.nx + 1, 7))
-    line = ",".join(["%.17g"] * 7)
-    for j, k in enumerate(ks):
-        cols[:, 0], cols[:, 1] = grid.t_nodes[k], grid.x_nodes
-        for c, row in enumerate(rows, start=2):
-            cols[:, c] = row[j]
-        np.add(cols, 0.0, out=cols)  # collapse -0.0, as _f17 does
-        lines += [line % tuple(node) for node in cols.tolist()]
+def _write_csv(path, header, table):
+    """`header`, then one line per row of `table`, a float array of
+    (blocks, rows, columns): every value is "%.17g" with -0.0 collapsed
+    to 0.0.  Python floats are made one block at a time."""
+    np.add(table, 0.0, out=table)  # collapse -0.0
+    line = ",".join(["%.17g"] * table.shape[-1])
+    lines = [header]
+    for block in table:
+        lines += [line % tuple(row) for row in block.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_field_csv(path, grid, ks, rows):
+    """One line per node of each slice of ks; `rows` holds the u, z,
+    dA+, dA- and defect rows of those slices, one per slice in order."""
+    table = np.empty((len(ks), grid.nx + 1, 7))
+    table[:, :, 0] = grid.t_nodes[ks, None]
+    table[:, :, 1] = grid.x_nodes
+    for c, row in enumerate(rows, start=2):
+        table[:, :, c] = row
+    _write_csv(path, "t,x,u,z,da_plus,da_minus,defect", table)
 
 
 def _write_trace_csv(path, trace):
-    lines = ["stage,n,m,sup_diff,upper_viol,lower_viol,r_plus,r_minus"]
-    for s in trace.stages:
-        lines.append("%d," % s.stage + ",".join(_f17(v) for v in (
-            s.n_upper, s.m_lower, s.sup_diff, s.upper_violation,
-            s.lower_violation, s.r_plus, s.r_minus)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.array([[(s.stage, s.n_upper, s.m_lower, s.sup_diff,
+                        s.upper_violation, s.lower_violation, s.r_plus,
+                        s.r_minus) for s in trace.stages]], dtype=float)
+    _write_csv(path, "stage,n,m,sup_diff,upper_viol,lower_viol,r_plus,"
+               "r_minus", table)
 
 
 def _write_outputs(lines, out_rec, grid, rows, trace):

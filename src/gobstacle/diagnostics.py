@@ -16,13 +16,14 @@ import numpy as np
 
 from .decomposition import ProcessBundle, bmo_diagnostic, \
     one_step_residuals, reconstruct
-from .model import ProblemSpec, SpecError, validate
+from .model import ProblemSpec, validate
 from .scheme import _BLOCK_ELEMENTS, Field, Grid, GridError, \
     PenaltyParams, StepOperator, _block_max, _check_field_budget
-from .solvers import PenaltySchedule, SolveReport, solve_double_projection, \
-    solve_limit, solve_penalized, solve_penalized_batch
+from .solvers import PenaltySchedule, SolveReport, solve_limit, \
+    solve_penalized, solve_penalized_batch
 
 ORDER_SLACK = 1.0e-10
+_N_QUAD = 64  # Gauss-Hermite nodes of `classical_oracle`
 
 
 def inner_mask(grid: Grid):
@@ -91,15 +92,15 @@ def _is_zero(fs):
     return fs.kind == "constant" and fs.value == 0.0
 
 
-def classical_oracle(spec: ProblemSpec, grid: Grid, n_quad=64) -> Field:
+def classical_oracle(spec: ProblemSpec, grid: Grid) -> Field:
     """Exact solution field for the classical reducible subfamily.
 
     Preconditions: degenerate volatility band, constant sigma, zero
     drift/cross/f, no obstacles, and a driver g that is zero or of kind
     quadratic_in_z.  In that family the equation linearizes under an
     exponential change of variable, and the linear heat semigroup is
-    evaluated by Gauss-Hermite quadrature, independently of the stepping
-    scheme:
+    evaluated by 64-node Gauss-Hermite quadrature, independently of the
+    stepping scheme:
 
         g = 0:          u(t,x) = (heat_{s(T-t)} terminal)(x)
         g = gamma*z^2:  u(t,x) = log(heat_{s(T-t)} exp(2*gamma*terminal))
@@ -127,7 +128,7 @@ def classical_oracle(spec: ProblemSpec, grid: Grid, n_quad=64) -> Field:
 
     gamma = g.gamma if g.kind == "quadratic_in_z" else 0.0
     s_eff = gp.vol_low_sq * float(spec.coeffs.sigma(0.0, 0.0)) ** 2
-    nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+    nodes, weights = np.polynomial.hermite.hermgauss(_N_QUAD)
     weights = weights / math.sqrt(math.pi)
 
     xs = grid.x_nodes
@@ -165,19 +166,16 @@ _YZ_PROBES = ((0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
-                       grid: Grid, mode="penalized") -> OrderReport:
+                       grid: Grid) -> OrderReport:
     """Solve an ordered pair of problems and check the output ordering.
 
     The data ordering (terminal, f, g, obstacles, all hi >= lo, with
     identical dynamics and band) is verified first on sampled grid nodes
     and a fixed (y, z) probe set; a violated precondition raises with
-    the offending node.  Both problems are then solved in the same mode,
-    "penalized" at intensities (64, 64) or "projection", and the report
-    carries the worst nodewise difference u_hi - u_lo (PASS when
-    >= -1e-10).  Any other mode raises SpecError before a solve.
+    the offending node.  Both problems are then solved at intensities
+    (64, 64), and the report carries the worst nodewise difference
+    u_hi - u_lo (PASS when >= -1e-10).
     """
-    if mode not in ("penalized", "projection"):
-        raise SpecError(f"unknown comparison mode {mode!r}")
     if spec_hi.gparams != spec_lo.gparams:
         raise ValueError("comparison needs identical volatility bands")
     if spec_hi.coeffs != spec_lo.coeffs:
@@ -220,10 +218,8 @@ def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
                       ob_lo.upper(t, xs), t)
 
     pen = PenaltyParams(64.0, 64.0)
-    hi = solve_penalized(spec_hi, grid, pen) if mode == "penalized" \
-        else solve_double_projection(spec_hi, grid)
-    lo = solve_penalized(spec_lo, grid, pen) if mode == "penalized" \
-        else solve_double_projection(spec_lo, grid)
+    hi = solve_penalized(spec_hi, grid, pen)
+    lo = solve_penalized(spec_lo, grid, pen)
     # the first minimum in row-major order, a block of slices at a time;
     # the first NaN wins, as in np.argmin
     size = max(1, _BLOCK_ELEMENTS // (grid.nx + 1))
@@ -374,7 +370,6 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
         seq = [(s.n_upper, s.n_upper * s.upper_violation)
                for s in trace.stages if s.upper_violation > 0]
         ok = True
-        msg = []
         for (_, a), (_, b) in zip(seq, seq[1:]):
             ok = ok and (b <= 3.0 * a and a <= 3.0 * b)
         for j in range(2, len(seq)):

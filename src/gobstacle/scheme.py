@@ -119,9 +119,13 @@ class StepFailure(RuntimeError):
 class Grid:
     """Uniform grid on [0, horizon] x [x_min, x_max].
 
-    nx space intervals (nx+1 nodes), nt time intervals (nt+1 slices);
-    nx < 4 or nt < 1 raises GridError.  Immutable after construction;
-    node arrays are materialized once.
+    nx space intervals (nx+1 nodes), nt time intervals (nt+1 slices).
+    GridError is raised, before any node array is allocated, for a span
+    that is not finite, x_max <= x_min (the scheme upwinds only where
+    dx > 0), a horizon that is not finite and positive, nx < 4 or
+    nt < 1, and a solution field above the memory cap
+    (`_check_field_budget`).  Immutable after construction; node arrays
+    are materialized once.
     """
 
     x_min: float
@@ -133,9 +137,18 @@ class Grid:
     t_nodes: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
+        if not math.isfinite(self.x_max - self.x_min):  # NaN if both inf
+            raise GridError("domain ends and their span must be finite, "
+                            f"got [{self.x_min}, {self.x_max}]")
+        if not self.x_max > self.x_min:
+            raise GridError(f"degenerate domain [{self.x_min}, {self.x_max}]")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise GridError("the horizon must be finite and positive, "
+                            f"got {self.horizon}")
         if self.nx < 4 or self.nt < 1:
             raise GridError("a grid needs nx >= 4 space and nt >= 1 time "
                             f"intervals, got nx={self.nx}, nt={self.nt}")
+        _check_field_budget(self, 1)
         object.__setattr__(self, "x_nodes",
                            np.linspace(self.x_min, self.x_max, self.nx + 1))
         object.__setattr__(self, "t_nodes",
@@ -277,37 +290,23 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     t-node of the candidate grid, and nt grows until the bound holds on
     each of them.  nt is the smallest count meeting the bound and is
     capped at ten million; the solution field, (nt+1)*(nx+1) doubles,
-    is capped at 512 MiB (`_check_field_budget`), and an nx whose two
-    slices already exceed that is refused before anything is allocated.
+    is capped at 512 MiB.  `Grid` itself refuses a bad domain, nx or
+    field size; the first one is built at nt = 1, before any probe.
     """
-    if not math.isfinite(x_max - x_min):  # NaN where both ends are inf
-        raise GridError("domain ends and their span must be finite, got "
-                        f"[{x_min}, {x_max}]")
-    if not x_max > x_min:
-        raise GridError(f"degenerate domain [{x_min}, {x_max}]")
-    if nx < 4:
-        raise GridError("need nx >= 4 for interior differences "
-                        "and boundary extrapolation")
     if not 0.0 < cfl_safety <= 1.0:
         raise GridError("cfl_safety must lie in (0, 1]")
     if not spec.gparams.well_ordered:
         raise GridError("volatility band is not well ordered; "
                         "run validate() for details")
 
-    if 2 * (nx + 1) * 8 > _FIELD_BYTES_CAP:  # every grid has nt >= 1
-        raise GridError(f"two slices of nx={nx} exceed the "
-                        f"{_FIELD_BYTES_CAP // 2 ** 20} MiB memory cap")
-
-    dx = (x_max - x_min) / nx
-    xs = np.linspace(x_min, x_max, nx + 1)
+    first = Grid(x_min=x_min, x_max=x_max, nx=nx, nt=1, horizon=spec.horizon)
     grid = None
     while True:  # until the grid passes its own probe (`_cfl_steps`)
-        nt = _cfl_steps(spec, xs, dx, cfl_safety, grid)
+        nt = _cfl_steps(spec, first.x_nodes, first.dx, cfl_safety, grid)
         if grid is not None and nt <= grid.nt:
             return grid
         grid = Grid(x_min=x_min, x_max=x_max, nx=nx, nt=nt,
                     horizon=spec.horizon)
-        _check_field_budget(grid, 1)
 
 
 def _cfl_steps(spec: ProblemSpec, xs, dx, cfl_safety, grid=None):

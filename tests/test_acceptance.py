@@ -242,8 +242,9 @@ def test_c10_no_scenario_beats_the_envelope(acceptance_log):
                 worst = max(worst, d)
                 combos += 1
     _record(acceptance_log, 10, worst <= 1e-10,
-            f"five-scenario defect scan over {combos} preset/mode "
-            f"combinations: worst defect {worst:.3g} <= 1e-10")
+            f"scenario defect scan at the band's two endpoints over "
+            f"{combos} preset/mode combinations: worst defect "
+            f"{worst:.3g} <= 1e-10")
 
 
 def test_c11_comparison_orders_outputs(acceptance_log):

@@ -17,7 +17,7 @@ from gobstacle.diagnostics import (
     run_property_suite,
     sup_diff,
 )
-from gobstacle.model import FnSpec, GParams, SpecError
+from gobstacle.model import FnSpec, GParams
 from gobstacle.presets import get_preset
 from gobstacle.scheme import Field, Grid, GridError, PenaltyParams, build_grid
 from gobstacle.solvers import PenaltySchedule, solve_penalized
@@ -227,25 +227,6 @@ def test_comparison_requires_matching_structure():
     stripped = replace(hi, obstacles=ObstaclePair())
     with pytest.raises(ValueError, match="activity flags"):
         comparison_harness(stripped, lo, grid)
-
-
-def test_comparison_projection_mode():
-    hi, lo = get_preset("comparison-pair")
-    grid = build_grid(hi, nx=50)
-    rep = comparison_harness(hi, lo, grid, mode="projection")
-    assert rep.passed
-
-
-def test_comparison_refuses_an_unknown_mode_before_solving(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("a solve ran before the mode check")
-
-    monkeypatch.setattr(diagnostics, "solve_penalized", refuse)
-    monkeypatch.setattr(diagnostics, "solve_double_projection", refuse)
-    hi, lo = get_preset("comparison-pair")
-    grid = build_grid(hi, nx=50)
-    with pytest.raises(SpecError, match="'bogus'"):
-        comparison_harness(hi, lo, grid, mode="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Grid construction, the explicit step, and its closure pieces."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gobstacle.scheme import (
     build_grid,
     explicit_step,
 )
+from gobstacle.solvers import solve_penalized
 from node_oracle import NodeDerivs, layer_rhs_parts, pde_rhs, \
     resolve_penalties
 
@@ -170,9 +172,57 @@ def test_build_grid_refuses_an_nx_above_the_cap_before_allocating(
 
     monkeypatch.setattr(scheme.np, "linspace", refuse)
     monkeypatch.setattr(scheme, "_gradient_bound", refuse)
-    with pytest.raises(GridError,
-                       match="nx=1000000000 exceed the 512 MiB memory cap"):
+    with pytest.raises(GridError, match=r"solution field needs 15259 MiB "
+                       r"\(nt=1, nx=1000000000\), above the 512 MiB"):
         build_grid(_spec(), nx=1_000_000_000)
+
+
+@pytest.mark.parametrize("x_min,x_max,nx,nt,horizon,msg", [
+    (10.0, -10.0, 64, 10, 1.0, r"degenerate domain \[10.0, -10.0\]"),
+    (-10.0, -10.0, 64, 10, 1.0, "degenerate domain"),
+    (math.nan, 10.0, 64, 10, 1.0, "must be finite"),
+    (-10.0, math.nan, 64, 10, 1.0, "must be finite"),
+    (-math.inf, 10.0, 64, 10, 1.0, "must be finite"),
+    (-10.0, math.inf, 64, 10, 1.0, "must be finite"),
+    (-math.inf, math.inf, 64, 10, 1.0, "must be finite"),
+    (-1e308, 1e308, 64, 10, 1.0, "span must be finite"),
+    (1e308, -1e308, 64, 10, 1.0, "span must be finite"),
+    (-10.0, 10.0, 64, 10, math.inf, "horizon must be finite and positive"),
+    (-10.0, 10.0, 64, 10, math.nan, "horizon must be finite and positive"),
+    (-10.0, 10.0, 64, 10, 0.0, "horizon must be finite and positive"),
+    (-10.0, 10.0, 64, 10, -1.0, "horizon must be finite and positive"),
+    (-10.0, 10.0, 3, 10, 1.0, "got nx=3, nt=10"),
+    (-10.0, 10.0, 64, 0, 1.0, "got nx=64, nt=0"),
+    (-10.0, 10.0, 10 ** 9, 1, 1.0, r"\(nt=1, nx=1000000000\), above the 512"),
+    (-10.0, 10.0, 64, 10 ** 9, 1.0, r"\(nt=1000000000, nx=64\), above the"),
+], ids=["reversed", "degenerate", "nan-min", "nan-max", "inf-min", "inf-max",
+        "inf-both", "span-overflows", "reversed-span-overflows",
+        "horizon-inf", "horizon-nan", "horizon-0", "horizon-negative",
+        "nx-3", "nt-0", "nx-1e9", "nt-1e9"])
+def test_a_hand_built_grid_refuses_itself_before_allocating(
+        monkeypatch, x_min, x_max, nx, nt, horizon, msg):
+    # every refusal comes from Grid itself, before a node array exists
+    # (a broken gate fails here instead of allocating gigabytes) and
+    # with no numpy warning (pytest turns one into an error)
+    def refuse(*_):
+        raise AssertionError("Grid allocated before its checks")
+
+    monkeypatch.setattr(scheme.np, "linspace", refuse)
+    with pytest.raises(GridError, match=msg):
+        Grid(x_min, x_max, nx, nt, horizon)
+
+
+def test_a_reversed_domain_never_reaches_a_solve():
+    # dx < 0 would make every cell-Peclet excess negative, so the drift
+    # 8x of this problem would never upwind: the solve differed by 1.39
+    # from its mirror on [-10, 10]
+    spec = get_preset("double-active")
+    spec = replace(spec, coeffs=replace(spec.coeffs,
+                                        drift=FnSpec.affine(8.0, 0.0)))
+    solve_penalized(spec, build_grid(spec, nx=48), PenaltyParams(64.0, 64.0))
+    with pytest.raises(GridError, match=r"degenerate domain \[10, -10\]"):
+        solve_penalized(spec, Grid(10, -10, 48, 227, 1.0),
+                        PenaltyParams(64.0, 64.0))
 
 
 # ---------------------------------------------------------------------------
