@@ -62,7 +62,7 @@ library-only and rejected here):
               "lipschitz_y": 0.0, "lipschitz_z": 0.5, "zero_bound": 1.0},
       "obstacles": {"lower": {"kind": "constant", "value": -0.25},
                     "upper": null, "level_bound": 1.0},
-      "terminal": {"kind": "polynomial", "coeffs": [0, 0, 1], "clip": 100},
+      "terminal": {"kind": "polynomial", "coeffs": [0, 0, 1], "clip": 1},
       "horizon": 1.0
     }
 

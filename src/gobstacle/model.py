@@ -9,10 +9,10 @@ on a strip [0, T] x [x_min, x_max], where F aggregates a sublinear
 envelope over a volatility band [vol_low_sq, vol_high_sq] together with
 drift and driver terms.  Every scalar field entering the problem (drift,
 diffusion loading, drivers, obstacles, terminal data) is declared through
-the closed `FnSpec` catalog so that problems are serializable, cheap to
-probe, and carry explicit regularity declarations (Lipschitz constants,
-sup bounds) instead of opaque callables.  Host code may still inject a
-`custom` evaluator for library use; the command line rejects those.
+the closed `FnSpec` catalog so that problems are serializable and cheap
+to probe; each modulus or bound is declared once, on the section it bounds.
+Host code may still inject a `custom` evaluator for library use; the
+command line rejects those.
 
 Obstacles may be deactivated per side: an absent side is `None`, and
 its activity is read from that alone.
@@ -117,11 +117,7 @@ class FnSpec:
     custom(fn)
         arbitrary host evaluator fn(t, x, y, z); not serializable.
 
-    Every spec carries declared constants: `lipschitz_y` and
-    `lipschitz_z` (moduli in the value/gradient slots, 0 when the kind
-    cannot depend on them) and `sup_bound` (absolute bound on the
-    declared domain; derived automatically where the kind makes it
-    obvious, otherwise left to the caller and checked by `validate`).
+    A spec declares no constants: the section holding it declares them.
     """
 
     kind: str
@@ -134,9 +130,6 @@ class FnSpec:
     xs: tuple = ()
     values: tuple = ()
     fn: Optional[Callable] = None
-    lipschitz_y: float = 0.0
-    lipschitz_z: float = 0.0
-    sup_bound: Optional[float] = None
 
     # the fields each catalog kind reads, in the order of its record
     _FIELDS = {"constant": ("value",),
@@ -162,50 +155,36 @@ class FnSpec:
             raise SpecError("custom FnSpec needs fn")
         if self.clip <= 0:
             raise SpecError("clip bound must be positive")
-        if self.lipschitz_y < 0 or self.lipschitz_z < 0:
-            raise SpecError("Lipschitz declarations must be nonnegative")
-        if self.sup_bound is None:
-            object.__setattr__(self, "sup_bound", self._derived_sup())
-
-    def _derived_sup(self):
-        if self.kind == "constant":
-            return abs(self.value)
-        if self.kind in ("polynomial", "quadratic_in_z"):
-            return self.clip
-        if self.kind == "tabulated":
-            return float(np.max(np.abs(self.values)))
-        return None  # affine / custom: unbounded without a domain
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value, **declared):
-        return cls(kind="constant", value=float(value), **declared)
+    def constant(cls, value):
+        return cls(kind="constant", value=float(value))
 
     @classmethod
-    def affine(cls, slope, intercept, **declared):
+    def affine(cls, slope, intercept):
         return cls(kind="affine", slope=float(slope),
-                   intercept=float(intercept), **declared)
+                   intercept=float(intercept))
 
     @classmethod
-    def polynomial(cls, coeffs, clip=_DEFAULT_CLIP, **declared):
+    def polynomial(cls, coeffs, clip=_DEFAULT_CLIP):
         return cls(kind="polynomial", coeffs=tuple(float(c) for c in coeffs),
-                   clip=float(clip), **declared)
+                   clip=float(clip))
 
     @classmethod
-    def quadratic_in_z(cls, gamma, clip=_DEFAULT_CLIP, **declared):
-        declared.setdefault("lipschitz_z", abs(float(gamma)))
+    def quadratic_in_z(cls, gamma, clip=_DEFAULT_CLIP):
         return cls(kind="quadratic_in_z", gamma=float(gamma),
-                   clip=float(clip), **declared)
+                   clip=float(clip))
 
     @classmethod
-    def tabulated(cls, xs, values, **declared):
+    def tabulated(cls, xs, values):
         return cls(kind="tabulated", xs=tuple(float(v) for v in xs),
-                   values=tuple(float(v) for v in values), **declared)
+                   values=tuple(float(v) for v in values))
 
     @classmethod
-    def custom(cls, fn, **declared):
-        return cls(kind="custom", fn=fn, **declared)
+    def custom(cls, fn):
+        return cls(kind="custom", fn=fn)
 
     # -- evaluation ----------------------------------------------------
 
@@ -249,15 +228,7 @@ class FnSpec:
         for name in self._FIELDS[self.kind]:
             value = getattr(self, name)
             rec[name] = list(value) if isinstance(value, tuple) else value
-        if self.lipschitz_y:
-            rec["lipschitz_y"] = self.lipschitz_y
-        if self.lipschitz_z:
-            rec["lipschitz_z"] = self.lipschitz_z
-        if self.sup_bound is not None and self.sup_bound != self._derived_sup():
-            rec["sup_bound"] = self.sup_bound
         return rec
-
-    _DECLARED = ("lipschitz_y", "lipschitz_z", "sup_bound")
 
     @classmethod
     def from_dict(cls, rec):
@@ -272,8 +243,7 @@ class FnSpec:
         kind = rec.get("kind")
         if not isinstance(kind, str) or kind not in cls._FIELDS:
             raise SpecError(f"{where} kind {kind!r} not in the catalog")
-        extra = sorted(set(rec) - {"kind", *cls._FIELDS[kind],
-                                   *cls._DECLARED}, key=str)
+        extra = sorted(set(rec) - {"kind", *cls._FIELDS[kind]}, key=str)
         if extra:
             raise SpecError(f"{where} ({kind}) has unknown fields {extra}")
         for name in cls._FIELDS[kind]:
@@ -349,8 +319,9 @@ class GeneratorSpec:
     lipschitz_z: float = 0.0
     zero_bound: float = 1.0
 
-    def __post_init__(self):
-        if min(self.lipschitz_y, self.lipschitz_z, self.zero_bound) < 0:
+    def __post_init__(self):  # `not v >= 0` refuses NaN too
+        if not all(v >= 0.0 for v in (self.lipschitz_y, self.lipschitz_z,
+                                       self.zero_bound)):
             raise SpecError("generator constants must be nonnegative")
 
 
@@ -365,6 +336,10 @@ class ObstaclePair:
     lower: Optional[FnSpec] = None
     upper: Optional[FnSpec] = None
     level_bound: float = 1.0
+
+    def __post_init__(self):
+        if not self.level_bound >= 0.0:  # NaN too
+            raise SpecError("level_bound must be nonnegative")
 
     @property
     def lower_active(self):

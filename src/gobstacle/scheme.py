@@ -122,10 +122,10 @@ class Grid:
     nx space intervals (nx+1 nodes), nt time intervals (nt+1 slices).
     GridError is raised, before any node array is allocated, for a span
     that is not finite, x_max <= x_min (the scheme upwinds only where
-    dx > 0), a horizon that is not finite and positive, nx < 4 or
-    nt < 1, and a solution field above the memory cap
-    (`_check_field_budget`).  Immutable after construction; node arrays
-    are materialized once.
+    dx > 0), a horizon that is not finite and positive, an nx or nt that
+    is not an integer (a bool included), nx < 4 or nt < 1, and a
+    solution field above the memory cap (`_check_field_budget`).
+    Immutable after construction; node arrays are materialized once.
     """
 
     x_min: float
@@ -145,6 +145,11 @@ class Grid:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise GridError("the horizon must be finite and positive, "
                             f"got {self.horizon}")
+        for name in ("nx", "nt"):  # Python ints: the budget cannot wrap
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise GridError(f"{name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if self.nx < 4 or self.nt < 1:
             raise GridError("a grid needs nx >= 4 space and nt >= 1 time "
                             f"intervals, got nx={self.nx}, nt={self.nt}")

@@ -80,13 +80,11 @@ def pde_rhs_penalized(d: NodeDerivs, spec: ProblemSpec, pen):
 
 
 def as_custom(fs: FnSpec):
-    """The same function wrapped as a `custom` FnSpec (same declarations),
-    which the scheme evaluates per step instead of compiling."""
+    """The same function wrapped as a `custom` FnSpec, which the scheme
+    evaluates per step instead of compiling."""
     if fs is None:
         return None
-    return FnSpec.custom(lambda t, x, y=0.0, z=0.0: fs(t, x, y, z),
-                         lipschitz_y=fs.lipschitz_y,
-                         lipschitz_z=fs.lipschitz_z, sup_bound=fs.sup_bound)
+    return FnSpec.custom(lambda t, x, y=0.0, z=0.0: fs(t, x, y, z))
 
 
 def all_custom(spec: ProblemSpec):

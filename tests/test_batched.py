@@ -58,15 +58,16 @@ def _t_dependent():
     drift = FnSpec.custom(
         lambda t, x, y=0.0, z=0.0: 0.4 + 0.3 * np.sin(2.0 * np.pi * t)
         + 0.0 * np.asarray(x))
-    lower = FnSpec.custom(lambda t, x, y=0.0, z=0.0: low(t, x) - 0.1 * t,
-                          sup_bound=low.sup_bound)
+    lower = FnSpec.custom(lambda t, x, y=0.0, z=0.0: low(t, x) - 0.1 * t)
     return replace(spec, coeffs=replace(spec.coeffs, drift=drift),
                    obstacles=replace(spec.obstacles, lower=lower))
 
 
 def _per_step_driver(seen=None):
     # a custom driver, called once per step on every layer of the
-    # batch; records the shapes of the (y, z) it gets in `seen`
+    # batch; records the shapes of the (y, z) it gets in `seen`.  Its
+    # moduli in y and z are declared on the generator, where the CFL
+    # reads them
     spec = get_preset("double-active")
     base = spec.gen.f
 
@@ -75,8 +76,8 @@ def _per_step_driver(seen=None):
             seen.add((np.shape(y), np.shape(z)))
         return base(t, x) + 0.1 * np.tanh(z) * np.cos(t) - 0.05 * y
 
-    return replace(spec, gen=replace(spec.gen, f=FnSpec.custom(
-        f, lipschitz_y=0.05, lipschitz_z=0.1)))
+    return replace(spec, gen=replace(spec.gen, f=FnSpec.custom(f),
+                                     lipschitz_y=0.05, lipschitz_z=0.1))
 
 
 PROBLEMS = {"upwinding": _upwinding, "t-dependent": _t_dependent,
@@ -619,11 +620,9 @@ def test_a_timed_obstacle_separates_where_it_meets_the_solution(
     grid = build_grid(spec, nx=48)
     meet = grid.nt // 2
     jump = 0.5 * (grid.t_nodes[meet] + grid.t_nodes[meet + 1])
-    low = spec.obstacles.lower
     lower = FnSpec.custom(
         lambda t, x, y=0.0, z=0.0: np.full(np.shape(x),
-                                           -2.0 if t > jump else 0.9),
-        sup_bound=low.sup_bound)
+                                           -2.0 if t > jump else 0.9))
     spec = replace(spec, obstacles=replace(spec.obstacles, lower=lower))
     pens = PenaltySchedule.diagonal((4.0, 16.0, 64.0)).steps
     steps = _steps(monkeypatch)

@@ -1,13 +1,14 @@
 """Command-line entry: verbs, config handling, exit codes, CSV outputs."""
 
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from gobstacle import cli
-from gobstacle.model import FnSpec
+from gobstacle.model import FnSpec, ProblemSpec
 from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import StepFailure, build_grid
 
@@ -129,6 +130,20 @@ def test_inline_problem_config(tmp_path, capsys):
     assert "problem: inline" in capsys.readouterr().out
 
 
+def test_the_documented_inline_problem_solves(tmp_path, capsys):
+    # the schema example of the module docstring, as documented
+    doc = re.search(r'\n    (\{\n      "gparams".*?\n    \})\n', cli.__doc__,
+                    re.S)
+    rec = json.loads(doc.group(1))
+    ProblemSpec.from_dict(rec)  # raises SpecError on a drifted schema
+    csv = tmp_path / "field.csv"
+    code = run(tmp_path, {"problem": rec, "grid": SMALL_GRID,
+                          "output": {"field_csv": str(csv), "slices": [0.0]}})
+    assert code == 0, capsys.readouterr().err
+    u0 = np.loadtxt(csv, delimiter=",", skiprows=1, usecols=2)
+    assert u0.size == 65 and 0.0 <= u0.min() and u0.max() <= 1.0
+
+
 def test_inline_obstacle_activity_follows_key_presence(tmp_path, capsys):
     problem = {
         "gparams": {"vol_low_sq": 1.0, "vol_high_sq": 2.0},
@@ -234,6 +249,10 @@ def _inline(**sections):
       "penalty": {"n_upper": 4.0}}, "mode 'limit' takes no penalty section"),
     ({"preset": "constant-sandwich", "mode": "limit",
       "schedule": {"held": 16.0}}, "schedule.held only applies"),
+    # a function declares no moduli: they belong to its section
+    ({"problem": _inline(gen={"g": {"kind": "quadratic_in_z", "gamma": 0.5,
+                                    "lipschitz_z": 0.5}})},
+     "problem.gen.g (quadratic_in_z) has unknown fields ['lipschitz_z']"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, hint):
     code = run(tmp_path, cfg)

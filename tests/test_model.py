@@ -29,21 +29,18 @@ def test_constant_ignores_arguments():
     fs = FnSpec.constant(0.7)
     assert fs(0.0, 3.0) == 0.7
     assert fs(1.0, -5.0, y=9.0, z=-9.0) == 0.7
-    assert fs.sup_bound == 0.7
 
 
 def test_affine_evaluates_in_x():
     fs = FnSpec.affine(2.0, -1.0)
     x = np.array([-1.0, 0.0, 2.5])
     np.testing.assert_allclose(fs(0.3, x), 2.0 * x - 1.0)
-    assert fs.sup_bound is None  # unbounded without a domain
 
 
 def test_polynomial_clips_hard():
     fs = FnSpec.polynomial([0.0, 0.0, 1.0], clip=4.0)
     x = np.array([-3.0, -1.0, 0.0, 2.0, 3.0])
     np.testing.assert_allclose(fs(0.0, x), [4.0, 1.0, 0.0, 4.0, 4.0])
-    assert fs.sup_bound == 4.0
 
 
 def test_quadratic_in_z_uses_z_slot_only():
@@ -51,8 +48,6 @@ def test_quadratic_in_z_uses_z_slot_only():
     assert fs(0.0, 123.0, y=9.0, z=2.0) == 2.0
     assert fs(0.0, 0.0, z=-2.0) == 2.0
     assert fs(0.0, 0.0, z=100.0) == 10.0  # clipped
-    # the constructor derives the z-modulus from gamma
-    assert fs.lipschitz_z == 0.5
 
 
 @pytest.mark.parametrize("fs", [
@@ -78,7 +73,6 @@ def test_tabulated_interpolates_and_extends_flat():
     assert fs(0.0, 0.5) == 5.0
     assert fs(0.0, -3.0) == 0.0  # constant extension left
     assert fs(0.0, 9.0) == 0.0   # and right
-    assert fs.sup_bound == 10.0
 
 
 def test_custom_delegates_to_host_callable():
@@ -93,7 +87,6 @@ def test_custom_delegates_to_host_callable():
     dict(kind="tabulated", xs=(1.0, 0.0), values=(1.0, 2.0)),
     dict(kind="custom"),
     dict(kind="constant", clip=-1.0),
-    dict(kind="constant", lipschitz_y=-0.5),
 ])
 def test_fnspec_constructor_rejections(bad):
     with pytest.raises(SpecError):
@@ -110,8 +103,6 @@ def test_fnspec_constructor_rejections(bad):
     FnSpec.polynomial([0.0, 0.0, 1.0], clip=1.6),
     FnSpec.quadratic_in_z(0.5, clip=7.0),
     FnSpec.tabulated([0.0, 1.0, 3.0], [1.0, -1.0, 2.0]),
-    FnSpec.constant(0.1, sup_bound=0.5),
-    FnSpec.affine(0.5, 0.0, lipschitz_y=0.25),
 ])
 def test_dict_round_trip(fs):
     rec = fs.to_dict()
@@ -130,8 +121,12 @@ def test_from_dict_rejects_custom_kind():
 
 
 def test_from_dict_rejects_unknown_fields():
-    with pytest.raises(SpecError, match="unknown fields"):
-        FnSpec.from_dict({"kind": "constant", "value": 1.0, "slope": 2.0})
+    # moduli and bounds are declared on the section, never on a function
+    for extra in ({"slope": 2.0}, {"lipschitz_y": 0.5},
+                  {"lipschitz_z": 0.5}, {"sup_bound": 1.0}):
+        key = next(iter(extra))
+        with pytest.raises(SpecError, match=rf"unknown fields \['{key}'\]"):
+            FnSpec.from_dict({"kind": "constant", "value": 1.0, **extra})
 
 
 @pytest.mark.parametrize("rec,key", [
@@ -178,6 +173,16 @@ def test_generator_spec_rejects_negative_constants():
         GeneratorSpec(lipschitz_y=-1.0)
     with pytest.raises(SpecError):
         GeneratorSpec(zero_bound=-0.1)
+    # NaN compares false both ways: it would switch validation off
+    for name in ("lipschitz_y", "lipschitz_z", "zero_bound"):
+        with pytest.raises(SpecError, match="nonnegative"):
+            GeneratorSpec(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("bound", [-0.1, float("nan")])
+def test_obstacle_pair_rejects_a_negative_or_nan_level_bound(bound):
+    with pytest.raises(SpecError, match="level_bound must be nonnegative"):
+        ObstaclePair(lower=FnSpec.constant(-1.0), level_bound=bound)
 
 
 def test_obstacle_pair_activity_flags():

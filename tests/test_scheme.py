@@ -112,6 +112,7 @@ def test_cfl_includes_first_order_and_zero_order_budgets():
     (dict(x_max=math.nan), "must be finite"),
     (dict(x_min=-1e308, x_max=1e308), "span must be finite"),
     (dict(x_min=0.0, x_max=1e-300), "above the cap 10000000"),  # dx*dx is 0
+    (dict(nx=64.0), "nx must be an integer, got 64.0"),
 ])
 def test_build_grid_rejections(kwargs, msg):
     with pytest.raises(GridError, match=msg):
@@ -195,10 +196,19 @@ def test_build_grid_refuses_an_nx_above_the_cap_before_allocating(
     (-10.0, 10.0, 64, 0, 1.0, "got nx=64, nt=0"),
     (-10.0, 10.0, 10 ** 9, 1, 1.0, r"\(nt=1, nx=1000000000\), above the 512"),
     (-10.0, 10.0, 64, 10 ** 9, 1.0, r"\(nt=1000000000, nx=64\), above the"),
+    (-10.0, 10.0, 64.0, 10, 1.0, "nx must be an integer, got 64.0"),
+    (-10.0, 10.0, 64, 10.5, 1.0, "nt must be an integer, got 10.5"),
+    (-10.0, 10.0, True, 10, 1.0, "nx must be an integer, got True"),
+    (-10.0, 10.0, 64, np.True_, 1.0, "nt must be an integer, got "),
+    (-10.0, 10.0, "64", 10, 1.0, "nx must be an integer, got '64'"),
+    # as numpy int64s, (nt+1)*(nx+1)*8 would wrap to below the cap
+    (-10.0, 10.0, np.int64(2 ** 33), np.int64(3 * 2 ** 27), 1.0,
+     r"\(nt=402653184, nx=8589934592\), above the 512"),
 ], ids=["reversed", "degenerate", "nan-min", "nan-max", "inf-min", "inf-max",
         "inf-both", "span-overflows", "reversed-span-overflows",
         "horizon-inf", "horizon-nan", "horizon-0", "horizon-negative",
-        "nx-3", "nt-0", "nx-1e9", "nt-1e9"])
+        "nx-3", "nt-0", "nx-1e9", "nt-1e9", "nx-float", "nt-fractional",
+        "nx-bool", "nt-numpy-bool", "nx-string", "numpy-sizes-overflow"])
 def test_a_hand_built_grid_refuses_itself_before_allocating(
         monkeypatch, x_min, x_max, nx, nt, horizon, msg):
     # every refusal comes from Grid itself, before a node array exists
@@ -210,6 +220,12 @@ def test_a_hand_built_grid_refuses_itself_before_allocating(
     monkeypatch.setattr(scheme.np, "linspace", refuse)
     with pytest.raises(GridError, match=msg):
         Grid(x_min, x_max, nx, nt, horizon)
+
+
+def test_a_grid_takes_numpy_integer_sizes_as_python_ints():
+    grid = Grid(-10.0, 10.0, np.int64(64), np.int32(10), 1.0)
+    assert (type(grid.nx), type(grid.nt)) == (int, int)
+    assert grid.compatible_with(Grid(-10.0, 10.0, 64, 10, 1.0))
 
 
 def test_a_reversed_domain_never_reaches_a_solve():

@@ -38,8 +38,8 @@ CASES = [(p.name, mode) for p in list_presets() if p.kind == "single"
 def _slices(spec, grid):
     """Slice indices: an interior one, the first, the last of the
     next-to-last replay block (of the only one) and the terminal one, in
-    that (unsorted) order.  A replay sizes its blocks for the scenario
-    stack, five layers per slice on the default scenario grid."""
+    that (unsorted) order.  A full replay steps in blocks of a fifth of
+    the element budget (`decomposition._REPLAY_SHARE`)."""
     blocks = StepOperator(spec, grid).blocks(grid.nt, rows=5)
     ks = [grid.nt // 3, 0, blocks[-2:][0][1] - 1, grid.nt]
     assert len(set(ks)) == len(ks)
