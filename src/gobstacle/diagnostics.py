@@ -40,7 +40,7 @@ def sup_diff(a: Field, b: Field, inner=False) -> float:
     Refuses fields on incompatible grids; `inner=True` restricts to the
     inner half of the spatial domain.
     """
-    if not a.grid.compatible_with(b.grid):
+    if a.grid != b.grid:
         raise ValueError("fields live on incompatible grids "
                          f"({a.grid} vs {b.grid})")
     m = inner_mask(a.grid) if inner else slice(None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GParams, SpecError, _bound_call
+from .model import GParams, _bound_call
 
 
 def _envelope_calls(a, half_high, half_low, out, scratch):
@@ -39,10 +39,7 @@ def _envelope_calls(a, half_high, half_low, out, scratch):
 def g_eval(a, gp: GParams):
     """Envelope value 0.5*(high*a+ - low*a-).  Positively homogeneous,
     monotone, and subadditive in a; linear when the band is degenerate.
-    A band that is not well ordered (0 < low <= high) raises SpecError."""
-    if not gp.well_ordered:
-        raise SpecError("volatility band is not well ordered; "
-                        "run validate() for details")
+    The band is well ordered: `GParams` refuses any other when built."""
     a = np.asarray(a, dtype=float)
     out = np.empty(a.shape)
     for call in _envelope_calls(a, 0.5 * gp.vol_high_sq, 0.5 * gp.vol_low_sq,

@@ -153,7 +153,7 @@ class FnSpec:
                             "coefficient")
         if self.kind == "custom" and self.fn is None:
             raise SpecError("custom FnSpec needs fn")
-        if self.clip <= 0:
+        if not self.clip > 0:  # NaN too
             raise SpecError("clip bound must be positive")
 
     # -- constructors -------------------------------------------------
@@ -267,18 +267,20 @@ class GParams:
     """Volatility-uncertainty band [vol_low_sq, vol_high_sq].
 
     The sublinear envelope evaluated in `gcalculus` is
-    0.5 * (vol_high_sq * a+ - vol_low_sq * a-).  The degenerate equal
-    band is allowed; it makes the envelope linear (classical case).
-    A misordered or nonpositive band is constructible on purpose so that
-    `validate` can report it; numeric entry points refuse to run on it.
+    0.5 * (vol_high_sq * a+ - vol_low_sq * a-).  The band must be well
+    ordered, 0 < vol_low_sq <= vol_high_sq < inf: any other, NaN
+    included, raises SpecError when it is built, so no later entry point
+    checks it again.  The degenerate equal band is allowed; it makes the
+    envelope linear (classical case).
     """
 
     vol_low_sq: float
     vol_high_sq: float
 
-    @property
-    def well_ordered(self):
-        return 0.0 < self.vol_low_sq <= self.vol_high_sq
+    def __post_init__(self):  # a chained `not <` refuses NaN too
+        if not 0.0 < self.vol_low_sq <= self.vol_high_sq < math.inf:
+            raise SpecError("gparams must be well ordered, 0 < vol_low_sq "
+                            f"<= vol_high_sq < inf, got {self}")
 
     @property
     def degenerate(self):
@@ -464,12 +466,14 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     Non-finite evaluations are a hard failure (`EvaluationError`), not a
     report entry.  The function is pure: same spec and probe, same report.
 
-    Checked constraints: positivity/order of the volatility band, the
-    ellipticity band for sigma^2, the cell-Peclet condition
+    Checked constraints: lipschitz_z >= the sum of |gamma| over the
+    quadratic_in_z drivers among f and g (a custom one is not compared),
+    the ellipticity band for sigma^2, the cell-Peclet condition
     |drift|*dx <= vol_low_sq*(sigma^2 - |cross|*dx) under which the step
     keeps centred first differences (`cell_peclet_excess`), the
     zero-point driver bound, the terminal bound, obstacle order, obstacle
     level bounds, and the terminal sandwich between active obstacles.
+    The band is not among them: `GParams` checks it when built.
     """
     ts = np.asarray(probe.t_nodes, dtype=float)
     xs = np.asarray(probe.x_nodes, dtype=float)
@@ -483,10 +487,12 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     def flag(constraint, where, worst, detail):
         out.append(Violation(constraint, where, float(worst), detail))
 
-    gp = spec.gparams
-    if not (0.0 < gp.vol_low_sq <= gp.vol_high_sq):
-        flag("vol-band-order", "gparams", gp.vol_low_sq,
-             f"need 0 < low <= high, got [{gp.vol_low_sq}, {gp.vol_high_sq}]")
+    need = sum(abs(fs.gamma) for fs in (gen.f, gen.g)
+               if fs.kind == "quadratic_in_z")
+    if gen.lipschitz_z < need:
+        flag("driver-z-modulus", "gen", need - gen.lipschitz_z,
+             f"lipschitz_z = {gen.lipschitz_z:g} is below the catalog "
+             f"drivers' sum of |gamma| = {need:g}")
 
     def scan(fn):
         # worst value of fn over all probe slices, with its node
@@ -513,7 +519,7 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     w = scan(lambda t: cell_peclet_excess(
         _probe_eval(spec.coeffs.drift, "drift", t, xs),
         _probe_eval(spec.coeffs.cross, "cross", t, xs), sig(t) ** 2, dx,
-        gp.vol_low_sq))
+        spec.gparams.vol_low_sq))
     if w[0] > 0:
         flag("cell-peclet", f"(t={w[1]:g}, x={w[2]:g})", w[0],
              f"|drift|*dx exceeds vol_low_sq*(sigma^2 - |cross|*dx) by "

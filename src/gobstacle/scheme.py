@@ -115,7 +115,7 @@ class StepFailure(RuntimeError):
     """A step produced a non-finite value."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
     """Uniform grid on [0, horizon] x [x_min, x_max].
 
@@ -126,6 +126,7 @@ class Grid:
     is not an integer (a bool included), nx < 4 or nt < 1, and a
     solution field above the memory cap (`_check_field_budget`).
     Immutable after construction; node arrays are materialized once.
+    Grids are equal when their domains, sizes and horizons are.
     """
 
     x_min: float
@@ -133,8 +134,8 @@ class Grid:
     nx: int
     nt: int
     horizon: float
-    x_nodes: np.ndarray = dc_field(repr=False, default=None)
-    t_nodes: np.ndarray = dc_field(repr=False, default=None)
+    x_nodes: np.ndarray = dc_field(repr=False, compare=False, default=None)
+    t_nodes: np.ndarray = dc_field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not math.isfinite(self.x_max - self.x_min):  # NaN if both inf
@@ -168,11 +169,6 @@ class Grid:
     @property
     def dt(self):
         return self.horizon / self.nt
-
-    def compatible_with(self, other):
-        return (self.x_min == other.x_min and self.x_max == other.x_max
-                and self.nx == other.nx and self.nt == other.nt
-                and self.horizon == other.horizon)
 
 
 @dataclass(eq=False)
@@ -297,12 +293,10 @@ def build_grid(spec: ProblemSpec, x_min=-10.0, x_max=10.0, nx=400,
     capped at ten million; the solution field, (nt+1)*(nx+1) doubles,
     is capped at 512 MiB.  `Grid` itself refuses a bad domain, nx or
     field size; the first one is built at nt = 1, before any probe.
+    The volatility band is taken as given: `GParams` checks it when built.
     """
     if not 0.0 < cfl_safety <= 1.0:
         raise GridError("cfl_safety must lie in (0, 1]")
-    if not spec.gparams.well_ordered:
-        raise GridError("volatility band is not well ordered; "
-                        "run validate() for details")
 
     first = Grid(x_min=x_min, x_max=x_max, nx=nx, nt=1, horizon=spec.horizon)
     grid = None

@@ -144,9 +144,6 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     """
     if not pens:
         raise SpecError("a batch needs at least one PenaltyParams")
-    if not spec.gparams.well_ordered:
-        raise SpecError("volatility band is not well ordered; "
-                        "run validate() for details")
     _check_grid(spec, grid)
     _check_field_budget(grid, len(pens))
     start = time.perf_counter()
@@ -278,18 +275,18 @@ def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
 class PenaltySchedule:
     """A finite family of penalty intensities walked in order.
 
-    pairing 'diagonal' moves both intensities together, 'fixed_n' sweeps
-    the lower intensity at a constant upper one, 'fixed_m' the reverse.
-    The varying intensity must increase strictly along the list.  An
-    infinite intensity projects its side, whose contact residual is 0:
-    a projected side pushes nothing, and (lower - Y)^+ or (Y - upper)^+
-    is 0 on its interior nodes.  So `fixed_m(inf, ...)` walks the
-    family reflected at the lower obstacle and penalized at the upper.
+    The steps decide the pairing: a diagonal list (`diagonal`) or one
+    holding n_upper constant (`fixed_n`) sweeps m_lower, else one holding
+    m_lower constant (`fixed_m`) sweeps n_upper, which must increase
+    strictly; any other list is refused.  An infinite intensity projects
+    its side, whose contact residual is 0: a projected side pushes
+    nothing, and (lower - Y)^+ or (Y - upper)^+ is 0 on its interior
+    nodes.  So `fixed_m(inf, ...)` walks the family reflected at the
+    lower obstacle and penalized at the upper.
     """
 
     steps: tuple
     stop_tol: float = DEFAULT_STOP_TOL
-    pairing: str = "diagonal"
 
     def __post_init__(self):
         if not self.steps:
@@ -298,41 +295,33 @@ class PenaltySchedule:
             raise SpecError("schedule steps must be PenaltyParams")
         if not self.stop_tol > 0.0:
             raise SpecError("stop_tol must be positive")
-        if self.pairing == "diagonal":
-            seq = [p.n_upper for p in self.steps]
-            if any(p.m_lower != p.n_upper for p in self.steps):
-                raise SpecError("diagonal schedule needs m_lower == n_upper")
-        elif self.pairing == "fixed_n":
-            seq = [p.m_lower for p in self.steps]
-            if len({p.n_upper for p in self.steps}) != 1:
-                raise SpecError("fixed_n schedule must hold n_upper constant")
-        elif self.pairing == "fixed_m":
-            seq = [p.n_upper for p in self.steps]
-            if len({p.m_lower for p in self.steps}) != 1:
-                raise SpecError("fixed_m schedule must hold m_lower constant")
+        m = [p.m_lower for p in self.steps]
+        n = [p.n_upper for p in self.steps]
+        if m == n or len(set(n)) == 1:
+            seq = m
+        elif len(set(m)) == 1:
+            seq = n
         else:
-            raise SpecError(f"unknown pairing {self.pairing!r}")
+            raise SpecError("a schedule moves m_lower and n_upper together "
+                            "or holds one of them constant")
         if any(b <= a for a, b in zip(seq, seq[1:])):
             raise SpecError("schedule intensities must increase strictly")
 
     @classmethod
     def diagonal(cls, intensities=DEFAULT_INTENSITIES,
                  stop_tol=DEFAULT_STOP_TOL):
-        return cls(steps=tuple(PenaltyParams(float(v), float(v))
-                               for v in intensities),
-                   stop_tol=stop_tol, pairing="diagonal")
+        return cls(tuple(PenaltyParams(float(v), float(v))
+                         for v in intensities), stop_tol)
 
     @classmethod
     def fixed_n(cls, n_upper, m_values, stop_tol=DEFAULT_STOP_TOL):
-        return cls(steps=tuple(PenaltyParams(float(m), float(n_upper))
-                               for m in m_values),
-                   stop_tol=stop_tol, pairing="fixed_n")
+        return cls(tuple(PenaltyParams(float(m), float(n_upper))
+                         for m in m_values), stop_tol)
 
     @classmethod
     def fixed_m(cls, m_lower, n_values, stop_tol=DEFAULT_STOP_TOL):
-        return cls(steps=tuple(PenaltyParams(float(m_lower), float(n))
-                               for n in n_values),
-                   stop_tol=stop_tol, pairing="fixed_m")
+        return cls(tuple(PenaltyParams(float(m_lower), float(n))
+                         for n in n_values), stop_tol)
 
 
 @dataclass(frozen=True)

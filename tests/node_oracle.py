@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from gobstacle.gcalculus import g_eval
-from gobstacle.model import FnSpec, ProblemSpec, SpecError
+from gobstacle.model import FnSpec, ProblemSpec
 from gobstacle.scheme import PenaltyParams, _Kernel, _Obstacles, \
     _penalty_rows
 
@@ -48,8 +48,6 @@ def pde_rhs(d: NodeDerivs, spec: ProblemSpec):
 
         envelope(qv_rhs) + drift*du + f(t, x, u, sigma*du)
     """
-    if not spec.gparams.well_ordered:
-        raise SpecError("volatility band is not well ordered; validate first")
     sig = spec.coeffs.sigma(d.t, d.x)
     z = sig * d.du
     fval = spec.gen.f(d.t, d.x, d.u, z)

@@ -253,6 +253,9 @@ def _inline(**sections):
     ({"problem": _inline(gen={"g": {"kind": "quadratic_in_z", "gamma": 0.5,
                                     "lipschitz_z": 0.5}})},
      "problem.gen.g (quadratic_in_z) has unknown fields ['lipschitz_z']"),
+    # ... and the section's modulus must cover the catalog drivers
+    ({"problem": _inline(gen={"g": {"kind": "quadratic_in_z", "gamma": 0.5},
+                              "lipschitz_z": 0.25})}, "[driver-z-modulus]"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, hint):
     code = run(tmp_path, cfg)

@@ -45,6 +45,15 @@ def test_sup_diff_full_and_inner():
     assert sup_diff(a, b, inner=True) == 1.0
 
 
+def test_sup_diff_refuses_fields_on_different_grids():
+    a = Field(values=np.zeros((3, 9)), grid=Grid(-10.0, 10.0, 8, 2, 1.0))
+    same = Field(values=np.ones((3, 9)), grid=Grid(-10.0, 10.0, 8, 2, 1.0))
+    assert sup_diff(a, same) == 1.0  # an equal grid built apart
+    for grid in (Grid(-10.0, 10.0, 8, 2, 2.0), Grid(-10.0, 9.0, 8, 2, 1.0)):
+        with pytest.raises(ValueError, match="incompatible grids"):
+            sup_diff(a, Field(values=np.zeros((3, 9)), grid=grid))
+
+
 # 101 nodes a slice: blocks of 81 slices, which do not divide the 201
 # slices, so the last block is short
 BLOCKED = Grid(-10.0, 10.0, 100, 200, 1.0)

@@ -99,12 +99,13 @@ def test_envelope_is_the_split_formula_bit_for_bit(a, gp):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("gp", [GParams(0.0, 1.0), GParams(2.0, 1.0)])
-def test_envelope_refuses_a_band_that_is_not_well_ordered(gp):
-    # max over the band of 0.5*v*a needs 0 < low <= high: at low = 0,
-    # (0.5*low)*inf would be NaN, and a misordered band picks low for a > 0
-    with pytest.raises(SpecError, match="not well ordered"):
-        g_eval(np.array([np.inf, 1.0]), gp)
+@pytest.mark.parametrize("gp", [(0.0, 1.0), (2.0, 1.0), (1.0, np.inf)])
+def test_envelope_refuses_an_ill_posed_band(gp):
+    # max over the band of 0.5*v*a needs 0 < low <= high < inf: at low = 0,
+    # (0.5*low)*inf would be NaN, a misordered band picks low for a > 0,
+    # and (0.5*inf)*0 is NaN.  The band is refused when it is built.
+    with pytest.raises(SpecError, match="well ordered"):
+        g_eval(np.array([np.inf, 1.0, 0.0]), GParams(*gp))
 
 
 def test_degenerate_band_is_linear():
@@ -156,10 +157,9 @@ def test_pde_rhs_applies_envelope_then_linear_terms():
 
 
 def test_pde_rhs_refuses_misordered_band():
-    spec = _plain_spec(gparams=GParams(2.0, 1.0))
     d = NodeDerivs(u=0.0, du=0.0, d2u=1.0, x=0.0, t=0.0)
-    with pytest.raises(SpecError):
-        pde_rhs(d, spec)
+    with pytest.raises(SpecError, match="well ordered"):
+        pde_rhs(d, _plain_spec(gparams=GParams(2.0, 1.0)))
 
 
 def test_penalized_rhs_adds_signed_penalty_terms():

@@ -1,7 +1,9 @@
 """Problem-description layer: function catalog, components, validation."""
 
 import json
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +89,9 @@ def test_custom_delegates_to_host_callable():
     dict(kind="tabulated", xs=(1.0, 0.0), values=(1.0, 2.0)),
     dict(kind="custom"),
     dict(kind="constant", clip=-1.0),
+    # a NaN clip would clip every value to NaN
+    dict(kind="polynomial", coeffs=(0.0, 0.0, 1.0), clip=math.nan),
+    dict(kind="quadratic_in_z", gamma=0.5, clip=math.nan),
 ])
 def test_fnspec_constructor_rejections(bad):
     with pytest.raises(SpecError):
@@ -153,11 +158,20 @@ def test_from_dict_reports_missing_field():
 # ---------------------------------------------------------------------------
 
 def test_gparams_flags():
-    assert GParams(1.0, 2.0).well_ordered
     assert not GParams(1.0, 2.0).degenerate
     assert GParams(1.5, 1.5).degenerate
-    assert not GParams(2.0, 1.0).well_ordered  # constructible, flagged
-    assert not GParams(0.0, 1.0).well_ordered
+
+
+@pytest.mark.parametrize("low,high", [
+    (2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+    (1.0, math.inf), (math.inf, math.inf),
+])
+def test_an_ill_posed_band_is_refused_when_built(low, high):
+    # 0 < low <= high < inf: an infinite high makes (0.5*high)*0 NaN
+    with pytest.raises(SpecError, match="gparams must be well ordered"):
+        GParams(low, high)
+    with pytest.raises(SpecError, match="gparams must be well ordered"):
+        replace(GParams(1.0, 2.0), vol_low_sq=low, vol_high_sq=high)
 
 
 def test_coefficient_set_checks_ellipticity_band():
@@ -229,8 +243,21 @@ def test_validate_clean_case():
     assert str(rep) == "validation: clean"
 
 
-def test_validate_flags_misordered_band():
-    assert "vol-band-order" in _constraints(_spec(gparams=GParams(2.0, 1.0)))
+def test_validate_flags_a_z_modulus_below_the_catalog_drivers():
+    quad = FnSpec.quadratic_in_z
+    gen = GeneratorSpec(f=quad(-0.25), g=quad(0.5), lipschitz_z=0.7)
+    rep = validate(_spec(gen=gen), PROBE)
+    assert [v.constraint for v in rep.violations] == ["driver-z-modulus"]
+    assert rep.violations[0].worst == pytest.approx(0.05)
+    assert validate(_spec(gen=replace(gen, lipschitz_z=0.75)), PROBE).ok
+    # a custom driver declares its own modulus and is not compared
+    custom = FnSpec.custom(lambda t, x, y, z: 0.0 * np.asarray(x))
+    assert validate(_spec(gen=replace(gen, g=custom)), PROBE).ok
+    # a preset that declares no modulus would get too few time steps
+    spec = get_preset("quadratic-gen-colehopf")
+    lax = replace(spec, gen=replace(spec.gen, lipschitz_z=0.0))
+    assert build_grid(lax, nx=200).nt < build_grid(spec, nx=200).nt
+    assert "driver-z-modulus" in _constraints(lax)
 
 
 def test_validate_flags_ellipticity_breaches():
@@ -278,11 +305,12 @@ def test_validate_raises_on_non_finite_evaluation():
 
 
 def test_validation_report_lists_each_violation():
-    spec = _spec(gparams=GParams(2.0, 1.0), terminal=FnSpec.constant(1.5))
+    spec = _spec(gen=GeneratorSpec(g=FnSpec.quadratic_in_z(0.5)),
+                 terminal=FnSpec.constant(1.5))
     rep = validate(spec, PROBE)
     assert not rep.ok
     text = str(rep)
-    assert "vol-band-order" in text and "terminal-bound" in text
+    assert "driver-z-modulus" in text and "terminal-bound" in text
 
 
 def _drift_60_probe():

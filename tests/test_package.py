@@ -1,5 +1,7 @@
 """The public surface, frozen: a name joins or leaves it on purpose."""
 
+import dataclasses
+
 import gobstacle
 
 SURFACE = [
@@ -23,3 +25,24 @@ def test_the_public_surface_is_frozen_and_every_name_resolves():
     assert sorted(gobstacle.__all__) == SURFACE
     for name in SURFACE:
         assert getattr(gobstacle, name) is not None
+
+
+# the settable fields of the public config dataclasses, in order
+FIELDS = {
+    "GParams": ("vol_low_sq", "vol_high_sq"),
+    "CoefficientSet": ("drift", "cross", "sigma", "vol_floor", "vol_cap"),
+    "GeneratorSpec": ("f", "g", "lipschitz_y", "lipschitz_z", "zero_bound"),
+    "ObstaclePair": ("lower", "upper", "level_bound"),
+    "ProblemSpec": ("gparams", "coeffs", "gen", "obstacles", "terminal",
+                    "horizon"),
+    "PenaltyParams": ("m_lower", "n_upper"),
+    "PenaltySchedule": ("steps", "stop_tol"),
+    "Grid": ("x_min", "x_max", "nx", "nt", "horizon", "x_nodes", "t_nodes"),
+}
+
+
+def test_the_config_fields_are_frozen():
+    for name, want in FIELDS.items():
+        got = tuple(f.name for f in dataclasses.fields(getattr(gobstacle,
+                                                               name)))
+        assert got == want, name

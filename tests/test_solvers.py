@@ -130,10 +130,12 @@ def test_solver_preconditions(tmp_path, capsys):
 
 
 def test_solvers_refuse_misordered_band():
-    spec = replace(get_preset("gheat-quadratic"), gparams=GParams(2.0, 1.0))
-    grid = build_grid(get_preset("gheat-quadratic"), nx=32)
-    with pytest.raises(SpecError, match="not well ordered"):
-        solve_penalized(spec, grid, PenaltyParams())
+    spec = get_preset("gheat-quadratic")
+    grid = build_grid(spec, nx=32)
+    with pytest.raises(SpecError, match="well ordered"):
+        solve_penalized(replace(spec, gparams=replace(spec.gparams,
+                                                      vol_low_sq=4.0)),
+                        grid, PenaltyParams())
 
 
 # every solver, on a grid built for another problem
@@ -182,7 +184,6 @@ def test_a_grid_built_for_the_problem_passes_at_cfl_safety_one():
 
 def test_diagonal_schedule_constructor():
     sch = PenaltySchedule.diagonal((4.0, 16.0))
-    assert sch.pairing == "diagonal"
     assert [(p.m_lower, p.n_upper) for p in sch.steps] \
         == [(4.0, 4.0), (16.0, 16.0)]
 
@@ -205,18 +206,45 @@ def test_default_intensity_ladder():
     dict(steps=()),
     dict(steps=(PenaltyParams(4.0, 4.0),), stop_tol=0.0),
     dict(steps=("x",)),
-    dict(steps=(PenaltyParams(4.0, 8.0),), pairing="diagonal"),
-    dict(steps=(PenaltyParams(8.0, 8.0), PenaltyParams(4.0, 4.0)),
-         pairing="diagonal"),
-    dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(8.0, 5.0)),
-         pairing="fixed_n"),
-    dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(5.0, 8.0)),
-         pairing="fixed_m"),
-    dict(steps=(PenaltyParams(4.0, 4.0),), pairing="zigzag"),
+    dict(steps=(PenaltyParams(8.0, 8.0), PenaltyParams(4.0, 4.0))),
+    dict(steps=(PenaltyParams(4.0, 8.0), PenaltyParams(2.0, 8.0))),
+    dict(steps=(PenaltyParams(8.0, 4.0), PenaltyParams(8.0, 4.0))),
+    dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(8.0, 5.0))),
+    dict(steps=(PenaltyParams(4.0, 4.0), PenaltyParams(5.0, 8.0))),
 ])
 def test_schedule_rejections(bad):
     with pytest.raises(SpecError):
         PenaltySchedule(**bad)
+
+
+def _old_pairings_accept(steps):
+    """Whether a 'diagonal', 'fixed_n' or 'fixed_m' schedule, as each
+    was once declared by name, accepted `steps`."""
+    m = [p.m_lower for p in steps]
+    n = [p.n_upper for p in steps]
+    rising = lambda seq: all(b > a for a, b in zip(seq, seq[1:]))
+    return ((m == n and rising(n))
+            or (len(set(n)) == 1 and rising(m))
+            or (len(set(m)) == 1 and rising(n)))
+
+
+def test_the_steps_decide_the_pairing():
+    # every ladder of up to three steps over a small intensity set,
+    # infinite intensities included
+    values = (0.0, 4.0, 8.0, math.inf)
+    pens = [PenaltyParams(m, n) for m in values for n in values]
+    ladders = [(p,) for p in pens] + [(p, q) for p in pens for q in pens]
+    ladders += [(p, q, r) for p in pens[::3] for q in pens for r in pens]
+    accepted = 0
+    for steps in ladders:
+        try:
+            PenaltySchedule(steps)
+            ok = True
+        except SpecError:
+            ok = False
+        assert ok == _old_pairings_accept(steps), steps
+        accepted += ok
+    assert 0 < accepted < len(ladders)
 
 
 # ---------------------------------------------------------------------------
