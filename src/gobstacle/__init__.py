@@ -34,9 +34,7 @@ from .scheme import (
     GridError,
     PenaltyParams,
     StepFailure,
-    StepOperator,
     build_grid,
-    explicit_step,
 )
 from .solvers import (
     ConvergenceTrace,
@@ -55,18 +53,15 @@ from .decomposition import (
     bmo_diagnostic,
     one_step_residuals,
     reconstruct,
-    skorohod_residuals,
 )
 from .diagnostics import (
     CheckResult,
     ORDER_SLACK,
     OrderReport,
-    RateFit,
     SuiteResult,
     classical_oracle,
     comparison_harness,
     inner_mask,
-    rate_fit,
     run_comparison_suite,
     run_property_suite,
     sup_diff,
@@ -81,15 +76,14 @@ __all__ = [
     "ValidationReport", "Violation", "ZERO", "validate",
     "g_eval",
     "Field", "Grid", "GridError", "PenaltyParams", "StepFailure",
-    "StepOperator", "build_grid", "explicit_step",
+    "build_grid",
     "ConvergenceTrace", "DEFAULT_INTENSITIES", "DEFAULT_STOP_TOL",
     "PenaltySchedule", "SolveReport", "StageRecord",
     "solve_double_projection", "solve_limit", "solve_penalized",
     "solve_penalized_batch",
     "ProcessBundle", "bmo_diagnostic", "one_step_residuals", "reconstruct",
-    "skorohod_residuals",
-    "CheckResult", "ORDER_SLACK", "OrderReport", "RateFit", "SuiteResult",
-    "classical_oracle", "comparison_harness", "inner_mask", "rate_fit",
+    "CheckResult", "ORDER_SLACK", "OrderReport", "SuiteResult",
+    "classical_oracle", "comparison_harness", "inner_mask",
     "run_comparison_suite", "run_property_suite", "sup_diff",
     "Preset", "PRESETS", "get_preset", "list_presets",
     "__version__",

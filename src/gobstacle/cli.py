@@ -42,8 +42,8 @@ read exits 2.
 
 Every number is read by `model.read_number`: a finite JSON number, never
 a bool, string, null, NaN or Infinity, and "nx" an integer.  Output paths
-are non-empty strings.  Anything else exits 2 with a message naming the
-key.
+are non-empty strings that name distinct files, none of them the config.
+Anything else exits 2 with a message naming the key.
 
 An inline "problem" is parsed by `ProblemSpec.from_dict`.  Its sections
 and keys are the fields of the model's dataclasses, and an absent key
@@ -76,6 +76,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -178,13 +179,21 @@ def _validated(spec, grid):
 # outputs
 # ---------------------------------------------------------------------------
 
-def _output_section(cfg):
+def _output_section(cfg, config_path):
+    """The output section, its paths refused when two of them, or one
+    and the config file, resolve to one file."""
     rec = check_record(cfg.get("output", {}), _OUTPUT_PATHS + ("slices",),
                        "output")
-    for key in _OUTPUT_PATHS:
-        if key in rec and not (isinstance(rec[key], str) and rec[key]):
+    owners = {os.path.realpath(config_path): "the config file"}
+    for key in (k for k in _OUTPUT_PATHS if k in rec):
+        if not (isinstance(rec[key], str) and rec[key]):
             raise ConfigError(f"output.{key} must be a non-empty path, "
                               f"got {rec[key]!r}")
+        path = os.path.realpath(rec[key])
+        if path in owners:
+            raise ConfigError(f"output.{key} and {owners[path]} name one "
+                              f"file, {rec[key]!r}")
+        owners[path] = f"output.{key}"
     if "slices" in rec and "field_csv" not in rec:
         raise ConfigError("output.slices needs output.field_csv")
     return rec
@@ -288,7 +297,7 @@ def _cmd_solve(args):
     if mode not in _SOLVE_MODE_NAMES:
         known = ", ".join(_SOLVE_MODE_NAMES)
         raise ConfigError(f"unknown mode {mode!r}; use one of: {known}")
-    out_rec = _output_section(cfg)
+    out_rec = _output_section(cfg, args.config)
     if "trace_csv" in out_rec and mode != "limit":
         raise ConfigError("output.trace_csv needs mode 'limit'")
     if "schedule" in cfg and mode != "limit":
@@ -346,7 +355,7 @@ def _cmd_suite(args):
     for key in ("mode", "penalty"):
         if key in cfg:
             raise ConfigError(f"the suite verb takes no {key!r} section")
-    out_rec = _output_section(cfg)
+    out_rec = _output_section(cfg, args.config)
 
     if isinstance(built, tuple):
         if "field_csv" in out_rec or "trace_csv" in out_rec:

@@ -30,8 +30,8 @@ applied, so the one-step identity
 holds at interior nodes to rounding, at every intensity: projection
 lifts/clamps land in the increments, not in a residual.  A replay that
 does not reproduce the stored layer (a report edited by hand) is
-refused.  The bundle keeps the problem, so the residuals and the
-tail-energy diagnostic read it from there.
+refused.  The bundle keeps the problem, so `one_step_residuals` and
+the tail-energy diagnostic read it from there.
 
 Replays read only stored slices, so a kernel call takes a block of
 consecutive slices (`StepOperator.blocks`; one slice when a custom
@@ -39,8 +39,8 @@ field or driver may depend on t), copied into the kernel's input layer,
 which lays them end to end as it lays out the solves of a batch; one
 kernel serves every block of its shape, and the two endpoint scenarios
 of the defect step one after the other over the same flat layout,
-through the kernel's own obstacle enforcement.  Sums over slices (the
-contact residuals) still add in slice order.
+through the kernel's own obstacle enforcement.  The tail energy still
+adds its slices in order, from the terminal end.
 
 The replay always covers every stored step and compares it with the
 stored layer.  `reconstruct` builds the outputs (gradient, increments,
@@ -249,65 +249,6 @@ def _add_in_order(acc, terms):
     a loop over the rows would; overwrites terms."""
     terms[0] += acc
     return np.add.accumulate(terms, axis=0, out=terms)[-1]
-
-
-def _contact_residuals(field: Field, op: StepOperator, increments):
-    """(r_plus, r_minus) of a field: per side, the max over interior
-    columns of sum_k gap_k*dA_k, with gap the (lower - Y)^+ or
-    (Y - upper)^+ of slice k against the operator's obstacle row, which
-    a `timed` one re-reads at each block's t, and dA its increment, each
-    column summed in slice order.
-
-    `increments` holds one value per side (lower, upper): a field-size
-    array of dA, a float c whose dA is the push c*gap, or None for a
-    side that adds nothing, whose residual is 0.0 (with both None, no
-    block is walked).  Per block shape one buffer holds the block's
-    interior values, one the sum so far and the block's terms per side,
-    and one a push."""
-    grid = field.grid
-    m = grid.nx - 1
-    acc = np.zeros((2, m))
-    sides = [i for i in (0, 1) if increments[i] is not None]
-    size = None
-    for k0, k1 in op.blocks(grid.nt) if sides else ():
-        op.at(grid.t_nodes[k0])
-        if k1 - k0 != size:
-            size = k1 - k0
-            y, push = np.empty((size, m)), np.empty((size, m))
-            block = np.empty((2, size + 1, m))
-        np.copyto(y, field.values[k0:k1, 1:-1])
-        for i in sides:
-            gap, da = block[i, 1:], increments[i]
-            if i:
-                np.subtract(y, op.upper[1:-1], out=gap)
-            else:
-                np.subtract(op.lower[1:-1], y, out=gap)
-            np.maximum(gap, 0.0, out=gap)
-            da = np.multiply(da, gap, out=push) if isinstance(da, float) \
-                else da[k0:k1, 1:-1]
-            np.multiply(gap, da, out=gap)
-            block[i, 0] = acc[i]
-            np.add.reduce(block[i], axis=0, out=acc[i])
-    return float(np.max(acc[0])), float(np.max(acc[1]))
-
-
-def skorohod_residuals(bundle: ProcessBundle):
-    """Contact residuals of the compensators along grid paths.
-
-    r_plus  = max over interior columns of sum_k (lower - Y)^+ * dA+
-    r_minus = max over interior columns of sum_k (Y - upper)^+ * dA-
-
-    Each summand is a product of nonnegative factors measuring how far
-    from its contact set an increment acted, so both residuals are >= 0;
-    they shrink like the inverse intensity along a penalty schedule and
-    vanish (to step-size slack) for projection solves.  Inactive sides
-    report 0.  The bundle's dA+ and dA- are scanned against the obstacle
-    rows at each slice's t (`_contact_residuals`).
-    """
-    op = StepOperator(bundle.spec, bundle.y.grid)
-    return _contact_residuals(bundle.y, op, [
-        None if row is None else da for row, da in
-        ((op.lower, bundle.da_plus), (op.upper, bundle.da_minus))])
 
 
 def bmo_diagnostic(bundle: ProcessBundle, return_profile=False):

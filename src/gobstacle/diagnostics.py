@@ -1,4 +1,4 @@
-"""Oracles, error measures, rate fits, ordering checks, property suite.
+"""Oracles, error measures, ordering checks, property suite.
 
 Oracle comparisons are restricted to the inner half of the spatial
 domain: the outer quarters absorb the artificial-boundary error of the
@@ -46,42 +46,6 @@ def sup_diff(a: Field, b: Field, inner=False) -> float:
     m = inner_mask(a.grid) if inner else slice(None)
     return _block_max(lambda x, y: np.abs(x[:, m] - y[:, m]),
                       a.values, b.values)
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares slope of log(value) against log(intensity)."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    count: int
-
-
-def rate_fit(pairs) -> RateFit:
-    """Fit value ~ C * intensity^slope through (intensity, value) pairs.
-
-    Refuses fewer than three pairs, entries that are not positive and
-    finite (the fit lives in log-log space), and fewer than two distinct
-    intensities, which leave the slope undetermined.
-    """
-    pairs = [(float(n), float(v)) for n, v in pairs]
-    if len(pairs) < 3:
-        raise ValueError("rate_fit needs at least three pairs")
-    if not all(0.0 < a < math.inf for pair in pairs for a in pair):
-        raise ValueError("rate_fit needs positive finite intensities and "
-                         "values")
-    ln = np.log([n for n, _ in pairs])
-    lv = np.log([v for _, v in pairs])
-    if np.all(ln == ln[0]):
-        raise ValueError("rate_fit needs at least two distinct intensities")
-    slope, intercept = np.polyfit(ln, lv, 1)
-    fit = slope * ln + intercept
-    ss_res = float(np.sum((lv - fit) ** 2))
-    ss_tot = float(np.sum((lv - np.mean(lv)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept),
-                   r_squared=r2, count=len(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,7 @@ if both terms are, so the add of rest does the same.  An obstacle-free
 problem with unit coefficients and g == 0 steps in 13 numpy calls.
 No step writes into a field: a solve copies each new layer's rows into
 their fields, and a replay copies its block of stored slices into the
-kernel's input layer.  The public `explicit_step` builds a kernel for
-one layer and returns a new array; `gcalculus.g_eval` shares its
+kernel's input layer.  `gcalculus.g_eval` shares the kernel's
 envelope.  The kernel's increments form the penalty pushes in
 `_Obstacles._increment_calls`, the limit driver's contact residuals in
 a plain scan.
@@ -922,23 +921,3 @@ def _nonfinite(layer, t, grid: Grid):
     bad = int(np.argmin(np.isfinite(layer)))
     return (f"non-finite value at t={t:.6g}, x={grid.x_nodes[bad]:.6g}; "
             "reduce cfl_safety or tighten the driver clip bounds")
-
-
-def explicit_step(next_layer, t, op: StepOperator, pen: PenaltyParams):
-    """Advance one backward step; returns the new layer at time t.
-
-    `next_layer` is the known layer at t+dt and is not modified; the
-    result is a new array.  See the module docstring for the update;
-    this is the one-layer case of the kernel the solvers step in
-    batches.
-    """
-    grid = op.grid
-    next_layer = np.asarray(next_layer, dtype=float)
-    if next_layer.shape != (grid.nx + 1,):
-        raise SpecError("layer shape does not match the grid")
-    kernel = _Kernel(op, _penalty_rows((pen,)), next_layer.shape)
-    np.copyto(kernel.layer, next_layer)
-    out = _advance(kernel, t)
-    if not np.isfinite(out).all():
-        raise StepFailure(_nonfinite(out, t, grid))
-    return out

@@ -46,7 +46,6 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import _contact_residuals
 from .model import ProblemSpec, SpecError
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
     _advance, _block_max, _check_field_budget, _check_grid, _Kernel, \
@@ -346,6 +345,44 @@ class ConvergenceTrace:
     converged: bool
     stop_tol: float
     reports: Optional[tuple] = None  # per-stage SolveReports when kept
+
+
+def _contact_residuals(field: Field, op: StepOperator, rates):
+    """(r_plus, r_minus) of a field: per side, the max over interior
+    columns of sum_k gap_k*dA_k, with gap the (lower - Y)^+ or
+    (Y - upper)^+ of slice k against the operator's obstacle row, which
+    a `timed` one re-reads at each block's t, and dA = c*gap the push
+    of the side's rate c, each column summed in slice order.
+
+    `rates` holds one value per side (lower, upper): the float c, or
+    None for a side that adds nothing, whose residual is 0.0 (with both
+    None, no block is walked).  Per block shape one buffer holds the
+    block's interior values, one the sum so far and the block's terms
+    per side, and one a push."""
+    grid = field.grid
+    m = grid.nx - 1
+    acc = np.zeros((2, m))
+    sides = [i for i in (0, 1) if rates[i] is not None]
+    size = None
+    for k0, k1 in op.blocks(grid.nt) if sides else ():
+        op.at(grid.t_nodes[k0])
+        if k1 - k0 != size:
+            size = k1 - k0
+            y, push = np.empty((size, m)), np.empty((size, m))
+            block = np.empty((2, size + 1, m))
+        np.copyto(y, field.values[k0:k1, 1:-1])
+        for i in sides:
+            gap = block[i, 1:]
+            if i:
+                np.subtract(y, op.upper[1:-1], out=gap)
+            else:
+                np.subtract(op.lower[1:-1], y, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            np.multiply(rates[i], gap, out=push)
+            np.multiply(gap, push, out=gap)
+            block[i, 0] = acc[i]
+            np.add.reduce(block[i], axis=0, out=acc[i])
+    return float(np.max(acc[0])), float(np.max(acc[1]))
 
 
 def solve_limit(spec: ProblemSpec, grid: Grid,

@@ -1,6 +1,7 @@
 """Independent per-node reference for the right-hand side, a helper
-that turns every field of a problem into a `custom` one, and thin
-helpers that read the pieces of a step from the step kernel.
+that turns every field of a problem into a `custom` one, thin helpers
+that read the pieces of a step from the step kernel, and a slice-by-slice
+reference sum of a bundle's contact residuals.
 
 The oracle evaluates the problem's functions at one node (or broadcast
 over a layer) directly from the spec, without the compiled rows of
@@ -14,8 +15,8 @@ import numpy as np
 
 from gobstacle.gcalculus import g_eval
 from gobstacle.model import FnSpec, ProblemSpec
-from gobstacle.scheme import PenaltyParams, _Kernel, _Obstacles, \
-    _penalty_rows
+from gobstacle.scheme import PenaltyParams, _advance, _Kernel, \
+    _Obstacles, _penalty_rows
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,14 @@ def layer_rhs_parts(next_layer, t, op):
     return qv.copy(), np.array(np.broadcast_to(rest, qv.shape))
 
 
+def one_step(next_layer, t, op, pen):
+    """The solvers' step of `next_layer` to time t at the intensities
+    `pen`, through a one-layer kernel, in a new array."""
+    kernel = _Kernel(op, _penalty_rows((pen,)), np.shape(next_layer))
+    np.copyto(kernel.layer, next_layer)
+    return _advance(kernel, t).copy()
+
+
 def resolve_penalties(v, low, up, pen, dt):
     """u = v + dt*m*(u-low)^- - dt*n*(u-up)^+ against obstacle values on
     the nodes of v (None on an absent side), as `_Obstacles` resolves it
@@ -133,3 +142,21 @@ def worst_case_vol(a, gp):
     """The envelope's maximizing variance at a: high where a >= 0 (ties
     resolve high), low where a < 0."""
     return np.where(np.asarray(a) >= 0.0, gp.vol_high_sq, gp.vol_low_sq)
+
+
+def contact_sums(bundle):
+    """(r_plus, r_minus) of a bundle: per side, the max over interior
+    columns of sum_k (lower - Y_k)^+ * dA+_k or (Y_k - upper)^+ * dA-_k,
+    with the obstacle read at slice k's t, each column added slice by
+    slice; 0.0 on an absent side."""
+    ob, grid = bundle.spec.obstacles, bundle.y.grid
+    x, y = grid.x_nodes[1:-1], bundle.y.values[:, 1:-1]
+    acc = [np.zeros(grid.nx - 1), np.zeros(grid.nx - 1)]
+    for k, t in enumerate(grid.t_nodes[:-1]):
+        if ob.lower is not None:
+            acc[0] += np.maximum(ob.lower(t, x) - y[k], 0.0) \
+                * bundle.da_plus[k, 1:-1]
+        if ob.upper is not None:
+            acc[1] += np.maximum(y[k] - ob.upper(t, x), 0.0) \
+                * bundle.da_minus[k, 1:-1]
+    return float(np.max(acc[0])), float(np.max(acc[1]))

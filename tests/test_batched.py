@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 from gobstacle import cli, decomposition, scheme, solvers
-from gobstacle.decomposition import one_step_residuals, reconstruct, \
-    skorohod_residuals
+from gobstacle.decomposition import one_step_residuals, reconstruct
 from gobstacle.diagnostics import ORDER_SLACK, run_property_suite
 from gobstacle.model import FnSpec, ObstaclePair, SpecError
 from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
-    StepOperator, build_grid, explicit_step
+    StepOperator, build_grid
 from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
     solve_penalized, solve_penalized_batch
-from node_oracle import all_custom, layer_rhs_parts, resolve_penalties
+from node_oracle import all_custom, contact_sums, layer_rhs_parts, \
+    one_step, resolve_penalties
 
 # rows with zero and positive intensities on either side
 MIXED = (PenaltyParams(0.0, 0.0), PenaltyParams(4.0, 0.0),
@@ -329,7 +329,10 @@ def test_zero_intensity_rows_are_left_untouched():
         0.1).tobytes()
 
 
-@pytest.mark.parametrize("nx,name,schedule", [
+# the limit driver's stage walks: every pairing, a projected side, a
+# timed lower obstacle, and nx=200, where a contact scan spans several
+# blocks of slices
+STAGE_WALKS = [
     (200, "double-active", PenaltySchedule.diagonal((4.0, 16.0, 64.0))),
     (48, "double-active", PenaltySchedule.fixed_m(16.0, (0.0, 4.0, 64.0))),
     (48, "lower-active", PenaltySchedule.fixed_n(0.0, (0.0, 16.0, 256.0))),
@@ -343,9 +346,11 @@ def test_zero_intensity_rows_are_left_untouched():
     (200, "t-dependent", PenaltySchedule.diagonal((4.0, 16.0, 64.0))),
     (48, "t-dependent", PenaltySchedule.fixed_m(INF, (4.0, 16.0, 64.0))),
     (200, "t-dependent", PenaltySchedule.fixed_m(INF, (4.0, 16.0, 64.0))),
-])
+]
+
+
+@pytest.mark.parametrize("nx,name,schedule", STAGE_WALKS)
 def test_limit_driver_equals_the_stage_walk(nx, name, schedule):
-    # at nx=200 the contact residuals sum over several blocks of slices
     spec = _problem(name)
     grid = build_grid(spec, nx=nx)
     _, trace = solve_limit(spec, grid, schedule, keep_reports=True)
@@ -360,18 +365,22 @@ def test_skorohod_residuals_of_a_timed_obstacle_sum_slice_by_slice():
     # that slice's t, and each column adds in slice order
     spec = _t_dependent()
     grid = build_grid(spec, nx=48)
-    bundle = reconstruct(solve_penalized(spec, grid,
-                                         PenaltyParams(16.0, 16.0)))
-    ob, x, y = spec.obstacles, grid.x_nodes[1:-1], bundle.y.values[:, 1:-1]
-    acc = [np.zeros(grid.nx - 1), np.zeros(grid.nx - 1)]
-    for k, t in enumerate(grid.t_nodes[:-1]):
-        acc[0] += np.maximum(ob.lower(t, x) - y[k], 0.0) \
-            * bundle.da_plus[k, 1:-1]
-        acc[1] += np.maximum(y[k] - ob.upper(t, x), 0.0) \
-            * bundle.da_minus[k, 1:-1]
-    want = (float(np.max(acc[0])), float(np.max(acc[1])))
+    report, trace = solve_limit(spec, grid, PenaltySchedule(
+        (PenaltyParams(16.0, 16.0),)))
+    want = contact_sums(reconstruct(report))
     assert min(want) > 0.0  # both sides are really scanned
-    assert skorohod_residuals(bundle) == want
+    (stage,) = trace.stages
+    assert (stage.r_plus, stage.r_minus) == want
+    # the trace forms each stage's dA from its pushes dt*rate*gap (none
+    # on a projected side); the bundle's dA+/dA- give the same sums on
+    # every stage of the stage walks
+    for nx, name, schedule in STAGE_WALKS:
+        spec = _problem(name)
+        grid = build_grid(spec, nx=nx)
+        _, trace = solve_limit(spec, grid, schedule, keep_reports=True)
+        for s, report in zip(trace.stages, trace.reports):
+            assert (s.r_plus, s.r_minus) == \
+                contact_sums(reconstruct(report)), (nx, name, s.stage)
 
 
 @pytest.mark.parametrize("name", ["double-active", "upper-active",
@@ -475,9 +484,9 @@ def test_kernel_buffers_never_leak_out():
     pen = PenaltyParams(64.0, 64.0)
     layer = np.sin(grid.x_nodes)
     kept = layer.tobytes()
-    first = explicit_step(layer, grid.t_nodes[-2], op, pen)
+    first = one_step(layer, grid.t_nodes[-2], op, pen)
     first_bytes = first.tobytes()
-    second = explicit_step(first, grid.t_nodes[-3], op, pen)
+    second = one_step(first, grid.t_nodes[-3], op, pen)
     assert not np.shares_memory(first, second)
     assert first.tobytes() == first_bytes  # also the second's next_layer
     assert layer.tobytes() == kept

@@ -256,11 +256,35 @@ def _inline(**sections):
     # ... and the section's modulus must cover the catalog drivers
     ({"problem": _inline(gen={"g": {"kind": "quadratic_in_z", "gamma": 0.5},
                               "lipschitz_z": 0.25})}, "[driver-z-modulus]"),
+    # two outputs that resolve to one file, refused before the solve
+    ({"preset": "double-active", "grid": {"nx": 48}, "mode": "limit",
+      "output": {"field_csv": "out.csv", "trace_csv": "out.csv",
+                 "report": "./out.csv"}},
+     "output.trace_csv and output.field_csv name one file"),
+    ({"preset": "constant-sandwich",
+      "output": {"field_csv": "f.csv", "report": "./f.csv"}},
+     "output.report and output.field_csv name one file"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, cfg, hint):
     code = run(tmp_path, cfg)
     assert code == 2
     assert hint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["solve", "suite"])
+def test_an_output_that_is_the_config_exits_2(tmp_path, monkeypatch,
+                                              capsys, verb):
+    # a relative output path that resolves to the config being read
+    monkeypatch.chdir(tmp_path)
+    text = json.dumps({"preset": "double-active", "grid": SMALL_GRID,
+                       "output": {"field_csv": "f.csv",
+                                  "report": "./cfg.json"}})
+    (tmp_path / "cfg.json").write_text(text)
+    assert cli.main([verb, "-c", str(tmp_path / "cfg.json")]) == 2
+    assert "output.report and the config file name one file" \
+        in capsys.readouterr().err
+    assert (tmp_path / "cfg.json").read_text() == text
+    assert not (tmp_path / "f.csv").exists()
 
 
 def _problem_record(spec):

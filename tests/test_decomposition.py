@@ -12,13 +12,13 @@ from gobstacle.decomposition import (
     bmo_diagnostic,
     one_step_residuals,
     reconstruct,
-    skorohod_residuals,
 )
 from gobstacle.diagnostics import inner_mask
 from gobstacle.model import FnSpec, GParams, SpecError
 from gobstacle.presets import get_preset
 from gobstacle.scheme import PenaltyParams, StepOperator, build_grid
-from gobstacle.solvers import solve_double_projection, solve_penalized
+from gobstacle.solvers import PenaltySchedule, solve_double_projection, \
+    solve_limit, solve_penalized
 from node_oracle import layer_rhs_parts, worst_case_vol
 
 
@@ -111,17 +111,20 @@ def test_terminal_row_carries_no_increments(mode_runs):
 
 
 # ---------------------------------------------------------------------------
-# contact residuals
+# contact residuals, read from the limit trace of a one-step schedule
 # ---------------------------------------------------------------------------
+
+def _residuals(spec, grid, pen):
+    (stage,) = solve_limit(spec, grid, PenaltySchedule((pen,)))[1].stages
+    return stage.r_plus, stage.r_minus
+
 
 def test_skorohod_residuals_shrink_with_intensity():
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=64)
     seq = []
     for n in (4.0, 16.0, 64.0, 256.0):
-        pen = PenaltyParams(n, n)
-        rep = solve_penalized(spec, grid, pen)
-        seq.append(skorohod_residuals(reconstruct(rep)))
+        seq.append(_residuals(spec, grid, PenaltyParams(n, n)))
     r_plus = [a for a, _ in seq]
     r_minus = [b for _, b in seq]
     assert all(b < a for a, b in zip(r_plus, r_plus[1:]))
@@ -132,8 +135,8 @@ def test_skorohod_residuals_shrink_with_intensity():
 def test_residuals_are_zero_without_obstacles():
     spec = get_preset("gheat-quadratic")
     grid = build_grid(spec, nx=64)
-    rep = solve_penalized(spec, grid, PenaltyParams())
-    assert skorohod_residuals(reconstruct(rep)) == (0.0, 0.0)
+    # at positive rates, so the zeros come from the absent sides
+    assert _residuals(spec, grid, PenaltyParams(64.0, 64.0)) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +260,15 @@ def test_reconstruct_at_infinite_intensity_raises_no_warning(pen):
         warnings.simplefilter("error")
         bundle = reconstruct(rep)
         resid = one_step_residuals(bundle)
-        r_plus, r_minus = skorohod_residuals(bundle)
+        r_plus, r_minus = _residuals(spec, grid, pen)
     for arr in (bundle.da_plus, bundle.da_minus, bundle.defect.values,
                 resid):
         assert np.isfinite(arr).all()
     assert float(np.max(np.abs(resid))) <= 1e-10
     assert math.isfinite(r_plus) and math.isfinite(r_minus)
+    # a projected side pushes nothing
+    assert (pen.m_lower < math.inf or r_plus == 0.0) \
+        and (pen.n_upper < math.inf or r_minus == 0.0)
 
 
 def test_diagnostics_follow_the_scheme_of_the_solve():

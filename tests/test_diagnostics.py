@@ -1,4 +1,4 @@
-"""Oracles, rate fits, the comparison harness, and the check batteries."""
+"""Oracles, the comparison harness, and the check batteries."""
 
 import math
 from dataclasses import replace
@@ -12,7 +12,6 @@ from gobstacle.diagnostics import (
     classical_oracle,
     comparison_harness,
     inner_mask,
-    rate_fit,
     run_comparison_suite,
     run_property_suite,
     sup_diff,
@@ -121,28 +120,6 @@ def test_sup_diff_refuses_incompatible_grids():
     b = Field(values=np.zeros((3, 9)), grid=Grid(-10.0, 10.0, 8, 2, 2.0))
     with pytest.raises(ValueError, match="incompatible grids"):
         sup_diff(a, b)
-
-
-def test_rate_fit_recovers_exact_powers():
-    pairs = [(n, 3.0 * n ** -1.0) for n in (4.0, 16.0, 64.0, 256.0)]
-    fit = rate_fit(pairs)
-    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.count == 4
-
-
-def test_rate_fit_refusals():
-    with pytest.raises(ValueError, match="three pairs"):
-        rate_fit([(1.0, 1.0), (2.0, 0.5)])
-    with pytest.raises(ValueError, match="positive"):
-        rate_fit([(1.0, 1.0), (2.0, 0.5), (4.0, -0.1)])
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive finite"):
-            rate_fit([(1.0, 1.0), (2.0, 0.5), (4.0, bad)])
-        with pytest.raises(ValueError, match="positive finite"):
-            rate_fit([(1.0, 1.0), (2.0, 0.5), (bad, 0.25)])
-    with pytest.raises(ValueError, match="two distinct intensities"):
-        rate_fit([(4.0, 1.0), (4.0, 0.5), (4.0, 0.25)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 
 from gobstacle.decomposition import bmo_diagnostic, one_step_residuals, \
-    reconstruct, skorohod_residuals
+    reconstruct
 from gobstacle.model import CoefficientSet, FnSpec, GeneratorSpec, GParams, \
     ObstaclePair, ProblemSpec
 from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import PenaltyParams, build_grid
 from gobstacle.solvers import DEFAULT_INTENSITIES, PenaltySchedule, \
     solve_double_projection, solve_limit, solve_penalized
+from node_oracle import contact_sums
 
 PEN = PenaltyParams(64.0, 64.0)
 
@@ -109,7 +110,7 @@ def test_quadratic_drift_limit_stops_early():
 def _bundle_digest(report):
     bundle = reconstruct(report)
     worst, tails = bmo_diagnostic(bundle, return_profile=True)
-    r_plus, r_minus = skorohod_residuals(bundle)
+    r_plus, r_minus = contact_sums(bundle)
     return _digest(report.field.values, bundle.z.values, bundle.da_plus,
                    bundle.da_minus, bundle.defect.values,
                    one_step_residuals(bundle),

@@ -10,14 +10,14 @@ SURFACE = [
     "FnSpec", "GParams", "GeneratorSpec", "Grid", "GridError",
     "ORDER_SLACK", "ObstaclePair", "OrderReport", "PRESETS",
     "PenaltyParams", "PenaltySchedule", "Preset", "ProblemSpec",
-    "ProcessBundle", "RateFit", "SolveReport", "SpecError", "StageRecord",
-    "StepFailure", "StepOperator", "SuiteResult", "ValidationReport",
-    "Violation", "ZERO", "__version__", "bmo_diagnostic", "build_grid",
-    "classical_oracle", "comparison_harness", "explicit_step", "g_eval",
-    "get_preset", "inner_mask", "list_presets", "one_step_residuals",
-    "rate_fit", "reconstruct", "run_comparison_suite", "run_property_suite",
-    "skorohod_residuals", "solve_double_projection", "solve_limit",
-    "solve_penalized", "solve_penalized_batch", "sup_diff", "validate",
+    "ProcessBundle", "SolveReport", "SpecError", "StageRecord",
+    "StepFailure", "SuiteResult", "ValidationReport", "Violation", "ZERO",
+    "__version__", "bmo_diagnostic", "build_grid", "classical_oracle",
+    "comparison_harness", "g_eval", "get_preset", "inner_mask",
+    "list_presets", "one_step_residuals", "reconstruct",
+    "run_comparison_suite", "run_property_suite", "solve_double_projection",
+    "solve_limit", "solve_penalized", "solve_penalized_batch", "sup_diff",
+    "validate",
 ]
 
 

