@@ -9,8 +9,8 @@ with F built from a sublinear envelope over a volatility band, and
 exposes the penalization family whose limit constructs the solution:
 fixed-intensity penalized solves, exact-reflection companions, the
 scheduled limit driver, process reconstruction (gradient, compensators,
-scenario defects), closed-form oracles for the classical subfamily, a
-comparison harness, and a structural property suite.
+scenario defects), closed-form oracles for the classical subfamily, and
+structural property suites for one problem and for an ordered pair.
 """
 
 from .model import (
@@ -57,10 +57,8 @@ from .decomposition import (
 from .diagnostics import (
     CheckResult,
     ORDER_SLACK,
-    OrderReport,
     SuiteResult,
     classical_oracle,
-    comparison_harness,
     inner_mask,
     run_comparison_suite,
     run_property_suite,
@@ -82,9 +80,8 @@ __all__ = [
     "solve_double_projection", "solve_limit", "solve_penalized",
     "solve_penalized_batch",
     "ProcessBundle", "bmo_diagnostic", "one_step_residuals", "reconstruct",
-    "CheckResult", "ORDER_SLACK", "OrderReport", "SuiteResult",
-    "classical_oracle", "comparison_harness", "inner_mask",
-    "run_comparison_suite", "run_property_suite", "sup_diff",
+    "CheckResult", "ORDER_SLACK", "SuiteResult", "classical_oracle",
+    "inner_mask", "run_comparison_suite", "run_property_suite", "sup_diff",
     "Preset", "PRESETS", "get_preset", "list_presets",
     "__version__",
 ]

@@ -58,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemSpec, SpecError, _bound_call
-from .scheme import _BLOCK_ELEMENTS, Field, StepOperator, \
-    _check_field_budget, _Kernel, _penalty_rows
+from .scheme import Field, StepOperator, _blocks, _check_field_budget, \
+    _Kernel, _penalty_rows
 
 # a full replay's blocks take a fifth of the element budget: the kernel
 # and the scenario scans hold some twenty arrays of a block's size
@@ -244,38 +244,24 @@ def one_step_residuals(bundle: ProcessBundle):
     return out
 
 
-def _add_in_order(acc, terms):
-    """acc + terms[0] + terms[1] + ... per column, added in row order as
-    a loop over the rows would; overwrites terms."""
-    terms[0] += acc
-    return np.add.accumulate(terms, axis=0, out=terms)[-1]
-
-
-def bmo_diagnostic(bundle: ProcessBundle, return_profile=False):
+def bmo_diagnostic(bundle: ProcessBundle):
     """Worst tail energy of the gradient process along worst scenarios.
 
-    For each interior column and each start slice tau, accumulates
-    sum_{k >= tau} z_k^2 * v*_k * dt, from the terminal end and a block
-    of slices at a time, with v* the step's bang-bang scenario read from
-    `bundle.scenario_high`, and returns the maximum (attained at tau = 0
-    since summands are nonnegative).  Diagnostic only: reported, never
-    asserted against model constants.
+    For each interior column and each start slice tau, adds up
+    sum_{k >= tau} z_k^2 * v*_k * dt in slice order from the terminal
+    end, a block of slices at a time, with v* the step's bang-bang
+    scenario read from `bundle.scenario_high`, and returns the maximum
+    (attained at tau = 0 since summands are nonnegative).  Diagnostic
+    only: reported, never asserted against model constants.
     """
     grid = bundle.y.grid
     gp = bundle.spec.gparams
-    tails = np.empty((grid.nt, grid.nx - 1)) if return_profile else None
     acc = np.zeros(grid.nx - 1)
-    size = max(1, _BLOCK_ELEMENTS // (grid.nx - 1))
-    for k1 in range(grid.nt, 0, -size):
-        k0 = max(0, k1 - size)
+    for k0, k1 in reversed(_blocks(grid.nt, grid.nx - 1)):
         zk = bundle.z.values[k0:k1, 1:-1]
         v_star = np.where(bundle.scenario_high[k0:k1], gp.vol_high_sq,
                           gp.vol_low_sq)
         energy = (zk * zk * v_star * grid.dt)[::-1]
-        acc = _add_in_order(acc, energy)
-        if return_profile:
-            tails[k0:k1] = energy[::-1]
-    worst = float(np.max(acc))
-    if return_profile:
-        return worst, tails
-    return worst
+        energy[0] += acc
+        acc = np.add.reduce(energy, axis=0)
+    return float(np.max(acc))

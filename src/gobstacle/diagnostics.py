@@ -1,4 +1,4 @@
-"""Oracles, error measures, ordering checks, property suite.
+"""Oracles, error measures, the property suites of a problem and a pair.
 
 Oracle comparisons are restricted to the inner half of the spatial
 domain: the outer quarters absorb the artificial-boundary error of the
@@ -17,8 +17,8 @@ import numpy as np
 from .decomposition import ProcessBundle, bmo_diagnostic, \
     one_step_residuals, reconstruct
 from .model import ProblemSpec, validate
-from .scheme import _BLOCK_ELEMENTS, Field, Grid, GridError, \
-    PenaltyParams, StepOperator, _block_max, _check_field_budget
+from .scheme import Field, Grid, PenaltyParams, StepOperator, _block_max, \
+    _blocks, _check_field_budget, _row
 from .solvers import PenaltySchedule, SolveReport, solve_limit, \
     solve_penalized, solve_penalized_batch
 
@@ -97,8 +97,7 @@ def classical_oracle(spec: ProblemSpec, grid: Grid) -> Field:
 
     xs = grid.x_nodes
     out = np.empty((grid.nt + 1, grid.nx + 1))
-    phi_here = np.broadcast_to(
-        np.asarray(spec.terminal(spec.horizon, xs), dtype=float), xs.shape)
+    phi_here = _row(spec.terminal, spec.horizon, xs)
     for k in range(grid.nt + 1):
         tau2 = s_eff * (spec.horizon - grid.t_nodes[k])
         if tau2 <= 0.0:
@@ -116,30 +115,18 @@ def classical_oracle(spec: ProblemSpec, grid: Grid) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# comparison harness
+# comparison preconditions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrderReport:
-    min_diff: float
-    passed: bool
-    where: str
-
 
 _YZ_PROBES = ((0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
-def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
-                       grid: Grid) -> OrderReport:
-    """Solve an ordered pair of problems and check the output ordering.
-
-    The data ordering (terminal, f, g, obstacles, all hi >= lo, with
-    identical dynamics and band) is verified first on sampled grid nodes
-    and a fixed (y, z) probe set; a violated precondition raises with
-    the offending node.  Both problems are then solved at intensities
-    (64, 64), and the report carries the worst nodewise difference
-    u_hi - u_lo (PASS when >= -1e-10).
-    """
+def _ordering_preconditions(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
+                            grid: Grid):
+    """Raise ValueError unless the pair's data are ordered: identical
+    dynamics, band, horizon and obstacle activity, and terminal, f, g
+    and obstacles all hi >= lo on sampled grid nodes and a fixed (y, z)
+    probe set; the message names the offending node.  Never solves."""
     if spec_hi.gparams != spec_lo.gparams:
         raise ValueError("comparison needs identical volatility bands")
     if spec_hi.coeffs != spec_lo.coeffs:
@@ -180,23 +167,6 @@ def comparison_harness(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
         if ob_hi.upper_active:
             expect_ge("upper obstacle", ob_hi.upper(t, xs),
                       ob_lo.upper(t, xs), t)
-
-    pen = PenaltyParams(64.0, 64.0)
-    hi = solve_penalized(spec_hi, grid, pen)
-    lo = solve_penalized(spec_lo, grid, pen)
-    # the first minimum in row-major order, a block of slices at a time;
-    # the first NaN wins, as in np.argmin
-    size = max(1, _BLOCK_ELEMENTS // (grid.nx + 1))
-    min_diff = None
-    for k0 in range(0, grid.nt + 1, size):
-        diff = hi.field.values[k0:k0 + size] - lo.field.values[k0:k0 + size]
-        j, i = np.unravel_index(int(np.argmin(diff)), diff.shape)
-        if min_diff is None or not (math.isnan(min_diff)
-                                    or diff[j, i] >= min_diff):
-            min_diff, k, col = float(diff[j, i]), k0 + j, i
-    where = f"(t={grid.t_nodes[k]:g}, x={grid.x_nodes[col]:g})"
-    return OrderReport(min_diff=min_diff, passed=min_diff >= -ORDER_SLACK,
-                       where=where)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +246,7 @@ def run_property_suite(spec: ProblemSpec, grid: Grid,
     _chk(checks, "determinism", unequal == 0.0, unequal, 0.0,
          "two identical solves produce byte-identical fields")
 
-    term = np.broadcast_to(
-        np.asarray(spec.terminal(spec.horizon, grid.x_nodes), dtype=float),
-        (grid.nx + 1,))
+    term = _row(spec.terminal, spec.horizon, grid.x_nodes)
     tdiff = float(np.max(np.abs(final.field.values[-1] - term)))
     _chk(checks, "terminal-slice", tdiff == 0.0, tdiff, 0.0,
          "terminal slice equals the sampled terminal condition")
@@ -423,20 +391,34 @@ def run_comparison_suite(spec_hi: ProblemSpec, spec_lo: ProblemSpec,
                          grid: Grid) -> SuiteResult:
     """Property battery for an ordered pair: preconditions + ordering.
 
-    A grid that one member cannot step on raises its `GridError`; it is
-    not a failed precondition of the pair."""
+    A pair whose data are not ordered (`_ordering_preconditions`) fails
+    `ordering-preconditions`, and nothing is solved.  Else both members
+    are solved at intensities (64, 64), and `comparison-order` carries
+    the worst nodewise u_hi - u_lo, its first minimum in row-major order
+    (PASS when >= -1e-10).  A grid that one member cannot step on raises
+    its `GridError`; it is not a failed precondition of the pair."""
     checks = []
     try:
-        order = comparison_harness(spec_hi, spec_lo, grid)
-    except GridError:
-        raise
+        _ordering_preconditions(spec_hi, spec_lo, grid)
     except ValueError as err:
         _chk(checks, "ordering-preconditions", False, 1.0, 0.0, str(err))
         return SuiteResult(checks=tuple(checks), final_report=None,
                            trace=None)
     _chk(checks, "ordering-preconditions", True, 0.0, 0.0,
          "data ordering verified on sampled nodes")
-    _chk(checks, "comparison-order", order.passed, order.min_diff,
-         -ORDER_SLACK,
-         f"worst nodewise u_hi - u_lo at {order.where}")
+    pen = PenaltyParams(64.0, 64.0)
+    hi = solve_penalized(spec_hi, grid, pen).field.values
+    lo = solve_penalized(spec_lo, grid, pen).field.values
+    # the first minimum a block of slices at a time; the first NaN wins,
+    # as in np.argmin
+    min_diff = None
+    for k0, k1 in _blocks(grid.nt + 1, grid.nx + 1):
+        diff = hi[k0:k1] - lo[k0:k1]
+        j, i = np.unravel_index(int(np.argmin(diff)), diff.shape)
+        if min_diff is None or not (math.isnan(min_diff)
+                                    or diff[j, i] >= min_diff):
+            min_diff, k, col = float(diff[j, i]), k0 + j, i
+    _chk(checks, "comparison-order", min_diff >= -ORDER_SLACK, min_diff,
+         -ORDER_SLACK, "worst nodewise u_hi - u_lo at "
+         f"(t={grid.t_nodes[k]:g}, x={grid.x_nodes[col]:g})")
     return SuiteResult(checks=tuple(checks), final_report=None, trace=None)

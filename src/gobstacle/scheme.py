@@ -261,16 +261,14 @@ def _per_node(value, n):
 
 def _gradient_bound(spec: ProblemSpec, xs, ts):
     """Probe a bound for the first-order (gradient) coefficients on the
-    time nodes ts."""
-    sup_b = 0.0
-    sup_l = 0.0
-    for t in ts:
-        sup_b = max(sup_b, float(np.max(np.abs(
-            np.broadcast_to(np.asarray(spec.coeffs.drift(t, xs), dtype=float),
-                            xs.shape)))))
-        sup_l = max(sup_l, float(np.max(np.abs(
-            np.broadcast_to(np.asarray(spec.coeffs.cross(t, xs), dtype=float),
-                            xs.shape)))))
+    time nodes ts; a NaN on any probed node raises GridError naming its
+    coefficient."""
+    sup_b, sup_l = (
+        np.max([np.max(np.abs(_row(fs, t, xs))) for t in ts])
+        for fs in (spec.coeffs.drift, spec.coeffs.cross))
+    for name, sup in (("drift", sup_b), ("cross", sup_l)):
+        if np.isnan(sup):
+            raise GridError(f"the {name} coefficient is NaN on a probed node")
     high = spec.gparams.vol_high_sq
     z_scale = math.sqrt(spec.coeffs.vol_cap)
     return sup_b + high * sup_l \
@@ -312,7 +310,8 @@ def _cfl_steps(spec: ProblemSpec, xs, dx, cfl_safety, grid=None):
     restriction of `build_grid` on the nodes xs, spaced dx.  The
     first-order coefficients are probed at t = 0, T/2, T, or on the
     t-nodes of `grid` when one is given and a drift or cross is custom.
-    A count above the cap, inf or NaN included, raises GridError."""
+    A count above the cap, inf or NaN included, raises GridError, and
+    so does a drift or cross that is NaN on a probed node."""
     ts = (0.0, 0.5 * spec.horizon, spec.horizon)
     if grid is not None and "custom" in (spec.coeffs.drift.kind,
                                          spec.coeffs.cross.kind):
@@ -347,9 +346,18 @@ def _block_max(fn, *arrays):
     """np.max(fn(*arrays)), taken over blocks of leading rows so that no
     temporary outgrows a block; the max is exact, so the value is the
     same, and a NaN anywhere still gives NaN."""
-    size = max(1, _BLOCK_ELEMENTS // arrays[0][0].size)
-    return float(np.max([np.max(fn(*(a[k:k + size] for a in arrays)))
-                         for k in range(0, len(arrays[0]), size)]))
+    return float(np.max([np.max(fn(*(a[k0:k1] for a in arrays)))
+                         for k0, k1 in _blocks(len(arrays[0]),
+                                               arrays[0][0].size)]))
+
+
+def _blocks(stop, width):
+    """Consecutive ranges (k0, k1) covering rows 0..stop-1 of `width`
+    elements each: a range holds at most _BLOCK_ELEMENTS elements, or one
+    row when a row alone is larger.  Every blocked scan and replay takes
+    its ranges from here."""
+    size = max(1, _BLOCK_ELEMENTS // width)
+    return [(k, min(k + size, stop)) for k in range(0, stop, size)]
 
 
 def _check_field_budget(grid: Grid, count):
@@ -462,9 +470,9 @@ class StepOperator:
         for a replay that holds `rows` layers per slice: a block's
         largest array stays under _BLOCK_ELEMENTS elements, and a block
         is one slice when the operator is `per_slice`."""
-        size = 1 if self.per_slice \
-            else max(1, _BLOCK_ELEMENTS // (rows * (self.grid.nx + 1)))
-        return [(k, min(k + size, stop)) for k in range(0, stop, size)]
+        if self.per_slice:
+            return [(k, k + 1) for k in range(stop)]
+        return _blocks(stop, rows * (self.grid.nx + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Independent per-node reference for the right-hand side, a helper
 that turns every field of a problem into a `custom` one, thin helpers
-that read the pieces of a step from the step kernel, and a slice-by-slice
-reference sum of a bundle's contact residuals.
+that read the pieces of a step from the step kernel, and slice-by-slice
+reference sums of a bundle's contact residuals and tail energies.
 
 The oracle evaluates the problem's functions at one node (or broadcast
 over a layer) directly from the spec, without the compiled rows of
@@ -160,3 +160,19 @@ def contact_sums(bundle):
             acc[1] += np.maximum(y[k] - ob.upper(t, x), 0.0) \
                 * bundle.da_minus[k, 1:-1]
     return float(np.max(acc[0])), float(np.max(acc[1]))
+
+
+def tail_energies(bundle):
+    """The tail energies behind `bmo_diagnostic`, an (nt, nx-1) array:
+    row k holds sum_{j >= k} z_j^2 * v*_j * dt per interior column, with
+    v* the variance `bundle.scenario_high` picks, each column added slice
+    by slice from the terminal end."""
+    grid, gp = bundle.y.grid, bundle.spec.gparams
+    tails = np.empty((grid.nt, grid.nx - 1))
+    acc = np.zeros(grid.nx - 1)
+    for k in range(grid.nt - 1, -1, -1):
+        zk = bundle.z.values[k, 1:-1]
+        v_star = np.where(bundle.scenario_high[k], gp.vol_high_sq,
+                          gp.vol_low_sq)
+        acc = tails[k] = acc + zk * zk * v_star * grid.dt
+    return tails

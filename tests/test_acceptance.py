@@ -17,8 +17,8 @@ from gobstacle import cli
 from gobstacle.decomposition import reconstruct
 from gobstacle.diagnostics import (
     classical_oracle,
-    comparison_harness,
     inner_mask,
+    run_comparison_suite,
     sup_diff,
 )
 from gobstacle.presets import get_preset, list_presets
@@ -255,10 +255,12 @@ def test_c11_comparison_orders_outputs(acceptance_log):
     assert (hi.obstacles.lower != lo.obstacles.lower
             and hi.obstacles.upper != lo.obstacles.upper)
     grid = build_grid(hi)
-    rep = comparison_harness(hi, lo, grid)
-    _record(acceptance_log, 11, rep.passed and rep.min_diff >= -1e-10,
+    pre, order = run_comparison_suite(hi, lo, grid).checks
+    where = order.detail.removeprefix("worst nodewise u_hi - u_lo at ")
+    _record(acceptance_log, 11,
+            pre.passed and order.passed and order.value >= -1e-10,
             f"ordered data in terminal/f/g/obstacles: min(u_hi-u_lo) = "
-            f"{rep.min_diff:.3g} >= -1e-10 at {rep.where}")
+            f"{order.value:.3g} >= -1e-10 at {where}")
 
 
 def test_c12_suite_is_byte_deterministic(tmp_path, acceptance_log):

@@ -24,7 +24,7 @@ from gobstacle.scheme import Field, GridError, PenaltyParams, StepFailure, \
 from gobstacle.solvers import PenaltySchedule, SolveReport, solve_limit, \
     solve_penalized, solve_penalized_batch
 from node_oracle import all_custom, contact_sums, layer_rhs_parts, \
-    one_step, resolve_penalties
+    resolve_penalties
 
 # rows with zero and positive intensities on either side
 MIXED = (PenaltyParams(0.0, 0.0), PenaltyParams(4.0, 0.0),
@@ -477,19 +477,35 @@ def test_a_non_finite_merged_layer_fails_every_row(monkeypatch, pens):
 # the kernel's work arrays stay inside it; each field owns its memory
 # ---------------------------------------------------------------------------
 
-def test_kernel_buffers_never_leak_out():
+def test_kernel_buffers_never_leak_out(monkeypatch):
+    # no field or bundle array the package returns is a buffer of a step
+    # kernel that made it: the solvers' one-layer and batch kernels, and
+    # the replay kernels of a reconstruction and of the CSV's slice rows
+    kernels = []
+
+    class Recorded(scheme._Kernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+    monkeypatch.setattr(solvers, "_Kernel", Recorded)
+    monkeypatch.setattr(decomposition, "_Kernel", Recorded)
     spec = get_preset("double-active")
     grid = build_grid(spec, nx=48)
-    op = StepOperator(spec, grid)
-    pen = PenaltyParams(64.0, 64.0)
-    layer = np.sin(grid.x_nodes)
-    kept = layer.tobytes()
-    first = one_step(layer, grid.t_nodes[-2], op, pen)
-    first_bytes = first.tobytes()
-    second = one_step(first, grid.t_nodes[-3], op, pen)
-    assert not np.shares_memory(first, second)
-    assert first.tobytes() == first_bytes  # also the second's next_layer
-    assert layer.tobytes() == kept
+    reports = solve_penalized_batch(spec, grid, MIXED)
+    single = solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
+    bundle = reconstruct(single)
+    rows = decomposition._bundle_rows(single, [0, grid.nt // 2, grid.nt])
+    kept = [r.field.values for r in reports] + [
+        single.field.values, bundle.z.values, bundle.da_plus,
+        bundle.da_minus, bundle.defect.values, bundle.scenario_high, *rows]
+    buffers = [a for k in kernels
+               for a in (*k.layers, k.v, k.qv, k.rest, k.env)]
+    # one layer, the batch's rows, a replay block (every step of this
+    # grid) and a slice row
+    assert {k.shape[:-1] for k in kernels} \
+        == {(), (len(MIXED),), (grid.nt,), (1,)}
+    assert not any(np.shares_memory(a, b) for a in kept for b in buffers)
 
     reports = solve_penalized_batch(spec, grid, MIXED)
     others = [r.field.values.tobytes() for r in reports[1:]]

@@ -19,7 +19,7 @@ from gobstacle.presets import get_preset
 from gobstacle.scheme import PenaltyParams, StepOperator, build_grid
 from gobstacle.solvers import PenaltySchedule, solve_double_projection, \
     solve_limit, solve_penalized
-from node_oracle import layer_rhs_parts, worst_case_vol
+from node_oracle import layer_rhs_parts, tail_energies, worst_case_vol
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +186,7 @@ def test_tail_energy_profile_shape_and_monotonicity():
     grid = build_grid(spec, nx=64)
     rep = solve_double_projection(spec, grid)
     bundle = reconstruct(rep)
-    worst, tails = bmo_diagnostic(bundle, return_profile=True)
+    worst, tails = bmo_diagnostic(bundle), tail_energies(bundle)
     assert worst >= 0.0
     assert tails.shape == (grid.nt, grid.nx - 1)
     assert float(np.max(tails[0])) == worst  # tails peak at the start
@@ -218,15 +218,14 @@ def test_scenario_map_ties_take_the_high_variance():
 
 def test_bmo_reads_the_scenario_map_without_a_replay(mode_runs, monkeypatch):
     bundle = reconstruct(mode_runs[0])
-    worst, tails = bmo_diagnostic(bundle, return_profile=True)
+    worst = bmo_diagnostic(bundle)
 
     def refuse(*args, **kwargs):
         raise AssertionError("bmo_diagnostic replayed a step")
     monkeypatch.setattr(decomposition, "_Kernel", refuse)
     monkeypatch.setattr(decomposition, "StepOperator", refuse)
-    again, profile = bmo_diagnostic(bundle, return_profile=True)
-    assert again == worst
-    np.testing.assert_array_equal(profile, tails)
+    again = bmo_diagnostic(bundle)
+    assert again == worst == float(np.max(tail_energies(bundle)[0]))
     # an all-low map weighs every step like a band pinned at the low end
     bundle.scenario_high[:] = False
     pinned = replace(bundle.spec, gparams=GParams(1.0, 1.0))
@@ -302,6 +301,6 @@ def test_diagnostics_follow_the_scheme_of_the_solve():
         zk = bundle.z.values[k, 1:-1]
         energy[k] = zk * zk * v_star * grid.dt
     want = np.cumsum(energy[::-1], axis=0)[::-1]
-    worst, tails = bmo_diagnostic(bundle, return_profile=True)
+    worst, tails = bmo_diagnostic(bundle), tail_energies(bundle)
     np.testing.assert_allclose(tails, want, rtol=1e-12, atol=0.0)
     assert worst == pytest.approx(float(np.max(want)), rel=1e-12)

@@ -1,4 +1,4 @@
-"""Oracles, the comparison harness, and the check batteries."""
+"""Oracles, the comparison of an ordered pair, and the check batteries."""
 
 import math
 from dataclasses import replace
@@ -10,7 +10,6 @@ import pytest
 from gobstacle import diagnostics, scheme, solvers
 from gobstacle.diagnostics import (
     classical_oracle,
-    comparison_harness,
     inner_mask,
     run_comparison_suite,
     run_property_suite,
@@ -82,6 +81,9 @@ def test_sup_diff_is_nan_when_any_node_is(k):
     assert math.isnan(sup_diff(b, a, inner=True))
 
 
+AT = "worst nodewise u_hi - u_lo at "  # the comparison-order detail
+
+
 def test_comparison_names_the_first_minimum_across_blocks(monkeypatch):
     hi, lo = get_preset("comparison-pair")
     grid = build_grid(hi, nx=200)
@@ -102,17 +104,17 @@ def test_comparison_names_the_first_minimum_across_blocks(monkeypatch):
         k, i = np.unravel_index(int(np.argmin(values)), values.shape)
         return f"(t={grid.t_nodes[k]:g}, x={grid.x_nodes[i]:g})"
 
-    rep = comparison_harness(hi, lo, grid)
-    assert rep.min_diff == -0.5 and not rep.passed
-    assert rep.where == whole(hi_vals) == \
-        f"(t={grid.t_nodes[size - 1]:g}, x={grid.x_nodes[60]:g})"
+    order = run_comparison_suite(hi, lo, grid).checks[1]
+    assert order.value == -0.5 and not order.passed
+    assert order.detail == AT + whole(hi_vals) == \
+        AT + f"(t={grid.t_nodes[size - 1]:g}, x={grid.x_nodes[60]:g})"
 
     # the first NaN wins over any number, as in np.argmin
     hi_vals[size + 2, 7] = hi_vals[3 * size, 1] = np.nan
-    rep = comparison_harness(hi, lo, grid)
-    assert math.isnan(rep.min_diff) and not rep.passed
-    assert rep.where == whole(hi_vals) == \
-        f"(t={grid.t_nodes[size + 2]:g}, x={grid.x_nodes[7]:g})"
+    order = run_comparison_suite(hi, lo, grid).checks[1]
+    assert math.isnan(order.value) and not order.passed
+    assert order.detail == AT + whole(hi_vals) == \
+        AT + f"(t={grid.t_nodes[size + 2]:g}, x={grid.x_nodes[7]:g})"
 
 
 def test_sup_diff_refuses_incompatible_grids():
@@ -179,40 +181,44 @@ def test_oracle_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# comparison harness
+# comparison of an ordered pair
 # ---------------------------------------------------------------------------
+
+def _refusal(hi, lo, grid):
+    """The detail of a pair's failed ordering-preconditions check, the
+    suite's only check then."""
+    (check,) = run_comparison_suite(hi, lo, grid).checks
+    assert check.name == "ordering-preconditions" and not check.passed
+    return check.detail
+
 
 def test_ordered_pair_orders_the_outputs():
     hi, lo = get_preset("comparison-pair")
     grid = build_grid(hi, nx=100)
-    rep = comparison_harness(hi, lo, grid)
-    assert rep.passed
-    assert rep.min_diff >= -1e-10
-    assert rep.min_diff == pytest.approx(0.1, abs=1e-12)  # terminal gap
+    pre, order = run_comparison_suite(hi, lo, grid).checks
+    assert pre.passed and order.passed
+    assert order.value >= -1e-10
+    assert order.value == pytest.approx(0.1, abs=1e-12)  # terminal gap
 
 
 def test_swapped_pair_is_refused_with_the_offending_channel():
     hi, lo = get_preset("comparison-pair")
     grid = build_grid(hi, nx=100)
-    with pytest.raises(ValueError, match="ordering precondition"):
-        comparison_harness(lo, hi, grid)
+    assert "ordering precondition" in _refusal(lo, hi, grid)
 
 
 def test_comparison_requires_matching_structure():
     hi, lo = get_preset("comparison-pair")
     grid = build_grid(hi, nx=50)
-    with pytest.raises(ValueError, match="volatility bands"):
-        comparison_harness(replace(hi, gparams=GParams(1.0, 3.0)), lo, grid)
-    with pytest.raises(ValueError, match="horizons"):
-        comparison_harness(replace(hi, horizon=2.0), lo, grid)
+    assert "volatility bands" in _refusal(
+        replace(hi, gparams=GParams(1.0, 3.0)), lo, grid)
+    assert "horizons" in _refusal(replace(hi, horizon=2.0), lo, grid)
     drifting = replace(hi, coeffs=replace(hi.coeffs,
                                           drift=FnSpec.constant(0.1)))
-    with pytest.raises(ValueError, match="dynamics coefficients"):
-        comparison_harness(drifting, lo, grid)
+    assert "dynamics coefficients" in _refusal(drifting, lo, grid)
     from gobstacle.model import ObstaclePair
     stripped = replace(hi, obstacles=ObstaclePair())
-    with pytest.raises(ValueError, match="activity flags"):
-        comparison_harness(stripped, lo, grid)
+    assert "activity flags" in _refusal(stripped, lo, grid)
 
 
 # ---------------------------------------------------------------------------

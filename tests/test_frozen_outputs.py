@@ -25,7 +25,7 @@ from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import PenaltyParams, build_grid
 from gobstacle.solvers import DEFAULT_INTENSITIES, PenaltySchedule, \
     solve_double_projection, solve_limit, solve_penalized
-from node_oracle import contact_sums
+from node_oracle import contact_sums, tail_energies
 
 PEN = PenaltyParams(64.0, 64.0)
 
@@ -109,7 +109,7 @@ def test_quadratic_drift_limit_stops_early():
 
 def _bundle_digest(report):
     bundle = reconstruct(report)
-    worst, tails = bmo_diagnostic(bundle, return_profile=True)
+    worst, tails = bmo_diagnostic(bundle), tail_energies(bundle)
     r_plus, r_minus = contact_sums(bundle)
     return _digest(report.field.values, bundle.z.values, bundle.da_plus,
                    bundle.da_minus, bundle.defect.values,

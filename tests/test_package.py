@@ -1,20 +1,20 @@
-"""The public surface, frozen: a name joins or leaves it on purpose."""
+"""The public surface, frozen: a name or keyword joins or leaves it on
+purpose."""
 
 import dataclasses
+import inspect
 
 import gobstacle
 
 SURFACE = [
-    "CheckResult", "CoefficientSet", "ConvergenceTrace",
-    "DEFAULT_INTENSITIES", "DEFAULT_STOP_TOL", "EvaluationError", "Field",
-    "FnSpec", "GParams", "GeneratorSpec", "Grid", "GridError",
-    "ORDER_SLACK", "ObstaclePair", "OrderReport", "PRESETS",
-    "PenaltyParams", "PenaltySchedule", "Preset", "ProblemSpec",
-    "ProcessBundle", "SolveReport", "SpecError", "StageRecord",
-    "StepFailure", "SuiteResult", "ValidationReport", "Violation", "ZERO",
-    "__version__", "bmo_diagnostic", "build_grid", "classical_oracle",
-    "comparison_harness", "g_eval", "get_preset", "inner_mask",
-    "list_presets", "one_step_residuals", "reconstruct",
+    "CheckResult", "CoefficientSet", "ConvergenceTrace", "DEFAULT_INTENSITIES",
+    "DEFAULT_STOP_TOL", "EvaluationError", "Field", "FnSpec", "GParams",
+    "GeneratorSpec", "Grid", "GridError", "ORDER_SLACK", "ObstaclePair",
+    "PRESETS", "PenaltyParams", "PenaltySchedule", "Preset", "ProblemSpec",
+    "ProcessBundle", "SolveReport", "SpecError", "StageRecord", "StepFailure",
+    "SuiteResult", "ValidationReport", "Violation", "ZERO", "__version__",
+    "bmo_diagnostic", "build_grid", "classical_oracle", "g_eval", "get_preset",
+    "inner_mask", "list_presets", "one_step_residuals", "reconstruct",
     "run_comparison_suite", "run_property_suite", "solve_double_projection",
     "solve_limit", "solve_penalized", "solve_penalized_batch", "sup_diff",
     "validate",
@@ -46,3 +46,41 @@ def test_the_config_fields_are_frozen():
         got = tuple(f.name for f in dataclasses.fields(getattr(gobstacle,
                                                                name)))
         assert got == want, name
+
+
+# the parameters of every public function, defaults included
+SIGNATURES = {
+    "bmo_diagnostic": "(bundle)",
+    "build_grid": "(spec, x_min=-10.0, x_max=10.0, nx=400, cfl_safety=0.9)",
+    "classical_oracle": "(spec, grid)",
+    "g_eval": "(a, gp)",
+    "get_preset": "(name)",
+    "inner_mask": "(grid)",
+    "list_presets": "()",
+    "one_step_residuals": "(bundle)",
+    "reconstruct": "(report)",
+    "run_comparison_suite": "(spec_hi, spec_lo, grid)",
+    "run_property_suite": "(spec, grid, schedule=None)",
+    "solve_double_projection": "(spec, grid)",
+    "solve_limit": "(spec, grid, schedule=None, keep_reports=False)",
+    "solve_penalized": "(spec, grid, pen)",
+    "solve_penalized_batch": "(spec, grid, pens)",
+    "sup_diff": "(a, b, inner=False)",
+    "validate": "(spec, probe)",
+}
+
+
+def _unannotated(fn):
+    sig = inspect.signature(fn)
+    return str(sig.replace(
+        parameters=[p.replace(annotation=p.empty)
+                    for p in sig.parameters.values()],
+        return_annotation=sig.empty))
+
+
+def test_the_public_signatures_are_frozen():
+    functions = {name: getattr(gobstacle, name) for name in gobstacle.__all__
+                 if inspect.isfunction(getattr(gobstacle, name))}
+    assert sorted(functions) == sorted(SIGNATURES)
+    for name, fn in functions.items():
+        assert _unannotated(fn) == SIGNATURES[name], name

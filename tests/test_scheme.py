@@ -144,6 +144,37 @@ def test_build_grid_refuses_an_infinite_step_count(spec):
             build_grid(spec, nx=64)
 
 
+# a first-order coefficient that is NaN on some probed node: a constant,
+# one table value, and a custom drift that turns NaN after t = T/2, at
+# the last of the first probe times only
+NAN_COEFFICIENTS = {
+    "constant-drift": ("drift", FnSpec.constant(math.nan)),
+    "tabulated-drift": ("drift", FnSpec.tabulated([-1.0, 0.0, 1.0],
+                                                  [0.1, math.nan, 0.1])),
+    "constant-cross": ("cross", FnSpec.constant(math.nan)),
+    "late-custom-drift": ("drift", FnSpec.custom(
+        lambda t, x, y, z: np.full(np.shape(x),
+                                   math.nan if t > 0.5 else 0.1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_COEFFICIENTS))
+def test_a_nan_first_order_coefficient_is_refused(name):
+    # NaN must not read as 0 in the CFL probe's max, whichever probe
+    # time carries it
+    coeff, fs = NAN_COEFFICIENTS[name]
+    finite = get_preset("double-active")
+    spec = replace(finite, coeffs=replace(finite.coeffs, **{coeff: fs}))
+    msg = f"the {coeff} coefficient is NaN on a probed node"
+    with pytest.raises(GridError, match=msg):
+        build_grid(spec, nx=64)
+    # a hand-built grid with the finite problem's step count
+    grid = build_grid(finite, nx=64)
+    grid = Grid(grid.x_min, grid.x_max, grid.nx, grid.nt, grid.horizon)
+    with pytest.raises(GridError, match=msg):
+        solve_penalized(spec, grid, PenaltyParams(64.0, 64.0))
+
+
 def test_build_grid_refuses_a_field_above_the_memory_cap():
     # nx=4000 needs nt=88,889 on this band: (nt+1)*(nx+1) doubles are
     # 2713 MiB; only the grid is built, the field is never allocated
