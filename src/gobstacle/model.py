@@ -117,7 +117,10 @@ class FnSpec:
     custom(fn)
         arbitrary host evaluator fn(t, x, y, z); not serializable.
 
-    A spec declares no constants: the section holding it declares them.
+    A spec holds only its kind's fields: another field off its default
+    (NaN too) raises SpecError, on `dataclasses.replace` too, so specs
+    that evaluate alike are equal and `from_dict(to_dict(fs)) == fs`.
+    It declares no constants: the section holding it declares them.
     """
 
     kind: str
@@ -142,6 +145,11 @@ class FnSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise SpecError(f"unknown FnSpec kind {self.kind!r}")
+        reads = ("kind", *self._FIELDS.get(self.kind, ("fn",)))
+        unread = [f.name for f in fields(self) if f.name not in reads
+                  and getattr(self, f.name) != f.default]  # NaN too
+        if unread:
+            raise SpecError(f"{self.kind} FnSpec does not read {unread}")
         if self.kind == "tabulated":
             if len(self.xs) != len(self.values) or len(self.xs) < 2:
                 raise SpecError("tabulated FnSpec needs matching xs/values, "
@@ -459,7 +467,8 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     """Check the structural assumptions of a problem on a probe grid.
 
     Walks every declared field over the probe's (t, x) nodes and collects
-    one entry per violated constraint, reporting the first worst node.
+    one entry per violated constraint, reporting the first worst node
+    (`check`; the terminal bound and sandwich read the terminal slice).
     Catalog kinds do not depend on t, so unless some field is custom
     only the first probe slice is walked; later slices repeat it and
     could not displace its worst node.
@@ -494,48 +503,38 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
              f"lipschitz_z = {gen.lipschitz_z:g} is below the catalog "
              f"drivers' sum of |gamma| = {need:g}")
 
-    def scan(fn):
-        # worst value of fn over all probe slices, with its node
+    def check(constraint, fn, detail):
+        # fn's worst value over the probe slices, at its first worst
+        # node, flagged when positive with `detail` formatted by it
         worst = None
         for t in ts:
             vals = fn(float(t))
             i = int(np.argmax(vals))
             if worst is None or vals[i] > worst[0]:
                 worst = (float(vals[i]), float(t), float(xs[i]))
-        return worst
+        if worst[0] > 0:
+            flag(constraint, f"(t={worst[1]:g}, x={worst[2]:g})", worst[0],
+                 detail.format(worst[0]))
 
-    sig = lambda t: _probe_eval(spec.coeffs.sigma, "sigma", t, xs)
-
-    w = scan(lambda t: spec.coeffs.vol_floor - sig(t) ** 2)
-    if w[0] > 0:
-        flag("ellipticity-floor", f"(t={w[1]:g}, x={w[2]:g})", w[0],
-             f"sigma^2 dips {w[0]:.3g} below declared vol_floor")
-    w = scan(lambda t: sig(t) ** 2 - spec.coeffs.vol_cap)
-    if w[0] > 0:
-        flag("ellipticity-cap", f"(t={w[1]:g}, x={w[2]:g})", w[0],
-             f"sigma^2 exceeds declared vol_cap by {w[0]:.3g}")
-
-    dx = probe.dx
-    w = scan(lambda t: cell_peclet_excess(
-        _probe_eval(spec.coeffs.drift, "drift", t, xs),
-        _probe_eval(spec.coeffs.cross, "cross", t, xs), sig(t) ** 2, dx,
-        spec.gparams.vol_low_sq))
-    if w[0] > 0:
-        flag("cell-peclet", f"(t={w[1]:g}, x={w[2]:g})", w[0],
-             f"|drift|*dx exceeds vol_low_sq*(sigma^2 - |cross|*dx) by "
-             f"{w[0]:.3g}; the step falls back to first-order one-sided "
-             "differences there, refine nx")
-
-    w = scan(lambda t: np.abs(_probe_eval(spec.gen.f, "f", t, xs))
-             + np.abs(_probe_eval(spec.gen.g, "g", t, xs))
-             - spec.gen.zero_bound)
-    if w[0] > 0:
-        flag("driver-zero-bound", f"(t={w[1]:g}, x={w[2]:g})", w[0],
-             f"|f(.,0,0)|+|g(.,0,0)| exceeds zero_bound by {w[0]:.3g}")
+    sig2 = lambda t: _probe_eval(c.sigma, "sigma", t, xs) ** 2
+    check("ellipticity-floor", lambda t: c.vol_floor - sig2(t),
+          "sigma^2 dips {:.3g} below declared vol_floor")
+    check("ellipticity-cap", lambda t: sig2(t) - c.vol_cap,
+          "sigma^2 exceeds declared vol_cap by {:.3g}")
+    check("cell-peclet", lambda t: cell_peclet_excess(
+              _probe_eval(c.drift, "drift", t, xs),
+              _probe_eval(c.cross, "cross", t, xs), sig2(t), probe.dx,
+              spec.gparams.vol_low_sq),
+          "|drift|*dx exceeds vol_low_sq*(sigma^2 - |cross|*dx) by {:.3g}; "
+          "the step falls back to first-order one-sided differences there, "
+          "refine nx")
+    check("driver-zero-bound", lambda t: np.abs(_probe_eval(gen.f, "f", t, xs))
+          + np.abs(_probe_eval(gen.g, "g", t, xs)) - gen.zero_bound,
+          "|f(.,0,0)|+|g(.,0,0)| exceeds zero_bound by {:.3g}")
 
     phi = _probe_eval(spec.terminal, "terminal", spec.horizon, xs)
     i = int(np.argmax(np.abs(phi)))
-    if abs(phi[i]) > spec.gen.zero_bound:
+    if abs(phi[i]) > gen.zero_bound:
         flag("terminal-bound", f"(x={xs[i]:g})", abs(phi[i]),
              f"|terminal| = {abs(phi[i]):.3g} exceeds zero_bound")
 
@@ -543,25 +542,19 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
     upp = lambda t: _probe_eval(ob.upper, "upper obstacle", t, xs)
 
     if ob.lower_active and ob.upper_active:
-        w = scan(lambda t: low(t) - upp(t))
-        if w[0] > 0:
-            flag("obstacle-order", f"(t={w[1]:g}, x={w[2]:g})", w[0],
-                 f"lower exceeds upper by {w[0]:.3g}")
+        check("obstacle-order", lambda t: low(t) - upp(t),
+              "lower exceeds upper by {:.3g}")
     if ob.lower_active:
-        w = scan(lambda t: low(t) - ob.level_bound)
-        if w[0] > 0:
-            flag("obstacle-level", f"(t={w[1]:g}, x={w[2]:g})", w[0],
-                 "lower obstacle above level_bound")
+        check("obstacle-level", lambda t: low(t) - ob.level_bound,
+              "lower obstacle above level_bound")
         lT = low(float(spec.horizon))
         j = int(np.argmax(lT - phi))
         if lT[j] - phi[j] > 0:
             flag("terminal-sandwich", f"(x={xs[j]:g})", lT[j] - phi[j],
                  f"terminal dips {lT[j] - phi[j]:.3g} below lower obstacle")
     if ob.upper_active:
-        w = scan(lambda t: -upp(t) - ob.level_bound)
-        if w[0] > 0:
-            flag("obstacle-level", f"(t={w[1]:g}, x={w[2]:g})", w[0],
-                 "negated upper obstacle above level_bound")
+        check("obstacle-level", lambda t: -upp(t) - ob.level_bound,
+              "negated upper obstacle above level_bound")
         uT = upp(float(spec.horizon))
         j = int(np.argmax(phi - uT))
         if phi[j] - uT[j] > 0:
@@ -569,7 +562,7 @@ def validate(spec: ProblemSpec, probe: "Grid") -> ValidationReport:
                  f"terminal exceeds upper obstacle by {phi[j] - uT[j]:.3g}")
 
     # probe the drivers off the origin for finiteness only
-    for name, fs in (("f", spec.gen.f), ("g", spec.gen.g)):
+    for name, fs in (("f", gen.f), ("g", gen.g)):
         for yz in ((0.0, 0.0), (1.0, -1.0), (-1.0, 1.0)):
             _probe_eval(fs, name, float(ts[0]), xs, *yz)
 

@@ -124,7 +124,9 @@ class Grid:
     dx > 0), a horizon that is not finite and positive, an nx or nt that
     is not an integer (a bool included), nx < 4 or nt < 1, and a
     solution field above the memory cap (`_check_field_budget`).
-    Immutable after construction; node arrays are materialized once.
+    Immutable after construction.  The read-only node arrays `x_nodes`
+    and `t_nodes` are derived from (x_min, x_max, nx) and (horizon, nt)
+    when built, `dataclasses.replace` included, and cannot be passed.
     Grids are equal when their domains, sizes and horizons are.
     """
 
@@ -133,8 +135,8 @@ class Grid:
     nx: int
     nt: int
     horizon: float
-    x_nodes: np.ndarray = dc_field(repr=False, compare=False, default=None)
-    t_nodes: np.ndarray = dc_field(repr=False, compare=False, default=None)
+    x_nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    t_nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.x_max - self.x_min):  # NaN if both inf

@@ -19,7 +19,7 @@ from gobstacle.model import (
     SpecError,
     validate,
 )
-from gobstacle.presets import get_preset
+from gobstacle.presets import get_preset, list_presets
 from gobstacle.scheme import Grid, build_grid
 
 
@@ -92,15 +92,44 @@ def test_custom_delegates_to_host_callable():
     # a NaN clip would clip every value to NaN
     dict(kind="polynomial", coeffs=(0.0, 0.0, 1.0), clip=math.nan),
     dict(kind="quadratic_in_z", gamma=0.5, clip=math.nan),
+    # a field the kind does not read would be silently ignored
+    dict(kind="constant", value=1.0, slope=2.0),
+    dict(kind="tabulated", xs=(0.0, 1.0), values=(0.0, 1.0), clip=0.5),
+    dict(kind="affine", slope=1.0, intercept=0.0, fn=abs),
+    dict(kind="custom", fn=abs, clip=5.0),
+    dict(kind="constant", value=0.0, gamma=math.nan),
 ])
 def test_fnspec_constructor_rejections(bad):
     with pytest.raises(SpecError):
         FnSpec(**bad)
 
 
+def test_a_changed_kind_must_drop_the_fields_it_does_not_read():
+    fs = FnSpec.polynomial([0.0, 1.0], clip=5.0)
+    with pytest.raises(SpecError, match=re.escape(
+            "constant FnSpec does not read ['coeffs', 'clip']")):
+        replace(fs, kind="constant")
+    assert replace(fs, clip=4.0).clip == 4.0  # a read field stays settable
+
+
 # ---------------------------------------------------------------------------
 # FnSpec serialization
 # ---------------------------------------------------------------------------
+
+def _preset_fnspecs():
+    # every distinct function of every single preset
+    out = []
+    for preset in list_presets():
+        if preset.kind != "single":
+            continue
+        spec = get_preset(preset.name)
+        c, gen, ob = spec.coeffs, spec.gen, spec.obstacles
+        for fs in (c.drift, c.cross, c.sigma, gen.f, gen.g, ob.lower,
+                   ob.upper, spec.terminal):
+            if fs is not None and fs not in out:
+                out.append(fs)
+    return out
+
 
 @pytest.mark.parametrize("fs", [
     FnSpec.constant(0.25),
@@ -108,6 +137,7 @@ def test_fnspec_constructor_rejections(bad):
     FnSpec.polynomial([0.0, 0.0, 1.0], clip=1.6),
     FnSpec.quadratic_in_z(0.5, clip=7.0),
     FnSpec.tabulated([0.0, 1.0, 3.0], [1.0, -1.0, 2.0]),
+    *_preset_fnspecs(),
 ])
 def test_dict_round_trip(fs):
     rec = fs.to_dict()
@@ -333,3 +363,88 @@ def test_validate_flags_the_cell_peclet_condition():
 def test_cell_peclet_leaves_the_drift_preset_clean(nx):
     spec = get_preset("quadratic-drift")
     assert validate(spec, build_grid(spec, nx=nx)).ok
+
+
+def _every_constraint():
+    # breaks all eleven constraints at once on double-active's band
+    return ProblemSpec(
+        gparams=get_preset("double-active").gparams,
+        coeffs=CoefficientSet(drift=FnSpec.constant(60.0),
+                              cross=FnSpec.constant(0.3),
+                              sigma=FnSpec.affine(0.05, 1.0),
+                              vol_floor=1.0, vol_cap=1.0),
+        gen=GeneratorSpec(f=FnSpec.affine(0.3, 1.0),
+                          g=FnSpec.quadratic_in_z(0.5),
+                          lipschitz_z=0.1, zero_bound=0.5),
+        obstacles=ObstaclePair(FnSpec.affine(0.2, 0.5),
+                               FnSpec.affine(-0.1, -0.4), level_bound=0.3),
+        terminal=FnSpec.affine(0.5, 0.1))
+
+
+def _growing_in_t():
+    # custom fields that grow with t: every worst node is on the last slice
+    c = FnSpec.custom
+    return ProblemSpec(
+        gparams=get_preset("double-active").gparams,
+        coeffs=CoefficientSet(
+            drift=c(lambda t, x, y, z: (4.0 + 8.0 * t) * (1.0 + 0.05 * x)),
+            sigma=c(lambda t, x, y, z: (1.0 + 0.3 * t) + 0.01 * x),
+            vol_floor=0.5, vol_cap=1.0),
+        gen=GeneratorSpec(zero_bound=1.0),
+        obstacles=ObstaclePair(
+            c(lambda t, x, y, z: 0.2 + 0.5 * t + 0.01 * x),
+            c(lambda t, x, y, z: -0.1 - 0.6 * t + 0.02 * x),
+            level_bound=0.4),
+        terminal=FnSpec.constant(0.0))
+
+
+_PECLET = ("|drift|*dx exceeds vol_low_sq*(sigma^2 - |cross|*dx) by {}; the "
+           "step falls back to first-order one-sided differences there, "
+           "refine nx")
+
+# the report text, line by line, with the cell-Peclet excess per nx
+_REPORTS = {
+    _every_constraint: ({16: "75.1", 64: "18.6"}, [
+        "validation: 11 violation(s)",
+        "  [driver-z-modulus] at gen: lipschitz_z = 0.1 is below the "
+        "catalog drivers' sum of |gamma| = 0.5",
+        "  [ellipticity-floor] at (t=0, x=-10): sigma^2 dips 0.75 below "
+        "declared vol_floor",
+        "  [ellipticity-cap] at (t=0, x=10): sigma^2 exceeds declared "
+        "vol_cap by 1.25",
+        "  [cell-peclet] at (t=0, x=-10): " + _PECLET,
+        "  [driver-zero-bound] at (t=0, x=10): |f(.,0,0)|+|g(.,0,0)| exceeds "
+        "zero_bound by 3.5",
+        "  [terminal-bound] at (x=10): |terminal| = 5.1 exceeds zero_bound",
+        "  [obstacle-order] at (t=0, x=10): lower exceeds upper by 3.9",
+        "  [obstacle-level] at (t=0, x=10): lower obstacle above level_bound",
+        "  [terminal-sandwich] at (x=-10): terminal dips 3.4 below lower "
+        "obstacle",
+        "  [obstacle-level] at (t=0, x=10): negated upper obstacle above "
+        "level_bound",
+        "  [terminal-sandwich] at (x=10): terminal exceeds upper obstacle "
+        "by 6.5"]),
+    _growing_in_t: ({16: "20.5", 64: "3.66"}, [
+        "validation: 7 violation(s)",
+        "  [ellipticity-cap] at (t=1, x=10): sigma^2 exceeds declared "
+        "vol_cap by 0.96",
+        "  [cell-peclet] at (t=1, x=10): " + _PECLET,
+        "  [obstacle-order] at (t=1, x=-10): lower exceeds upper by 1.5",
+        "  [obstacle-level] at (t=1, x=10): lower obstacle above level_bound",
+        "  [terminal-sandwich] at (x=10): terminal dips 0.8 below lower "
+        "obstacle",
+        "  [obstacle-level] at (t=1, x=-10): negated upper obstacle above "
+        "level_bound",
+        "  [terminal-sandwich] at (x=-10): terminal exceeds upper obstacle "
+        "by 0.9"]),
+}
+
+
+@pytest.mark.parametrize("nx", [16, 64])
+@pytest.mark.parametrize("build", list(_REPORTS),
+                         ids=["every-constraint", "growing-in-t"])
+def test_validate_report_text_is_frozen(build, nx):
+    # constraints, their order, locations, worst values and messages
+    excess, lines = _REPORTS[build]
+    want = "\n".join(lines).replace("{}", excess[nx])
+    assert str(validate(build(), Grid(-10.0, 10.0, nx, 7, 1.0))) == want

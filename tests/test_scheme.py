@@ -67,6 +67,18 @@ def test_grid_compatibility():
     assert a != Grid(-1.0, 2.0, 8, 4, 1.0)
 
 
+def test_a_grid_derives_its_nodes():
+    # the nodes follow the sizes and cannot be passed, so none is ignored
+    with pytest.raises(TypeError, match="x_nodes"):
+        Grid(-10.0, 10.0, 64, 10, 1.0, x_nodes=np.zeros(3))
+    with pytest.raises(TypeError, match="t_nodes"):
+        Grid(-10.0, 10.0, 64, 10, 1.0, t_nodes=np.zeros(3))
+    finer = replace(Grid(-1.0, 1.0, 8, 4, 1.0), nt=8)
+    np.testing.assert_array_equal(finer.t_nodes, np.linspace(0.0, 1.0, 9))
+    np.testing.assert_array_equal(finer.x_nodes, np.linspace(-1.0, 1.0, 9))
+    assert not finer.t_nodes.flags.writeable
+
+
 @pytest.mark.parametrize("nx,nt", [(64, 0), (64, -3), (2, 10), (3, 10)])
 def test_a_degenerate_grid_is_refused_when_built(nx, nt):
     # a hand-built grid too coarse to step on is refused before any
