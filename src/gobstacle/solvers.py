@@ -18,21 +18,28 @@ reaches an obstacle on a side whose intensity differs between rows (a
 single solve, or rows of equal intensities, have no such side).  That
 step is taken again, and the rest, through one kernel of S layers laid
 end to end in one flat array of S*(nx+1) nodes, with the intensities
-given per row, each row into its own field.  Rows that never separate
-share one read-only field.  Each row's report is then read from its
-stored field in one pass over blocks of slices, which names the first
-step that left the finite range or scans the obstacle violations, once
-per field.  A `SolveReport.wall_time` is the stepping time of the whole
-batch.
+given per row.  One row keeps the merged field (the first; the last in
+the limit driver); every other row gets a field of its own holding a
+copy of the merged slices, or, in the limit driver, only the slices it
+stepped apart.  Rows that never
+separate share one read-only field.  Each row's report is then read from
+its stored slices, from their column extremes or in one pass over
+blocks of slices, which names the first step that left the finite range
+or scans the obstacle violations, once per field.  A
+`SolveReport.wall_time` is the stepping time of the whole batch.
 
 The limit driver steps its whole schedule as one batch, then walks the
 stages in order and records a per-stage trace (sup difference between
 consecutive stages, obstacle violations, contact residuals read from the
-stage field's penalty increments), stopping at the first stage whose
+stage's penalty increments), stopping at the first stage whose
 difference drops below the schedule's tolerance, exactly as a walk that
 solved one stage at a time; two stages that share a field differ by
-0.0.  Stages past the stop are never read, so a stage that left the
-finite range raises only if the walk reaches it.
+0.0.  Unless it keeps every report, the driver holds the slices its
+stages stepped as one layer once, in the last stage's field, reads their
+column extremes once, and builds a whole field only for the stage it
+returns, if that is not the last.  Stages past the stop are never read,
+so a stage that left the finite range raises only if the walk reaches
+it.
 The driver flags, never raises, when the schedule ends above its
 stopping tolerance.
 """
@@ -48,8 +55,8 @@ import numpy as np
 
 from .model import ProblemSpec, SpecError
 from .scheme import Field, Grid, PenaltyParams, StepFailure, StepOperator, \
-    _advance, _block_max, _check_field_budget, _check_grid, _Kernel, \
-    _nonfinite, _penalty_rows
+    _advance, _block_max, _blocks, _check_field_budget, _check_grid, \
+    _Kernel, _nonfinite, _penalty_rows
 
 DEFAULT_INTENSITIES = (4.0, 16.0, 64.0, 256.0, 1024.0)
 DEFAULT_STOP_TOL = 1.0e-4
@@ -67,7 +74,8 @@ class SolveReport:
     (inf where a side was projected) the field was stepped with, so that
     `reconstruct(report)` replays the solve.  The rows of a batch that
     never separated share one read-only field; every other field owns
-    its memory.
+    its memory, the whole field that `solve_limit` builds for a stage it
+    held as its own and shared slices included.
     """
 
     field: Field
@@ -115,7 +123,7 @@ def _crossed(checks, v, u, hit):
                    for on_layer, row, test in checks)
 
 
-def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
+def _solve_rows(spec: ProblemSpec, grid: Grid, pens, whole=True):
     """Step one solve per PenaltyParams in `pens` (at least one), one
     `_advance` call per time step.
 
@@ -124,22 +132,31 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     differs between rows (`_separating`; a single solve or rows of equal
     intensities have no such side and are never tested).  Until then the
     penalties act alike on every row, so that step is every row's step
-    bit for bit.  At the first crossing each row gets its own field
-    holding the merged slices, and that step and the rest run in an
-    S-row kernel, which steps its two flat layers in turn and returns the
-    new one as an (S, nx+1) view whose rows are copied into their fields;
-    a batch whose terminal slice already fails a test starts there.  Rows
+    bit for bit.  At the first crossing, the step to slice k-1, every
+    row but one gets its own array.  With `whole` the first row keeps the
+    merged field and every other row gets a field holding a copy of the
+    merged slices k..nt; with the merged field last instead,
+    `run_property_suite` on `upper-active` at nx=400 took twice the
+    minor page faults per run (8488 against 4064).  Else the last row
+    keeps the merged field and every other row stores only its slices
+    0..k-1, a (k, nx+1) array that reads slices k..nt from the last
+    row's field, so that a walk over every stage returns the last one's
+    field as it is.  That step and the rest run in an S-row kernel,
+    which steps its two flat layers in turn and returns the new one as
+    an (S, nx+1) view whose rows are copied into the rows' arrays; a
+    batch whose terminal slice already fails a test starts there.  Rows
     that never separate share one read-only field (a single solve's is
     writable); rows that separated each own their memory.
 
-    Returns (the compiled StepOperator, one stored field per row, the
+    Returns (the compiled StepOperator, one stored array per row, the
     stepping wall time).  A grid not built for the problem (another
     horizon, or a dt above its CFL bound) raises GridError before any
     step, and S fields are checked against the memory cap before any is
-    allocated.  Nothing else is checked here: a row that left the finite
-    range keeps stepping on non-finite values, and `_report` names its
-    failure when a caller reads that row.  numpy's overflow and
-    invalid-value warnings are silenced while stepping.
+    allocated, since k is unknown before stepping.  Nothing else is
+    checked here: a row that left the finite range keeps stepping on
+    non-finite values, and `_scan` names its failure when a caller reads
+    that row.  numpy's overflow and invalid-value warnings are silenced
+    while stepping.
     """
     if not pens:
         raise SpecError("a batch needs at least one PenaltyParams")
@@ -169,9 +186,14 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
             if len(pens) > 1:
                 merged.setflags(write=False)  # every row reads it
             return op, [merged] * len(pens), time.perf_counter() - start
-        fields = [merged] + [np.empty(merged.shape) for _ in pens[1:]]
-        for values in fields[1:]:
-            values[k:] = merged[k:]
+        own = [np.empty((nt + 1 if whole else k, grid.nx + 1))
+               for _ in pens[1:]]
+        if whole:
+            for values in own:
+                values[k:] = merged[k:]
+            fields = [merged] + own
+        else:
+            fields = own + [merged]
         kernel = _Kernel(op, rows, (len(pens), grid.nx + 1))
         layer = kernel.layer
         layer[:] = merged[k]
@@ -182,58 +204,84 @@ def _solve_rows(spec: ProblemSpec, grid: Grid, pens):
     return op, fields, time.perf_counter() - start
 
 
-def _report(values, op: StepOperator, pen, wall) -> SolveReport:
-    """The SolveReport of one stepped field; raises the StepFailure of
-    the first step that made a non-finite value (the terminal slice is
-    data, not a step, so it is not checked).  An operator that is not
-    `timed` is read from three rows: the steps' column min and max, all
-    finite exactly when the steps are, and the terminal slice; as
-    fl(lower - u) falls and fl(u - upper) rises with u, their violations
-    are the worst of every node's.  Else, or past a non-finite step, one
-    pass over blocks of slices from the top reads each block against the
-    obstacle rows at its t; only a block whose min or max is not finite
-    is searched for its slice."""
+def _stage_blocks(op: StepOperator, stage, stop, width=None):
+    """(k0, the slices k0..k1-1) over slices 0..stop-1 of a stage, in
+    slice order.  A stage is a pair (own, shared): its slices are own's,
+    then shared's from len(own) on (a whole field is (values, values)),
+    and no block straddles the two.  The ranges come from `op.blocks`,
+    or, for rows of `width` elements, from `_blocks`."""
+    own, shared = stage
+    cut = min(len(own), stop)
+    ranges = op.blocks if width is None else (lambda n: _blocks(n, width))
+    return [(k0, own[k0:k1]) for k0, k1 in ranges(cut)] + \
+        [(cut + k0, shared[cut + k0:cut + k1])
+         for k0, k1 in ranges(stop - cut)]
+
+
+def _extremes(slices):
+    """The column min and max of a block of slices, as two rows; +inf
+    and -inf for a block of none."""
+    return np.stack((slices.min(axis=0, initial=math.inf),
+                     slices.max(axis=0, initial=-math.inf)))
+
+
+def _scan(op: StepOperator, stage, tail=None):
+    """(lower violation, upper violation, cols) of a stage
+    (`_stage_blocks`); raises the StepFailure of the first step that made
+    a non-finite value (the terminal slice is data, not a step, so it is
+    not checked).
+
+    An operator that is not `timed` is read from three rows: cols, the
+    steps' column min and max, all finite exactly when the steps are, and
+    the terminal slice; as fl(lower - u) falls and fl(u - upper) rises
+    with u, their violations are the worst of every node's.  `tail` holds
+    the extremes of the shared steps len(own)..nt-1 when the stage has
+    any, so stages that share them read them once.  Else, or past a
+    non-finite step, one pass over blocks of slices from the top reads
+    each block against the obstacle rows at its t; only a block whose min
+    or max is not finite is searched for its slice.  cols is None for a
+    `timed` operator."""
     grid, nt = op.grid, op.grid.nt
-    lo_viol = up_viol = 0.0
-    blocks = reversed(op.blocks(nt + 1))
+    own, shared = stage
+    cols = None
     if not op.timed:
-        steps = values[:nt]
-        cols = np.stack((steps.min(axis=0), steps.max(axis=0), values[nt]))
-        if np.isfinite(cols[:2]).all():
-            blocks = ()
-            lo, up = _layer_violations(cols, op.lower, op.upper)
-            lo_viol, up_viol = max(lo_viol, lo), max(up_viol, up)
-    for k0, k1 in blocks:
-        block = values[k0:min(k1, nt)]
-        if not (math.isfinite(block.min(initial=0.0))
-                and math.isfinite(block.max(initial=0.0))):
-            bad = np.flatnonzero(~np.isfinite(block).all(axis=-1))
+        cols = _extremes(own[:nt])
+        if tail is not None:
+            np.minimum(cols[0], tail[0], out=cols[0])
+            np.maximum(cols[1], tail[1], out=cols[1])
+        if np.isfinite(cols).all():
+            last = own[nt] if len(own) > nt else shared[nt]
+            lo, up = _layer_violations(np.vstack((cols, last)), op.lower,
+                                       op.upper)
+            return max(0.0, lo), max(0.0, up), cols
+    lo_viol = up_viol = 0.0
+    for k0, block in reversed(_stage_blocks(op, stage, nt + 1)):
+        steps = block[:nt - k0]
+        if not (math.isfinite(steps.min(initial=0.0))
+                and math.isfinite(steps.max(initial=0.0))):
+            bad = np.flatnonzero(~np.isfinite(steps).all(axis=-1))
             k = k0 + int(bad[-1])
+            after = own[k + 1] if k + 1 < len(own) else shared[k + 1]
             raise StepFailure(
                 f"step to slice {k} of {grid.nt}: "
-                f"{_nonfinite(values[k], grid.t_nodes[k], grid)}; the last "
-                f"finite layer has sup|u| = "
-                f"{np.max(np.abs(values[k + 1])):.6g}")
+                f"{_nonfinite(block[k - k0], grid.t_nodes[k], grid)}; the "
+                f"last finite layer has sup|u| = "
+                f"{np.max(np.abs(after)):.6g}")
         op.at(grid.t_nodes[k0])
-        lo, up = _layer_violations(values[k0:k1], op.lower, op.upper)
+        lo, up = _layer_violations(block, op.lower, op.upper)
         lo_viol = max(lo_viol, lo)
         up_viol = max(up_viol, up)
-    return SolveReport(field=Field(values=values, grid=grid),
+    return lo_viol, up_viol, cols
+
+
+def _report(values, op: StepOperator, pen, wall) -> SolveReport:
+    """The SolveReport of one stored field (`_scan`), which raises the
+    StepFailure of its first non-finite step."""
+    lo_viol, up_viol, _ = _scan(op, (values, values))
+    return SolveReport(field=Field(values=values, grid=op.grid),
                        sup_upper_violation=up_viol,
                        sup_lower_violation=lo_viol, wall_time=wall,
                        spec=op.spec, pen=pen)
-
-
-def _reports(op: StepOperator, fields, pens, wall):
-    """The SolveReport of each row in turn, read as it is asked for: a
-    row that shares the previous row's field shares its scan, with its
-    own pen."""
-    report = None
-    for values, pen in zip(fields, pens):
-        report = replace(report, pen=pen) \
-            if report is not None and values is report.field.values \
-            else _report(values, op, pen, wall)
-        yield report
 
 
 def solve_penalized(spec: ProblemSpec, grid: Grid,
@@ -248,12 +296,17 @@ def solve_penalized_batch(spec: ProblemSpec, grid: Grid, pens) -> tuple:
     """Penalized solves of one problem at each PenaltyParams in `pens`,
     stepped together; the reports come in the order of `pens`, each
     with the batch's wall time.  Rows that never separated (see
-    `_solve_rows`) share one read-only field; every other row's field
-    owns its memory.  The first row that left the finite range raises
-    its StepFailure; an empty `pens` raises SpecError."""
+    `_solve_rows`) share one read-only field, read once; every other
+    row's field owns its memory.  The first row that left the finite
+    range raises its StepFailure; an empty `pens` raises SpecError."""
     pens = tuple(pens)
     op, fields, wall = _solve_rows(spec, grid, pens)
-    return tuple(_reports(op, fields, pens, wall))
+    reports = []
+    for values, pen in zip(fields, pens):
+        reports.append(replace(reports[-1], pen=pen)
+                       if reports and values is reports[-1].field.values
+                       else _report(values, op, pen, wall))
+    return tuple(reports)
 
 
 def solve_double_projection(spec: ProblemSpec, grid: Grid) -> SolveReport:
@@ -347,42 +400,61 @@ class ConvergenceTrace:
     reports: Optional[tuple] = None  # per-stage SolveReports when kept
 
 
-def _contact_residuals(field: Field, op: StepOperator, rates):
-    """(r_plus, r_minus) of a field: per side, the max over interior
-    columns of sum_k gap_k*dA_k, with gap the (lower - Y)^+ or
-    (Y - upper)^+ of slice k against the operator's obstacle row, which
-    a `timed` one re-reads at each block's t, and dA = c*gap the push
-    of the side's rate c, each column summed in slice order.
+def _contact_residuals(op: StepOperator, stage, rates, cols):
+    """(r_plus, r_minus) of a stage (`_stage_blocks`): per side, the max
+    over interior columns of sum_k gap_k*dA_k, with gap the (lower - Y)^+
+    or (Y - upper)^+ of slice k against the operator's obstacle row, and
+    dA = c*gap the push of the side's rate c, each column summed in slice
+    order.
 
     `rates` holds one value per side (lower, upper): the float c, or
-    None for a side that adds nothing, whose residual is 0.0 (with both
-    None, no block is walked).  Per block shape one buffer holds the
-    block's interior values, one the sum so far and the block's terms
-    per side, and one a push."""
-    grid = field.grid
-    m = grid.nx - 1
-    acc = np.zeros((2, m))
-    sides = [i for i in (0, 1) if rates[i] is not None]
-    size = None
-    for k0, k1 in op.blocks(grid.nt) if sides else ():
-        op.at(grid.t_nodes[k0])
-        if k1 - k0 != size:
-            size = k1 - k0
-            y, push = np.empty((size, m)), np.empty((size, m))
-            block = np.empty((2, size + 1, m))
-        np.copyto(y, field.values[k0:k1, 1:-1])
-        for i in sides:
-            gap = block[i, 1:]
+    None for a side that adds nothing, whose residual is 0.0.  `cols` is
+    the stage's column min and max over its steps (`_scan`): a column
+    whose min is not below the lower row, or whose max is not above the
+    upper one, has no gap on any step and sums to exactly 0.0, so a side
+    reads only the span of columns from its first crossing one to its
+    last (two at least: numpy sums a lone column pairwise, not row by
+    row), in blocks of slices sized for it.  A `timed` operator (cols
+    None) reads every interior column per `op.blocks`, at each block's
+    t.  With no column to read, no block is walked.  Per block and side
+    one buffer holds the sum so far and the block's terms, and one a
+    push."""
+    nx = op.grid.nx
+    sides = []
+    for i, rate in enumerate(rates):
+        if rate is None:
+            continue
+        if cols is None:
+            a, b = 1, nx
+        else:
+            crossed = np.flatnonzero(cols[1, 1:-1] > op.upper[1:-1] if i
+                                     else cols[0, 1:-1] < op.lower[1:-1])
+            if not crossed.size:
+                continue
+            a = min(1 + crossed[0], nx - 2)
+            b = max(2 + crossed[-1], a + 2)
+        sides.append((i, rate, slice(a, b), np.zeros(b - a)))
+    blocks = _stage_blocks(op, stage, op.grid.nt, None if cols is None
+                           else max(acc.size for *_, acc in sides)) \
+        if sides else ()
+    for k0, block in blocks:
+        op.at(op.grid.t_nodes[k0])
+        for i, rate, span, acc in sides:
+            terms = np.empty((len(block) + 1, acc.size))
+            push, gap = np.empty(terms[1:].shape), terms[1:]
             if i:
-                np.subtract(y, op.upper[1:-1], out=gap)
+                np.subtract(block[:, span], op.upper[span], out=gap)
             else:
-                np.subtract(op.lower[1:-1], y, out=gap)
+                np.subtract(op.lower[span], block[:, span], out=gap)
             np.maximum(gap, 0.0, out=gap)
-            np.multiply(rates[i], gap, out=push)
+            np.multiply(rate, gap, out=push)
             np.multiply(gap, push, out=gap)
-            block[i, 0] = acc[i]
-            np.add.reduce(block[i], axis=0, out=acc[i])
-    return float(np.max(acc[0])), float(np.max(acc[1]))
+            terms[0] = acc
+            np.add.reduce(terms, axis=0, out=acc)
+    residuals = [0.0, 0.0]
+    for i, *_, acc in sides:
+        residuals[i] = float(np.max(acc))
+    return tuple(residuals)
 
 
 def solve_limit(spec: ProblemSpec, grid: Grid,
@@ -396,13 +468,19 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     past the stop are never read, and a stage's StepFailure is raised
     only if the walk reaches it.  Stages that never separated share one
     field (`_solve_rows`), which is read once: their difference is 0.0,
-    and each stage's report carries its own pen.  A stage's contact
-    residuals come from the penalty increments dt*m*(lower - Y)^+ and
-    dt*n*(Y - upper)^+ of its field, which are its compensators (none on
-    a projected side): `_contact_residuals` takes the rate dt*m or dt*n
-    and forms them block by block, so no reconstruction runs.  A side
-    whose stage violation is 0.0 has no gap, so its residual is 0.0
-    unscanned.
+    and each stage's report carries its own pen.  Once the stages
+    separate, at slice k, each stage is held as its own slices 0..k-1
+    followed by the slices k..nt that every stage shares, held once, in
+    the last stage's field; the walk reads the shared slices' column
+    extremes once, and two stages differ only in their own slices.  The
+    report of a stage other than the last builds that stage's whole
+    field; with keep_reports every stage holds its whole field.
+    A stage's contact residuals come from the penalty increments
+    dt*m*(lower - Y)^+ and dt*n*(Y - upper)^+ of its slices, which are
+    its compensators (none on a projected side): `_contact_residuals`
+    takes the rate dt*m or dt*n and forms them block by block, so no
+    reconstruction runs.  A side whose stage violation is 0.0 has no
+    gap, so its residual is 0.0 unscanned.
     Returns (the SolveReport of the last stage walked, with that stage's
     pen, ConvergenceTrace); a schedule that ends above tolerance only
     clears the converged flag.
@@ -413,33 +491,40 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     if schedule is None:
         schedule = PenaltySchedule.diagonal()
 
-    op, fields, wall = _solve_rows(spec, grid, schedule.steps)
+    op, fields, wall = _solve_rows(spec, grid, schedule.steps, keep_reports)
+    nt, merged = grid.nt, fields[-1]
+    k = len(fields[0])  # a stage's own slices; merged holds k..nt
+    tail = _extremes(merged[k:nt]) if k <= nt and not op.timed else None
     stages = []
     reports = []
     prev = None
     converged = False
-    for idx, report in enumerate(_reports(op, fields, schedule.steps,
-                                          wall)):
-        pen, values = report.pen, report.field.values
+    for idx, (pen, values) in enumerate(zip(schedule.steps, fields)):
+        stage = (values[:k], merged)
+        if values is not prev:  # a shared field is read once
+            lo_viol, up_viol, cols = _scan(op, stage, tail)
         # a side's compensator is its push dt*rate*gap; a side the stage
         # never crossed, or pushes at no finite positive rate, adds 0.0
-        r_plus, r_minus = _contact_residuals(report.field, op, [
+        r_plus, r_minus = _contact_residuals(op, stage, [
             grid.dt * rate if viol and 0.0 < rate < math.inf else None
-            for viol, rate in ((report.sup_lower_violation, pen.m_lower),
-                               (report.sup_upper_violation, pen.n_upper))])
+            for viol, rate in ((lo_viol, pen.m_lower),
+                               (up_viol, pen.n_upper))], cols)
         if prev is None:
             diff = float("inf")
-        elif values is prev:  # one field, which `_report` found finite
+        elif values is prev:  # one field, which `_scan` found finite
             diff = 0.0
-        else:
-            diff = _block_max(lambda a, b: np.abs(a - b), values, prev)
+        else:  # the shared slices differ by 0.0
+            diff = _block_max(lambda a, b: np.abs(a - b), values[:k],
+                              prev[:k])
         stages.append(StageRecord(
             stage=idx, m_lower=pen.m_lower, n_upper=pen.n_upper,
-            sup_diff=diff, upper_violation=report.sup_upper_violation,
-            lower_violation=report.sup_lower_violation,
-            r_plus=r_plus, r_minus=r_minus))
+            sup_diff=diff, upper_violation=up_viol,
+            lower_violation=lo_viol, r_plus=r_plus, r_minus=r_minus))
         if keep_reports:
-            reports.append(report)
+            reports.append(
+                replace(reports[-1], pen=pen) if values is prev
+                else SolveReport(Field(values=values, grid=grid), up_viol,
+                                 lo_viol, wall, op.spec, pen))
         prev = values
         if diff < schedule.stop_tol:
             converged = True
@@ -448,4 +533,9 @@ def solve_limit(spec: ProblemSpec, grid: Grid,
     trace = ConvergenceTrace(stages=tuple(stages), converged=converged,
                              stop_tol=schedule.stop_tol,
                              reports=tuple(reports) if keep_reports else None)
-    return report, trace
+    if not keep_reports:
+        if len(values) <= nt:
+            values = np.concatenate((values, merged[k:]))
+        reports.append(SolveReport(Field(values=values, grid=grid), up_viol,
+                                   lo_viol, wall, op.spec, pen))
+    return reports[-1], trace

@@ -5,6 +5,7 @@ exactly the stage-by-stage walk, replays take blocks of slices except
 where a field or driver may depend on t, and each call checks what it
 will hold against the memory cap before allocating."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -360,6 +361,60 @@ def test_limit_driver_equals_the_stage_walk(nx, name, schedule):
     assert got == _walk(spec, grid, schedule)
 
 
+@pytest.mark.parametrize("nx,name,schedule", STAGE_WALKS)
+def test_the_walk_over_shared_slices_equals_the_whole_walk(nx, name,
+                                                         schedule):
+    # without keep_reports the separated stages hold only their own
+    # slices and share the rest; the trace and the last report keep the
+    # bytes of the walk over whole fields
+    spec = _problem(name)
+    grid = build_grid(spec, nx=nx)
+    final, trace = solve_limit(spec, grid, schedule)
+    last, kept = solve_limit(spec, grid, schedule, keep_reports=True)
+    assert trace.stages == kept.stages and trace.converged == kept.converged
+    assert final.field.values.tobytes() == last.field.values.tobytes()
+    assert (final.sup_upper_violation, final.sup_lower_violation,
+            final.pen) == (last.sup_upper_violation,
+                           last.sup_lower_violation, last.pen)
+
+
+# double-active at nx=400 with stop_tol 0.01: the walk stops at stage 3
+# of 5, a row that holds only its slices up to the separation; sha256 of
+# repr(trace.stages) and of the four kept stage fields, as first stepped
+STOPPED_TRACE = \
+    "95b589b0068cd4ed10f23cb1e5ffe9da2cb93cb51c23f962c1cf6f67e3b78ab7"
+STOPPED_FIELDS = \
+    "61f03c90a1befe2fd73304fac8477c307b40f2cee0b5e2a7f59db632cc8b6a48"
+
+
+def test_a_walk_that_stops_inside_the_ladder_builds_its_stage():
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=400)
+    schedule = PenaltySchedule.diagonal(stop_tol=0.01)
+    report, trace = solve_limit(spec, grid, schedule)
+    assert trace.converged and len(trace.stages) == 4
+    assert trace.stages[-1].sup_diff == pytest.approx(4.68e-3, abs=5e-6)
+    assert report.pen == PenaltyParams(256.0, 256.0) != schedule.steps[-1]
+    assert hashlib.sha256(repr(trace.stages).encode()).hexdigest() \
+        == STOPPED_TRACE
+    want = solve_penalized(spec, grid, report.pen)
+    values = report.field.values
+    assert values.tobytes() == want.field.values.tobytes()
+    assert (report.sup_upper_violation, report.sup_lower_violation) \
+        == (want.sup_upper_violation, want.sup_lower_violation)
+    assert values.base is None and values.flags.writeable
+
+    _, kept = solve_limit(spec, grid, schedule, keep_reports=True)
+    assert kept.stages == trace.stages
+    digest = hashlib.sha256()
+    for pen, got in zip(schedule.steps, kept.reports):
+        assert got.pen == pen
+        digest.update(got.field.values.tobytes())
+        assert got.field.values.tobytes() \
+            == solve_penalized(spec, grid, pen).field.values.tobytes()
+    assert digest.hexdigest() == STOPPED_FIELDS
+
+
 def test_skorohod_residuals_of_a_timed_obstacle_sum_slice_by_slice():
     # the lower obstacle moves with t: each slice's gap reads the rows at
     # that slice's t, and each column adds in slice order
@@ -381,6 +436,30 @@ def test_skorohod_residuals_of_a_timed_obstacle_sum_slice_by_slice():
         for s, report in zip(trace.stages, trace.reports):
             assert (s.r_plus, s.r_minus) == \
                 contact_sums(reconstruct(report)), (nx, name, s.stage)
+
+
+def test_a_contact_scan_reads_each_crossed_column_slice_by_slice():
+    # the scan reads only the columns from the first one a stage crosses
+    # to the last; each sums its slices in order, a lone column too
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=200)
+    op = StepOperator(spec, grid)
+    for seed in range(3):
+        gaps = np.random.default_rng(seed).uniform(1.0, 2.0, grid.nt)
+        for columns in ([100], [100, 105]):
+            values = np.minimum(np.maximum(op.lower, 0.0) + 1.0, op.upper) \
+                + np.zeros((grid.nt + 1, 1))
+            sums = []
+            for scale, column in enumerate(columns, 1):
+                values[:grid.nt, column] = op.lower[column] - scale * gaps
+                sums.append(0.0)
+                for k in range(grid.nt):
+                    gap = max(op.lower[column] - values[k, column], 0.0)
+                    sums[-1] += gap * (0.5 * gap)
+            cols = solvers._extremes(values[:grid.nt])
+            assert np.flatnonzero(cols[0] < op.lower).tolist() == columns
+            assert solvers._contact_residuals(
+                op, (values, values), (0.5, None), cols) == (max(sums), 0.0)
 
 
 @pytest.mark.parametrize("name", ["double-active", "upper-active",
@@ -471,6 +550,45 @@ def test_a_non_finite_merged_layer_fails_every_row(monkeypatch, pens):
         with pytest.raises(StepFailure, match=f"step to slice 7 of {grid.nt}: "
                            "non-finite value at t="):
             solvers._report(values, op, pen, wall)
+
+
+def test_a_non_finite_shared_slice_fails_the_first_stage(monkeypatch):
+    # only the lower rates differ, and they are tested on the explicit
+    # values: an inf in the merged layer at slice 7 is stored there, so
+    # every stage reads it among the slices it shares with the last
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=48)
+    schedule = PenaltySchedule.fixed_n(64.0, (4.0, 16.0, 64.0))
+    poisoned = _poison_row(monkeypatch, None, 7)
+    _, fields, _ = solvers._solve_rows(spec, grid, schedule.steps, False)
+    assert poisoned == [1] and len(fields[0]) <= 7
+    texts = []
+    for keep in (False, True):
+        with pytest.raises(StepFailure, match=f"step to slice 7 of {grid.nt}"
+                           ": non-finite value at t=") as failure:
+            solve_limit(spec, grid, schedule, keep_reports=keep)
+        texts.append(str(failure.value))
+    assert texts[0] == texts[1]
+
+
+def test_a_stage_scan_reads_the_shared_steps_as_its_own():
+    # a stage held as its own slices 0..k-1 and the shared k..nt reads
+    # as its whole field; here only the shared slices cross the
+    # obstacles (+-0.25): two steps, whose extremes are read once, and
+    # the terminal slice
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=48)
+    op = StepOperator(spec, grid)
+    k = 5
+    merged = np.zeros((grid.nt + 1, grid.nx + 1))
+    merged[k + 2, 7], merged[k + 3, 9], merged[grid.nt, 11] = 1.0, -1.0, 2.0
+    own = np.zeros((k, grid.nx + 1))
+    whole = np.concatenate((own, merged[k:]))
+    got = solvers._scan(op, (own, merged),
+                        solvers._extremes(merged[k:grid.nt]))
+    want = solvers._scan(op, (whole, whole))
+    assert got[:2] == want[:2] == (0.75, 1.75)
+    assert got[2].tobytes() == want[2].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +973,25 @@ def test_peak_memory_is_the_fields_plus_one_mib():
     assert peak <= field + slack  # its rows never separate: one field
     peak, _ = _traced_peak(lambda: reconstruct(report))
     assert peak <= 4 * field + slack
+
+
+def test_the_ladder_holds_the_slices_its_stages_share_once(monkeypatch):
+    # double-active's rows separate at the step to slice k-1: the last
+    # stage's field holds the slices k..nt every stage shares, and the
+    # other four only their slices 0..k-1
+    spec = get_preset("double-active")
+    grid = build_grid(spec, nx=400)
+    field = (grid.nt + 1) * (grid.nx + 1) * 8
+    schedule = PenaltySchedule.diagonal()
+    steps = _steps(monkeypatch)
+    solvers._solve_rows(spec, grid, schedule.steps)
+    k = _separation(steps, grid.nt) + 1
+    monkeypatch.undo()
+    assert 0 < k < grid.nt
+    peak, (_, trace) = _traced_peak(lambda: solve_limit(spec, grid,
+                                                        schedule))
+    assert len(trace.stages) == len(schedule.steps)
+    assert peak <= (1 + 4 * k / (grid.nt + 1)) * field + 2 ** 20
 
 
 def test_property_suite_peak_is_seven_fields_plus_one_mib():

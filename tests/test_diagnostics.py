@@ -243,9 +243,9 @@ def test_property_suite_steps_in_three_batches(monkeypatch):
     batches = []
     real = solvers._solve_rows
 
-    def counting(spec, grid, pens):
+    def counting(spec, grid, pens, *whole):
         batches.append(tuple(pens))
-        return real(spec, grid, pens)
+        return real(spec, grid, pens, *whole)
 
     monkeypatch.setattr(solvers, "_solve_rows", counting)
     spec = get_preset("double-active")

@@ -15,7 +15,7 @@ import pytest
 
 from gobstacle import cli, solvers
 from gobstacle.presets import get_preset, list_presets
-from gobstacle.scheme import StepOperator, build_grid
+from gobstacle.scheme import build_grid
 
 SINGLES = [p.name for p in list_presets() if p.kind == "single"]
 MODES = ("penalized", "reflected_lower_pen_upper", "projection", "limit")
@@ -231,20 +231,20 @@ def test_a_side_the_stages_never_cross_has_no_contact_scan(tmp_path,
                                                           monkeypatch,
                                                           capsys):
     # quadratic-drift crosses neither obstacle in any stage: solve_limit
-    # passes no increment for either side, so no block is scanned, and
-    # the trace keeps its bytes
+    # passes no rate for either side, so no block is scanned, and the
+    # trace keeps its bytes
     scans = []
-    real = solvers._contact_residuals
+    real, blocks = solvers._contact_residuals, solvers._stage_blocks
 
-    def contact_residuals(field, op, increments):
+    def contact_residuals(op, stage, rates, cols):
         walked = []
-        op.blocks = lambda *args: walked.append(args) or \
-            StepOperator.blocks(op, *args)
+        solvers._stage_blocks = lambda *args: walked.append(args) or \
+            blocks(*args)
         try:
-            return real(field, op, increments)
+            return real(op, stage, rates, cols)
         finally:
-            del op.blocks
-            scans.append((tuple(increments), bool(walked)))
+            solvers._stage_blocks = blocks
+            scans.append((tuple(rates), bool(walked)))
 
     monkeypatch.setattr(solvers, "_contact_residuals", contact_residuals)
     spec = get_preset("double-active")
